@@ -47,7 +47,7 @@ int main() {
       dut::LegacySwitchConfig cfg;
       cfg.pipeline_latency = from_micros(lat_us);
       cfg.latency_jitter_ns = jit_ns;
-      dut::LegacySwitch sw{dut::GraphWired{}, eng, cfg};
+      dut::LegacySwitch sw{eng, cfg};
       hw::connect(osnt.port(0), sw.port(0));
       hw::connect(osnt.port(1), sw.port(1));
       prime_learning(eng, osnt);

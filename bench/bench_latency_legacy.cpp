@@ -38,7 +38,7 @@ int main() {
     for (const double load : {0.2, 0.5, 0.8, 0.95, 1.0, 1.05}) {
       sim::Engine eng;
       core::OsntDevice osnt{eng};
-      dut::LegacySwitch sw{dut::GraphWired{}, eng};
+      dut::LegacySwitch sw{eng};
       hw::connect(osnt.port(0), sw.port(0));
       hw::connect(osnt.port(1), sw.port(1));
       hw::connect(osnt.port(2), sw.port(2));

@@ -3,10 +3,10 @@
 // measured with manual timing so items/sec is flows simulated per wall
 // second of *simulation* — testbed construction (building N flow state
 // machines, the device, the cable) happens outside the timed region;
-// (b) the wheel-vs-heap A/B at scale in a timer-dominated regime (the
-// tentpole's >= 2x gate at 10k flows); and (c) the goodput-vs-BER
-// curve, the headline experiment of the tcp subsystem. BENCH_tcp.json
-// (tools/bench_engine_snapshot.sh) snapshots all three.
+// (b) the same at scale in a timer-dominated regime (gated >= 2x at 10k
+// flows against a frozen pre-timing-wheel baseline); and (c) the
+// goodput-vs-BER curve, the headline experiment of the tcp subsystem.
+// BENCH_tcp.json (tools/bench_engine_snapshot.sh) snapshots all three.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -18,6 +18,7 @@
 #include "osnt/graph/blocks.hpp"
 #include "osnt/graph/graph.hpp"
 #include "osnt/graph/topology.hpp"
+#include "osnt/hw/port.hpp"
 #include "osnt/tcp/workload.hpp"
 
 namespace {
@@ -34,17 +35,22 @@ tcp::WorkloadConfig bench_cfg(const char* cc, std::size_t flows) {
   return cfg;
 }
 
-/// Run one pre-built trial, timing only the simulation. Returns the
-/// report for counter bookkeeping.
+/// Run one trial over a back-to-back cable, timing only the simulation.
+/// Returns the report for counter bookkeeping.
 tcp::TcpTrialReport timed_trial(benchmark::State& state,
                                 const tcp::WorkloadConfig& cfg,
                                 Picos duration) {
-  tcp::ClosedLoopTestbed bed(cfg);  // untimed: flow/device construction
+  // Untimed: engine/device construction, cabling, N flow state machines.
+  sim::Engine eng;
+  core::OsntDevice dev{eng};
+  hw::connect(dev.port(0), dev.port(1));
+  tcp::ClosedLoopWorkload workload{eng, dev, cfg};
+  workload.start();
   const auto t0 = std::chrono::steady_clock::now();
-  bed.run_until(duration);
+  eng.run_until(duration);
   const auto t1 = std::chrono::steady_clock::now();
   state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
-  return bed.report(duration);
+  return workload.report(duration);
 }
 
 /// Flow-simulation throughput: one 2 ms closed-loop trial per iteration,
@@ -72,15 +78,13 @@ BENCHMARK(BM_ClosedLoopFlows)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
-/// The tentpole gate: flows/wall-second at 1k/10k/100k flows, the §12
-/// hot path (arg1 = 1: wheel timers + lazy delack + drop-early probe)
-/// vs the pre-§12 legacy baseline (arg1 = 0: heap-only timers, eager
-/// delack cancels, unconditional serialization). The regime is
-/// deliberately timer-dominated — small MSS, a starved 0.5 Gb/s
-/// bottleneck, and a 200 µs min RTO — so most engine events are RTO
-/// re-arms/fires and delayed-ACK timers rather than segment transfers.
+/// Flows/wall-second at 1k/10k/100k flows on the §12 hot path (wheel
+/// timers + lazy delack + drop-early probe). The regime is deliberately
+/// timer-dominated — small MSS, a starved 0.5 Gb/s bottleneck, and a
+/// 200 µs min RTO — so most engine events are RTO re-arms/fires and
+/// delayed-ACK timers rather than segment transfers.
 /// tools/bench_engine_snapshot.sh derives the flows_per_wall_second axis
-/// and checks hot path >= 2x legacy at the 10k point.
+/// and checks it >= 2x the frozen pre-§12 `legacy_baseline` at 10k.
 void BM_FlowScale(benchmark::State& state) {
   const auto flows = static_cast<std::size_t>(state.range(0));
   tcp::WorkloadConfig cfg = bench_cfg("newreno", flows);
@@ -88,7 +92,6 @@ void BM_FlowScale(benchmark::State& state) {
   cfg.bottleneck_gbps = 0.5;
   cfg.min_rto = 200 * kPicosPerMicro;
   cfg.max_rto = 2 * kPicosPerMilli;
-  cfg.legacy_hot_path = state.range(1) == 0;
   std::uint64_t rto_fires = 0;
   for (auto _ : state) {
     const auto r = timed_trial(state, cfg, 2 * kPicosPerMilli);
@@ -99,14 +102,11 @@ void BM_FlowScale(benchmark::State& state) {
                           static_cast<std::int64_t>(flows));
   state.counters["rto_fires"] =
       static_cast<double>(rto_fires) / static_cast<double>(state.iterations());
-  state.SetLabel(cfg.legacy_hot_path ? "legacy" : "wheel");
 }
 BENCHMARK(BM_FlowScale)
-    ->Args({1000, 1})
-    ->Args({10000, 1})
-    ->Args({100000, 1})
-    ->Args({1000, 0})
-    ->Args({10000, 0})
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -180,14 +180,19 @@ BENCHMARK(BM_GraphOverhead)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
-/// Goodput vs bit-error rate: a 6 ms BER window inside a 20 ms BBR run.
-/// Arg indexes the BER ladder; the achieved goodput lands in the
-/// "goodput_gbps" counter, from which the snapshot script derives the
-/// curve. Index 0 is the clean link (the 10%-of-bottleneck gate point).
+/// Goodput vs bit-error rate: a 6 ms BER window inside a 20 ms BBR run
+/// over the back-to-back cable (a topology with no blocks). Arg indexes
+/// the BER ladder; the achieved goodput lands in the "goodput_gbps"
+/// counter, from which the snapshot script derives the curve. Index 0 is
+/// the clean link (the 10%-of-bottleneck gate point).
 void BM_GoodputVsBer(benchmark::State& state) {
   static constexpr double kBer[] = {0.0, 1e-7, 1e-6, 5e-6, 2e-5};
   const double ber = kBer[state.range(0)];
-  const auto cfg = bench_cfg("bbr", 4);
+  graph::TopologyFile cable;
+  cable.workload.kind = graph::WorkloadSpec::Kind::kTcp;
+  cable.workload.cc = "bbr";
+  cable.workload.flows = 4;
+  cable.workload.bottleneck_gbps = 5.0;
   fault::FaultPlan plan;
   if (ber > 0.0) {
     plan = fault::FaultPlan::from_json(
@@ -198,10 +203,10 @@ void BM_GoodputVsBer(benchmark::State& state) {
   }
   double goodput = 0.0;
   for (auto _ : state) {
-    const auto r = tcp::run_closed_loop_trial(
-        cfg, 20 * kPicosPerMilli, ber > 0.0 ? &plan : nullptr);
-    goodput = r.goodput_bps;
-    benchmark::DoNotOptimize(r.retransmits);
+    const auto r = graph::run_topology_trial(
+        cable, 1, 20 * kPicosPerMilli, ber > 0.0 ? &plan : nullptr);
+    goodput = r.tcp.goodput_bps;
+    benchmark::DoNotOptimize(r.tcp.retransmits);
   }
   state.counters["ber"] = ber;
   state.counters["goodput_gbps"] = goodput / 1e9;

@@ -14,13 +14,12 @@ using namespace osnt;
 
 namespace {
 
-core::TrialStats trial(double load, std::size_t frame_size,
-                       double lookup_mpps) {
+core::TrialStats trial(const core::TrialPoint& pt, double lookup_mpps) {
   sim::Engine eng;
   core::OsntDevice osnt{eng};
   dut::LegacySwitchConfig cfg;
   cfg.lookup_rate_mpps = lookup_mpps;
-  dut::LegacySwitch sw{dut::GraphWired{}, eng, cfg};
+  dut::LegacySwitch sw{eng, cfg};
   hw::connect(osnt.port(0), sw.port(0));
   hw::connect(osnt.port(1), sw.port(1));
   {
@@ -34,8 +33,8 @@ core::TrialStats trial(double load, std::size_t frame_size,
     eng.run();
   }
   core::TrafficSpec spec;
-  spec.rate = gen::RateSpec::line_rate(load);
-  spec.frame_size = frame_size;
+  spec.rate = gen::RateSpec::line_rate(pt.load_fraction);
+  spec.frame_size = pt.frame_size;
   const auto r = core::run_capture_test(eng, osnt, 0, 1, spec, kPicosPerMilli);
   core::TrialStats s;
   s.tx_frames = r.tx_frames;
@@ -52,7 +51,7 @@ void sweep(const char* label, double lookup_mpps) {
   cfg.resolution = 0.01;
   for (const std::size_t size : core::rfc2544_frame_sizes()) {
     const auto pt = core::find_throughput(
-        [&](double load, std::size_t fs) { return trial(load, fs, lookup_mpps); },
+        [&](const core::TrialPoint& pt) { return trial(pt, lookup_mpps); },
         size, cfg);
     std::printf("%6zuB %11.1f%% %10.3f %10.3f %14.1f\n", pt.frame_size,
                 pt.max_load_fraction * 100.0, pt.gbps, pt.mpps,

@@ -36,7 +36,7 @@ OneWayResult run(bool card_b_disciplined, Picos duration) {
   core::OsntDevice card_a{eng, cfg_a};
   core::OsntDevice card_b{eng, cfg_b};
 
-  dut::LegacySwitch sw{dut::GraphWired{}, eng};
+  dut::LegacySwitch sw{eng};
   hw::connect(card_a.port(0), sw.port(0));
   hw::connect(card_b.port(0), sw.port(1));
 

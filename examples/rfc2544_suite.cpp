@@ -23,7 +23,7 @@ core::TrialStats run_trial(const core::TrialPoint& pt) {
   // Fresh testbed per trial, per RFC 2544 methodology.
   sim::Engine eng;
   core::OsntDevice osnt{eng};
-  dut::LegacySwitch sw{dut::GraphWired{}, eng};
+  dut::LegacySwitch sw{eng};
   hw::connect(osnt.port(0), sw.port(0));
   hw::connect(osnt.port(1), sw.port(1));
   {

@@ -19,18 +19,6 @@
 
 namespace osnt::core {
 
-/// Legacy (load, frame_size) trial signature, kept so existing call sites
-/// compile; internally adapted to core::Trial via as_trial().
-using TrialFn =
-    std::function<TrialStats(double load_fraction, std::size_t frame_size)>;
-
-/// Adapt a legacy functor to the unified vocabulary.
-[[nodiscard]] inline Trial as_trial(TrialFn legacy) {
-  return [legacy = std::move(legacy)](const TrialPoint& p) {
-    return legacy(p.load_fraction, p.frame_size);
-  };
-}
-
 struct ThroughputSearchConfig {
   double lo = 0.02;          ///< search floor (fraction of line rate)
   double hi = 1.0;           ///< search ceiling
@@ -56,9 +44,6 @@ struct ThroughputPoint {
 [[nodiscard]] ThroughputPoint find_throughput(
     const Trial& run, std::size_t frame_size,
     ThroughputSearchConfig cfg = ThroughputSearchConfig());
-[[nodiscard]] ThroughputPoint find_throughput(
-    const TrialFn& run, std::size_t frame_size,
-    ThroughputSearchConfig cfg = ThroughputSearchConfig());
 
 /// Standard RFC 2544 frame-size sweep. Each size's binary search stays
 /// sequential, but sizes are independent and shard across `runner.jobs`
@@ -66,10 +51,6 @@ struct ThroughputPoint {
 /// count.
 [[nodiscard]] std::vector<ThroughputPoint> throughput_sweep(
     const Trial& run, std::span<const std::size_t> frame_sizes,
-    ThroughputSearchConfig cfg = ThroughputSearchConfig(),
-    const RunnerConfig& runner = RunnerConfig());
-[[nodiscard]] std::vector<ThroughputPoint> throughput_sweep(
-    const TrialFn& run, std::span<const std::size_t> frame_sizes,
     ThroughputSearchConfig cfg = ThroughputSearchConfig(),
     const RunnerConfig& runner = RunnerConfig());
 
@@ -86,9 +67,6 @@ struct LossPoint {
 };
 [[nodiscard]] std::vector<LossPoint> loss_rate_sweep(
     const Trial& run, std::size_t frame_size, double hi = 1.0,
-    double step = 0.1, const RunnerConfig& runner = RunnerConfig());
-[[nodiscard]] std::vector<LossPoint> loss_rate_sweep(
-    const TrialFn& run, std::size_t frame_size, double hi = 1.0,
     double step = 0.1, const RunnerConfig& runner = RunnerConfig());
 
 /// Back-to-back burst capacity (RFC 2544 §26.4): the longest line-rate

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "osnt/common/random.hpp"
-#include "osnt/dut/construct.hpp"
 #include "osnt/hw/port.hpp"
 #include "osnt/net/headers.hpp"
 #include "osnt/sim/engine.hpp"
@@ -50,14 +49,9 @@ class LegacySwitch {
  public:
   using Config = LegacySwitchConfig;
 
-  /// Embedded construction (graph nodes, fabrics, testbeds): the caller
-  /// cables the ports itself. This is the supported constructor.
-  LegacySwitch(GraphWired, sim::Engine& eng, Config cfg = Config());
-
-  [[deprecated(
-      "construct via graph::LegacySwitchBlock (or pass dut::GraphWired{} "
-      "when embedding a raw switch in a harness)")]]
-  LegacySwitch(sim::Engine& eng, Config cfg = Config());
+  /// The caller cables the ports itself; scenario code usually wants
+  /// graph::LegacySwitchBlock, which does that through the graph seam.
+  explicit LegacySwitch(sim::Engine& eng, Config cfg = Config());
 
   LegacySwitch(const LegacySwitch&) = delete;
   LegacySwitch& operator=(const LegacySwitch&) = delete;

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "osnt/common/random.hpp"
-#include "osnt/dut/construct.hpp"
 #include "osnt/hw/port.hpp"
 #include "osnt/openflow/channel.hpp"
 #include "osnt/openflow/flow_table.hpp"
@@ -71,15 +70,9 @@ class OpenFlowSwitch {
  public:
   using Config = OpenFlowSwitchConfig;
 
-  /// Embedded construction (graph nodes, testbeds): the caller cables
-  /// the ports itself. `chan.switch_end()` is claimed by this switch.
-  /// Both must outlive it. This is the supported constructor.
-  OpenFlowSwitch(GraphWired, sim::Engine& eng, openflow::ControlChannel& chan,
-                 Config cfg = Config());
-
-  [[deprecated(
-      "construct via graph::OpenFlowSwitchBlock (or pass dut::GraphWired{} "
-      "when embedding a raw switch in a harness)")]]
+  /// The caller cables the ports itself (scenario code usually wants
+  /// graph::OpenFlowSwitchBlock). `chan.switch_end()` is claimed by this
+  /// switch. Both must outlive it.
   OpenFlowSwitch(sim::Engine& eng, openflow::ControlChannel& chan,
                  Config cfg = Config());
 

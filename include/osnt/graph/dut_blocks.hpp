@@ -1,7 +1,7 @@
 // The existing DUT models re-expressed as graph nodes. Each wrapper owns
-// a real switch (constructed with dut::GraphWired) and bridges the two
-// seams: graph input port i feeds the switch's RX MAC on port i, and the
-// switch's TX link on port i relays into graph output port i. Everything
+// a real switch and bridges the two seams: graph input port i feeds the
+// switch's RX MAC on port i, and the switch's TX link on port i relays
+// into graph output port i. Everything
 // the standalone models do — MAC learning, queueing knees, flow-table
 // pipelines, agent/commit latency — composes with queues, shapers, and
 // impairment blocks in a topology without a line of glue.

@@ -106,6 +106,11 @@ struct WorkloadSpec {
 };
 
 /// A parsed, validated topology file. Pure data until build() is called.
+///
+/// A TopologyFile with no blocks (built in code — the JSON loader requires
+/// at least one) is the back-to-back cable: its tcp or cbr workload runs
+/// between device ports 0 and 1 wired directly to each other, and the
+/// workload's endpoints are unused. `osnt_run tcp` is that topology.
 struct TopologyFile {
   std::string name;
   std::uint64_t seed = 1;
@@ -178,9 +183,10 @@ void validate_fault_targets(const TopologyFile& topo,
 void validate_workload(const TopologyFile& topo);
 
 /// One deterministic trial: fresh engine + device + graph built from
-/// `topo`, workload attached at the declared endpoints, run for
-/// `duration` (0 = the file's duration). Shared by osnt_run topo, the
-/// tests, and the graph A/B benchmark.
+/// `topo`, workload attached at the declared endpoints (or over the
+/// back-to-back cable when `topo` has no blocks), run for `duration`
+/// (0 = the file's duration). The one closed-loop trial runner: shared
+/// by osnt_run tcp and topo, the tests, and the benchmarks.
 ///
 /// `series_interval > 0` attaches a telemetry::TimeSeries sampler to the
 /// trial engine (per-block frames/bytes/drops channels, monitor RTT

@@ -1,12 +1,14 @@
-// ClosedLoopWorkload: N congestion-controlled flows over one cabled pair
-// of OSNT ports. The sender side lives on `tx_port`: per-flow tcp::Flow
-// state machines emit TCP/IPv4 frames into one shared
-// gen::ClosedLoopSource, which the port's TX pipeline drains at the
-// configured bottleneck rate (the queue bound is the bottleneck buffer).
-// The receiver side hangs off `rx_port`'s monitor pipeline tap: per-flow
-// delayed-ACK reassembly state that transmits cumulative/duplicate ACKs
-// back through the reverse sim link — so loss injected anywhere on the
-// path (osnt::fault BER windows, flaps) closes the control loop.
+// ClosedLoopWorkload: N congestion-controlled flows between two OSNT
+// ports. The sender side lives on port kTxPort: per-flow tcp::Flow state
+// machines emit TCP/IPv4 frames into one shared gen::ClosedLoopSource,
+// which the port's TX pipeline drains at the configured bottleneck rate
+// (the queue bound is the bottleneck buffer). The receiver side hangs off
+// port kRxPort's monitor pipeline tap: per-flow delayed-ACK reassembly
+// state that transmits cumulative/duplicate ACKs back through the reverse
+// path — so loss injected anywhere on the path (osnt::fault BER windows,
+// flaps) closes the control loop. What lies between the two ports is the
+// caller's: graph::run_topology_trial cables them through a topology, or
+// back to back when the topology has no blocks.
 //
 // Built for flow counts in the 10k–1M range (DESIGN.md §12): flows live
 // in a generation-counted Slab (no per-flow unique_ptr), receiver state
@@ -17,22 +19,25 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "osnt/core/device.hpp"
-#include "osnt/fault/injector.hpp"
-#include "osnt/fault/plan.hpp"
 #include "osnt/gen/closed_loop.hpp"
 #include "osnt/mon/latency_probe.hpp"
 #include "osnt/sim/engine.hpp"
 #include "osnt/tcp/flow.hpp"
 #include "osnt/tcp/flow_slab.hpp"
-#include "osnt/telemetry/series.hpp"
 
 namespace osnt::tcp {
+
+/// Device port carrying the data direction (and receiving ACKs).
+inline constexpr std::size_t kTxPort = 0;
+/// Device port receiving data (and transmitting ACKs).
+inline constexpr std::size_t kRxPort = 1;
+/// Receiver delayed-ACK timer (RFC 1122 allows up to 500 ms; sim-scaled
+/// like the RTO bounds, see DESIGN.md §11).
+inline constexpr Picos kDelayedAckTimeout = 200 * kPicosPerMicro;
 
 struct WorkloadConfig {
   std::size_t flows = 1;
@@ -43,24 +48,8 @@ struct WorkloadConfig {
   std::size_t queue_segments = 256;  ///< bottleneck buffer, in frames
   std::uint64_t rwnd_bytes = std::uint64_t{1} << 20;
   std::uint64_t bytes_per_flow = 0;  ///< 0 = unbounded (duration-limited)
-  std::size_t tx_port = 0;
-  std::size_t rx_port = 1;
   Picos min_rto = kPicosPerMilli;    ///< sim-scaled; see DESIGN.md §11
   Picos max_rto = 250 * kPicosPerMilli;
-  Picos delayed_ack_timeout = 200 * kPicosPerMicro;
-  bool capture = false;              ///< keep the DMA capture path off
-  /// Route RTO/delack/pacing timers through the engine's timing wheel
-  /// (schedule_bulk_*). false = heap-only; firing order and kSimOnly
-  /// telemetry are identical either way (DESIGN.md §12).
-  bool wheel_timers = true;
-  /// Benchmark baseline: reproduce the pre-§12 hot path — heap-only
-  /// timers, an eager delayed-ACK cancel on every ACK sent, and
-  /// unconditional frame serialization (no drop-early admission probe).
-  /// This is the baseline the flows-per-wall-second speedup gate in
-  /// BENCH_tcp.json compares against. Not byte-identical to the default
-  /// path (lazy delack timers may deliver an ACK slightly earlier);
-  /// wheel_timers is the knob for byte-identical A/B.
-  bool legacy_hot_path = false;
   /// Arm the per-flow R-TCP-style RateLimitDetector (DESIGN.md §15).
   /// Off by default; off is byte-identical to pre-detector builds.
   bool rate_limit_detector = false;
@@ -145,11 +134,41 @@ struct ReceiverCold {
   std::uint64_t below_window_segs = 0;  ///< spurious-retransmit arrivals
 };
 
+/// Aggregate result of one closed-loop trial
+/// (ClosedLoopWorkload::report, carried in graph::TopologyTrialReport).
+struct TcpTrialReport {
+  std::uint64_t bytes_acked = 0;
+  std::uint64_t segs_sent = 0;
+  std::uint64_t retransmits = 0;
+  std::uint64_t rto_fires = 0;
+  std::uint64_t fast_retx = 0;
+  std::uint64_t cwnd_reductions = 0;
+  std::uint64_t acks_sent = 0;
+  std::uint64_t queue_drops = 0;
+  std::uint64_t emit_rejects = 0;
+  double goodput_bps = 0.0;
+  double min_flow_rate_bps = 0.0;  ///< slowest flow's delivery-rate sample
+  double max_flow_rate_bps = 0.0;
+  // Rate-limit detector aggregates (0 when the detector is off).
+  std::uint64_t rld_detections = 0;
+  double rld_rate_bps = 0.0;       ///< mean detected rate across flows
+  Picos rld_detect_time = 0;       ///< mean first-sample→detect latency
+  // In-plane RTT summary (from the workload's tcp.rtt probe): p99 and
+  // the observed floor, so callers can report queueing inflation.
+  double rtt_p99_ns = 0.0;
+  double rtt_min_ns = 0.0;
+
+  friend bool operator==(const TcpTrialReport&,
+                         const TcpTrialReport&) = default;
+};
+
 class ClosedLoopWorkload {
  public:
-  /// Reconfigures `tx_port`'s generator pipeline, installs monitor taps
-  /// on both ports, and sets the engine's bulk-timer routing from
-  /// cfg.wheel_timers. The engine and device must outlive the workload;
+  /// Reconfigures kTxPort's generator pipeline and installs monitor taps
+  /// on both ports. Bulk timers (RTO, delayed ACK, pacing) follow the
+  /// engine's routing: the timing wheel by default, the heap after
+  /// Engine::set_wheel_enabled(false) — identical results either way
+  /// (DESIGN.md §12). The engine and device must outlive the workload;
   /// the workload must be destroyed before either (it cancels its timers
   /// and detaches its taps in the destructor).
   ClosedLoopWorkload(sim::Engine& eng, core::OsntDevice& dev,
@@ -200,6 +219,8 @@ class ClosedLoopWorkload {
   }
   /// Application goodput (cum-acked bytes) over `window`, in bits/s.
   [[nodiscard]] double goodput_bps(Picos window) const;
+  /// Every aggregate in one row; `window` scales the goodput figure.
+  [[nodiscard]] TcpTrialReport report(Picos window) const;
 
   // --- rate-limit detector aggregates (all 0 when the detector is off) ---
   [[nodiscard]] std::uint64_t total_rld_detections() const;
@@ -228,75 +249,5 @@ class ClosedLoopWorkload {
   std::uint64_t delack_cancels_saved_ = 0;
   mon::LatencyProbe rtt_probe_;
 };
-
-/// Aggregate result of one closed-loop trial (the unit osnt_run tcp,
-/// tests, and the bench all shard through core::Runner).
-struct TcpTrialReport {
-  std::uint64_t bytes_acked = 0;
-  std::uint64_t segs_sent = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t rto_fires = 0;
-  std::uint64_t fast_retx = 0;
-  std::uint64_t cwnd_reductions = 0;
-  std::uint64_t acks_sent = 0;
-  std::uint64_t queue_drops = 0;
-  std::uint64_t emit_rejects = 0;
-  double goodput_bps = 0.0;
-  double min_flow_rate_bps = 0.0;  ///< slowest flow's delivery-rate sample
-  double max_flow_rate_bps = 0.0;
-  // Rate-limit detector aggregates (0 when the detector is off).
-  std::uint64_t rld_detections = 0;
-  double rld_rate_bps = 0.0;       ///< mean detected rate across flows
-  Picos rld_detect_time = 0;       ///< mean first-sample→detect latency
-  // In-plane RTT summary (from the workload's tcp.rtt probe): p99 and
-  // the observed floor, so callers can report queueing inflation.
-  double rtt_p99_ns = 0.0;
-  double rtt_min_ns = 0.0;
-};
-
-/// A complete closed-loop testbed: engine + device + cabled port pair +
-/// workload (+ optional armed fault plan). Exists so callers that care
-/// about wall time — the benchmarks, the 100k-flow CLI smoke — can split
-/// construction (packet templates, slab growth, 2·N state blocks) from
-/// the run itself and measure only the simulation.
-class ClosedLoopTestbed {
- public:
-  explicit ClosedLoopTestbed(const WorkloadConfig& cfg,
-                             const fault::FaultPlan* plan = nullptr,
-                             telemetry::TraceRecorder* trace = nullptr);
-
-  /// Start (first call) and simulate up to absolute sim time `until`.
-  void run_until(Picos until);
-
-  /// Aggregate the trial counters; `window` scales the goodput figure.
-  [[nodiscard]] TcpTrialReport report(Picos window) const;
-
-  [[nodiscard]] sim::Engine& engine() { return eng_; }
-  [[nodiscard]] ClosedLoopWorkload& workload() { return *workload_; }
-
- private:
-  sim::Engine eng_;
-  core::OsntDevice dev_;
-  std::unique_ptr<ClosedLoopWorkload> workload_;
-  std::optional<fault::Injector> injector_;
-  bool started_ = false;
-};
-
-/// Build a fresh testbed (engine + device + cabled ports), run `cfg` for
-/// `duration` of sim time with an optional fault plan armed on the
-/// device, and report aggregates. One deterministic code path shared by
-/// the CLI, the tests, and the benchmark — byte-identical reruns for a
-/// fixed (cfg.seed, plan) pair. `trace` attaches a recorder to the
-/// trial's engine (single-trial runs only; the recorder is not
-/// thread-safe across sharded trials).
-///
-/// `series_interval > 0` attaches a sim-time sampler (tcp.* counter
-/// channels + the tcp.rtt.ns histogram) and stores its per-interval
-/// deltas into `*series_out`; per-trial series merge commutatively.
-[[nodiscard]] TcpTrialReport run_closed_loop_trial(
-    const WorkloadConfig& cfg, Picos duration,
-    const fault::FaultPlan* plan = nullptr,
-    telemetry::TraceRecorder* trace = nullptr, Picos series_interval = 0,
-    telemetry::SeriesData* series_out = nullptr);
 
 }  // namespace osnt::tcp

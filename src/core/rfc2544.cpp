@@ -73,11 +73,6 @@ ThroughputPoint find_throughput(const Trial& run, std::size_t frame_size,
   return pt;
 }
 
-ThroughputPoint find_throughput(const TrialFn& run, std::size_t frame_size,
-                                ThroughputSearchConfig cfg) {
-  return find_throughput(as_trial(run), frame_size, cfg);
-}
-
 std::vector<ThroughputPoint> throughput_sweep(
     const Trial& run, std::span<const std::size_t> frame_sizes,
     ThroughputSearchConfig cfg, const RunnerConfig& runner) {
@@ -104,12 +99,6 @@ std::vector<ThroughputPoint> throughput_sweep(
     }
   });
   return out;
-}
-
-std::vector<ThroughputPoint> throughput_sweep(
-    const TrialFn& run, std::span<const std::size_t> frame_sizes,
-    ThroughputSearchConfig cfg, const RunnerConfig& runner) {
-  return throughput_sweep(as_trial(run), frame_sizes, cfg, runner);
 }
 
 BackToBackPoint find_back_to_back(const BurstTrialFn& run,
@@ -157,13 +146,6 @@ std::vector<LossPoint> loss_rate_sweep(const Trial& run,
                    results[i].outcome});
   }
   return out;
-}
-
-std::vector<LossPoint> loss_rate_sweep(const TrialFn& run,
-                                       std::size_t frame_size, double hi,
-                                       double step,
-                                       const RunnerConfig& runner) {
-  return loss_rate_sweep(as_trial(run), frame_size, hi, step, runner);
 }
 
 }  // namespace osnt::core

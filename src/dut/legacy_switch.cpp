@@ -7,9 +7,6 @@
 namespace osnt::dut {
 
 LegacySwitch::LegacySwitch(sim::Engine& eng, Config cfg)
-    : LegacySwitch(GraphWired{}, eng, std::move(cfg)) {}
-
-LegacySwitch::LegacySwitch(GraphWired, sim::Engine& eng, Config cfg)
     : eng_(&eng), cfg_(cfg), rng_(cfg.seed) {
   hw::EthPortConfig pc;
   pc.tx.queue_limit_bytes = cfg_.queue_bytes;

@@ -38,10 +38,6 @@ void strip_vlan(Bytes& frame) {
 
 OpenFlowSwitch::OpenFlowSwitch(sim::Engine& eng,
                                openflow::ControlChannel& chan, Config cfg)
-    : OpenFlowSwitch(GraphWired{}, eng, chan, std::move(cfg)) {}
-
-OpenFlowSwitch::OpenFlowSwitch(GraphWired, sim::Engine& eng,
-                               openflow::ControlChannel& chan, Config cfg)
     : eng_(&eng), cfg_(cfg), rng_(cfg.seed), ctrl_(&chan.switch_end()),
       table_(cfg.table), pin_tokens_(cfg.packet_in_limit_pps) {
   hw::EthPortConfig pc;

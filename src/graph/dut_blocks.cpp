@@ -5,7 +5,7 @@ namespace osnt::graph {
 LegacySwitchBlock::LegacySwitchBlock(sim::Engine& eng, std::string name,
                                      dut::LegacySwitchConfig cfg)
     : Block(eng, std::move(name), cfg.num_ports, cfg.num_ports),
-      sw_(dut::GraphWired{}, eng, cfg) {
+      sw_(eng, cfg) {
   for (std::size_t i = 0; i < sw_.num_ports(); ++i) {
     egress_.emplace_back(*this, i);
     sw_.port(i).out_link().connect(egress_.back());
@@ -21,7 +21,7 @@ OpenFlowSwitchBlock::OpenFlowSwitchBlock(sim::Engine& eng, std::string name,
                                          OpenFlowSwitchBlockConfig cfg)
     : Block(eng, std::move(name), cfg.sw.num_ports, cfg.sw.num_ports),
       chan_(eng, cfg.chan),
-      sw_(dut::GraphWired{}, eng, chan_, cfg.sw) {
+      sw_(eng, chan_, cfg.sw) {
   for (std::size_t i = 0; i < sw_.num_ports(); ++i) {
     egress_.emplace_back(*this, i);
     sw_.port(i).out_link().connect(egress_.back());

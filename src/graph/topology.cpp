@@ -463,6 +463,28 @@ void validate(const TopologyFile& t) {
   }
 }
 
+/// Cable the device into the graph for a tcp or cbr workload: TX port 0
+/// → `ingress`, `egress` → RX port 1, and the reverse direction through
+/// the ACK path's blocks or a direct cable. A topology with no blocks is
+/// a back-to-back cable between ports 0 and 1.
+void cable_device(core::OsntDevice& dev, Graph& g, const TopologyFile& topo) {
+  const WorkloadSpec& w = topo.workload;
+  if (topo.blocks.empty()) {
+    hw::connect(dev.port(0), dev.port(1));
+    return;
+  }
+  dev.port(0).out_link().connect(g.input(w.ingress.block, w.ingress.port));
+  g.connect_output(w.egress.block, w.egress.port, dev.port(1).rx());
+  if (w.ack_ingress) {
+    dev.port(1).out_link().connect(
+        g.input(w.ack_ingress->block, w.ack_ingress->port));
+    g.connect_output(w.ack_egress->block, w.ack_egress->port,
+                     dev.port(0).rx());
+  } else {
+    dev.port(1).out_link().connect(dev.port(0).rx());
+  }
+}
+
 }  // namespace
 
 const std::vector<std::string>& TopologyFile::known_types() {
@@ -738,19 +760,7 @@ TopologyTrialReport run_topology_trial(const TopologyFile& topo,
   };
 
   if (w.kind == WorkloadSpec::Kind::kTcp) {
-    // Forward path: device TX port 0 → graph → device RX port 1.
-    dev.port(0).out_link().connect(g.input(w.ingress.block, w.ingress.port));
-    g.connect_output(w.egress.block, w.egress.port, dev.port(1).rx());
-    // ACK path: through its own blocks, or an ideal reverse cable.
-    if (w.ack_ingress) {
-      dev.port(1).out_link().connect(
-          g.input(w.ack_ingress->block, w.ack_ingress->port));
-      g.connect_output(w.ack_egress->block, w.ack_egress->port,
-                       dev.port(0).rx());
-    } else {
-      dev.port(1).out_link().connect(dev.port(0).rx());
-    }
-
+    cable_device(dev, g, topo);
     tcp::WorkloadConfig cfg;
     cfg.flows = w.flows;
     cfg.cc = w.cc;
@@ -778,37 +788,10 @@ TopologyTrialReport run_topology_trial(const TopologyFile& topo,
     g.start();
     workload.start();
     eng.run_until(duration);
-
-    tcp::TcpTrialReport& r = report.tcp;
-    r.bytes_acked = workload.total_bytes_acked();
-    r.retransmits = workload.total_retransmits();
-    r.rto_fires = workload.total_rto_fires();
-    r.fast_retx = workload.total_fast_retx();
-    r.cwnd_reductions = workload.total_cwnd_reductions();
-    r.acks_sent = workload.total_acks_sent();
-    r.queue_drops = workload.source().drops();
-    r.goodput_bps = workload.goodput_bps(duration);
-    r.rld_detections = workload.total_rld_detections();
-    r.rld_rate_bps = workload.mean_rld_rate_bps();
-    r.rld_detect_time = workload.mean_rld_detect_time();
-    const telemetry::Log2Histogram rtt = workload.rtt_probe().merged();
-    if (rtt.count() > 0) {
-      r.rtt_p99_ns = rtt.quantile(0.99);
-      r.rtt_min_ns = static_cast<double>(rtt.min());
-    }
-    for (std::size_t i = 0; i < workload.num_flows(); ++i) {
-      const tcp::Flow& f = workload.flow(i);
-      r.segs_sent += f.stats().segs_sent;
-      r.emit_rejects += f.stats().emit_rejects;
-      const double rate = f.delivery_rate_bps();
-      if (i == 0 || rate < r.min_flow_rate_bps) r.min_flow_rate_bps = rate;
-      if (i == 0 || rate > r.max_flow_rate_bps) r.max_flow_rate_bps = rate;
-    }
+    report.tcp = workload.report(duration);
     finish_series();  // before the workload (and its channels) go away
   } else if (w.kind == WorkloadSpec::Kind::kCbr) {
-    dev.port(0).out_link().connect(g.input(w.ingress.block, w.ingress.port));
-    g.connect_output(w.egress.block, w.egress.port, dev.port(1).rx());
-    dev.port(1).out_link().connect(dev.port(0).rx());
+    cable_device(dev, g, topo);
     arm_faults();
     g.start();
     core::TrafficSpec spec;

@@ -30,9 +30,10 @@ std::vector<Packet> fragment_ipv4(const Packet& packet, std::size_t mtu) {
   for (std::size_t off = 0; off < payload_len; off += per_frag) {
     const std::size_t take = std::min(per_frag, payload_len - off);
     Packet frag;
-    // Ethernet header (+ any VLAN tag) verbatim.
-    frag.data.assign(packet.data.begin(),
-                     packet.data.begin() + static_cast<std::ptrdiff_t>(l3_off));
+    // Ethernet header (+ any VLAN tag) verbatim, sized once for the IP
+    // header that follows it.
+    frag.data.resize(l3_off + hdr_len);
+    std::copy_n(packet.data.begin(), l3_off, frag.data.begin());
     // IP header with adjusted length/flags/offset/checksum.
     Ipv4Header h = parsed->ipv4;
     h.total_length = static_cast<std::uint16_t>(hdr_len + take);
@@ -41,9 +42,7 @@ std::vector<Packet> fragment_ipv4(const Packet& packet, std::size_t mtu) {
     h.more_fragments =
         (off + take < payload_len) || parsed->ipv4.more_fragments;
     h.finalize_checksum();
-    const std::size_t hdr_at = frag.data.size();
-    frag.data.resize(hdr_at + hdr_len);
-    h.write(MutByteSpan{frag.data.data() + hdr_at, hdr_len});
+    h.write(MutByteSpan{frag.data.data() + l3_off, hdr_len});
     frag.data.insert(frag.data.end(), payload + off, payload + off + take);
     // Respect the Ethernet minimum.
     if (frag.wire_len() < kEthMinFrame)

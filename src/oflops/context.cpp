@@ -58,7 +58,7 @@ Report OflopsContext::run(MeasurementModule& module, Picos timeout) {
 Testbed::Testbed(dut::OpenFlowSwitchConfig sw_cfg, core::DeviceConfig osnt_cfg,
                  openflow::ChannelConfig chan_cfg)
     : osnt(eng, osnt_cfg), chan(eng, chan_cfg),
-      sw(dut::GraphWired{}, eng, chan, sw_cfg),
+      sw(eng, chan, sw_cfg),
       snmp(eng), ctx(eng, osnt, chan.controller(), &snmp) {
   const std::size_t n = std::min(osnt.num_ports(), sw.num_ports());
   for (std::size_t i = 0; i < n; ++i) hw::connect(osnt.port(i), sw.port(i));

@@ -70,7 +70,8 @@ Report QueueDelayModule::report() const {
   r.module = name();
   for (std::size_t i = 0; i < results_.size(); ++i) {
     const PerQueue& pq = results_[i];
-    const std::string tag = "q" + std::to_string(cfg_.queue_ids[i]);
+    std::string tag = "q";
+    tag += std::to_string(cfg_.queue_ids[i]);
     if (pq.frames >= 2) {
       const double span_s =
           tstamp::delta_nanos(pq.last_rx, pq.first_rx) * 1e-9;

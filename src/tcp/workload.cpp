@@ -1,10 +1,10 @@
 #include "osnt/tcp/workload.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 
 #include "osnt/common/random.hpp"
-#include "osnt/hw/port.hpp"
 #include "osnt/net/builder.hpp"
 #include "osnt/net/parser.hpp"
 #include "osnt/net/tcp_options.hpp"
@@ -43,10 +43,6 @@ ClosedLoopWorkload::ClosedLoopWorkload(sim::Engine& eng,
         "tcp: flows exceeds the addressing scheme's capacity (" +
         std::to_string(kMaxFlows) + ")");
   }
-  if (cfg_.tx_port == cfg_.rx_port) {
-    throw std::invalid_argument("tcp: tx_port and rx_port must differ");
-  }
-  eng_->set_wheel_enabled(cfg_.wheel_timers && !cfg_.legacy_hot_path);
 
   gen::TxConfig txcfg;
   txcfg.rate = cfg_.bottleneck_gbps > 0.0
@@ -56,14 +52,15 @@ ClosedLoopWorkload::ClosedLoopWorkload(sim::Engine& eng,
   // TCP RTTs come from the timestamps option instead.
   txcfg.embed_timestamp = false;
   txcfg.seed = derive_seed(cfg_.seed, 0xBEEF);
-  gen::TxPipeline& txp = dev_->configure_tx(cfg_.tx_port, txcfg);
+  gen::TxPipeline& txp = dev_->configure_tx(kTxPort, txcfg);
   auto src = std::make_unique<gen::ClosedLoopSource>(cfg_.queue_segments);
   source_ = src.get();
   src->set_kick([&txp] { txp.kick(); });
   txp.set_source(std::move(src));
 
-  dev_->rx(cfg_.tx_port).set_capture_enabled(cfg_.capture);
-  dev_->rx(cfg_.rx_port).set_capture_enabled(cfg_.capture);
+  // The receivers are monitor taps; the DMA capture path stays off.
+  dev_->rx(kTxPort).set_capture_enabled(false);
+  dev_->rx(kRxPort).set_capture_enabled(false);
 
   flow_handles_.reserve(cfg_.flows);
   recv_hot_.resize(cfg_.flows);
@@ -100,21 +97,19 @@ ClosedLoopWorkload::ClosedLoopWorkload(sim::Engine& eng,
     // 10k+ flows sharing one bottleneck buffer) senders skip serializing
     // frames the queue would tail-drop anyway; the probe records the
     // drop so queue_drops telemetry is identical to built-then-dropped.
-    if (!cfg_.legacy_hot_path) {
-      flows_[h.slot].set_emit_preflight([this] {
-        if (!source_->full()) return true;
-        source_->note_tail_drop();
-        return false;
-      });
-    }
+    flows_[h.slot].set_emit_preflight([this] {
+      if (!source_->full()) return true;
+      source_->note_tail_drop();
+      return false;
+    });
     flow_handles_.push_back(h);
     recv_hot_[i].isn = flows_[h.slot].isn();
   }
 
-  dev_->rx(cfg_.rx_port).set_tap(
+  dev_->rx(kRxPort).set_tap(
       [this](const net::ParsedPacket& p, const net::Packet& pkt,
              Picos first_bit) { on_data_frame(p, pkt, first_bit); });
-  dev_->rx(cfg_.tx_port).set_tap(
+  dev_->rx(kTxPort).set_tap(
       [this](const net::ParsedPacket& p, const net::Packet& pkt,
              Picos first_bit) { on_ack_frame(p, pkt, first_bit); });
 }
@@ -126,8 +121,8 @@ ClosedLoopWorkload::~ClosedLoopWorkload() {
       st.delack_timer = {};
     }
   }
-  dev_->rx(cfg_.rx_port).set_tap(nullptr);
-  dev_->rx(cfg_.tx_port).set_tap(nullptr);
+  dev_->rx(kRxPort).set_tap(nullptr);
+  dev_->rx(kTxPort).set_tap(nullptr);
 
   if (telemetry::enabled() && total_acks_sent() + source_->offered() > 0) {
     auto& reg = telemetry::registry();
@@ -140,7 +135,7 @@ ClosedLoopWorkload::~ClosedLoopWorkload() {
 }
 
 void ClosedLoopWorkload::start() {
-  dev_->tx(cfg_.tx_port).start();
+  dev_->tx(kTxPort).start();
   for (const auto& h : flow_handles_) flows_[h.slot].start();
 }
 
@@ -223,14 +218,7 @@ void ClosedLoopWorkload::send_ack(std::size_t idx, Picos now) {
   // instead of a cancel + re-arm pair per ACKed segment. (The timer can
   // also fire "early" relative to the newest segment; that only makes an
   // ACK less delayed, which RFC 1122 always allows.)
-  if (st.delack_timer) {
-    if (cfg_.legacy_hot_path) {
-      eng_->cancel(st.delack_timer);
-      st.delack_timer = {};
-    } else {
-      ++delack_cancels_saved_;
-    }
-  }
+  if (st.delack_timer) ++delack_cancels_saved_;
 
   const FlowConfig& fc = flows_[static_cast<std::uint32_t>(idx)].config();
   net::PacketBuilder b;
@@ -244,7 +232,7 @@ void ClosedLoopWorkload::send_ack(std::size_t idx, Picos now) {
   net::Packet ack = b.build();
 
   const sim::Engine::CategoryScope cat(*eng_, sim::EventCategory::kTcp);
-  (void)dev_->port(cfg_.rx_port).tx().transmit(std::move(ack));
+  (void)dev_->port(kRxPort).tx().transmit(std::move(ack));
   ++st.acks_sent;
 }
 
@@ -253,7 +241,7 @@ void ClosedLoopWorkload::schedule_delack(std::size_t idx) {
   if (st.delack_timer) return;  // one armed timer per flow, ever
   const sim::Engine::CategoryScope cat(*eng_, sim::EventCategory::kTcp);
   st.delack_timer =
-      eng_->schedule_bulk_in(cfg_.delayed_ack_timeout, [this, idx] {
+      eng_->schedule_bulk_in(kDelayedAckTimeout, [this, idx] {
         ReceiverHot& s = recv_hot_[idx];
         s.delack_timer = {};
         if (s.pending_ack_segs > 0) send_ack(idx, eng_->now());
@@ -352,93 +340,33 @@ double ClosedLoopWorkload::goodput_bps(Picos window) const {
          static_cast<double>(kPicosPerSec) / static_cast<double>(window);
 }
 
-ClosedLoopTestbed::ClosedLoopTestbed(const WorkloadConfig& cfg,
-                                     const fault::FaultPlan* plan,
-                                     telemetry::TraceRecorder* trace)
-    : dev_(eng_) {
-  if (trace) eng_.set_trace(trace);
-  hw::connect(dev_.port(cfg.tx_port), dev_.port(cfg.rx_port));
-  workload_ = std::make_unique<ClosedLoopWorkload>(eng_, dev_, cfg);
-  if (plan) {
-    injector_.emplace(eng_, *plan);
-    injector_->attach_device(dev_);
-    injector_->arm();
-  }
-}
-
-void ClosedLoopTestbed::run_until(Picos until) {
-  if (!started_) {
-    workload_->start();
-    started_ = true;
-  }
-  eng_.run_until(until);
-}
-
-TcpTrialReport ClosedLoopTestbed::report(Picos window) const {
-  const ClosedLoopWorkload& w = *workload_;
+TcpTrialReport ClosedLoopWorkload::report(Picos window) const {
   TcpTrialReport r;
-  r.bytes_acked = w.total_bytes_acked();
-  r.retransmits = w.total_retransmits();
-  r.rto_fires = w.total_rto_fires();
-  r.fast_retx = w.total_fast_retx();
-  r.cwnd_reductions = w.total_cwnd_reductions();
-  r.acks_sent = w.total_acks_sent();
-  r.queue_drops = w.source().drops();
-  r.goodput_bps = w.goodput_bps(window);
-  for (std::size_t i = 0; i < w.num_flows(); ++i) {
-    const Flow& f = w.flow(i);
+  r.bytes_acked = total_bytes_acked();
+  r.retransmits = total_retransmits();
+  r.rto_fires = total_rto_fires();
+  r.fast_retx = total_fast_retx();
+  r.cwnd_reductions = total_cwnd_reductions();
+  r.acks_sent = total_acks_sent();
+  r.queue_drops = source_->drops();
+  r.goodput_bps = goodput_bps(window);
+  for (std::size_t i = 0; i < num_flows(); ++i) {
+    const Flow& f = flow(i);
     r.segs_sent += f.stats().segs_sent;
     r.emit_rejects += f.stats().emit_rejects;
     const double rate = f.delivery_rate_bps();
     if (i == 0 || rate < r.min_flow_rate_bps) r.min_flow_rate_bps = rate;
     if (i == 0 || rate > r.max_flow_rate_bps) r.max_flow_rate_bps = rate;
   }
-  r.rld_detections = w.total_rld_detections();
-  r.rld_rate_bps = w.mean_rld_rate_bps();
-  r.rld_detect_time = w.mean_rld_detect_time();
-  const telemetry::Log2Histogram rtt = w.rtt_probe().merged();
+  r.rld_detections = total_rld_detections();
+  r.rld_rate_bps = mean_rld_rate_bps();
+  r.rld_detect_time = mean_rld_detect_time();
+  const telemetry::Log2Histogram rtt = rtt_probe_.merged();
   if (rtt.count() > 0) {
     r.rtt_p99_ns = rtt.quantile(0.99);
     r.rtt_min_ns = static_cast<double>(rtt.min());
   }
   return r;
-}
-
-TcpTrialReport run_closed_loop_trial(const WorkloadConfig& cfg,
-                                     Picos duration,
-                                     const fault::FaultPlan* plan,
-                                     telemetry::TraceRecorder* trace,
-                                     Picos series_interval,
-                                     telemetry::SeriesData* series_out) {
-  ClosedLoopTestbed bed(cfg, plan, trace);
-  std::optional<telemetry::TimeSeries> series;
-  if (series_interval > 0 && series_out) {
-    series.emplace(series_interval);
-    ClosedLoopWorkload& w = bed.workload();
-    series->add_counter("tcp.bytes_acked",
-                        [&w] { return w.total_bytes_acked(); });
-    series->add_counter("tcp.acks_sent", [&w] { return w.total_acks_sent(); });
-    series->add_counter("tcp.segs_sent", [&w] {
-      std::uint64_t n = 0;
-      for (std::size_t i = 0; i < w.num_flows(); ++i) {
-        n += w.flow(i).stats().segs_sent;
-      }
-      return n;
-    });
-    series->add_counter("tcp.retransmits",
-                        [&w] { return w.total_retransmits(); });
-    series->add_counter("tcp.queue_drops",
-                        [&w] { return w.source().drops(); });
-    series->add_histogram("tcp.rtt.ns",
-                          [&w] { return w.rtt_probe().merged(); });
-    series->attach(bed.engine(), duration);
-  }
-  bed.run_until(duration);
-  if (series) {
-    series->finish();
-    *series_out = series->take();
-  }
-  return bed.report(duration);
 }
 
 }  // namespace osnt::tcp

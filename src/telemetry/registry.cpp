@@ -173,7 +173,11 @@ std::string Registry::to_json(Snapshot mode) const {
       if (c == 0) continue;
       if (!bfirst) out += ", ";
       bfirst = false;
-      out += "[" + std::to_string(b) + ", " + std::to_string(c) + "]";
+      out += '[';
+      out += std::to_string(b);
+      out += ", ";
+      out += std::to_string(c);
+      out += ']';
     }
     out += "]}";
   }

@@ -21,9 +21,9 @@ LeafSpineFabric::LeafSpineFabric(sim::Engine& eng, Config cfg)
   cfg_.tester_cfg.num_ports = 1;
 
   for (std::size_t s = 0; s < cfg_.spines; ++s)
-    spines_.push_back(std::make_unique<dut::LegacySwitch>(dut::GraphWired{}, eng, cfg_.spine_cfg));
+    spines_.push_back(std::make_unique<dut::LegacySwitch>(eng, cfg_.spine_cfg));
   for (std::size_t l = 0; l < cfg_.leaves; ++l) {
-    leaves_.push_back(std::make_unique<dut::LegacySwitch>(dut::GraphWired{}, eng, cfg_.leaf_cfg));
+    leaves_.push_back(std::make_unique<dut::LegacySwitch>(eng, cfg_.leaf_cfg));
     for (std::size_t s = 0; s < cfg_.spines; ++s) {
       hw::connect(leaves_[l]->port(cfg_.testers_per_leaf + s),
                   spines_[s]->port(l));

@@ -1,8 +1,7 @@
 // Graph API: the block library's per-block semantics (queueing, RED,
 // policing/shaping, delay/BER, ECMP spreading, taps), the wiring error
 // contract, and the claim that a DUT wrapped as a graph node behaves
-// byte-identically to the same DUT cabled by hand through the deprecated
-// constructors.
+// byte-identically to the same DUT cabled by hand.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -317,13 +316,12 @@ TEST(Graph, UnwiredOutputCountsAsDrop) {
   EXPECT_EQ(g.total_drops(), 1u);
 }
 
-/// The same capture experiment through (a) the deprecated hand-cabled
-/// constructor and (b) the graph-wrapped block must agree exactly: the
+/// The same capture experiment through (a) a hand-cabled switch and (b) the graph-wrapped block must agree exactly: the
 /// adapter layer adds indirection, never behaviour.
 core::RunResult run_legacy_direct() {
   sim::Engine eng;
   core::OsntDevice osnt{eng};
-  dut::LegacySwitch sw{dut::GraphWired{}, eng};
+  dut::LegacySwitch sw{eng};
   hw::connect(osnt.port(0), sw.port(0));
   hw::connect(osnt.port(1), sw.port(1));
   core::TrafficSpec spec;

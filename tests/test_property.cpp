@@ -79,7 +79,9 @@ TEST(BuilderProperty, RandomizedUdpRoundTrip) {
     EXPECT_EQ(parsed->udp.src_port, sport);
     EXPECT_EQ(parsed->udp.dst_port, dport);
     EXPECT_EQ(parsed->vlan.has_value(), tagged);
-    if (tagged) EXPECT_EQ(parsed->vlan->vid, vid);
+    if (tagged) {
+      EXPECT_EQ(parsed->vlan->vid, vid);
+    }
     // Header checksum always verifies.
     const ByteSpan hdr{p.data.data() + parsed->l3_offset,
                        parsed->ipv4.header_len()};

@@ -9,8 +9,9 @@ namespace osnt::core {
 namespace {
 
 /// Fake DUT that forwards loss-free up to `capacity` of line rate.
-TrialFn capacity_dut(double capacity) {
-  return [capacity](double load, std::size_t) {
+Trial capacity_dut(double capacity) {
+  return [capacity](const TrialPoint& p) {
+    const double load = p.load_fraction;
     TrialStats s;
     s.tx_frames = 10000;
     s.rx_frames = load <= capacity + 1e-12
@@ -38,7 +39,7 @@ TEST(Rfc2544, BinarySearchConvergesToCapacity) {
 }
 
 TEST(Rfc2544, DeadDutReportsZero) {
-  const auto dead = [](double, std::size_t) {
+  const auto dead = [](const TrialPoint&) {
     TrialStats s;
     s.tx_frames = 1000;
     s.rx_frames = 0;
@@ -51,11 +52,11 @@ TEST(Rfc2544, DeadDutReportsZero) {
 
 TEST(Rfc2544, LossToleranceRelaxesSearch) {
   // DUT always loses exactly 1%.
-  const auto lossy = [](double load, std::size_t) {
+  const auto lossy = [](const TrialPoint& p) {
     TrialStats s;
     s.tx_frames = 10000;
     s.rx_frames = 9900;
-    s.offered_gbps = 10.0 * load;
+    s.offered_gbps = 10.0 * p.load_fraction;
     return s;
   };
   ThroughputSearchConfig strict;

@@ -281,7 +281,9 @@ TEST(Topology, DumbbellMonitorReportsRttQuantiles) {
   for (const auto& b : r.blocks) {
     if (b.name == "tap") tap = &b;
     // Only monitor blocks carry an RTT population.
-    if (b.name != "tap") EXPECT_EQ(b.rtt_samples, 0u) << b.name;
+    if (b.name != "tap") {
+      EXPECT_EQ(b.rtt_samples, 0u) << b.name;
+    }
   }
   ASSERT_NE(tap, nullptr);
   EXPECT_GT(tap->frames_in, 0u);

@@ -18,12 +18,14 @@
 # LatencyProbe monitor-datapath A/B. Re-run after touching the
 # scheduler hot path, the runner, or the telemetry layer and commit the
 # refreshed files alongside the change. BENCH_tcp.json is bench_tcp's
-# closed-loop flows/sec plus a "goodput_curve" block (goodput vs the BER
-# of a 6 ms error window under BBR) and a "graph_overhead" block (the
-# BM_GraphOverhead direct-vs-graph A/B); the gates are the clean-link
-# point within 10% of the bottleneck's payload share, a monotonically
-# falling curve, and <= 5% cost for routing the closed loop through
-# scenario-graph blocks instead of a hand-wired cable.
+# closed-loop flows/sec plus a "flow_scale" block (BM_FlowScale against
+# its frozen "legacy_baseline"), a "goodput_curve" block (goodput vs the
+# BER of a 6 ms error window under BBR) and a "graph_overhead" block (the
+# BM_GraphOverhead direct-vs-graph A/B); the gates are flow_scale >= 2x
+# the baseline at 10k flows, the clean-link point within 10% of the
+# bottleneck's payload share, a monotonically falling curve, and <= 5%
+# cost for routing the closed loop through scenario-graph blocks instead
+# of a hand-wired cable.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -243,10 +245,8 @@ for b in doc["benchmarks"]:
             "detect_ms": round(b.get("detect_ms", 0.0), 3),
         }
     if b["run_name"].startswith("BM_FlowScale/"):
-        # run_name: BM_FlowScale/<flows>/<mode>/manual_time
-        _, flows, mode = b["run_name"].split("/")[:3]
-        key = "wheel" if mode == "1" else "legacy"
-        scale.setdefault(key, {})[int(flows)] = b["items_per_second"]
+        # run_name: BM_FlowScale/<flows>/manual_time
+        scale[int(b["run_name"].split("/")[1])] = b["items_per_second"]
     if b["run_name"].startswith("BM_GraphOverhead/"):
         # run_name: BM_GraphOverhead/<0=direct,1=graph>/manual_time
         arm = "graph" if b["run_name"].split("/")[1] == "1" else "direct"
@@ -255,25 +255,32 @@ for b in doc["benchmarks"]:
             "bytes_acked": b.get("bytes_acked", 0.0),
         }
 
-wheel = scale.get("wheel", {})
-legacy = scale.get("legacy", {})
-speedup_10k = (
-    wheel[10000] / legacy[10000]
-    if 10000 in wheel and legacy.get(10000) else 0.0
-)
+# The pre-§12 path (heap-only timers, eager delack cancels, unconditional
+# serialization) is gone from the code; its last measured numbers stay
+# here as a frozen reference, the way seed_baseline works for
+# BENCH_engine.json.
+legacy = {1000: 176372.4, 10000: 171878.5}
+speedup_10k = scale[10000] / legacy[10000] if 10000 in scale else 0.0
 doc["flow_scale"] = {
     "note": (
         "Closed-loop flows simulated per wall second (median of 3 reps, "
         "manual timing: testbed construction untimed) in the "
         "timer-dominated BM_FlowScale regime. 'wheel' is the §12 hot "
         "path (timing-wheel bulk timers, lazy delayed ACKs, drop-early "
-        "admission probe); 'legacy' is the pre-§12 baseline (heap-only "
-        "timers, eager delack cancels, unconditional serialization). "
-        "Gate: wheel >= 2x legacy at the 10k-flow point."
+        "admission probe). Gate: wheel >= 2x legacy_baseline at the "
+        "10k-flow point."
     ),
     "flows_per_wall_second": {
-        "wheel": {str(k): round(wheel[k], 1) for k in sorted(wheel)},
-        "legacy": {str(k): round(legacy[k], 1) for k in sorted(legacy)},
+        "wheel": {str(k): round(scale[k], 1) for k in sorted(scale)},
+    },
+    "legacy_baseline": {
+        "note": (
+            "flows_per_wall_second of the pre-§12 hot path (heap-only "
+            "timers, eager delack cancels, unconditional serialization), "
+            "last measured by BM_FlowScale's legacy arm on a 1-CPU host "
+            "before that path was deleted; frozen."
+        ),
+        "flows_per_wall_second": {str(k): v for k, v in sorted(legacy.items())},
     },
     "gate_speedup_10k": 2.0,
     "speedup_10k": round(speedup_10k, 2),

@@ -16,6 +16,8 @@
 //                       [--queue-segments N] [--rate-limit-detector]
 //                       [--faults PLAN.json]
 //                       [--trials N] [--jobs N] [--series-out PATH]
+//                       (a topology with no blocks: ports 0 and 1 cabled
+//                       back to back, run like `topo`)
 //   osnt_run topo       FILE.json [--seed N] [--duration-ms N]
 //                       [--trials N] [--jobs N] [--faults PLAN.json]
 //                       [--series-out PATH] [--series-interval-us N]
@@ -65,7 +67,6 @@
 #include "osnt/oflops/interaction.hpp"
 #include "osnt/oflops/queue_delay.hpp"
 #include "osnt/oflops/stats_poll.hpp"
-#include "osnt/tcp/workload.hpp"
 #include "osnt/telemetry/registry.hpp"
 #include "osnt/telemetry/series.hpp"
 #include "osnt/telemetry/trace.hpp"
@@ -179,6 +180,100 @@ struct ObservabilityFlags {
   }
 };
 
+/// --faults: load the plan (an empty path is an empty plan) and print its
+/// summary. Returns false after a stderr diagnostic on a bad file.
+[[nodiscard]] bool load_fault_plan(const std::string& path,
+                                   fault::FaultPlan& plan) {
+  if (path.empty()) return true;
+  try {
+    plan = fault::FaultPlan::load(path);
+  } catch (const fault::PlanError& e) {
+    std::fprintf(stderr, "bad fault plan %s: %s\n", path.c_str(), e.what());
+    return false;
+  }
+  std::printf("fault plan: %s\n", plan.summary().c_str());
+  return true;
+}
+
+/// Flags and trial plumbing shared by the subcommands that run topology
+/// trials (tcp, topo): `--trials` independent runs at seeds base + i,
+/// sharded over `--jobs` resilient-runner workers, with an optional
+/// fault plan. Reports and series come back in plan order, so the output
+/// is identical at any --jobs value.
+struct TopologyTrials {
+  std::int64_t count = 1;  ///< --trials
+  std::int64_t jobs = 1;
+  std::string faults_path;
+  fault::FaultPlan plan;
+  std::vector<graph::TopologyTrialReport> reports;
+  std::vector<core::TrialResult> outcomes;
+
+  void add_to(CliParser& cli) {
+    cli.add_flag("faults", &faults_path, "JSON fault plan to inject");
+    cli.add_flag("trials", &count, "independent trials (distinct seeds)");
+    cli.add_flag("jobs", &jobs,
+                 "worker threads for the trials (0 = all hardware threads)");
+  }
+
+  /// Post-parse checks, then load --faults. False after a diagnostic.
+  [[nodiscard]] bool prepare(const ObservabilityFlags& obs) {
+    if (count <= 0) {
+      std::fprintf(stderr, "--trials must be positive\n");
+      return false;
+    }
+    if (obs.trace_enabled() && (count != 1 || jobs != 1)) {
+      std::fprintf(stderr, "--trace requires --trials 1 --jobs 1\n");
+      return false;
+    }
+    return load_fault_plan(faults_path, plan);
+  }
+
+  /// Run every trial; failed ones are reported on stderr. Returns the
+  /// exit code so far (1 if any trial failed).
+  [[nodiscard]] int run(const graph::TopologyFile& topo,
+                        std::uint64_t base_seed, Picos duration,
+                        ObservabilityFlags& obs) {
+    reports.assign(static_cast<std::size_t>(count), {});
+    core::TrialPlan tplan;
+    tplan.points.resize(static_cast<std::size_t>(count));
+    for (std::size_t i = 0; i < tplan.points.size(); ++i) {
+      tplan.points[i].seed = base_seed + i;
+    }
+    tplan.run = [&](const core::TrialPoint& pt) {
+      reports[pt.index] = graph::run_topology_trial(
+          topo, pt.seed, duration, plan.events.empty() ? nullptr : &plan,
+          obs.trace_enabled() ? &obs.rec : nullptr, obs.series_interval());
+      return core::TrialStats{};  // the report carries the results
+    };
+    core::RunnerConfig rcfg;
+    rcfg.jobs = static_cast<std::size_t>(jobs < 0 ? 0 : jobs);
+    outcomes = core::Runner{rcfg}.run_resilient(tplan);
+    int rc = 0;
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      const auto& tr = outcomes[i];
+      if (tr.ok()) continue;
+      std::fprintf(stderr, "trial %zu %s after %u attempt(s): %s\n", i,
+                   core::trial_outcome_name(tr.outcome), tr.attempts,
+                   tr.error.c_str());
+      rc = 1;
+    }
+    return rc;
+  }
+
+  /// Write the merged series (when every trial succeeded) and the other
+  /// requested outputs. Returns the final exit code.
+  [[nodiscard]] int finish(int rc, ObservabilityFlags& obs) const {
+    if (obs.series_enabled() && rc == 0) {
+      // Element-wise sums commute: the bytes match at any --jobs value.
+      telemetry::SeriesData merged;
+      for (const auto& rep : reports) merged.merge_from(rep.series);
+      if (!obs.write_series(merged)) rc = 1;
+    }
+    if (!obs.finish()) rc = 1;
+    return rc;
+  }
+};
+
 struct DutHolder {
   std::unique_ptr<graph::Graph> g;
 };
@@ -241,16 +336,7 @@ int cmd_latency(int argc, const char* const* argv) {
   if (!obs.validate_series()) return 1;
 
   fault::FaultPlan fplan;
-  if (!faults_path.empty()) {
-    try {
-      fplan = fault::FaultPlan::load(faults_path);
-    } catch (const fault::PlanError& e) {
-      std::fprintf(stderr, "bad fault plan %s: %s\n", faults_path.c_str(),
-                   e.what());
-      return 1;
-    }
-    std::printf("fault plan: %s\n", fplan.summary().c_str());
-  }
+  if (!load_fault_plan(faults_path, fplan)) return 1;
 
   core::RunResult r;
   telemetry::SeriesData sdata;
@@ -514,121 +600,63 @@ int cmd_oflops(int argc, const char* const* argv) {
 }
 
 int cmd_tcp(int argc, const char* const* argv) {
-  std::string cc = "newreno";
-  std::int64_t flows = 1, trials = 1, jobs = 1, mss = 1448;
-  std::int64_t queue_segments = 256, seed = 1, rwnd_kb = 1024;
-  double duration_ms = 10.0, bottleneck_gbps = 5.0;
-  bool rate_limit_detector = false;
-  std::string faults_path;
-  std::string timers = "wheel";
+  // The cable pair is a topology with no blocks: device port 0 wired
+  // back to back to port 1, the flags filling in its tcp workload.
+  graph::TopologyFile cable;
+  graph::WorkloadSpec& w = cable.workload;
+  w.kind = graph::WorkloadSpec::Kind::kTcp;
+  w.bottleneck_gbps = 5.0;
+  std::int64_t flows = 1, mss = 1448, queue_segments = 256, seed = 1;
+  std::int64_t rwnd_kb = 1024;
+  double duration_ms = 10.0;
+  TopologyTrials trials;
   ObservabilityFlags obs;
   CliParser cli{
       "osnt_run tcp — closed-loop congestion-controlled flows over the "
       "simulated dataplane"};
-  cli.add_flag("cc", &cc, "congestion control: newreno|cubic|bbr");
+  cli.add_flag("cc", &w.cc, "congestion control: newreno|cubic|bbr");
   cli.add_flag("flows", &flows, "concurrent flows sharing the bottleneck");
   cli.add_flag("duration-ms", &duration_ms, "simulated test duration");
   cli.add_flag("mss", &mss, "segment payload bytes (1448 = 1518B frames)");
-  cli.add_flag("bottleneck-gbps", &bottleneck_gbps,
+  cli.add_flag("bottleneck-gbps", &w.bottleneck_gbps,
                "bottleneck drain rate (0 = port line rate)");
   cli.add_flag("queue-segments", &queue_segments,
                "bottleneck buffer depth in frames");
   cli.add_flag("rwnd-kb", &rwnd_kb, "receiver window per flow, KiB");
-  cli.add_flag("rate-limit-detector", &rate_limit_detector,
+  cli.add_flag("rate-limit-detector", &w.rate_limit_detector,
                "detect in-path policers/shapers and adapt the cc to them");
   cli.add_flag("seed", &seed, "base seed (trial i runs at seed+i)");
-  cli.add_flag("timers",
-               &timers,
-               "bulk-timer routing: wheel (O(1) timing wheel) | heap "
-               "(baseline; identical results, slower at high --flows)");
-  cli.add_flag("faults", &faults_path, "JSON fault plan to inject");
-  cli.add_flag("trials", &trials, "independent trials (distinct seeds)");
-  cli.add_flag("jobs", &jobs,
-               "worker threads for the trials (0 = all hardware threads)");
+  trials.add_to(cli);
   obs.add_to(cli);
   obs.add_series_to(cli);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
   if (!obs.validate_series()) return 1;
-  if (flows <= 0 || trials <= 0 || mss <= 0) {
-    std::fprintf(stderr, "--flows/--trials/--mss must be positive\n");
+  if (flows <= 0 || mss <= 0) {
+    std::fprintf(stderr, "--flows/--mss must be positive\n");
     return 1;
   }
-  if (timers != "wheel" && timers != "heap") {
-    std::fprintf(stderr, "--timers must be wheel or heap\n");
+  w.flows = static_cast<std::size_t>(flows);
+  w.mss = static_cast<std::uint32_t>(mss);
+  w.queue_segments = static_cast<std::size_t>(queue_segments);
+  w.rwnd_kb = static_cast<std::uint64_t>(rwnd_kb);
+  cable.duration = from_micros(duration_ms * 1000.0);
+  try {
+    graph::validate_workload(cable);
+  } catch (const graph::GraphError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     return 1;
   }
-  if (obs.trace_enabled() && (trials != 1 || jobs != 1)) {
-    std::fprintf(stderr, "--trace requires --trials 1 --jobs 1\n");
-    return 1;
-  }
+  if (!trials.prepare(obs)) return 1;
 
-  fault::FaultPlan fplan;
-  if (!faults_path.empty()) {
-    try {
-      fplan = fault::FaultPlan::load(faults_path);
-    } catch (const fault::PlanError& e) {
-      std::fprintf(stderr, "bad fault plan %s: %s\n", faults_path.c_str(),
-                   e.what());
-      return 1;
-    }
-    std::printf("fault plan: %s\n", fplan.summary().c_str());
-  }
-
-  tcp::WorkloadConfig base;
-  base.flows = static_cast<std::size_t>(flows);
-  base.cc = cc;
-  base.mss = static_cast<std::uint32_t>(mss);
-  base.bottleneck_gbps = bottleneck_gbps;
-  base.queue_segments = static_cast<std::size_t>(queue_segments);
-  base.rwnd_bytes = static_cast<std::uint64_t>(rwnd_kb) * 1024;
-  base.rate_limit_detector = rate_limit_detector;
-  base.wheel_timers = timers == "wheel";
-  const Picos duration = from_micros(duration_ms * 1000.0);
-
-  // One trial = one fresh closed-loop testbed; trials shard across the
-  // runner pool and reports come back in plan order at any --jobs.
-  std::vector<tcp::TcpTrialReport> reports(
-      static_cast<std::size_t>(trials));
-  std::vector<telemetry::SeriesData> series(static_cast<std::size_t>(trials));
-  core::TrialPlan plan;
-  plan.points.resize(static_cast<std::size_t>(trials));
-  for (std::size_t i = 0; i < plan.points.size(); ++i) {
-    plan.points[i].seed = static_cast<std::uint64_t>(seed) + i;
-  }
-  plan.run = [&](const core::TrialPoint& pt) {
-    tcp::WorkloadConfig cfg = base;
-    cfg.seed = pt.seed;
-    const auto rep = tcp::run_closed_loop_trial(
-        cfg, duration, fplan.events.empty() ? nullptr : &fplan,
-        obs.trace_enabled() ? &obs.rec : nullptr, obs.series_interval(),
-        obs.series_enabled() ? &series[pt.index] : nullptr);
-    reports[pt.index] = rep;
-    core::TrialStats s;
-    s.tx_frames = rep.segs_sent;
-    s.rx_frames = rep.acks_sent;
-    s.metric = rep.goodput_bps;
-    return s;
-  };
-
-  core::RunnerConfig rcfg;
-  rcfg.jobs = static_cast<std::size_t>(jobs < 0 ? 0 : jobs);
-  const auto outcomes = core::Runner{rcfg}.run_resilient(plan);
-
+  const int rc = trials.run(cable, static_cast<std::uint64_t>(seed),
+                            cable.duration, obs);
   std::printf("%5s %6s %10s %8s %8s %8s %8s %8s\n", "trial", "seed",
               "goodput", "segs", "retx", "rto", "fastrtx", "drops");
-  int rc = 0;
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const auto& tr = outcomes[i];
-    if (!tr.ok()) {
-      std::fprintf(stderr, "trial %zu %s after %u attempt(s): %s\n", i,
-                   core::trial_outcome_name(tr.outcome), tr.attempts,
-                   tr.error.c_str());
-      rc = 1;
-      continue;
-    }
-    const auto& rep = reports[i];
+  for (std::size_t i = 0; i < trials.outcomes.size(); ++i) {
+    if (!trials.outcomes[i].ok()) continue;
+    const auto& rep = trials.reports[i].tcp;
     std::printf("%5zu %6llu %7.3f Gb %8llu %8llu %8llu %8llu %8llu\n", i,
-                static_cast<unsigned long long>(tr.seed_used),
+                static_cast<unsigned long long>(trials.outcomes[i].seed_used),
                 rep.goodput_bps / 1e9,
                 static_cast<unsigned long long>(rep.segs_sent),
                 static_cast<unsigned long long>(rep.retransmits),
@@ -636,11 +664,11 @@ int cmd_tcp(int argc, const char* const* argv) {
                 static_cast<unsigned long long>(rep.fast_retx),
                 static_cast<unsigned long long>(rep.queue_drops));
   }
-  if (trials == 1 && outcomes.front().ok()) {
-    const auto& rep = reports.front();
+  if (trials.count == 1 && trials.outcomes.front().ok()) {
+    const auto& rep = trials.reports.front().tcp;
     std::printf("cc %s  flows %lld  cwnd reductions %llu  acks %llu  "
                 "flow rate min %.3f / max %.3f Gb/s\n",
-                cc.c_str(), static_cast<long long>(flows),
+                w.cc.c_str(), static_cast<long long>(flows),
                 static_cast<unsigned long long>(rep.cwnd_reductions),
                 static_cast<unsigned long long>(rep.acks_sent),
                 rep.min_flow_rate_bps / 1e9, rep.max_flow_rate_bps / 1e9);
@@ -652,22 +680,14 @@ int cmd_tcp(int argc, const char* const* argv) {
                   static_cast<double>(rep.rld_detect_time) / kPicosPerMicro);
     }
   }
-  if (obs.series_enabled() && rc == 0) {
-    // Merge in plan order: element-wise sums commute, so the bytes are
-    // identical at any --jobs value.
-    telemetry::SeriesData merged;
-    for (const auto& s : series) merged.merge_from(s);
-    if (!obs.write_series(merged)) rc = 1;
-  }
-  if (!obs.finish()) rc = 1;
-  return rc;
+  return trials.finish(rc, obs);
 }
 
 int cmd_topo(int argc, const char* const* argv) {
-  std::int64_t trials = 1, jobs = 1, seed = 0;
+  std::int64_t seed = 0;
   double duration_ms = 0.0;
   bool validate_only = false;
-  std::string faults_path;
+  TopologyTrials trials;
   ObservabilityFlags obs;
   CliParser cli{
       "osnt_run topo FILE.json — run a declarative scenario-graph topology\n"
@@ -677,27 +697,16 @@ int cmd_topo(int argc, const char* const* argv) {
   cli.add_flag("seed", &seed, "base seed (0 = the file's; trial i adds i)");
   cli.add_flag("duration-ms", &duration_ms,
                "simulated duration (0 = the file's)");
-  cli.add_flag("faults", &faults_path, "JSON fault plan to inject");
   cli.add_flag("validate-only", &validate_only,
                "load the topology (and fault plan), resolve fault targets, "
                "print the block table, and exit without running");
-  cli.add_flag("trials", &trials, "independent trials (distinct seeds)");
-  cli.add_flag("jobs", &jobs,
-               "worker threads for the trials (0 = all hardware threads)");
+  trials.add_to(cli);
   obs.add_to(cli);
   obs.add_series_to(cli);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
   if (!obs.validate_series()) return 1;
   if (cli.positional().size() != 1) {
     std::fprintf(stderr, "usage: osnt_run topo FILE.json [flags]\n");
-    return 1;
-  }
-  if (trials <= 0) {
-    std::fprintf(stderr, "--trials must be positive\n");
-    return 1;
-  }
-  if (obs.trace_enabled() && (trials != 1 || jobs != 1)) {
-    std::fprintf(stderr, "--trace requires --trials 1 --jobs 1\n");
     return 1;
   }
 
@@ -712,18 +721,8 @@ int cmd_topo(int argc, const char* const* argv) {
       seed > 0 ? static_cast<std::uint64_t>(seed) : topo.seed;
   const Picos duration =
       duration_ms > 0 ? from_micros(duration_ms * 1000.0) : topo.duration;
-
-  fault::FaultPlan fplan;
-  if (!faults_path.empty()) {
-    try {
-      fplan = fault::FaultPlan::load(faults_path);
-    } catch (const fault::PlanError& e) {
-      std::fprintf(stderr, "bad fault plan %s: %s\n", faults_path.c_str(),
-                   e.what());
-      return 1;
-    }
-    std::printf("fault plan: %s\n", fplan.summary().c_str());
-  }
+  if (!trials.prepare(obs)) return 1;
+  const fault::FaultPlan& fplan = trials.plan;
 
   std::printf("topology %s: %zu blocks, %zu edges, workload %s\n",
               topo.name.empty() ? cli.positional()[0].c_str()
@@ -757,45 +756,11 @@ int cmd_topo(int argc, const char* const* argv) {
     return 0;
   }
 
-  std::vector<graph::TopologyTrialReport> reports(
-      static_cast<std::size_t>(trials));
-  core::TrialPlan plan;
-  plan.points.resize(static_cast<std::size_t>(trials));
-  for (std::size_t i = 0; i < plan.points.size(); ++i) {
-    plan.points[i].seed = base_seed + i;
-  }
-  plan.run = [&](const core::TrialPoint& pt) {
-    const auto rep = graph::run_topology_trial(
-        topo, pt.seed, duration, fplan.events.empty() ? nullptr : &fplan,
-        obs.trace_enabled() ? &obs.rec : nullptr, obs.series_interval());
-    reports[pt.index] = rep;
-    core::TrialStats s;
-    s.tx_frames = rep.graph_frames_in;
-    s.rx_frames = rep.graph_frames_in - rep.graph_drops;
-    if (topo.workload.kind == graph::WorkloadSpec::Kind::kTcp) {
-      s.metric = rep.tcp.goodput_bps;
-    } else if (topo.workload.kind == graph::WorkloadSpec::Kind::kBurst) {
-      s.tx_frames = rep.burst.frames;
-      s.rx_frames = rep.burst.rx_frames;
-    }
-    return s;
-  };
-
-  core::RunnerConfig rcfg;
-  rcfg.jobs = static_cast<std::size_t>(jobs < 0 ? 0 : jobs);
-  const auto outcomes = core::Runner{rcfg}.run_resilient(plan);
-
-  int rc = 0;
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const auto& tr = outcomes[i];
-    if (!tr.ok()) {
-      std::fprintf(stderr, "trial %zu %s after %u attempt(s): %s\n", i,
-                   core::trial_outcome_name(tr.outcome), tr.attempts,
-                   tr.error.c_str());
-      rc = 1;
-      continue;
-    }
-    const auto& rep = reports[i];
+  const int rc = trials.run(topo, base_seed, duration, obs);
+  for (std::size_t i = 0; i < trials.outcomes.size(); ++i) {
+    const auto& tr = trials.outcomes[i];
+    if (!tr.ok()) continue;
+    const auto& rep = trials.reports[i];
     if (topo.workload.kind == graph::WorkloadSpec::Kind::kTcp) {
       std::printf(
           "trial %zu seed %llu: goodput %.3f Gb/s  segs %llu  retx %llu  "
@@ -842,10 +807,10 @@ int cmd_topo(int argc, const char* const* argv) {
                   static_cast<unsigned long long>(rep.graph_frames_in));
     }
   }
-  if (rc == 0 && !reports.empty()) {
+  if (rc == 0) {
     std::printf("%-16s %12s %12s %10s %9s %9s %9s\n", "block", "frames_in",
                 "frames_out", "drops", "rtt_p50", "rtt_p90", "rtt_p99");
-    for (const auto& b : reports.front().blocks) {
+    for (const auto& b : trials.reports.front().blocks) {
       std::printf("%-16s %12llu %12llu %10llu", b.name.c_str(),
                   static_cast<unsigned long long>(b.frames_in),
                   static_cast<unsigned long long>(b.frames_out),
@@ -858,13 +823,7 @@ int cmd_topo(int argc, const char* const* argv) {
       }
     }
   }
-  if (obs.series_enabled() && rc == 0) {
-    telemetry::SeriesData merged;
-    for (const auto& rep : reports) merged.merge_from(rep.series);
-    if (!obs.write_series(merged)) rc = 1;
-  }
-  if (!obs.finish()) rc = 1;
-  return rc;
+  return trials.finish(rc, obs);
 }
 
 int cmd_fleet(int argc, const char* const* argv) {
