@@ -17,6 +17,8 @@
 #include "osnt/common/random.hpp"
 #include "osnt/graph/block.hpp"
 #include "osnt/mon/latency_probe.hpp"
+#include "osnt/sim/lane.hpp"
+#include "osnt/sim/link.hpp"
 #include "osnt/telemetry/histogram.hpp"
 
 namespace osnt::graph {
@@ -65,10 +67,20 @@ class FifoQueueBlock : public Block {
   FifoQueueConfig fifo_cfg_;
 
  private:
+  /// A departure: the frame leaves the serializer.
+  struct Depart {
+    FifoQueueBlock* q;
+    void operator()(sim::TimedFrame&& f) const {
+      --q->depth_;
+      q->emit(0, std::move(f.pkt), f.first_bit, f.last_bit);
+    }
+  };
+
   std::size_t depth_ = 0;
   std::size_t peak_ = 0;
   std::uint64_t tail_drops_ = 0;
   Picos busy_until_ = 0;
+  sim::FifoLane<sim::TimedFrame, Depart> departures_;
 };
 
 // ------------------------------------------------------------------- red
@@ -157,6 +169,15 @@ class TokenBucketBlock : public Block {
   void set_queue_frames(std::size_t frames);
 
  private:
+  /// A shaped frame's release once its deficit has refilled.
+  struct Release {
+    TokenBucketBlock* tb;
+    void operator()(sim::TimedFrame&& f) const {
+      --tb->backlog_;
+      tb->emit(0, std::move(f.pkt), f.first_bit, f.last_bit);
+    }
+  };
+
   void refill() noexcept;
 
   TokenBucketConfig cfg_;
@@ -168,6 +189,7 @@ class TokenBucketBlock : public Block {
   std::uint64_t conforming_ = 0;
   std::uint64_t shaped_ = 0;
   std::uint64_t policed_ = 0;
+  sim::FifoLane<sim::TimedFrame, Release> releases_;
 };
 
 // -------------------------------------------------------------- delay_ber

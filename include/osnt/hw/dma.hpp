@@ -11,6 +11,7 @@
 #include "osnt/common/time.hpp"
 #include "osnt/common/types.hpp"
 #include "osnt/sim/engine.hpp"
+#include "osnt/sim/lane.hpp"
 
 namespace osnt::hw {
 
@@ -74,6 +75,12 @@ class DmaEngine {
   [[nodiscard]] const Config& config() const noexcept { return cfg_; }
 
  private:
+  /// A record's transfer completes: it leaves the ring for the host.
+  struct Complete {
+    DmaEngine* dma;
+    void operator()(DmaRecord&& rec) const;
+  };
+
   sim::Engine* eng_;
   Config cfg_;
   Handler handler_;
@@ -84,6 +91,7 @@ class DmaEngine {
   std::uint64_t bytes_delivered_ = 0;
   std::uint64_t drops_ = 0;
   std::uint64_t stalls_ = 0;
+  sim::FifoLane<DmaRecord, Complete> bus_{*eng_, Complete{this}};
 };
 
 }  // namespace osnt::hw

@@ -11,7 +11,9 @@
 // 4-ary heap of slim 16-byte {time, seq, slot} entries; cancellation is
 // lazy (a cancelled slot's entry is skimmed off the heap head when it
 // surfaces). EventId packs {generation, slot}, so a stale id from a
-// fired event can never cancel the slot's next occupant.
+// fired event can never cancel the slot's next occupant. Streams of
+// in-order frames go through sim::FifoLane (lane.hpp), which keeps only
+// its head in the heap.
 #pragma once
 
 #include <chrono>
@@ -100,6 +102,9 @@ class WatchdogScope {
 
 /// The thread's current ambient watchdog config (all-zero when none).
 [[nodiscard]] WatchdogConfig ambient_watchdog() noexcept;
+
+template <typename T, typename Fire>
+class FifoLane;
 
 /// Handle for cancellation. Default-constructed id is never issued.
 struct EventId {
@@ -288,6 +293,35 @@ class Engine {
   }
 
  private:
+  template <typename T, typename Fire>
+  friend class FifoLane;
+
+  /// The ordering key and tag an event takes when it is scheduled.
+  struct Reservation {
+    std::uint32_t seq;
+    EventCategory cat;
+  };
+
+  /// The first half of every schedule: the next seq, the current category,
+  /// and one more live event. FifoLane calls it at push time, so
+  /// live_high_water and pending() count a lane entry before the heap
+  /// sees it, exactly as for a plain schedule_at.
+  Reservation reserve() noexcept {
+    ++live_;
+    live_hw_ = live_ > live_hw_ ? live_ : live_hw_;
+    return Reservation{next_seq_++, cat_};
+  }
+
+  /// The second half for a FifoLane entry that became its lane's head:
+  /// the reserved key goes in the heap (`t` already clamped), not counted
+  /// live again.
+  template <typename F>
+  void schedule_reserved(Picos t, Reservation r, F&& fn) {
+    const std::uint32_t slot = acquire_slot_();
+    fn_(slot).emplace(std::forward<F>(fn));
+    heap_arm_(t, r, slot, meta_[slot]);
+  }
+
   static constexpr std::uint32_t kNilSlot =
       std::numeric_limits<std::uint32_t>::max();
   static constexpr std::uint32_t kSlotBlockShift = 8;
@@ -343,13 +377,15 @@ class Engine {
     return blocks_[i >> kSlotBlockShift][i & (kSlotBlockSize - 1)];
   }
 
-  EventId arm_(Picos t, std::uint32_t slot, SlotMeta& m) {
+  void heap_arm_(Picos t, Reservation r, std::uint32_t slot, SlotMeta& m) {
     m.state = State::kPending;
-    m.category = static_cast<std::uint8_t>(cat_);
+    m.category = static_cast<std::uint8_t>(r.cat);
     m.where = Where::kHeap;
-    heap_push_(HeapEntry{t > now_ ? t : now_, next_seq_++, slot});
-    ++live_;
-    live_hw_ = live_ > live_hw_ ? live_ : live_hw_;
+    heap_push_(HeapEntry{t, r.seq, slot});
+  }
+
+  EventId arm_(Picos t, std::uint32_t slot, SlotMeta& m) {
+    heap_arm_(t > now_ ? t : now_, reserve(), slot, m);
     return id_of_(slot, m.gen);
   }
 
@@ -357,19 +393,16 @@ class Engine {
   /// routes, so the fired (time, seq) order — and every sim-only counter
   /// derived from it — does not depend on where the entry waited.
   EventId arm_bulk_(Picos t, std::uint32_t slot, SlotMeta& m) {
-    m.state = State::kPending;
-    m.category = static_cast<std::uint8_t>(cat_);
     const Picos when = t > now_ ? t : now_;
-    const std::uint32_t seq = next_seq_++;
-    if (wheel_enabled_ && wheel_.schedule(when, seq, slot)) {
+    const Reservation r = reserve();
+    if (wheel_enabled_ && wheel_.schedule(when, r.seq, slot)) {
+      m.state = State::kPending;
+      m.category = static_cast<std::uint8_t>(r.cat);
       m.where = Where::kWheel;
     } else {
       if (wheel_enabled_) ++wheel_spilled_;
-      m.where = Where::kHeap;
-      heap_push_(HeapEntry{when, seq, slot});
+      heap_arm_(when, r, slot, m);
     }
-    ++live_;
-    live_hw_ = live_ > live_hw_ ? live_ : live_hw_;
     return id_of_(slot, m.gen);
   }
 

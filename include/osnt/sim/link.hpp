@@ -6,11 +6,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "osnt/common/random.hpp"
 #include "osnt/common/time.hpp"
 #include "osnt/net/packet.hpp"
 #include "osnt/sim/engine.hpp"
+#include "osnt/sim/lane.hpp"
 
 namespace osnt::sim {
 
@@ -20,6 +22,14 @@ class FrameSink {
   virtual ~FrameSink() = default;
   /// `first_bit` / `last_bit` are arrival times at this sink.
   virtual void on_frame(net::Packet pkt, Picos first_bit, Picos last_bit) = 0;
+};
+
+/// A frame and the two bit times it travels with: arrival times on a
+/// link, departure times out of a serializer.
+struct TimedFrame {
+  net::Packet pkt;
+  Picos first_bit;
+  Picos last_bit;
 };
 
 /// Propagation delay of `meters` of fiber (~4.9 ns/m).
@@ -55,7 +65,8 @@ class Link {
 
   /// Fault seam: additional one-way delay applied on top of propagation
   /// (a latency-jitter spike — rerouted path, PAUSE storm). Negative
-  /// clamps to zero; frames already in flight keep their old delay.
+  /// clamps to zero; frames already in flight keep their old delay, so
+  /// after a cut a later frame can arrive before an earlier one.
   void set_extra_delay(Picos extra) noexcept {
     extra_delay_ = extra > 0 ? extra : 0;
   }
@@ -70,6 +81,14 @@ class Link {
   [[nodiscard]] std::uint64_t frames_lost_dark() const noexcept { return dark_; }
 
  private:
+  /// Hands a frame to the sink at its last-bit arrival.
+  struct Deliver {
+    Link* link;
+    void operator()(TimedFrame&& f) const {
+      link->sink_->on_frame(std::move(f.pkt), f.first_bit, f.last_bit);
+    }
+  };
+
   Engine* eng_;
   FrameSink* sink_ = nullptr;
   Picos propagation_;
@@ -81,6 +100,7 @@ class Link {
   std::uint64_t dark_ = 0;
   std::uint64_t corrupted_ = 0;
   std::uint64_t lost_down_ = 0;
+  FifoLane<TimedFrame, Deliver> in_flight_{*eng_, Deliver{this}};
 };
 
 }  // namespace osnt::sim

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "osnt/common/time.hpp"
@@ -91,7 +92,8 @@ class TraceRecorder {
     char ph;
   };
 
-  std::vector<std::string> tracks_;
+  std::vector<std::string> tracks_;  ///< by TrackId, in registration order
+  std::unordered_map<std::string, TrackId> index_;  ///< name -> TrackId
   std::vector<Event> events_;
   std::size_t max_events_;
   std::uint64_t dropped_ = 0;

@@ -13,7 +13,9 @@ namespace osnt::graph {
 
 FifoQueueBlock::FifoQueueBlock(sim::Engine& eng, std::string name,
                                FifoQueueConfig cfg)
-    : Block(eng, std::move(name), 1, 1), fifo_cfg_(cfg) {
+    : Block(eng, std::move(name), 1, 1),
+      fifo_cfg_(cfg),
+      departures_(eng, Depart{this}) {
   if (fifo_cfg_.rate_gbps <= 0.0) {
     throw GraphError("graph: fifo_queue '" + this->name() +
                      "' needs rate_gbps > 0");
@@ -58,10 +60,7 @@ void FifoQueueBlock::enqueue(net::Packet pkt) {
   const Picos air = net::serialization_time(pkt.line_len(), fifo_cfg_.rate_gbps);
   const Picos end = start + air;
   busy_until_ = end;
-  engine().schedule_at(end, [this, pkt = std::move(pkt), start, end]() mutable {
-    --depth_;
-    emit(0, std::move(pkt), start, end);
-  });
+  departures_.push(end, sim::TimedFrame{std::move(pkt), start, end});
 }
 
 // ------------------------------------------------------------------- red
@@ -121,7 +120,8 @@ TokenBucketBlock::TokenBucketBlock(sim::Engine& eng, std::string name,
     : Block(eng, std::move(name), 1, 1),
       cfg_(cfg),
       bytes_per_pico_(cfg.rate_gbps / 8000.0),
-      tokens_(static_cast<double>(cfg.burst_bytes)) {
+      tokens_(static_cast<double>(cfg.burst_bytes)),
+      releases_(eng, Release{this}) {
   if (cfg_.rate_gbps <= 0.0) {
     throw GraphError("graph: token_bucket '" + this->name() +
                      "' needs rate_gbps > 0");
@@ -212,11 +212,8 @@ void TokenBucketBlock::on_frame(std::size_t /*in_port*/, net::Packet pkt,
   ++backlog_;
   ++shaped_;
   const Picos dur = last_bit - first_bit;
-  engine().schedule_at(release,
-                       [this, pkt = std::move(pkt), release, dur]() mutable {
-                         --backlog_;
-                         emit(0, std::move(pkt), release - dur, release);
-                       });
+  releases_.push(release,
+                 sim::TimedFrame{std::move(pkt), release - dur, release});
 }
 
 // -------------------------------------------------------------- delay_ber

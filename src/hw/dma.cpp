@@ -41,13 +41,15 @@ bool DmaEngine::enqueue(DmaRecord rec) {
       net::serialization_time(bus_bytes, cfg_.gbps);
   bus_free_ = start + xfer;
   const sim::Engine::CategoryScope cat(*eng_, sim::EventCategory::kHw);
-  eng_->schedule_at(bus_free_, [this, rec = std::move(rec)]() mutable {
-    --in_ring_;
-    ++delivered_;
-    bytes_delivered_ += rec.payload.size();
-    if (handler_) handler_(std::move(rec));
-  });
+  bus_.push(bus_free_, std::move(rec));
   return true;
+}
+
+void DmaEngine::Complete::operator()(DmaRecord&& rec) const {
+  --dma->in_ring_;
+  ++dma->delivered_;
+  dma->bytes_delivered_ += rec.payload.size();
+  if (dma->handler_) dma->handler_(std::move(rec));
 }
 
 }  // namespace osnt::hw

@@ -45,10 +45,7 @@ void Link::carry(net::Packet pkt, Picos tx_start, Picos tx_end) {
     sink_->on_frame(std::move(pkt), first_bit, last_bit);
     return;
   }
-  eng_->schedule_at(last_bit,
-                    [this, pkt = std::move(pkt), first_bit, last_bit]() mutable {
-                      sink_->on_frame(std::move(pkt), first_bit, last_bit);
-                    });
+  in_flight_.push(last_bit, TimedFrame{std::move(pkt), first_bit, last_bit});
 }
 
 }  // namespace osnt::sim

@@ -19,11 +19,10 @@ void append_micros(std::string& out, Picos t) {
 }  // namespace
 
 TraceRecorder::TrackId TraceRecorder::track(const std::string& name) {
-  for (std::size_t i = 0; i < tracks_.size(); ++i) {
-    if (tracks_[i] == name) return static_cast<TrackId>(i);
-  }
-  tracks_.push_back(name);
-  return static_cast<TrackId>(tracks_.size() - 1);
+  const auto [it, added] =
+      index_.try_emplace(name, static_cast<TrackId>(tracks_.size()));
+  if (added) tracks_.push_back(name);
+  return it->second;
 }
 
 void TraceRecorder::write_chrome_json(std::ostream& os) const {

@@ -4,7 +4,9 @@
 // byte-identically to the same DUT cabled by hand.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "osnt/core/device.hpp"
@@ -76,6 +78,49 @@ TEST(Graph, FifoQueueSerializesAndTailDrops) {
   const Picos air = net::serialization_time(pkt.line_len(), cfg.rate_gbps);
   EXPECT_EQ(out.at[0], air);
   EXPECT_EQ(out.at[1], 2 * air);
+}
+
+TEST(Graph, FifoQueueTieBetweenDepartureAndArrivalFollowsPushOrder) {
+  // 64 B frames every 336 ns (2 Gb/s) into a one-frame 1 Gb/s queue: each
+  // departure falls on the same picosecond as an arrival. The event pushed
+  // first fires first. An arrival scheduled before the departure finds the
+  // queue full and is tail-dropped; one scheduled after it is admitted.
+  constexpr Picos kGap = 336'000;
+  constexpr int kArrivals = 9;
+  const auto run = [&](bool chained) {
+    sim::Engine eng;
+    graph::Graph g{eng};
+    auto& q = g.emplace<graph::FifoQueueBlock>(
+        eng, "q", graph::FifoQueueConfig{1.0, 1});
+    Collector out;
+    g.connect_output("q", 0, out);
+    g.start();
+    sim::FrameSink& in = g.input("q", 0);
+    const net::Packet pkt = make_udp(1000, 18);
+    EXPECT_EQ(net::serialization_time(pkt.line_len(), 1.0), 2 * kGap);
+    std::function<void(int)> arrive = [&](int k) {
+      inject(in, pkt, eng.now());
+      // Chained: the next arrival is pushed after this one's departure.
+      if (chained && k < kArrivals) {
+        eng.schedule_in(kGap, [&arrive, k] { arrive(k + 1); });
+      }
+    };
+    for (int k = 1; k <= (chained ? 1 : kArrivals); ++k) {
+      eng.schedule_at(k * kGap, [&arrive, k] { arrive(k); });
+    }
+    eng.run();
+    return std::make_pair(out.at, q.tail_drops());
+  };
+
+  // All arrivals pushed up front: arrivals 3, 6 and 9 lose their ties.
+  EXPECT_EQ(run(false), std::make_pair(std::vector<Picos>{3 * kGap, 6 * kGap,
+                                                          9 * kGap},
+                                       std::uint64_t{6}));
+  // Each arrival pushed by the one before: departures win every tie.
+  EXPECT_EQ(run(true),
+            std::make_pair(std::vector<Picos>{3 * kGap, 5 * kGap, 7 * kGap,
+                                              9 * kGap, 11 * kGap},
+                           std::uint64_t{4}));
 }
 
 TEST(Graph, RedForcesDropsAboveMaxThreshold) {
@@ -314,6 +359,47 @@ TEST(Graph, UnwiredOutputCountsAsDrop) {
   EXPECT_EQ(mon.frames_out(), 0u);
   EXPECT_EQ(mon.drops(), 1u);
   EXPECT_EQ(g.total_drops(), 1u);
+}
+
+TEST(Graph, LinkDelayCutLetsLaterFramesOvertake) {
+  // Frames already in flight keep the 50 ns detour; frames carried after
+  // the cut arrive first. They sort before the link's last in-flight frame
+  // and so bypass its FIFO, yet a tie with an earlier frame still goes to
+  // the frame carried first.
+  struct Arrivals final : public sim::FrameSink {
+    std::vector<std::uint64_t> ids;
+    std::vector<std::pair<Picos, Picos>> bits;
+    void on_frame(net::Packet pkt, Picos first_bit, Picos last_bit) override {
+      ids.push_back(pkt.id);
+      bits.emplace_back(first_bit, last_bit);
+    }
+  };
+  sim::Engine eng;
+  sim::Link link(eng, 1'000);
+  Arrivals sink;
+  link.connect(sink);
+  const auto carry = [&](std::uint64_t id, Picos tx_start) {
+    net::Packet pkt = make_udp(1000, 18);
+    pkt.id = id;
+    link.carry(std::move(pkt), tx_start, tx_start + 100);
+  };
+  link.set_extra_delay(50'000);
+  carry(1, 0);
+  carry(2, 100);
+  eng.run_until(10'000);
+  link.set_extra_delay(0);
+  carry(3, 10'000);  // overtakes 1 and 2
+  carry(4, 50'000);  // ties with 1, was carried after it
+  carry(5, 60'000);  // behind everything again
+  eng.run();
+
+  EXPECT_EQ(sink.ids, (std::vector<std::uint64_t>{3, 1, 4, 2, 5}));
+  EXPECT_EQ(sink.bits, (std::vector<std::pair<Picos, Picos>>{
+                           {11'000, 11'100},
+                           {51'000, 51'100},
+                           {51'000, 51'100},
+                           {51'100, 51'200},
+                           {61'000, 61'100}}));
 }
 
 /// The same capture experiment through (a) a hand-cabled switch and (b) the graph-wrapped block must agree exactly: the

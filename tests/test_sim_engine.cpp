@@ -1,10 +1,18 @@
 // Discrete-event engine invariants: ordering, determinism, cancellation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <memory>
+#include <random>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "osnt/sim/engine.hpp"
+#include "osnt/sim/lane.hpp"
+#include "osnt/telemetry/trace.hpp"
 
 namespace osnt::sim {
 namespace {
@@ -260,6 +268,221 @@ TEST(Engine, DeterministicInterleaving) {
     return order;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// ---------------------------------------------------------------- lanes
+
+using FireLog = std::vector<std::pair<int, Picos>>;
+
+/// Owns heap memory, so ASan sees a lane entry that leaks or is freed twice.
+struct LaneItem {
+  std::unique_ptr<int> tag;
+};
+
+struct LaneScenario;
+
+struct LaneFire {
+  LaneScenario* s;
+  void operator()(LaneItem&& item) const;
+};
+
+/// A seeded mix of monotone lane pushes, out-of-order pushes, plain events
+/// on the same picoseconds, cancels, and pushes made from handlers. With
+/// `lanes_on` false every push is a plain schedule_at instead: the
+/// reference a lane must match event for event.
+struct LaneScenario {
+  static constexpr std::size_t kLanes = 4;
+  static constexpr Picos kStep = 1000;
+
+  LaneScenario(bool on, std::uint32_t seed) : lanes_on(on), rng(seed) {
+    eng.set_trace(&trace);
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      lanes.push_back(std::make_unique<FifoLane<LaneItem, LaneFire>>(
+          eng, LaneFire{this}));
+    }
+  }
+
+  void on_fire(int tag) {
+    log.emplace_back(tag, eng.now());
+    if (budget > 0 && rng() % 3 == 0) {
+      --budget;
+      ++nested;
+      step();
+    }
+  }
+
+  void push(std::size_t lane, Picos t) {
+    const int tag = next_tag++;
+    const Engine::CategoryScope cat(eng, EventCategory::kLink);
+    if (lanes_on) {
+      lanes[lane]->push(t, LaneItem{std::make_unique<int>(tag)});
+    } else {
+      eng.schedule_at(t, [this, tag] { on_fire(tag); });
+    }
+  }
+
+  void push_monotone(std::size_t lane) {
+    // Steps of zero put several entries of one lane on the same picosecond.
+    tail[lane] = std::max(tail[lane], eng.now()) +
+                 static_cast<Picos>(rng() % 4) * kStep;
+    pushed_times.push_back(tail[lane]);
+    push(lane, tail[lane]);
+  }
+
+  void push_out_of_order(std::size_t lane) {
+    if (tail[lane] <= eng.now()) return push_monotone(lane);
+    ++out_of_order;
+    push(lane, eng.now() + static_cast<Picos>(
+                               rng() % static_cast<std::uint64_t>(
+                                           tail[lane] - eng.now())));
+  }
+
+  void schedule_plain() {
+    // Half land exactly on a lane's latest entry time.
+    const Picos t = rng() % 2 == 0
+                        ? tail[rng() % kLanes]
+                        : eng.now() + static_cast<Picos>(rng() % 8) * kStep;
+    const int tag = next_tag++;
+    ++plain;
+    plain_ids.push_back(eng.schedule_at(t, [this, tag] { on_fire(tag); }));
+  }
+
+  void step() {
+    switch (rng() % 8) {
+      case 0: push_out_of_order(rng() % kLanes); break;
+      case 1: schedule_plain(); break;
+      case 2:
+        if (!plain_ids.empty()) eng.cancel(plain_ids[rng() % plain_ids.size()]);
+        break;
+      default: push_monotone(rng() % kLanes); break;
+    }
+  }
+
+  /// Seed `n` steps, stop at run_until limits spread over the seeded
+  /// lane times (so each lands mid-lane), then drain.
+  void run(int n) {
+    for (int i = 0; i < n; ++i) step();
+    std::vector<Picos> times = pushed_times;
+    std::sort(times.begin(), times.end());
+    for (std::size_t k = 1; k < 8; ++k) {
+      eng.run_until(times[k * times.size() / 8] + (k % 2 == 0 ? 0 : 1));
+      pending_after.push_back(eng.pending());
+    }
+    eng.run();
+  }
+
+  [[nodiscard]] std::string trace_json() const {
+    std::ostringstream os;
+    trace.write_chrome_json(os);
+    return os.str();
+  }
+
+  bool lanes_on;
+  std::mt19937 rng;
+  telemetry::TraceRecorder trace;
+  Engine eng;
+  std::vector<std::unique_ptr<FifoLane<LaneItem, LaneFire>>> lanes;
+  Picos tail[kLanes] = {};
+  std::vector<Picos> pushed_times;
+  std::vector<EventId> plain_ids;
+  std::vector<std::size_t> pending_after;
+  FireLog log;
+  int next_tag = 0;
+  int budget = 1000;  ///< steps handlers may still take
+  int nested = 0;
+  int out_of_order = 0;
+  int plain = 0;
+};
+
+void LaneFire::operator()(LaneItem&& item) const { s->on_fire(*item.tag); }
+
+TEST(Engine, LaneFiringOrderMatchesPlainScheduleExactly) {
+  for (std::uint32_t seed : {1u, 7u, 42u, 1234u}) {
+    LaneScenario lanes(true, seed);
+    LaneScenario ref(false, seed);
+    // ~600 entries per lane: every lane spans several chunks.
+    lanes.run(4000);
+    ref.run(4000);
+    SCOPED_TRACE(seed);
+    EXPECT_EQ(lanes.log, ref.log);
+    EXPECT_EQ(lanes.pending_after, ref.pending_after);
+    EXPECT_EQ(lanes.eng.events_processed(), ref.eng.events_processed());
+    EXPECT_EQ(lanes.eng.events_cancelled(), ref.eng.events_cancelled());
+    EXPECT_EQ(lanes.eng.live_high_water(), ref.eng.live_high_water());
+    EXPECT_EQ(lanes.trace_json(), ref.trace_json());  // same categories
+    EXPECT_LE(lanes.eng.heap_high_water(),
+              LaneScenario::kLanes + static_cast<std::size_t>(
+                                         lanes.plain + lanes.out_of_order));
+    // Guard against the scenario degenerating into something trivial.
+    EXPECT_LT(lanes.eng.heap_high_water(), ref.eng.heap_high_water());
+    EXPECT_GT(lanes.out_of_order, 0);
+    EXPECT_GT(lanes.nested, 0);
+    EXPECT_GT(lanes.eng.events_cancelled(), 0u);
+    EXPECT_TRUE(std::adjacent_find(lanes.log.begin(), lanes.log.end(),
+                                   [](const auto& a, const auto& b) {
+                                     return a.second == b.second;
+                                   }) != lanes.log.end());
+  }
+}
+
+TEST(Engine, LaneWatchdogTripsOnTheSameEvent) {
+  const auto run_budgeted = [](bool on) {
+    LaneScenario s(on, 99);
+    s.eng.set_event_budget(2500);
+    EXPECT_THROW(s.run(4000), WatchdogError);
+    return std::make_pair(s.log, s.eng.events_processed());
+  };
+  const auto lanes = run_budgeted(true);
+  const auto ref = run_budgeted(false);
+  EXPECT_EQ(lanes, ref);
+  EXPECT_EQ(lanes.second, 2500u);
+}
+
+TEST(Engine, LaneKeepsOneHeapEntryWhateverItsDepth) {
+  Engine e;
+  std::vector<int> fired;
+  struct Record {
+    std::vector<int>* out;
+    void operator()(int&& v) const { out->push_back(v); }
+  };
+  FifoLane<int, Record> lane(e, Record{&fired});
+  for (int i = 0; i < 1000; ++i) lane.push(10 + i / 3, int{i});
+  EXPECT_EQ(e.pending(), 1000u);
+  EXPECT_EQ(e.live_high_water(), 1000u);
+  EXPECT_EQ(e.heap_high_water(), 1u);
+  e.run();
+  ASSERT_EQ(fired.size(), 1000u);
+  for (int i = 0; i < 1000; ++i) EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
+}
+
+TEST(Engine, LaneTeardownWithPendingEntriesIsLeakFree) {
+  // Entries span several chunks and an out-of-order push waits in the
+  // heap as a plain event. Either owner may go first: the engine never
+  // invokes the lane on teardown, and the lane never touches the engine.
+  struct Count {
+    int* n;
+    void operator()(LaneItem&&) const { ++*n; }
+  };
+  for (const bool engine_first : {true, false}) {
+    int fired = 0;
+    auto eng = std::make_unique<Engine>();
+    auto lane = std::make_unique<FifoLane<LaneItem, Count>>(*eng, Count{&fired});
+    for (int i = 0; i < 1000; ++i) {
+      lane->push(1000 + i, LaneItem{std::make_unique<int>(i)});
+    }
+    lane->push(3000, LaneItem{std::make_unique<int>(-1)});  // joins the tail
+    lane->push(1500, LaneItem{std::make_unique<int>(-2)});  // out of order
+    eng->run_until(1299);
+    EXPECT_EQ(fired, 300);
+    EXPECT_EQ(eng->pending(), 702u);
+    if (engine_first) {
+      eng.reset();
+      lane.reset();
+    } else {
+      lane.reset();
+      eng.reset();
+    }
+  }
 }
 
 }  // namespace
