@@ -50,7 +50,10 @@ struct TcpOption {
     const std::vector<TcpOption>& options) noexcept;
 [[nodiscard]] std::optional<std::uint8_t> tcp_window_scale_of(
     const std::vector<TcpOption>& options) noexcept;
+/// {tsval, tsecr} of the first timestamps option of length 10, read in
+/// place from a raw options area (`options` as for parse_tcp_options,
+/// under the same rules: nullopt when the area is malformed anywhere).
 [[nodiscard]] std::optional<std::pair<std::uint32_t, std::uint32_t>>
-tcp_timestamps_of(const std::vector<TcpOption>& options) noexcept;
+tcp_timestamps_of(ByteSpan options) noexcept;
 
 }  // namespace osnt::net

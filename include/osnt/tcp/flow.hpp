@@ -5,7 +5,8 @@
 // it emits ready-to-send `net::` TCP/IPv4 frames through a SegmentEmitter
 // (in practice gen::ClosedLoopSource + TxPipeline::kick) and is fed ACKs
 // by the receiving monitor pipeline's tap. All timers run on the sim
-// engine under EventCategory::kTcp.
+// engine under EventCategory::kTcp; histograms go to a FlowTelemetry
+// shard its owner shares among flows.
 #pragma once
 
 #include <algorithm>
@@ -123,6 +124,39 @@ struct FlowStats {
   std::uint64_t fast_retx = 0;
   std::uint64_t cwnd_reductions = 0;  ///< times cwnd shrank on loss/RTO
   std::uint64_t emit_rejects = 0;     ///< segments the bottleneck queue refused
+
+  FlowStats& operator+=(const FlowStats& o) noexcept {
+    segs_sent += o.segs_sent;
+    bytes_sent += o.bytes_sent;
+    bytes_acked += o.bytes_acked;
+    acks_received += o.acks_received;
+    dup_acks += o.dup_acks;
+    retransmits += o.retransmits;
+    rto_fires += o.rto_fires;
+    fast_retx += o.fast_retx;
+    cwnd_reductions += o.cwnd_reductions;
+    emit_rejects += o.emit_rejects;
+    return *this;
+  }
+};
+
+/// The histograms every flow of a workload records into: one shard per
+/// workload, not one per flow, flushed once by its owner (DESIGN.md §11).
+/// Not thread-safe; the flows sharing it run on one engine.
+struct FlowTelemetry {
+  telemetry::Log2Histogram cwnd_bytes;
+  telemetry::Log2Histogram srtt_ns;
+  telemetry::Log2Histogram delivery_rate_bps;
+  telemetry::Log2Histogram rld_rate_mbps;  ///< verdict at each detection
+  telemetry::Log2Histogram rld_ttd_us;     ///< time to each detection
+  std::uint64_t rld_detections = 0;
+  std::uint64_t rld_releases = 0;
+
+  /// Merge into the registry under tcp.*, `total` being the flows'
+  /// summed stats. Writes nothing unless telemetry is enabled and some
+  /// flow sent a segment, and tcp.rld.* only once a detector detected
+  /// or released.
+  void flush(const FlowStats& total) const;
 };
 
 class Flow {
@@ -140,8 +174,10 @@ class Flow {
   /// refused offer would have.
   using EmitPreflight = std::function<bool()>;
 
-  Flow(sim::Engine& eng, FlowConfig cfg, SegmentEmitter emit);
-  ~Flow();  // cancels pending timers; merges the telemetry shard
+  /// `shard` must outlive the flow.
+  Flow(sim::Engine& eng, FlowConfig cfg, FlowTelemetry& shard,
+       SegmentEmitter emit);
+  ~Flow();  // cancels pending timers
 
   void set_emit_preflight(EmitPreflight probe) {
     preflight_ = std::move(probe);
@@ -210,9 +246,9 @@ class Flow {
 
   sim::Engine* eng_;
   FlowConfig cfg_;
+  FlowTelemetry* tel_;
   SegmentEmitter emit_;
-  EmitPreflight preflight_;       ///< null = always build and offer
-  std::size_t line_overhead_ = 0; ///< line_len minus payload, from 1st build
+  EmitPreflight preflight_;  ///< null = always write and offer
   std::unique_ptr<CongestionControl> cc_;
   std::unique_ptr<RateLimitDetector> rld_;  ///< null = detector off
   RtoEstimator rto_;
@@ -238,17 +274,10 @@ class Flow {
   std::deque<std::pair<std::uint64_t, double>> rate_window_;
 
   Picos pace_next_ = 0;
-  std::size_t last_line_len_ = 0;
   sim::EventId pace_timer_{};
   sim::EventId rto_timer_{};
 
   FlowStats stats_;
-  // Telemetry shards (merged into tcp.* at destruction, commutatively).
-  telemetry::Log2Histogram cwnd_hist_;
-  telemetry::Log2Histogram srtt_hist_;
-  telemetry::Log2Histogram rate_hist_;
-  telemetry::Log2Histogram rld_rate_hist_;  ///< detected rate (Mb/s)
-  telemetry::Log2Histogram rld_ttd_hist_;   ///< time-to-detect (µs)
   telemetry::TraceRecorder::TrackId trace_track_ = 0;
   bool trace_track_set_ = false;
 };

@@ -125,6 +125,9 @@ struct ReceiverHot {
   std::uint32_t last_tsval = 0;  ///< tsval of last in-order arrival
 };
 static_assert(sizeof(ReceiverHot) <= 48, "per-segment touch set grew");
+/// Per-flow sender state, histograms excluded: they live in the
+/// workload's one FlowTelemetry shard.
+static_assert(sizeof(Flow) <= 1024, "per-flow sender state grew");
 
 /// Loss-episode state: only touched when a hole opens or a spurious
 /// retransmit lands, so it stays out of the hot array entirely.
@@ -199,11 +202,17 @@ class ClosedLoopWorkload {
   }
 
   // --- aggregates across flows ---
-  [[nodiscard]] std::uint64_t total_bytes_acked() const;
-  [[nodiscard]] std::uint64_t total_retransmits() const;
-  [[nodiscard]] std::uint64_t total_rto_fires() const;
-  [[nodiscard]] std::uint64_t total_fast_retx() const;
-  [[nodiscard]] std::uint64_t total_cwnd_reductions() const;
+  /// Every flow's FlowStats, summed.
+  [[nodiscard]] FlowStats total_stats() const;
+  [[nodiscard]] std::uint64_t total_bytes_acked() const {
+    return total_stats().bytes_acked;
+  }
+  [[nodiscard]] std::uint64_t total_retransmits() const {
+    return total_stats().retransmits;
+  }
+  [[nodiscard]] std::uint64_t total_rto_fires() const {
+    return total_stats().rto_fires;
+  }
   [[nodiscard]] std::uint64_t total_acks_sent() const;
   [[nodiscard]] std::uint64_t total_ooo_segs() const;
   /// Delayed-ACK timer cancels avoided by the lazy one-armed-timer
@@ -241,6 +250,9 @@ class ClosedLoopWorkload {
   core::OsntDevice* dev_;
   WorkloadConfig cfg_;
   gen::ClosedLoopSource* source_ = nullptr;  ///< owned by the TX pipeline
+  /// Every flow records into this shard; declared before flows_ so it
+  /// outlives them. Flushed under tcp.* at destruction.
+  FlowTelemetry telemetry_;
   /// Flows live in the slab; handles are dense (slot == flow index).
   Slab<Flow> flows_;
   std::vector<Slab<Flow>::Handle> flow_handles_;

@@ -10,6 +10,7 @@
 #include "osnt/core/device.hpp"
 #include "osnt/fault/injector.hpp"
 #include "osnt/hw/port.hpp"
+#include "osnt/tcp/segment.hpp"
 
 namespace osnt::graph {
 namespace {
@@ -658,6 +659,13 @@ void validate_workload(const TopologyFile& topo) {
       fail(msg);
     }
     if (w.mss == 0) fail("workload: 'mss' must be positive");
+    if (w.mss > tcp::kMaxMss) {
+      fail("workload: 'mss' must be at most " + std::to_string(tcp::kMaxMss) +
+           " (a " + std::to_string(net::kEthMaxFrame) + " B frame less " +
+           std::to_string(net::kEthFcsLen) + " B FCS and " +
+           std::to_string(tcp::kSegmentHeaderLen) + " B of headers), got " +
+           std::to_string(w.mss));
+    }
     if (w.bottleneck_gbps < 0) {
       fail("workload: 'bottleneck_gbps' must not be negative");
     }

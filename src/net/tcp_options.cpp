@@ -92,13 +92,28 @@ std::optional<std::uint8_t> tcp_window_scale_of(
 }
 
 std::optional<std::pair<std::uint32_t, std::uint32_t>> tcp_timestamps_of(
-    const std::vector<TcpOption>& options) noexcept {
-  for (const auto& o : options) {
-    if (o.kind == TcpOptionKind::kTimestamps && o.data.size() == 8)
-      return std::make_pair(load_be32(o.data.data()),
-                            load_be32(o.data.data() + 4));
+    ByteSpan options) noexcept {
+  // parse_tcp_options' walk, without materializing the options: keep
+  // the first well-sized timestamps option, but walk on to the end so a
+  // malformed length anywhere still rejects the whole area.
+  std::optional<std::pair<std::uint32_t, std::uint32_t>> ts;
+  std::size_t i = 0;
+  while (i < options.size()) {
+    const auto kind = static_cast<TcpOptionKind>(options[i]);
+    if (kind == TcpOptionKind::kEnd) break;
+    if (kind == TcpOptionKind::kNop) {
+      ++i;
+      continue;
+    }
+    if (i + 1 >= options.size()) return std::nullopt;  // missing length
+    const std::uint8_t len = options[i + 1];
+    if (len < 2 || i + len > options.size()) return std::nullopt;
+    if (!ts && kind == TcpOptionKind::kTimestamps && len == 10) {
+      ts.emplace(load_be32(&options[i + 2]), load_be32(&options[i + 6]));
+    }
+    i += len;
   }
-  return std::nullopt;
+  return ts;
 }
 
 }  // namespace osnt::net

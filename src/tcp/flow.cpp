@@ -4,26 +4,40 @@
 
 #include "osnt/common/random.hpp"
 #include "osnt/mon/latency_probe.hpp"
-#include "osnt/net/builder.hpp"
-#include "osnt/net/tcp_options.hpp"
+#include "osnt/tcp/segment.hpp"
 #include "osnt/telemetry/registry.hpp"
 
 namespace osnt::tcp {
-namespace {
 
-std::uint32_t tsval_now(Picos now) {
-  // Timestamps tick in nanoseconds of sim time: coarse enough to fit the
-  // 32-bit option field for seconds-long sims (wrap-aware subtraction
-  // handles longer), fine enough to resolve the microsecond RTTs a
-  // back-to-back 10G testbed produces.
-  return static_cast<std::uint32_t>(now / kPicosPerNano);
+void FlowTelemetry::flush(const FlowStats& total) const {
+  if (!telemetry::enabled() || total.segs_sent == 0) return;
+  auto& reg = telemetry::registry();
+  reg.counter("tcp.segs_sent").add(total.segs_sent);
+  reg.counter("tcp.bytes_sent").add(total.bytes_sent);
+  reg.counter("tcp.bytes_acked").add(total.bytes_acked);
+  reg.counter("tcp.acks_received").add(total.acks_received);
+  reg.counter("tcp.dup_acks").add(total.dup_acks);
+  reg.counter("tcp.retransmits").add(total.retransmits);
+  reg.counter("tcp.rto_fires").add(total.rto_fires);
+  reg.counter("tcp.fast_retx").add(total.fast_retx);
+  reg.counter("tcp.cwnd_reductions").add(total.cwnd_reductions);
+  reg.counter("tcp.emit_rejects").add(total.emit_rejects);
+  reg.histogram("tcp.cwnd_bytes").merge(cwnd_bytes);
+  reg.histogram("tcp.srtt_ns").merge(srtt_ns);
+  reg.histogram("tcp.delivery_rate_bps").merge(delivery_rate_bps);
+  if (rld_detections > 0 || rld_releases > 0) {
+    reg.counter("tcp.rld.detections").add(rld_detections);
+    reg.counter("tcp.rld.releases").add(rld_releases);
+    reg.histogram("tcp.rld.detected_rate_mbps").merge(rld_rate_mbps);
+    reg.histogram("tcp.rld.time_to_detect_us").merge(rld_ttd_us);
+  }
 }
 
-}  // namespace
-
-Flow::Flow(sim::Engine& eng, FlowConfig cfg, SegmentEmitter emit)
+Flow::Flow(sim::Engine& eng, FlowConfig cfg, FlowTelemetry& shard,
+           SegmentEmitter emit)
     : eng_(&eng),
       cfg_(std::move(cfg)),
+      tel_(&shard),
       emit_(std::move(emit)),
       cc_(make_congestion_control(
           cfg_.cc, CcConfig{.mss = cfg_.mss})),
@@ -36,27 +50,6 @@ Flow::Flow(sim::Engine& eng, FlowConfig cfg, SegmentEmitter emit)
 Flow::~Flow() {
   if (pace_timer_) eng_->cancel(pace_timer_);
   if (rto_timer_) eng_->cancel(rto_timer_);
-  if (!telemetry::enabled() || stats_.segs_sent == 0) return;
-  auto& reg = telemetry::registry();
-  reg.counter("tcp.segs_sent").add(stats_.segs_sent);
-  reg.counter("tcp.bytes_sent").add(stats_.bytes_sent);
-  reg.counter("tcp.bytes_acked").add(stats_.bytes_acked);
-  reg.counter("tcp.acks_received").add(stats_.acks_received);
-  reg.counter("tcp.dup_acks").add(stats_.dup_acks);
-  reg.counter("tcp.retransmits").add(stats_.retransmits);
-  reg.counter("tcp.rto_fires").add(stats_.rto_fires);
-  reg.counter("tcp.fast_retx").add(stats_.fast_retx);
-  reg.counter("tcp.cwnd_reductions").add(stats_.cwnd_reductions);
-  reg.counter("tcp.emit_rejects").add(stats_.emit_rejects);
-  reg.histogram("tcp.cwnd_bytes").merge(cwnd_hist_);
-  reg.histogram("tcp.srtt_ns").merge(srtt_hist_);
-  reg.histogram("tcp.delivery_rate_bps").merge(rate_hist_);
-  if (rld_ && (rld_->detections() > 0 || rld_->releases() > 0)) {
-    reg.counter("tcp.rld.detections").add(rld_->detections());
-    reg.counter("tcp.rld.releases").add(rld_->releases());
-    reg.histogram("tcp.rld.detected_rate_mbps").merge(rld_rate_hist_);
-    reg.histogram("tcp.rld.time_to_detect_us").merge(rld_ttd_hist_);
-  }
 }
 
 void Flow::start() {
@@ -102,7 +95,7 @@ void Flow::on_ack(const net::TcpHeader& hdr, std::uint32_t peer_tsval,
     Picos rtt = 0;
     if (tsecr != 0) {
       rtt = static_cast<Picos>(
-                static_cast<std::uint32_t>(tsval_now(now) - tsecr)) *
+                static_cast<std::uint32_t>(tsval_at(now) - tsecr)) *
             kPicosPerNano;
       if (rtt > 0) {
         rto_.sample(rtt);
@@ -183,13 +176,16 @@ void Flow::on_ack(const net::TcpHeader& hdr, std::uint32_t peer_tsval,
             rld_->detected() ? rld_->detected_rate_bps() : 0.0,
             rld_->min_rtt());
         const bool fresh_detect = rld_->detections() != dets;
+        const bool released = rld_->releases() != rels;
         if (fresh_detect) {
-          rld_rate_hist_.record(
+          ++tel_->rld_detections;
+          tel_->rld_rate_mbps.record(
               static_cast<std::uint64_t>(rld_->verdict_rate_bps() / 1e6));
-          rld_ttd_hist_.record(static_cast<std::uint64_t>(
+          tel_->rld_ttd_us.record(static_cast<std::uint64_t>(
               rld_->detect_time() / kPicosPerMicro));
         }
-        if (trace_track_set_ && (fresh_detect || rld_->releases() != rels)) {
+        if (released) ++tel_->rld_releases;
+        if (trace_track_set_ && (fresh_detect || released)) {
           if (auto* tr = eng_->trace()) {
             tr->instant(trace_track_,
                         fresh_detect ? "rld_detect" : "rld_release", now);
@@ -270,8 +266,11 @@ void Flow::try_send() {
     snd_nxt_ += len;
     if (snd_nxt_ > max_sent_) max_sent_ = snd_nxt_;
     if (pace > 0.0) {
+      // The segment's whole line footprint: headers, FCS, preamble, IFG.
+      const std::size_t line_len = kSegmentHeaderLen + len + net::kEthFcsLen +
+                                   net::kEthPerFrameOverhead;
       const auto gap = static_cast<Picos>(
-          static_cast<double>(last_line_len_) * 8.0 *
+          static_cast<double>(line_len) * 8.0 *
           static_cast<double>(kPicosPerSec) / pace);
       pace_next_ = std::max(now, pace_next_) + gap;
     }
@@ -302,31 +301,27 @@ void Flow::emit_segment(std::uint64_t offset, std::uint32_t len,
   }
 
   // Drop-early fast path: when the bottleneck buffer is already full the
-  // frame would be serialized only to be tail-dropped at offer(). Skip
-  // the build — the preflight records the drop exactly as a refused
-  // offer would, and the sender-side accounting above is identical. The
-  // line-length overhead is self-calibrated from the first real build
-  // (headers are fixed-size per flow), so pacing sees the same lengths.
-  if (line_overhead_ != 0 && preflight_ && !preflight_()) {
-    last_line_len_ = line_overhead_ + len;
+  // frame would be written only to be tail-dropped at offer(). Skip the
+  // write — the preflight records the drop exactly as a refused offer
+  // would, and the sender-side accounting above is identical.
+  if (preflight_ && !preflight_()) {
     ++stats_.emit_rejects;
     return;
   }
 
-  net::PacketBuilder b;
-  b.eth(cfg_.src_mac, cfg_.dst_mac)
-      .ipv4(cfg_.src_ip, cfg_.dst_ip, net::ipproto::kTcp, /*ttl=*/64,
-            cfg_.dscp)
-      .tcp(cfg_.src_port, cfg_.dst_port, seq32_of(offset), 0,
-           net::TcpFlags::kAck | net::TcpFlags::kPsh)
-      .tcp_options(
-          {net::tcp_option_timestamps(tsval_now(now), last_tsecr_seen_)});
-  const Bytes payload(len, 0);
-  b.payload(payload);
-  net::Packet pkt = b.build();
-  last_line_len_ = pkt.line_len();
-  line_overhead_ = pkt.line_len() - len;
-
+  net::Packet pkt = write_segment(
+      {.src_mac = cfg_.src_mac,
+       .dst_mac = cfg_.dst_mac,
+       .src_ip = cfg_.src_ip,
+       .dst_ip = cfg_.dst_ip,
+       .src_port = cfg_.src_port,
+       .dst_port = cfg_.dst_port,
+       .seq = seq32_of(offset),
+       .flags = net::TcpFlags::kAck | net::TcpFlags::kPsh,
+       .dscp = cfg_.dscp,
+       .tsval = tsval_at(now),
+       .tsecr = last_tsecr_seen_},
+      len);
   if (!emit_(std::move(pkt))) ++stats_.emit_rejects;
 }
 
@@ -372,13 +367,14 @@ void Flow::on_rto_fire() {
 }
 
 void Flow::note_cwnd(Picos now) {
-  cwnd_hist_.record(cc_->cwnd_bytes());
+  tel_->cwnd_bytes.record(cc_->cwnd_bytes());
   if (rto_.srtt() > 0) {
-    srtt_hist_.record(
+    tel_->srtt_ns.record(
         static_cast<std::uint64_t>(rto_.srtt() / kPicosPerNano));
   }
   if (last_rate_bps_ > 0.0) {
-    rate_hist_.record(static_cast<std::uint64_t>(last_rate_bps_));
+    tel_->delivery_rate_bps.record(
+        static_cast<std::uint64_t>(last_rate_bps_));
   }
   if (auto* tr = eng_->trace()) {
     if (!trace_track_set_) {

@@ -5,17 +5,13 @@
 #include <stdexcept>
 
 #include "osnt/common/random.hpp"
-#include "osnt/net/builder.hpp"
 #include "osnt/net/parser.hpp"
 #include "osnt/net/tcp_options.hpp"
+#include "osnt/tcp/segment.hpp"
 #include "osnt/telemetry/registry.hpp"
 
 namespace osnt::tcp {
 namespace {
-
-std::uint32_t tsval_now(Picos now) {
-  return static_cast<std::uint32_t>(now / kPicosPerNano);
-}
 
 /// tsval/tsecr of the frame's timestamps option ({0,0} when absent).
 std::pair<std::uint32_t, std::uint32_t> frame_timestamps(
@@ -24,10 +20,8 @@ std::pair<std::uint32_t, std::uint32_t> frame_timestamps(
   if (hdr <= net::TcpHeader::kMinSize) return {0, 0};
   const std::size_t opt_off = p.l4_offset + net::TcpHeader::kMinSize;
   if (opt_off + (hdr - net::TcpHeader::kMinSize) > pkt.size()) return {0, 0};
-  const auto opts = net::parse_tcp_options(
+  const auto ts = net::tcp_timestamps_of(
       pkt.bytes().subspan(opt_off, hdr - net::TcpHeader::kMinSize));
-  if (!opts) return {0, 0};
-  const auto ts = net::tcp_timestamps_of(*opts);
   return ts ? *ts : std::pair<std::uint32_t, std::uint32_t>{0, 0};
 }
 
@@ -87,9 +81,10 @@ ClosedLoopWorkload::ClosedLoopWorkload(sim::Engine& eng,
     fc.dscp = static_cast<std::uint8_t>(i & mon::LatencyProbe::kClassMask);
     fc.rtt_probe = &rtt_probe_;
     fc.rate_limit_detector = cfg_.rate_limit_detector;
-    const auto h = flows_.emplace(*eng_, fc, [this](net::Packet&& pkt) {
-      return source_->offer(std::move(pkt));
-    });
+    const auto h =
+        flows_.emplace(*eng_, fc, telemetry_, [this](net::Packet&& pkt) {
+          return source_->offer(std::move(pkt));
+        });
     // Dense creation on a fresh slab: slot == flow index, which the O(1)
     // demux and the flow(i) accessor both rely on.
     if (h.slot != i) throw std::logic_error("tcp: flow slab not dense");
@@ -124,6 +119,11 @@ ClosedLoopWorkload::~ClosedLoopWorkload() {
   dev_->rx(kRxPort).set_tap(nullptr);
   dev_->rx(kTxPort).set_tap(nullptr);
 
+  // One flush for the whole workload, once every flow (and its timers)
+  // is gone.
+  const FlowStats total = total_stats();
+  flows_.clear();
+  telemetry_.flush(total);
   if (telemetry::enabled() && total_acks_sent() + source_->offered() > 0) {
     auto& reg = telemetry::registry();
     reg.counter("tcp.acks_sent").add(total_acks_sent());
@@ -221,15 +221,19 @@ void ClosedLoopWorkload::send_ack(std::size_t idx, Picos now) {
   if (st.delack_timer) ++delack_cancels_saved_;
 
   const FlowConfig& fc = flows_[static_cast<std::uint32_t>(idx)].config();
-  net::PacketBuilder b;
-  b.eth(fc.dst_mac, fc.src_mac)
-      .ipv4(fc.dst_ip, fc.src_ip, net::ipproto::kTcp, /*ttl=*/64, fc.dscp)
-      .tcp(fc.dst_port, fc.src_port, /*seq=*/0,
-           st.isn + static_cast<std::uint32_t>(st.rcv_nxt),
-           net::TcpFlags::kAck)
-      .tcp_options(
-          {net::tcp_option_timestamps(tsval_now(now), st.last_tsval)});
-  net::Packet ack = b.build();
+  net::Packet ack = write_segment(
+      {.src_mac = fc.dst_mac,
+       .dst_mac = fc.src_mac,
+       .src_ip = fc.dst_ip,
+       .dst_ip = fc.src_ip,
+       .src_port = fc.dst_port,
+       .dst_port = fc.src_port,
+       .ack = st.isn + static_cast<std::uint32_t>(st.rcv_nxt),
+       .flags = net::TcpFlags::kAck,
+       .dscp = fc.dscp,
+       .tsval = tsval_at(now),
+       .tsecr = st.last_tsval},
+      /*len=*/0);
 
   const sim::Engine::CategoryScope cat(*eng_, sim::EventCategory::kTcp);
   (void)dev_->port(kRxPort).tx().transmit(std::move(ack));
@@ -260,31 +264,9 @@ void ClosedLoopWorkload::on_ack_frame(const net::ParsedPacket& p,
                                                  first_bit);
 }
 
-std::uint64_t ClosedLoopWorkload::total_bytes_acked() const {
-  std::uint64_t v = 0;
-  for (const auto& h : flow_handles_) v += flows_[h.slot].stats().bytes_acked;
-  return v;
-}
-std::uint64_t ClosedLoopWorkload::total_retransmits() const {
-  std::uint64_t v = 0;
-  for (const auto& h : flow_handles_) v += flows_[h.slot].stats().retransmits;
-  return v;
-}
-std::uint64_t ClosedLoopWorkload::total_rto_fires() const {
-  std::uint64_t v = 0;
-  for (const auto& h : flow_handles_) v += flows_[h.slot].stats().rto_fires;
-  return v;
-}
-std::uint64_t ClosedLoopWorkload::total_fast_retx() const {
-  std::uint64_t v = 0;
-  for (const auto& h : flow_handles_) v += flows_[h.slot].stats().fast_retx;
-  return v;
-}
-std::uint64_t ClosedLoopWorkload::total_cwnd_reductions() const {
-  std::uint64_t v = 0;
-  for (const auto& h : flow_handles_) {
-    v += flows_[h.slot].stats().cwnd_reductions;
-  }
+FlowStats ClosedLoopWorkload::total_stats() const {
+  FlowStats v;
+  for (const auto& h : flow_handles_) v += flows_[h.slot].stats();
   return v;
 }
 std::uint64_t ClosedLoopWorkload::total_acks_sent() const {
@@ -341,20 +323,20 @@ double ClosedLoopWorkload::goodput_bps(Picos window) const {
 }
 
 TcpTrialReport ClosedLoopWorkload::report(Picos window) const {
+  const FlowStats total = total_stats();
   TcpTrialReport r;
-  r.bytes_acked = total_bytes_acked();
-  r.retransmits = total_retransmits();
-  r.rto_fires = total_rto_fires();
-  r.fast_retx = total_fast_retx();
-  r.cwnd_reductions = total_cwnd_reductions();
+  r.bytes_acked = total.bytes_acked;
+  r.segs_sent = total.segs_sent;
+  r.retransmits = total.retransmits;
+  r.rto_fires = total.rto_fires;
+  r.fast_retx = total.fast_retx;
+  r.cwnd_reductions = total.cwnd_reductions;
   r.acks_sent = total_acks_sent();
   r.queue_drops = source_->drops();
+  r.emit_rejects = total.emit_rejects;
   r.goodput_bps = goodput_bps(window);
   for (std::size_t i = 0; i < num_flows(); ++i) {
-    const Flow& f = flow(i);
-    r.segs_sent += f.stats().segs_sent;
-    r.emit_rejects += f.stats().emit_rejects;
-    const double rate = f.delivery_rate_bps();
+    const double rate = flow(i).delivery_rate_bps();
     if (i == 0 || rate < r.min_flow_rate_bps) r.min_flow_rate_bps = rate;
     if (i == 0 || rate > r.max_flow_rate_bps) r.max_flow_rate_bps = rate;
   }

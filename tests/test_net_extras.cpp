@@ -33,7 +33,8 @@ TEST(TcpOptions, TypedAccessors) {
                                        tcp_option_timestamps(1, 2)};
   EXPECT_EQ(tcp_mss_of(opts), 1400);
   EXPECT_EQ(tcp_window_scale_of(opts), 3);
-  const auto ts = tcp_timestamps_of(opts);
+  const Bytes wire = encode_tcp_options(opts);
+  const auto ts = tcp_timestamps_of(wire);
   ASSERT_TRUE(ts);
   EXPECT_EQ(ts->first, 1u);
   EXPECT_EQ(ts->second, 2u);

@@ -179,7 +179,8 @@ FlowConfig flow_config() {
 TEST(TcpFlow, StartSendsInitialWindowOfWellFormedFrames) {
   sim::Engine eng;
   EmittedFrames sink;
-  Flow flow{eng, flow_config(), [&sink](net::Packet&& p) {
+  FlowTelemetry tel;
+  Flow flow{eng, flow_config(), tel, [&sink](net::Packet&& p) {
               if (sink.accept) sink.frames.push_back(std::move(p));
               return sink.accept;
             }};
@@ -205,7 +206,8 @@ TEST(TcpFlow, StartSendsInitialWindowOfWellFormedFrames) {
 TEST(TcpFlow, ThreeDupAcksTriggerFastRetransmit) {
   sim::Engine eng;
   EmittedFrames sink;
-  Flow flow{eng, flow_config(), [&sink](net::Packet&& p) {
+  FlowTelemetry tel;
+  Flow flow{eng, flow_config(), tel, [&sink](net::Packet&& p) {
               sink.frames.push_back(std::move(p));
               return true;
             }};
@@ -237,7 +239,8 @@ TEST(TcpFlow, SilentLossFiresBackedOffRtosAndGoesBackN) {
   FlowConfig fc = flow_config();
   fc.min_rto = kPicosPerMilli;
   fc.max_rto = 8 * kPicosPerMilli;
-  Flow flow{eng, fc, [&emitted](net::Packet&&) {
+  FlowTelemetry tel;
+  Flow flow{eng, fc, tel, [&emitted](net::Packet&&) {
               ++emitted;
               return true;  // accepted by the queue, dropped by the wire
             }};
@@ -264,7 +267,8 @@ TEST(TcpFlow, AckBeyondSndNxtAfterRtoDoesNotDeadlock) {
   EmittedFrames sink;
   FlowConfig fc = flow_config();
   fc.min_rto = kPicosPerMilli;
-  Flow flow{eng, fc, [&sink](net::Packet&& p) {
+  FlowTelemetry tel;
+  Flow flow{eng, fc, tel, [&sink](net::Packet&& p) {
               sink.frames.push_back(std::move(p));
               return true;
             }};
@@ -292,7 +296,8 @@ TEST(TcpFlow, AckBeyondSndNxtAfterRtoDoesNotDeadlock) {
 TEST(TcpFlow, CumulativeAckAdvancesAndSamplesRtt) {
   sim::Engine eng;
   EmittedFrames sink;
-  Flow flow{eng, flow_config(), [&sink](net::Packet&& p) {
+  FlowTelemetry tel;
+  Flow flow{eng, flow_config(), tel, [&sink](net::Packet&& p) {
               sink.frames.push_back(std::move(p));
               return true;
             }};
@@ -323,7 +328,8 @@ TEST(TcpFlow, ByteLimitedFlowFinishes) {
   EmittedFrames sink;
   FlowConfig fc = flow_config();
   fc.bytes_to_send = 3 * kMss;
-  Flow flow{eng, fc, [&sink](net::Packet&& p) {
+  FlowTelemetry tel;
+  Flow flow{eng, fc, tel, [&sink](net::Packet&& p) {
               sink.frames.push_back(std::move(p));
               return true;
             }};
@@ -341,7 +347,8 @@ TEST(TcpFlow, RejectedEmitsAreCountedAndRecovered) {
   sim::Engine eng;
   EmittedFrames sink;
   sink.accept = false;  // bottleneck queue refuses everything
-  Flow flow{eng, flow_config(), [&sink](net::Packet&& p) {
+  FlowTelemetry tel;
+  Flow flow{eng, flow_config(), tel, [&sink](net::Packet&& p) {
               if (sink.accept) sink.frames.push_back(std::move(p));
               return sink.accept;
             }};
@@ -357,12 +364,13 @@ TEST(TcpFlow, RejectedEmitsAreCountedAndRecovered) {
 TEST(TcpFlow, IsnDerivesFromSeedDeterministically) {
   sim::Engine eng;
   FlowConfig fc = flow_config();
+  FlowTelemetry tel;
   auto emit = [](net::Packet&&) { return true; };
-  Flow a{eng, fc, emit};
-  Flow b{eng, fc, emit};
+  Flow a{eng, fc, tel, emit};
+  Flow b{eng, fc, tel, emit};
   EXPECT_EQ(a.isn(), b.isn());
   fc.seed = 43;
-  Flow c{eng, fc, emit};
+  Flow c{eng, fc, tel, emit};
   EXPECT_NE(a.isn(), c.isn());
 }
 

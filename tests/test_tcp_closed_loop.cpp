@@ -215,6 +215,50 @@ TEST(TcpClosedLoop, LazyDelayedAckElidesTimerCancels) {
   EXPECT_GT(trial.workload->total_acks_sent(), 0u);
 }
 
+// ------------------------------------------------ one telemetry shard
+
+TEST(TcpClosedLoop, WorkloadFlushesTheSummedFlowStatsOnce) {
+  // Every flow records into the workload's one shard; the workload
+  // writes the flows' summed stats when it is destroyed. The BER window
+  // and 16 flows on a 256-frame queue make every checked counter move.
+  auto& reg = telemetry::registry();
+  reg.reset();
+  const fault::FaultPlan plan = fault::FaultPlan::from_json(kBerPlanJson);
+  HandBuiltTrial trial(base_cfg("newreno", 16), &plan);
+  (void)trial.run(20 * kPicosPerMilli);
+  std::uint64_t segs = 0, retx = 0, rtos = 0, rejects = 0, acked = 0;
+  for (std::size_t i = 0; i < trial.workload->num_flows(); ++i) {
+    const FlowStats& s = trial.workload->flow(i).stats();
+    segs += s.segs_sent;
+    retx += s.retransmits;
+    rtos += s.rto_fires;
+    rejects += s.emit_rejects;
+    acked += s.bytes_acked;
+  }
+  ASSERT_GT(retx, 0u);
+  ASSERT_GT(rtos, 0u);
+  ASSERT_GT(rejects, 0u);
+  trial.workload.reset();
+  EXPECT_EQ(reg.counter("tcp.segs_sent").value(), segs);
+  EXPECT_EQ(reg.counter("tcp.retransmits").value(), retx);
+  EXPECT_EQ(reg.counter("tcp.rto_fires").value(), rtos);
+  EXPECT_EQ(reg.counter("tcp.emit_rejects").value(), rejects);
+  EXPECT_EQ(reg.counter("tcp.bytes_acked").value(), acked);
+  EXPECT_GT(reg.histogram("tcp.cwnd_bytes").snapshot().count(), 0u);
+}
+
+TEST(TcpClosedLoop, UnstartedWorkloadFlushesNothing) {
+  // No flow ever sent a segment, so destroying the workload must leave
+  // the registry exactly as it was: no tcp.segs_sent, no tcp.cwnd_bytes
+  // (in a fresh process neither name exists before or after).
+  auto& reg = telemetry::registry();
+  reg.reset();
+  HandBuiltTrial trial(base_cfg("newreno", 4));
+  const std::string before = reg.to_json(telemetry::Snapshot::kAll);
+  trial.workload.reset();
+  EXPECT_EQ(reg.to_json(telemetry::Snapshot::kAll), before);
+}
+
 // ------------------------------------------------------- one trial path
 
 TEST(TcpClosedLoop, TopologyPathMatchesHandBuiltWorkload) {

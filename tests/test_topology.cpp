@@ -151,6 +151,28 @@ TEST(Topology, ConflictingTimeUnitsAreAnError) {
   expect_contains(msg, "'delay' given in more than one unit");
 }
 
+TEST(Topology, TcpMssMustFitAMaximumSizeFrame) {
+  // 1448 B of payload behind 66 B of headers and a 4 B FCS is a 1518 B
+  // frame. One byte more and the receiving MAC drops every data frame as
+  // a giant, so the workload must be refused up front.
+  const auto with_mss = [](int mss) {
+    return TopologyFile::from_json(
+        R"({"name": "t", "blocks": [{"name": "q", "type": "fifo_queue"}],
+            "workload": {"kind": "tcp", "mss": )" +
+        std::to_string(mss) + R"(, "ingress": "q:0", "egress": "q:0"}})");
+  };
+  EXPECT_NO_THROW(graph::validate_workload(with_mss(1448)));
+  for (const int mss : {1449, 1500, 9000}) {
+    try {
+      graph::validate_workload(with_mss(mss));
+      ADD_FAILURE() << "mss " << mss << " accepted";
+    } catch (const graph::TopologyError& e) {
+      expect_contains(e.what(), "'mss' must be at most 1448");
+      expect_contains(e.what(), "got " + std::to_string(mss));
+    }
+  }
+}
+
 TEST(Topology, CbrTrialRunsThroughTheGraph) {
   const TopologyFile t = TopologyFile::from_json(kMinimalCbr);
   const graph::TopologyTrialReport r = graph::run_topology_trial(t, t.seed);
