@@ -1,6 +1,6 @@
-// Synthetic traffic from a packet template: N concurrent UDP/TCP flows
-// with configurable addressing, a size distribution, and reserved space
-// for the embedded TX timestamp.
+// Synthetic traffic from a packet template: N concurrent UDP flows with
+// configurable addressing, a size distribution, and reserved space for the
+// embedded TX timestamp.
 #pragma once
 
 #include <cstdint>
@@ -20,21 +20,30 @@ struct TemplateConfig {
   net::Ipv4Addr dst_ip = net::Ipv4Addr::of(10, 0, 1, 1);
   std::uint16_t src_port = 1024;
   std::uint16_t dst_port = 5001;
-  std::uint8_t protocol = net::ipproto::kUdp;  ///< kUdp or kTcp
-  std::uint16_t vlan_id = 0;                   ///< 0 = untagged
+  std::uint16_t vlan_id = 0;  ///< 0 = untagged
 
-  /// Flows rotate round-robin; flow i offsets dst_ip/ports by i.
+  /// Flows rotate round-robin; flow i sends from src_port + i, so at most
+  /// max_flows() of them fit.
   std::uint32_t flow_count = 1;
-  /// Vary dst_ip (vs only ports) across flows.
+  /// Also send flow i to dst_ip + i.
   bool vary_dst_ip = false;
 
   std::uint64_t count = 0;  ///< frames to produce; 0 = unbounded
   std::uint64_t seed = 1;
+
+  /// Largest flow_count whose last source port is still a valid port.
+  [[nodiscard]] constexpr std::uint32_t max_flows() const noexcept {
+    return 65536u - src_port;
+  }
 };
 
+/// Builds the Ethernet [+ VLAN] + IPv4 + UDP header once; each frame is
+/// that header over a zero payload, with only the per-frame fields (source
+/// port, destination IP, lengths, checksums) rewritten.
 class TemplateSource final : public PacketSource {
  public:
-  /// `size_model` must not be null.
+  /// `size_model` must not be null, and `cfg.flow_count` must be in
+  /// [1, cfg.max_flows()]; throws std::invalid_argument otherwise.
   TemplateSource(TemplateConfig cfg, std::unique_ptr<SizeModel> size_model);
 
   [[nodiscard]] std::optional<TimedPacket> next() override;
@@ -47,6 +56,8 @@ class TemplateSource final : public PacketSource {
   std::unique_ptr<SizeModel> size_;
   Rng rng_;
   std::uint64_t produced_ = 0;
+  Bytes header_;  ///< Ethernet through UDP, checksum fields zero
+  std::size_t ip_off_ = 0;
 };
 
 }  // namespace osnt::gen

@@ -218,6 +218,8 @@ class DelayBerBlock : public Block {
   DelayBerConfig cfg_;
   Rng rng_;
   std::uint64_t corrupted_ = 0;
+  std::size_t hit_line_len_ = 0;  ///< line length p_hit_ was computed for
+  double p_hit_ = 0.0;
 };
 
 // ------------------------------------------------------------------ ecmp

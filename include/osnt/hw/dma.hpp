@@ -48,6 +48,12 @@ class DmaEngine {
 
   void set_handler(Handler h) { handler_ = std::move(h); }
 
+  /// Ask for a ring slot before building a record, so a producer can skip
+  /// the work for a record the ring would refuse. Returns false (and
+  /// counts the drop) when the ring is full. After true, the next
+  /// enqueue() in the same handler succeeds.
+  [[nodiscard]] bool admit() noexcept;
+
   /// Try to enqueue a record at the current sim time. Returns false (and
   /// counts the drop) when the ring is full.
   bool enqueue(DmaRecord rec);

@@ -1,10 +1,12 @@
 // Per-port receive pipeline, the OSNT monitor datapath:
 //
 //   RX MAC → timestamp (first bit, disciplined clock) → stats block
-//          → wildcard filter → cutter/hash → DMA (loss-limited) → host
+//          → wildcard filter → DMA ring admission → cutter/hash
+//          → DMA (loss-limited) → host
 //
 // The pipeline never back-pressures the MAC: anything the DMA path cannot
-// take is dropped and counted, exactly like the hardware.
+// take is dropped and counted, exactly like the hardware. The ring is
+// asked before the cutter runs, so a refused frame is never cut or hashed.
 #pragma once
 
 #include <cstdint>

@@ -95,11 +95,13 @@ void LegacySwitch::on_frame(std::size_t in_port, net::Packet pkt,
     return;
   }
 
-  // Unknown unicast / multicast / broadcast: flood.
+  // Unknown unicast / multicast / broadcast: flood. The last egress port
+  // takes the frame itself; only the others get copies.
   ++flooded_;
+  std::size_t egress_left = ports_.size() - 1;  // all but in_port
   for (std::size_t i = 0; i < ports_.size(); ++i) {
     if (i == in_port) continue;
-    emit(i, net::Packet{pkt}, release);
+    emit(i, --egress_left == 0 ? std::move(pkt) : net::Packet{pkt}, release);
   }
 }
 

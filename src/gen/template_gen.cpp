@@ -1,17 +1,42 @@
 #include "osnt/gen/template_gen.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "osnt/net/builder.hpp"
+#include "osnt/net/checksum.hpp"
 
 namespace osnt::gen {
+namespace {
+
+constexpr std::size_t kIpLen = net::Ipv4Header::kMinSize;
+
+}  // namespace
 
 TemplateSource::TemplateSource(TemplateConfig cfg,
                                std::unique_ptr<SizeModel> size_model)
     : cfg_(cfg), size_(std::move(size_model)), rng_(cfg.seed) {
   if (!size_) throw std::invalid_argument("TemplateSource: null size model");
-  if (cfg_.flow_count == 0) cfg_.flow_count = 1;
+  if (cfg_.flow_count == 0 || cfg_.flow_count > cfg_.max_flows()) {
+    throw std::invalid_argument(
+        "TemplateSource: flow_count must be in [1, " +
+        std::to_string(cfg_.max_flows()) + "], got " +
+        std::to_string(cfg_.flow_count));
+  }
+  net::PacketBuilder b;
+  b.eth(cfg_.src_mac, cfg_.dst_mac);
+  if (cfg_.vlan_id != 0) b.vlan(cfg_.vlan_id);
+  // dst_port stays fixed across flows so one wildcard rule can select the
+  // whole probe stream.
+  b.ipv4(cfg_.src_ip, cfg_.dst_ip).udp(cfg_.src_port, cfg_.dst_port);
+  header_ = b.build().data;
+  ip_off_ = net::kEthHeaderLen + (cfg_.vlan_id != 0 ? net::VlanTag::kSize : 0);
+  header_.resize(ip_off_ + kIpLen + net::UdpHeader::kSize);
+  // next() sums each header with its checksum field still zero.
+  store_be16(header_.data() + ip_off_ + 10, 0);
+  store_be16(header_.data() + ip_off_ + kIpLen + 6, 0);
 }
 
 std::optional<TimedPacket> TemplateSource::next() {
@@ -19,28 +44,35 @@ std::optional<TimedPacket> TemplateSource::next() {
   const std::uint32_t flow =
       static_cast<std::uint32_t>(produced_ % cfg_.flow_count);
 
-  std::size_t frame_len = std::clamp(size_->sample(rng_), net::kEthMinFrame,
-                                     std::size_t{net::kEthMaxFrame});
+  const std::size_t frame_len = std::clamp(
+      size_->sample(rng_), net::kEthMinFrame, std::size_t{net::kEthMaxFrame});
 
-  net::PacketBuilder b;
-  b.eth(cfg_.src_mac, cfg_.dst_mac);
-  if (cfg_.vlan_id != 0) b.vlan(cfg_.vlan_id);
-  net::Ipv4Addr dst = cfg_.dst_ip;
-  if (cfg_.vary_dst_ip) dst.v += flow;
-  b.ipv4(cfg_.src_ip, dst, cfg_.protocol);
-  // Flows differ in src_port (and optionally dst_ip); dst_port stays
-  // fixed so one wildcard rule can select the whole probe stream.
-  const auto sport = static_cast<std::uint16_t>(cfg_.src_port + flow % 1024);
-  const auto dport = cfg_.dst_port;
-  if (cfg_.protocol == net::ipproto::kTcp) {
-    b.tcp(sport, dport, static_cast<std::uint32_t>(produced_ * 1460));
-  } else {
-    b.udp(sport, dport);
-  }
-  b.pad_to_frame(frame_len);
+  Bytes buf(frame_len - net::kEthFcsLen);  // zero-filled payload
+  std::memcpy(buf.data(), header_.data(), header_.size());
+  std::uint8_t* const ip = buf.data() + ip_off_;
+  std::uint8_t* const udp = ip + kIpLen;
+  const auto ip_len = static_cast<std::uint16_t>(buf.size() - ip_off_);
+  const auto udp_len = static_cast<std::uint16_t>(ip_len - kIpLen);
+  const std::uint32_t dst = cfg_.dst_ip.v + (cfg_.vary_dst_ip ? flow : 0);
+
+  store_be16(ip + 2, ip_len);
+  store_be32(ip + 16, dst);
+  store_be16(ip + 10, net::internet_checksum(ByteSpan{ip, kIpLen}));
+
+  store_be16(udp, static_cast<std::uint16_t>(cfg_.src_port + flow));
+  store_be16(udp + 4, udp_len);
+  // The payload is zero, so it adds nothing to the ones'-complement sum.
+  net::InternetChecksum sum;
+  sum.add_u32(cfg_.src_ip.v);
+  sum.add_u32(dst);
+  sum.add_u16(net::ipproto::kUdp);
+  sum.add_u16(udp_len);
+  sum.add(ByteSpan{udp, net::UdpHeader::kSize});
+  const std::uint16_t cksum = sum.fold();
+  store_be16(udp + 6, cksum == 0 ? 0xFFFF : cksum);  // RFC 768: 0 means "none"
 
   TimedPacket tp;
-  tp.pkt = b.build();
+  tp.pkt = net::Packet{std::move(buf)};
   tp.pkt.id = produced_;
   ++produced_;
   return tp;

@@ -240,9 +240,13 @@ void DelayBerBlock::on_frame(std::size_t /*in_port*/, net::Packet pkt,
   if (cfg_.ber > 0.0 && !pkt.empty()) {
     // Same frame-hit model as sim::Link: P = 1 - (1-ber)^bits, one bit
     // flipped on a hit, FCS marked bad for the receiver to discard.
-    const double bits = static_cast<double>(pkt.line_len()) * 8.0;
-    const double p_hit = -std::expm1(bits * std::log1p(-cfg_.ber));
-    if (rng_.chance(p_hit)) {
+    // P depends only on the line length, and streams repeat lengths.
+    if (pkt.line_len() != hit_line_len_) {
+      hit_line_len_ = pkt.line_len();
+      const double bits = static_cast<double>(hit_line_len_) * 8.0;
+      p_hit_ = -std::expm1(bits * std::log1p(-cfg_.ber));
+    }
+    if (rng_.chance(p_hit_)) {
       const auto byte = rng_.uniform_int(0, pkt.size() - 1);
       const auto bit = rng_.uniform_int(0, 7);
       pkt.data[byte] ^= static_cast<std::uint8_t>(1u << bit);

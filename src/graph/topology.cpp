@@ -9,6 +9,7 @@
 #include "osnt/common/random.hpp"
 #include "osnt/core/device.hpp"
 #include "osnt/fault/injector.hpp"
+#include "osnt/gen/template_gen.hpp"
 #include "osnt/hw/port.hpp"
 #include "osnt/tcp/segment.hpp"
 
@@ -362,8 +363,14 @@ WorkloadSpec parse_workload(const Json& w) {
         who);
     spec.rate_gbps = number_or(w, "rate_gbps", spec.rate_gbps, who);
     spec.frame_size = count_or(w, "frame_size", spec.frame_size, who);
-    spec.flow_count = static_cast<std::uint32_t>(
-        count_or(w, "flows", spec.flow_count, who));
+    const std::size_t flows = count_or(w, "flows", spec.flow_count, who);
+    const std::uint32_t max_flows = gen::TemplateConfig{}.max_flows();
+    if (flows < 1 || flows > max_flows) {
+      fail(who + ": 'flows' must be in [1, " + std::to_string(max_flows) +
+               "], got " + std::to_string(flows),
+           w.find("flows"));
+    }
+    spec.flow_count = static_cast<std::uint32_t>(flows);
   } else if (kind == "burst") {
     spec.kind = WorkloadSpec::Kind::kBurst;
     spec.burst = parse_burst_pattern(
@@ -675,7 +682,6 @@ void validate_workload(const TopologyFile& topo) {
         w.frame_size > net::kEthMaxFrame) {
       fail("workload: 'frame_size' must be in [64, 1518]");
     }
-    if (w.flow_count == 0) fail("workload: 'flows' must be positive");
   } else if (w.kind == WorkloadSpec::Kind::kBurst) {
     try {
       w.burst.validate();

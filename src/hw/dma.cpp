@@ -26,11 +26,14 @@ void DmaEngine::inject_stall(Picos duration) {
   ++stalls_;
 }
 
+bool DmaEngine::admit() noexcept {
+  if (in_ring_ < cfg_.ring_entries) return true;
+  ++drops_;
+  return false;
+}
+
 bool DmaEngine::enqueue(DmaRecord rec) {
-  if (in_ring_ >= cfg_.ring_entries) {
-    ++drops_;
-    return false;
-  }
+  if (!admit()) return false;
   ++in_ring_;
   ring_hw_ = in_ring_ > ring_hw_ ? in_ring_ : ring_hw_;
   const std::size_t bus_bytes =

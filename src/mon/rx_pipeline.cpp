@@ -100,6 +100,12 @@ void RxPipeline::on_frame(net::Packet pkt, Picos first_bit, Picos last_bit) {
     return;
   }
 
+  // Ask the ring before cutting: a frame it cannot take is counted as a
+  // ring-full drop without being copied or hashed.
+  if (!dma_->admit()) {
+    ++dma_drops_;
+    return;
+  }
   CutResult cut = cutter_.process(pkt.bytes());
   CaptureRecord rec;
   rec.data = std::move(cut.data);
@@ -107,11 +113,8 @@ void RxPipeline::on_frame(net::Packet pkt, Picos first_bit, Picos last_bit) {
   rec.orig_len = cut.orig_len;
   rec.hash = cut.hash;
   rec.port = cfg_.port_id;
-  if (dma_->enqueue(std::move(rec).to_dma())) {
-    ++captured_;
-  } else {
-    ++dma_drops_;
-  }
+  dma_->enqueue(std::move(rec).to_dma());  // admitted above
+  ++captured_;
 }
 
 }  // namespace osnt::mon

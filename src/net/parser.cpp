@@ -3,10 +3,13 @@
 namespace osnt::net {
 
 std::optional<ParsedPacket> parse_packet(ByteSpan frame) noexcept {
+  // Built in place and returned by name on every path, so the ~200 B
+  // result is never copied into the optional.
+  std::optional<ParsedPacket> out;
   auto eth = EthHeader::read(frame);
-  if (!eth) return std::nullopt;
+  if (!eth) return out;
 
-  ParsedPacket p;
+  ParsedPacket& p = out.emplace();
   p.eth = *eth;
   p.frame_len = frame.size();
   std::size_t off = EthHeader::kSize;
@@ -21,7 +24,7 @@ std::optional<ParsedPacket> parse_packet(ByteSpan frame) noexcept {
       off += VlanTag::kSize;
       p.payload_offset = off;
     } else {
-      return p;  // tagged but truncated: stop at L2
+      return out;  // tagged but truncated: stop at L2
     }
   }
 
@@ -29,7 +32,7 @@ std::optional<ParsedPacket> parse_packet(ByteSpan frame) noexcept {
   switch (static_cast<EtherType>(ethertype)) {
     case EtherType::kIpv4: {
       auto ip = Ipv4Header::read(frame.subspan(off));
-      if (!ip) return p;
+      if (!ip) return out;
       p.l3 = L3Kind::kIpv4;
       p.ipv4 = *ip;
       p.l3_offset = off;
@@ -40,7 +43,7 @@ std::optional<ParsedPacket> parse_packet(ByteSpan frame) noexcept {
     }
     case EtherType::kIpv6: {
       auto ip = Ipv6Header::read(frame.subspan(off));
-      if (!ip) return p;
+      if (!ip) return out;
       p.l3 = L3Kind::kIpv6;
       p.ipv6 = *ip;
       p.l3_offset = off;
@@ -51,15 +54,15 @@ std::optional<ParsedPacket> parse_packet(ByteSpan frame) noexcept {
     }
     case EtherType::kArp: {
       auto arp = ArpHeader::read(frame.subspan(off));
-      if (!arp) return p;
+      if (!arp) return out;
       p.l3 = L3Kind::kArp;
       p.arp = *arp;
       p.l3_offset = off;
       p.payload_offset = off + ArpHeader::kSize;
-      return p;  // ARP has no L4
+      return out;  // ARP has no L4
     }
     default:
-      return p;  // unknown L3
+      return out;  // unknown L3
   }
 
   switch (l4_proto) {
@@ -90,7 +93,7 @@ std::optional<ParsedPacket> parse_packet(ByteSpan frame) noexcept {
     default:
       break;
   }
-  return p;
+  return out;
 }
 
 }  // namespace osnt::net

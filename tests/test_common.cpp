@@ -66,6 +66,56 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   EXPECT_EQ(inc.value(), crc32(ByteSpan{data.data(), data.size()}));
 }
 
+/// Bytewise, bit-at-a-time reference for the sliced update().
+std::uint32_t crc32_reference(ByteSpan data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::uint8_t byte : data) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return ~c;
+}
+
+TEST(Crc32, SlicedMatchesBytewiseReference) {
+  // Lengths 0-9018 (a jumbo frame), starts 0-7 bytes into the buffer so
+  // the 8-byte steps read unaligned words, and incremental updates split
+  // at random points, including splits inside an 8-byte step.
+  constexpr std::size_t kMaxLen = 9018;
+  Rng rng{77};
+  Bytes buf(kMaxLen + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  std::size_t cases = 0;
+  const auto check = [&](std::size_t off, std::size_t len) {
+    const ByteSpan data{buf.data() + off, len};
+    const std::uint32_t want = crc32_reference(data);
+    ASSERT_EQ(crc32(data), want) << "len " << len << " offset " << off;
+    Crc32 inc;
+    std::size_t at = 0;
+    while (at < len) {
+      const std::size_t n = rng.uniform_int(0, len - at);
+      if (n == 1) {
+        inc.update(data[at]);
+      } else {
+        inc.update(data.subspan(at, n));
+      }
+      at += n;
+    }
+    ASSERT_EQ(inc.value(), want) << "split, len " << len << " offset " << off;
+    ++cases;
+  };
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 72; ++len) check(off, len);
+    check(off, kMaxLen);
+  }
+  for (int i = 0; i < 12000; ++i) {
+    const std::size_t hi = i % 8 == 0 ? kMaxLen : 300;
+    check(rng.uniform_int(0, 7), rng.uniform_int(0, hi));
+  }
+  EXPECT_GE(cases, 10000u);
+}
+
 TEST(Crc32, SensitiveToSingleBit) {
   Bytes a(64, 0);
   Bytes b = a;

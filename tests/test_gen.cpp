@@ -2,6 +2,9 @@
 // replay, and the TX pipeline driving a real MAC.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "osnt/common/stats.hpp"
 #include "osnt/gen/models.hpp"
 #include "osnt/gen/rate.hpp"
@@ -9,6 +12,8 @@
 #include "osnt/gen/template_gen.hpp"
 #include "osnt/gen/tx_pipeline.hpp"
 #include "osnt/hw/port.hpp"
+#include "osnt/net/builder.hpp"
+#include "osnt/net/checksum.hpp"
 #include "osnt/net/parser.hpp"
 #include "osnt/tstamp/clock.hpp"
 
@@ -223,6 +228,138 @@ TEST(TemplateSource, VlanTagging) {
 TEST(TemplateSource, NullSizeModelThrows) {
   EXPECT_THROW(TemplateSource(TemplateConfig{}, nullptr),
                std::invalid_argument);
+}
+
+TEST(TemplateSource, FlowCountMustFitThePortRange) {
+  const auto make = [](std::uint32_t flows, std::uint16_t src_port) {
+    TemplateConfig tc;
+    tc.flow_count = flows;
+    tc.src_port = src_port;
+    return TemplateSource{tc, std::make_unique<FixedSize>(64)};
+  };
+  EXPECT_EQ(TemplateConfig{}.max_flows(), 64512u);
+  EXPECT_NO_THROW(make(64512, 1024));
+  EXPECT_NO_THROW(make(65536, 0));
+  EXPECT_NO_THROW(make(1, 65535));
+  EXPECT_THROW(make(0, 1024), std::invalid_argument);
+  EXPECT_THROW(make(64513, 1024), std::invalid_argument);
+  EXPECT_THROW(make(2, 65535), std::invalid_argument);
+}
+
+TEST(TemplateSource, EveryFlowHasItsOwnSourcePort) {
+  // Flows past 1024 once wrapped back onto the first 1024 ports.
+  TemplateConfig tc;
+  tc.flow_count = 2000;
+  tc.count = 2000;
+  TemplateSource src{tc, std::make_unique<FixedSize>(64)};
+  std::set<std::uint16_t> ports;
+  while (auto tp = src.next()) {
+    ports.insert(net::parse_packet(tp->pkt.bytes())->udp.src_port);
+  }
+  ASSERT_EQ(ports.size(), 2000u);
+  EXPECT_EQ(*ports.begin(), 1024u);
+  EXPECT_EQ(*ports.rbegin(), 1024u + 1999u);
+}
+
+/// The per-frame PacketBuilder chain TemplateSource replaced, kept as the
+/// reference its header template must match byte for byte.
+net::Packet reference_frame(const TemplateConfig& tc, std::uint32_t flow,
+                            std::size_t frame_len) {
+  net::PacketBuilder b;
+  b.eth(tc.src_mac, tc.dst_mac);
+  if (tc.vlan_id != 0) b.vlan(tc.vlan_id);
+  net::Ipv4Addr dst = tc.dst_ip;
+  if (tc.vary_dst_ip) dst.v += flow;
+  b.ipv4(tc.src_ip, dst, net::ipproto::kUdp);
+  b.udp(static_cast<std::uint16_t>(tc.src_port + flow), tc.dst_port);
+  b.pad_to_frame(frame_len);
+  return b.build();
+}
+
+std::unique_ptr<SizeModel> size_model(int kind, std::size_t a, std::size_t b) {
+  switch (kind) {
+    case 0:
+      return std::make_unique<FixedSize>(a);
+    case 1:
+      return std::make_unique<ImixSize>();
+    default:
+      return std::make_unique<UniformSize>(std::min(a, b), std::max(a, b));
+  }
+}
+
+TEST(TemplateSource, MatchesTheBuilderChainOnRandomConfigs) {
+  Rng rng{20261017};
+  std::size_t frames = 0;
+  for (int i = 0; i < 48; ++i) {
+    TemplateConfig tc;
+    for (auto& byte : tc.src_mac.b) byte = static_cast<std::uint8_t>(rng());
+    for (auto& byte : tc.dst_mac.b) byte = static_cast<std::uint8_t>(rng());
+    tc.src_ip = net::Ipv4Addr{static_cast<std::uint32_t>(rng())};
+    tc.dst_ip = net::Ipv4Addr{static_cast<std::uint32_t>(rng())};
+    tc.vlan_id = (i & 1) ? static_cast<std::uint16_t>(rng.uniform_int(1, 4095))
+                         : 0;
+    tc.vary_dst_ip = (i & 2) != 0;
+    tc.flow_count = static_cast<std::uint32_t>(rng.uniform_int(1, 3000));
+    tc.src_port = static_cast<std::uint16_t>(
+        rng.uniform_int(0, 65536 - tc.flow_count));
+    tc.dst_port = static_cast<std::uint16_t>(rng.uniform_int(0, 65535));
+    tc.seed = rng();
+    // Sizes below 64 and above 1518 exercise the clamp.
+    const int kind = i / 4 % 3;
+    const std::size_t a = rng.uniform_int(1, 1600);
+    const std::size_t b = rng.uniform_int(1, 1600);
+    TemplateSource src{tc, size_model(kind, a, b)};
+    // A second copy of the size model, on its own rng, predicts lengths.
+    auto sizes = size_model(kind, a, b);
+    Rng size_rng{tc.seed};
+
+    const std::uint32_t n = std::min(tc.flow_count, 1000u) + 100;
+    for (std::uint32_t k = 0; k < n; ++k) {
+      const auto tp = src.next();
+      ASSERT_TRUE(tp);
+      const std::size_t len =
+          std::clamp(sizes->sample(size_rng), net::kEthMinFrame,
+                     std::size_t{net::kEthMaxFrame});
+      const net::Packet want = reference_frame(tc, k % tc.flow_count, len);
+      ASSERT_EQ(tp->pkt.data, want.data)
+          << "config " << i << " frame " << k << " (" << len << " B)";
+      ASSERT_EQ(tp->pkt.id, k);
+
+      const auto p = net::parse_packet(tp->pkt.bytes());
+      ASSERT_TRUE(p && p->l4 == net::L4Kind::kUdp);
+      const ByteSpan ip{tp->pkt.data.data() + p->l3_offset,
+                        net::Ipv4Header::kMinSize};
+      EXPECT_EQ(net::internet_checksum(ip), 0u);
+      const ByteSpan l4{tp->pkt.data.data() + p->l4_offset,
+                        tp->pkt.size() - p->l4_offset};
+      EXPECT_EQ(net::l4_checksum_v4(p->ipv4.src, p->ipv4.dst,
+                                    net::ipproto::kUdp, l4),
+                0u);
+      ++frames;
+    }
+  }
+  EXPECT_GE(frames, 10000u);
+}
+
+TEST(TemplateSource, ZeroUdpChecksumIsSentAsAllOnes) {
+  // RFC 768: a computed 0 goes out as 0xFFFF, since 0 means "none". Pick
+  // dst_port so that it completes the rest of the sum to 0xFFFF.
+  TemplateConfig tc;
+  tc.count = 1;
+  const std::uint16_t udp_len = 64 - 4 - 14 - 20;
+  net::InternetChecksum rest;
+  rest.add_u32(tc.src_ip.v);
+  rest.add_u32(tc.dst_ip.v);
+  rest.add_u16(net::ipproto::kUdp);
+  rest.add_u16(udp_len);
+  rest.add_u16(tc.src_port);
+  rest.add_u16(udp_len);
+  tc.dst_port = rest.fold();
+  TemplateSource src{tc, std::make_unique<FixedSize>(64)};
+  const auto tp = src.next();
+  ASSERT_TRUE(tp);
+  EXPECT_EQ(load_be16(tp->pkt.data.data() + 14 + 20 + 6), 0xFFFFu);
+  EXPECT_EQ(tp->pkt.data, reference_frame(tc, 0, 64).data);
 }
 
 // ------------------------------------------------------------ pcap replay

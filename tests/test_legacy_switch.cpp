@@ -48,6 +48,37 @@ TEST(LegacySwitch, FloodsUnknownDestination) {
   EXPECT_EQ(b.sw.frames_flooded(), 1u);
 }
 
+TEST(LegacySwitch, FloodCopiesAreIdenticalAndInPortOrder) {
+  // The last egress port gets the frame itself and the others get copies;
+  // all must carry the same bytes and leave at the same release time.
+  for (const std::size_t in : {std::size_t{0}, std::size_t{3}}) {
+    Bench b;
+    struct Arrival {
+      std::size_t port;
+      Bytes data;
+      Picos first_bit;
+    };
+    std::vector<Arrival> got;
+    for (std::size_t i = 0; i < b.hosts.size(); ++i) {
+      b.hosts[i]->rx().set_handler(
+          [&got, i](net::Packet p, Picos first_bit, Picos) {
+            got.push_back({i, std::move(p.data), first_bit});
+          });
+    }
+    const net::Packet sent = frame(10 + in, 20, 256);
+    (void)b.hosts[in]->tx().transmit(net::Packet{sent});
+    b.eng.run();
+    ASSERT_EQ(got.size(), 3u) << "ingress " << in;
+    std::size_t want_port = 0;
+    for (const Arrival& a : got) {
+      if (want_port == in) ++want_port;
+      EXPECT_EQ(a.port, want_port++) << "ingress " << in;
+      EXPECT_EQ(a.data, sent.data) << "ingress " << in;
+      EXPECT_EQ(a.first_bit, got[0].first_bit) << "ingress " << in;
+    }
+  }
+}
+
 TEST(LegacySwitch, LearnsAndUnicasts) {
   Bench b;
   // Host on port 1 announces itself (src MAC 20).

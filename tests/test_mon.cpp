@@ -2,6 +2,8 @@
 // and the RX pipeline end-to-end with the loss-limited DMA path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "osnt/common/crc.hpp"
 #include "osnt/hw/port.hpp"
 #include "osnt/mon/capture.hpp"
@@ -279,13 +281,43 @@ TEST(RxPipeline, DmaOverloadDropsNotBackpressures) {
   dcfg.ring_entries = 8;
   hw::DmaEngine dma{eng, dcfg};
   HostCapture host{dma};
-  RxPipeline rx{eng, dst.rx(), clock, dma};
-  for (int i = 0; i < 200; ++i) (void)src.tx().transmit(udp_frame(1, 53, 1518));
+  RxConfig cfg;
+  cfg.cutter.snap_len = 64;
+  RxPipeline rx{eng, dst.rx(), clock, dma, cfg};
+  // Distinct 1518 B frames (dst IP = index, random payload), so every
+  // record can be traced back to the frame it was cut from.
+  std::vector<Bytes> sent;
+  for (std::uint32_t i = 0; i < 200; ++i) {
+    net::PacketBuilder b;
+    b.eth(net::MacAddr::from_index(1), net::MacAddr::from_index(2))
+        .ipv4(net::Ipv4Addr::of(10, 0, 0, 1), net::Ipv4Addr{i},
+              net::ipproto::kUdp)
+        .udp(1024, 53)
+        .payload_random(1518 - 4 - 42, i);
+    net::Packet p = b.build();
+    sent.push_back(p.data);
+    (void)src.tx().transmit(std::move(p));
+  }
   eng.run();
   EXPECT_EQ(rx.seen(), 200u);           // the wire never lost a frame
   EXPECT_GT(rx.dma_drops(), 0u);        // but the host path did
   EXPECT_LT(host.size(), 200u);
   EXPECT_EQ(host.size() + rx.dma_drops(), 200u);
+  // The ring is asked before the cutter runs: each refusal is counted
+  // once on each side, and every admitted record carries the hash of
+  // the whole frame it was cut from.
+  EXPECT_EQ(rx.dma_drops(), dma.drops_ring_full());
+  EXPECT_EQ(rx.captured(), dma.records_delivered());
+  ASSERT_EQ(host.size(), rx.captured());
+  for (const CaptureRecord& rec : host.records()) {
+    ASSERT_EQ(rec.data.size(), 64u);
+    const auto parsed = net::parse_packet(rec.data);
+    ASSERT_TRUE(parsed);
+    const Bytes& frame = sent.at(parsed->ipv4.dst.v);
+    EXPECT_EQ(rec.orig_len, frame.size());
+    EXPECT_EQ(rec.hash, crc32(frame));
+    EXPECT_TRUE(std::equal(rec.data.begin(), rec.data.end(), frame.begin()));
+  }
 }
 
 // ------------------------------------------------------------ host decode

@@ -151,6 +151,22 @@ TEST(Topology, ConflictingTimeUnitsAreAnError) {
   expect_contains(msg, "'delay' given in more than one unit");
 }
 
+TEST(Topology, CbrFlowsMustFitThePortRange) {
+  // Flow i sends from port 1024 + i. 2^32 + 5 must not wrap to 5 flows.
+  const auto with_flows = [](const std::string& flows) {
+    return R"({"name": "t", "blocks": [{"name": "q", "type": "fifo_queue"}],
+               "workload": {"kind": "cbr", "flows": )" +
+           flows + R"(, "ingress": "q:0", "egress": "q:0"}})";
+  };
+  EXPECT_EQ(TopologyFile::from_json(with_flows("64512")).workload.flow_count,
+            64512u);
+  for (const char* flows : {"0", "64513", "4294967301"}) {
+    const std::string msg = load_error(with_flows(flows));
+    expect_contains(msg, "'flows' must be in [1, 64512]");
+    expect_contains(msg, std::string("got ") + flows);
+  }
+}
+
 TEST(Topology, TcpMssMustFitAMaximumSizeFrame) {
   // 1448 B of payload behind 66 B of headers and a 4 B FCS is a 1518 B
   // frame. One byte more and the receiving MAC drops every data frame as

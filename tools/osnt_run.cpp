@@ -54,6 +54,7 @@
 #include "osnt/dut/legacy_switch.hpp"
 #include "osnt/fault/injector.hpp"
 #include "osnt/fault/plan.hpp"
+#include "osnt/gen/template_gen.hpp"
 #include "osnt/graph/dut_blocks.hpp"
 #include "osnt/graph/graph.hpp"
 #include "osnt/graph/topology.hpp"
@@ -499,6 +500,13 @@ int cmd_capture(int argc, const char* const* argv) {
   cli.add_flag("pcap-out", &pcap_out, "write the capture to this .pcap");
   obs.add_to(cli);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
+  const std::int64_t max_flows = gen::TemplateConfig{}.max_flows();
+  if (flows < 1 || flows > max_flows) {
+    std::fprintf(stderr, "--flows must be in [1, %lld], got %lld\n",
+                 static_cast<long long>(max_flows),
+                 static_cast<long long>(flows));
+    return 1;
+  }
 
   sim::Engine eng;
   obs.attach(eng);
