@@ -19,11 +19,9 @@ namespace osnt::core {
 struct TrafficSpec {
   gen::RateSpec rate = gen::RateSpec::line_rate(1.0);
 
-  enum class Sizes : std::uint8_t { kFixed, kImix, kUniform };
+  enum class Sizes : std::uint8_t { kFixed, kImix };
   Sizes sizes = Sizes::kFixed;
   std::size_t frame_size = 64;      ///< for kFixed (incl. FCS)
-  std::size_t size_lo = 64;         ///< for kUniform
-  std::size_t size_hi = 1518;
 
   enum class Arrivals : std::uint8_t { kCbr, kPoisson, kBurst };
   Arrivals arrivals = Arrivals::kCbr;

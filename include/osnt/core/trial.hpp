@@ -26,7 +26,6 @@ struct TrialPoint {
   std::uint64_t seed = 1;      ///< RNG seed for the trial's testbed
   double load_fraction = 1.0;  ///< offered load as a fraction of line rate
   std::size_t frame_size = 64; ///< frame size incl. FCS
-  std::size_t burst_len = 0;   ///< back-to-back burst length (0 = n/a)
   /// Retry ordinal (set by the runner): 0 on the first attempt. The seed
   /// above is already rederived for the attempt — a trial that only uses
   /// `seed` replays bit-identically when re-invoked at the same point.

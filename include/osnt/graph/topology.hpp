@@ -2,7 +2,7 @@
 // ports, and picks a workload; TopologyFile turns that into a live Graph
 // and run_topology_trial() closes the loop with the OSNT device — TCP
 // flows or a CBR stream enter the graph at `ingress` and leave at
-// `egress`, with an optional separate path for the ACK direction.
+// `egress`, with an optional separate path for the reverse direction.
 //
 // Parsing is strict (osnt::json): any unknown key or misspelled block
 // type is a hard error with the line/column it occurred at, plus a
@@ -78,7 +78,8 @@ struct WorkloadSpec {
 
   Endpoint ingress;  ///< where device TX enters the graph
   Endpoint egress;   ///< which block output feeds the device RX
-  /// Optional ACK-direction path (tcp only). Absent = a direct reverse
+  /// Optional reverse path, device port 1 back to port 0 (the ACK
+  /// direction for tcp), for any workload kind. Absent = a direct reverse
   /// cable, i.e. an ideal return channel.
   std::optional<Endpoint> ack_ingress;
   std::optional<Endpoint> ack_egress;
@@ -98,6 +99,8 @@ struct WorkloadSpec {
   double rate_gbps = 1.0;
   std::size_t frame_size = 256;
   std::uint32_t flow_count = 1;
+  /// Inter-departure model: "cbr" (constant gaps) or "poisson".
+  core::TrafficSpec::Arrivals arrivals = core::TrafficSpec::Arrivals::kCbr;
 
   // --- burst (graph-native: a burst_source named "burst_workload" is
   // emplaced at `ingress` and a "burst_sink" behind `egress`) ---
@@ -182,20 +185,34 @@ void validate_fault_targets(const TopologyFile& topo,
 /// fails the dry run instead.
 void validate_workload(const TopologyFile& topo);
 
+/// The topology behind `osnt_run latency|throughput --dut NAME`, with a
+/// default cbr workload. "none" is the block-less cable. "legacy" and
+/// "lossy" (lookup_rate_mpps 2) are one 2-port legacy_switch named "dut":
+/// the workload enters at dut:0 and leaves at dut:1, and the reverse
+/// direction runs back through the switch (dut:1 to dut:0). Two ports,
+/// so an unknown destination floods only to the monitor port. Throws
+/// TopologyError, with a did-you-mean, on any other name.
+[[nodiscard]] TopologyFile dut_topology(const std::string& name);
+
 /// One deterministic trial: fresh engine + device + graph built from
 /// `topo`, workload attached at the declared endpoints (or over the
 /// back-to-back cable when `topo` has no blocks), run for `duration`
-/// (0 = the file's duration). The one closed-loop trial runner: shared
-/// by osnt_run tcp and topo, the tests, and the benchmarks.
+/// (0 = the file's duration). The one trial runner: shared by every
+/// osnt_run subcommand that drives the device through a topology, the
+/// tests, and the benchmarks.
 ///
 /// `series_interval > 0` attaches a telemetry::TimeSeries sampler to the
 /// trial engine (per-block frames/bytes/drops channels, monitor RTT
-/// histograms, and — for tcp workloads — the aggregate tcp.* channels)
-/// and returns its data in the report. Per-trial series merge
-/// commutatively, so sharded runs stay byte-identical at any --jobs.
+/// histograms, and the workload's channels: the device monitor's mon.rx.*
+/// for cbr, the aggregate tcp.* for tcp) and returns its data in the
+/// report. Per-trial series merge commutatively, so sharded runs stay
+/// byte-identical at any --jobs. `handler_timing` turns on the engine's
+/// per-category handler wall time (sim.engine.handler_ns.wall.*), which
+/// reads the host clock around every event.
 [[nodiscard]] TopologyTrialReport run_topology_trial(
     const TopologyFile& topo, std::uint64_t trial_seed, Picos duration = 0,
     const fault::FaultPlan* plan = nullptr,
-    telemetry::TraceRecorder* trace = nullptr, Picos series_interval = 0);
+    telemetry::TraceRecorder* trace = nullptr, Picos series_interval = 0,
+    bool handler_timing = false);
 
 }  // namespace osnt::graph

@@ -28,7 +28,9 @@ struct Packet {
   // --- simulation metadata (ground truth; not visible to device logic) ---
   std::uint64_t id = 0;           ///< unique per generated packet
   std::uint32_t ingress_port = 0; ///< port index on the receiving device
-  Picos tx_truth = 0;             ///< when the first bit left the source MAC
+  /// When the first bit left the source MAC; -1 until a source stamps it
+  /// (a frame may leave at sim time 0).
+  Picos tx_truth = -1;
   Picos rx_truth = 0;             ///< when the last bit arrived at the sink MAC
   bool fcs_bad = false;           ///< corrupted in flight (FCS mismatch)
 

@@ -16,9 +16,6 @@ std::unique_ptr<gen::PacketSource> make_source(const TrafficSpec& spec) {
     case TrafficSpec::Sizes::kImix:
       sizes = std::make_unique<gen::ImixSize>();
       break;
-    case TrafficSpec::Sizes::kUniform:
-      sizes = std::make_unique<gen::UniformSize>(spec.size_lo, spec.size_hi);
-      break;
   }
   gen::TemplateConfig tc;
   tc.flow_count = spec.flow_count;

@@ -364,7 +364,7 @@ void MonitorBlock::on_frame(std::size_t /*in_port*/, net::Packet pkt,
   // In-plane latency at the tap: source-MAC ground truth to arrival here,
   // recorded for every frame regardless of what downstream blocks or the
   // capture path do with it.
-  if (cfg_.rtt_probe && pkt.tx_truth > 0 && first_bit >= pkt.tx_truth) {
+  if (cfg_.rtt_probe && pkt.tx_truth >= 0 && first_bit >= pkt.tx_truth) {
     rtt_probe_.observe(
         static_cast<std::uint64_t>((first_bit - pkt.tx_truth) / kPicosPerNano),
         frame_class(pkt));

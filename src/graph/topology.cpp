@@ -86,6 +86,21 @@ std::string string_or(const Json& obj, const std::string& key,
   return v->string;
 }
 
+/// Optional string key restricted to `names` (the first is the
+/// default); anything else is a hard error with a did-you-mean. Returns
+/// the index into `names`.
+std::size_t choice_or(const Json& obj, const std::string& key,
+                      const std::vector<std::string>& names,
+                      const std::string& who) {
+  const std::string v = string_or(obj, key, names.front(), who);
+  const auto it = std::find(names.begin(), names.end(), v);
+  if (it != names.end()) return static_cast<std::size_t>(it - names.begin());
+  std::string msg = who + ": unknown " + key + " '" + v + "'";
+  const std::string hint = suggest_nearest(v, names);
+  if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
+  fail(msg, obj.find(key));
+}
+
 /// `<base>_ns` / `<base>_us` / `<base>_ms`, at most one unit (the same
 /// convention as fault plans). Returns `fallback` when absent.
 Picos time_or(const Json& obj, const std::string& base, Picos fallback,
@@ -186,18 +201,9 @@ burst::PatternConfig parse_burst_pattern(const Json& obj,
   cfg.rate_gbps = number_or(obj, "rate_gbps", cfg.rate_gbps, who);
   cfg.frame_size = count_or(obj, "frame_size", cfg.frame_size, who);
   cfg.flows = count_or(obj, "flows", cfg.flows, who);
-  const std::string l4 = string_or(obj, "l4", "udp", who);
-  if (l4 == "udp") {
-    cfg.l4 = burst::L4::kUdp;
-  } else if (l4 == "tcp_syn") {
-    cfg.l4 = burst::L4::kTcpSyn;
-  } else {
-    const std::vector<std::string> kinds = {"udp", "tcp_syn"};
-    std::string msg = who + ": unknown l4 '" + l4 + "'";
-    const std::string hint = suggest_nearest(l4, kinds);
-    if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
-    fail(msg, obj.find("l4"));
-  }
+  cfg.l4 = choice_or(obj, "l4", {"udp", "tcp_syn"}, who) == 0
+               ? burst::L4::kUdp
+               : burst::L4::kTcpSyn;
   cfg.period = time_or(obj, "period", cfg.period, who);
   cfg.duty = number_or(obj, "duty", cfg.duty, who);
   cfg.pulse_frames = count_or(obj, "pulse_frames", cfg.pulse_frames, who);
@@ -358,10 +364,14 @@ WorkloadSpec parse_workload(const Json& w) {
     if (spec.flows == 0) fail(who + ": 'flows' must be positive", &w);
   } else if (kind == "cbr") {
     spec.kind = WorkloadSpec::Kind::kCbr;
-    check_keys(
-        w, {"kind", "ingress", "egress", "rate_gbps", "frame_size", "flows"},
-        who);
+    check_keys(w,
+               {"kind", "ingress", "egress", "rate_gbps", "frame_size",
+                "flows", "arrivals"},
+               who);
     spec.rate_gbps = number_or(w, "rate_gbps", spec.rate_gbps, who);
+    spec.arrivals = choice_or(w, "arrivals", {"cbr", "poisson"}, who) == 0
+                        ? core::TrafficSpec::Arrivals::kCbr
+                        : core::TrafficSpec::Arrivals::kPoisson;
     spec.frame_size = count_or(w, "frame_size", spec.frame_size, who);
     const std::size_t flows = count_or(w, "flows", spec.flow_count, who);
     const std::uint32_t max_flows = gen::TemplateConfig{}.max_flows();
@@ -699,17 +709,44 @@ void validate_workload(const TopologyFile& topo) {
   }
 }
 
+TopologyFile dut_topology(const std::string& name) {
+  static const std::vector<std::string> kDuts = {"none", "legacy", "lossy"};
+  if (std::find(kDuts.begin(), kDuts.end(), name) == kDuts.end()) {
+    const std::string hint = suggest_nearest(name, kDuts);
+    throw TopologyError("unknown DUT '" + name + "' (" +
+                        (hint.empty() ? "none|legacy|lossy"
+                                      : "did you mean '" + hint + "'?") +
+                        ")");
+  }
+  TopologyFile t;
+  WorkloadSpec& w = t.workload;
+  w.kind = WorkloadSpec::Kind::kCbr;
+  if (name == "none") return t;
+  BlockSpec& b = t.blocks.emplace_back();
+  b.name = "dut";
+  b.type = "legacy_switch";
+  b.legacy_switch.num_ports = b.num_inputs = b.num_outputs = 2;
+  if (name == "lossy") b.legacy_switch.lookup_rate_mpps = 2.0;
+  w.ingress = {"dut", 0};
+  w.egress = {"dut", 1};
+  w.ack_ingress = Endpoint{"dut", 1};
+  w.ack_egress = Endpoint{"dut", 0};
+  return t;
+}
+
 TopologyTrialReport run_topology_trial(const TopologyFile& topo,
                                        std::uint64_t trial_seed,
                                        Picos duration,
                                        const fault::FaultPlan* plan,
                                        telemetry::TraceRecorder* trace,
-                                       Picos series_interval) {
+                                       Picos series_interval,
+                                       bool handler_timing) {
   if (duration == 0) duration = topo.duration;
   TopologyTrialReport report;
 
   sim::Engine eng;
   if (trace) eng.set_trace(trace);
+  eng.set_handler_timing(handler_timing);
   core::OsntDevice dev{eng};
   Graph g{eng};
   topo.build(eng, g, trial_seed, duration);
@@ -806,12 +843,22 @@ TopologyTrialReport run_topology_trial(const TopologyFile& topo,
     finish_series();  // before the workload (and its channels) go away
   } else if (w.kind == WorkloadSpec::Kind::kCbr) {
     cable_device(dev, g, topo);
+    if (series) {
+      const mon::RxPipeline* rx = &dev.rx(1);
+      series->add_counter("mon.rx.frames_seen", [rx] { return rx->seen(); });
+      series->add_counter("mon.rx.captured", [rx] { return rx->captured(); });
+      series->add_counter("mon.rx.dma_drops",
+                          [rx] { return rx->dma_drops(); });
+      series->add_histogram("mon.rx.rtt.ns",
+                            [rx] { return rx->rtt_probe().merged(); });
+    }
     arm_faults();
     g.start();
     core::TrafficSpec spec;
     spec.rate = gen::RateSpec::gbps(w.rate_gbps);
     spec.frame_size = w.frame_size;
     spec.flow_count = w.flow_count;
+    spec.arrivals = w.arrivals;
     spec.seed = trial_seed;
     report.cbr = core::run_capture_test(eng, dev, 0, 1, spec, duration);
     finish_series();

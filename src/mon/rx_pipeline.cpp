@@ -39,8 +39,8 @@ void RxPipeline::on_frame(net::Packet pkt, Picos first_bit, Picos last_bit) {
   const tstamp::Timestamp ts = clock_->now(first_bit);
 
   // Ground-truth one-way latency in sim time (frames whose tx_truth was
-  // never stamped by a generator carry the 0 default and are skipped).
-  if (pkt.tx_truth > 0 && first_bit >= pkt.tx_truth) {
+  // never stamped by a generator carry the -1 default and are skipped).
+  if (pkt.tx_truth >= 0 && first_bit >= pkt.tx_truth) {
     latency_ns_.record(
         static_cast<std::uint64_t>((first_bit - pkt.tx_truth) / kPicosPerNano));
   }

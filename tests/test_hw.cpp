@@ -1,9 +1,8 @@
-// Hardware models: MAC serialization timing, FIFO accounting, DMA
-// loss-limits, port cabling.
+// Hardware models: MAC serialization timing, DMA loss-limits, port
+// cabling.
 #include <gtest/gtest.h>
 
 #include "osnt/hw/dma.hpp"
-#include "osnt/hw/fifo.hpp"
 #include "osnt/hw/port.hpp"
 #include "osnt/net/builder.hpp"
 
@@ -116,61 +115,6 @@ TEST(RxMac, RejectsGiantsUnlessConfigured) {
   EXPECT_EQ(strict_count, 0);
   EXPECT_EQ(strict.giants(), 1u);
   EXPECT_EQ(jumbo_count, 1);
-}
-
-// ------------------------------------------------------------------ FIFO
-
-TEST(PacketFifo, FifoOrder) {
-  PacketFifo f;
-  net::Packet a = frame(64);
-  a.id = 1;
-  net::Packet b = frame(64);
-  b.id = 2;
-  EXPECT_TRUE(f.push(std::move(a)));
-  EXPECT_TRUE(f.push(std::move(b)));
-  EXPECT_EQ(f.pop()->id, 1u);
-  EXPECT_EQ(f.pop()->id, 2u);
-  EXPECT_FALSE(f.pop());
-}
-
-TEST(PacketFifo, ByteAccounting) {
-  PacketFifo f;
-  f.push(frame(100));
-  f.push(frame(200));
-  EXPECT_EQ(f.bytes(), 300u);
-  EXPECT_EQ(f.packets(), 2u);
-  (void)f.pop();
-  EXPECT_EQ(f.bytes(), 200u);
-}
-
-TEST(PacketFifo, TailDropOnByteLimit) {
-  PacketFifoConfig cfg;
-  cfg.max_bytes = 150;
-  PacketFifo f{cfg};
-  EXPECT_TRUE(f.push(frame(100)));
-  EXPECT_FALSE(f.push(frame(100)));
-  EXPECT_EQ(f.drops(), 1u);
-  EXPECT_EQ(f.dropped_bytes(), 100u);
-}
-
-TEST(PacketFifo, PacketLimit) {
-  PacketFifoConfig cfg;
-  cfg.max_bytes = 0;
-  cfg.max_packets = 2;
-  PacketFifo f{cfg};
-  EXPECT_TRUE(f.push(frame(64)));
-  EXPECT_TRUE(f.push(frame(64)));
-  EXPECT_FALSE(f.push(frame(64)));
-}
-
-TEST(PacketFifo, PeakBytesHighWater) {
-  PacketFifo f;
-  f.push(frame(500));
-  f.push(frame(500));
-  (void)f.pop();
-  (void)f.pop();
-  EXPECT_EQ(f.peak_bytes(), 1000u);
-  EXPECT_EQ(f.bytes(), 0u);
 }
 
 // ------------------------------------------------------------------- DMA

@@ -1,10 +1,9 @@
-// Trace splitting across ports + windowed rate series.
+// Trace splitting across ports.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "osnt/gen/splitter.hpp"
-#include "osnt/mon/rate_series.hpp"
 #include "osnt/net/builder.hpp"
 #include "osnt/net/flow.hpp"
 
@@ -94,59 +93,6 @@ TEST(Splitter, NonIpRoundRobins) {
     ASSERT_TRUE(src);
     EXPECT_EQ(src->trace_size(), 2u);
   }
-}
-
-// -------------------------------------------------------------- series
-
-TEST(RateSeries, BucketsAccumulate) {
-  mon::RateSeries s{kPicosPerMilli};
-  s.record(100, 1000);                    // bucket 0
-  s.record(kPicosPerMilli + 1, 500);      // bucket 1
-  s.record(kPicosPerMilli + 2, 500);      // bucket 1
-  ASSERT_EQ(s.size(), 2u);
-  EXPECT_EQ(s.bucket(0).frames, 1u);
-  EXPECT_EQ(s.bucket(0).line_bytes, 1000u);
-  EXPECT_EQ(s.bucket(1).frames, 2u);
-  EXPECT_EQ(s.bucket(1).start, kPicosPerMilli);
-}
-
-TEST(RateSeries, GbpsMath) {
-  mon::RateSeries s{kPicosPerMilli};
-  // 1.25 MB in 1 ms = 10 Gb/s.
-  s.record(0, 1'250'000);
-  EXPECT_NEAR(s.bucket(0).gbps(s.bucket_width()), 10.0, 1e-9);
-  EXPECT_NEAR(s.peak_gbps(), 10.0, 1e-9);
-}
-
-TEST(RateSeries, GapBucketsAreZero) {
-  mon::RateSeries s{kPicosPerMilli};
-  s.record(0, 100);
-  s.record(5 * kPicosPerMilli, 100);
-  ASSERT_EQ(s.size(), 6u);
-  for (std::size_t i = 1; i < 5; ++i) EXPECT_EQ(s.bucket(i).frames, 0u);
-}
-
-TEST(RateSeries, FirstDipFindsTransition) {
-  mon::RateSeries s{kPicosPerMilli};
-  for (int ms = 0; ms < 10; ++ms) {
-    if (ms == 4 || ms == 5) continue;  // the dip
-    s.record(static_cast<Picos>(ms) * kPicosPerMilli + 1, 1'250'000);
-  }
-  EXPECT_EQ(s.first_dip_below(5.0), 4);
-  EXPECT_EQ(s.first_dip_below(0.0001), 4);
-  mon::RateSeries flat{kPicosPerMilli};
-  flat.record(0, 100);
-  EXPECT_EQ(flat.first_dip_below(1e-6), -1);
-}
-
-TEST(RateSeries, RejectsBadWidth) {
-  EXPECT_THROW(mon::RateSeries{0}, std::invalid_argument);
-}
-
-TEST(RateSeries, NegativeTimeIgnored) {
-  mon::RateSeries s{kPicosPerMilli};
-  s.record(-5, 100);
-  EXPECT_EQ(s.size(), 0u);
 }
 
 }  // namespace

@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "osnt/common/random.hpp"
+#include "osnt/core/device.hpp"
 #include "osnt/core/runner.hpp"
 #include "osnt/graph/topology.hpp"
+#include "osnt/hw/port.hpp"
 #include "osnt/telemetry/registry.hpp"
 #include "osnt/telemetry/series.hpp"
 
@@ -187,6 +191,73 @@ TEST(Topology, TcpMssMustFitAMaximumSizeFrame) {
       expect_contains(e.what(), "got " + std::to_string(mss));
     }
   }
+}
+
+TEST(Topology, CbrArrivalsAreCbrOrPoisson) {
+  const auto with_arrivals = [](const std::string& kv) {
+    return R"({"name": "t", "blocks": [{"name": "q", "type": "fifo_queue"}],
+               "workload": {"kind": "cbr", )" +
+           kv + R"("ingress": "q:0", "egress": "q:0"}})";
+  };
+  using Arrivals = core::TrafficSpec::Arrivals;
+  EXPECT_EQ(TopologyFile::from_json(with_arrivals("")).workload.arrivals,
+            Arrivals::kCbr);
+  EXPECT_EQ(TopologyFile::from_json(with_arrivals(R"("arrivals": "cbr", )"))
+                .workload.arrivals,
+            Arrivals::kCbr);
+  EXPECT_EQ(
+      TopologyFile::from_json(with_arrivals(R"("arrivals": "poisson", )"))
+          .workload.arrivals,
+      Arrivals::kPoisson);
+  const std::string msg =
+      load_error(with_arrivals(R"("arrivals": "poison", )"));
+  expect_contains(msg, "unknown arrivals 'poison'");
+  expect_contains(msg, "did you mean 'poisson'?");
+  expect_contains(msg, "line 2 column");
+  expect_contains(load_error(with_arrivals(R"("arrivals": 1, )")),
+                  "'arrivals' must be a string");
+}
+
+TEST(Topology, ArrivalsIsOnlyACbrKey) {
+  for (const char* kind : {R"("kind": "tcp")",
+                           R"("kind": "burst", "pattern": "on_off")"}) {
+    const std::string msg = load_error(
+        R"({"name": "t", "blocks": [{"name": "q", "type": "fifo_queue"}],
+            "workload": {)" +
+        std::string(kind) +
+        R"(, "arrivals": "poisson", "ingress": "q:0", "egress": "q:0"}})");
+    expect_contains(msg, "unknown key 'arrivals'");
+  }
+}
+
+TEST(Topology, DutTopologyIsACableOrATwoPortSwitch) {
+  const TopologyFile none = graph::dut_topology("none");
+  EXPECT_TRUE(none.blocks.empty());
+  EXPECT_EQ(none.workload.kind, graph::WorkloadSpec::Kind::kCbr);
+  for (const char* name : {"legacy", "lossy"}) {
+    const TopologyFile t = graph::dut_topology(name);
+    ASSERT_EQ(t.blocks.size(), 1u) << name;
+    const graph::BlockSpec& b = t.blocks[0];
+    EXPECT_EQ(b.name, "dut");
+    EXPECT_EQ(b.type, "legacy_switch");
+    EXPECT_EQ(b.legacy_switch.num_ports, 2u);
+    EXPECT_EQ(b.legacy_switch.lookup_rate_mpps,
+              std::string(name) == "lossy" ? 2.0 : 0.0);
+    const graph::WorkloadSpec& w = t.workload;
+    EXPECT_EQ(w.ingress.port, 0u);
+    EXPECT_EQ(w.egress.port, 1u);
+    ASSERT_TRUE(w.ack_ingress && w.ack_egress);
+    EXPECT_EQ(w.ack_ingress->port, 1u);
+    EXPECT_EQ(w.ack_egress->port, 0u);
+  }
+  try {
+    (void)graph::dut_topology("lossyy");
+    ADD_FAILURE() << "unknown DUT accepted";
+  } catch (const graph::TopologyError& e) {
+    expect_contains(e.what(), "unknown DUT 'lossyy'");
+    expect_contains(e.what(), "did you mean 'lossy'?");
+  }
+  EXPECT_THROW((void)graph::dut_topology("switch"), graph::TopologyError);
 }
 
 TEST(Topology, CbrTrialRunsThroughTheGraph) {
@@ -375,6 +446,156 @@ TEST(Topology, DumbbellSeriesByteIdenticalAcrossJobs) {
   for (const std::uint64_t d : a.channels.at("tcp.bytes_acked").deltas)
     acked += d;
   EXPECT_GT(acked, 0u);
+}
+
+TEST(Topology, CbrSeriesCarriesTheDeviceMonitor) {
+  const TopologyFile t = TopologyFile::from_json(kMinimalCbr);
+  const graph::TopologyTrialReport r = graph::run_topology_trial(
+      t, t.seed, /*duration=*/0, /*plan=*/nullptr, /*trace=*/nullptr,
+      /*series_interval=*/500 * kPicosPerMicro);
+  const auto& ch = r.series.channels;
+  for (const char* name : {"mon.rx.frames_seen", "mon.rx.captured",
+                           "mon.rx.dma_drops", "mon.rx.rtt.ns",
+                           "graph.q.frames_in"}) {
+    EXPECT_EQ(ch.count(name), 1u) << name;
+  }
+  // The series runs to the end of the drain, so its deltas add up to the
+  // trial's totals: every frame the monitor saw is a probe.
+  std::uint64_t seen = 0;
+  for (const std::uint64_t d : ch.at("mon.rx.frames_seen").deltas) seen += d;
+  EXPECT_GT(seen, 0u);
+  EXPECT_EQ(seen, r.cbr.rx_frames);
+}
+
+TEST(Topology, HandlerTimingIsOptIn) {
+  const bool was_enabled = telemetry::enabled();
+  telemetry::set_enabled(true);
+  const TopologyFile t = TopologyFile::from_json(kMinimalCbr);
+  for (const bool timing : {false, true}) {
+    telemetry::registry().reset();
+    (void)graph::run_topology_trial(t, t.seed, /*duration=*/0,
+                                    /*plan=*/nullptr, /*trace=*/nullptr,
+                                    /*series_interval=*/0, timing);
+    EXPECT_EQ(telemetry::registry()
+                      .counter("sim.engine.handler_ns.wall.gen")
+                      .value() > 0,
+              timing);
+  }
+  telemetry::registry().reset();
+  telemetry::set_enabled(was_enabled);
+}
+
+TEST(Topology, FrameSentAtTimeZeroHasALatencySample) {
+  // The generator's first frame leaves at sim time 0. Both ground-truth
+  // histograms, the in-plane tap's and the device monitor's, must count
+  // it like any other frame.
+  const bool was_enabled = telemetry::enabled();
+  telemetry::set_enabled(true);
+  telemetry::registry().reset();
+  const TopologyFile t = TopologyFile::from_json(R"({
+    "name": "t0", "duration_us": 20,
+    "blocks": [{"name": "tap", "type": "monitor"}],
+    "workload": {"kind": "cbr", "rate_gbps": 1.0, "frame_size": 64,
+                 "ingress": "tap:0", "egress": "tap:0"}
+  })");
+  const graph::TopologyTrialReport r = graph::run_topology_trial(t, t.seed);
+  ASSERT_GT(r.cbr.tx_frames, 0u);
+  EXPECT_EQ(r.cbr.rx_frames, r.cbr.tx_frames);
+  ASSERT_EQ(r.blocks.size(), 1u);
+  EXPECT_EQ(r.blocks[0].rtt_samples, r.cbr.tx_frames);
+  EXPECT_EQ(
+      telemetry::registry().histogram("mon.rx.latency_ns").snapshot().count(),
+      r.cbr.tx_frames);
+  telemetry::registry().reset();
+  telemetry::set_enabled(was_enabled);
+}
+
+/// What a trial leaves behind: its result and the kSimOnly registry.
+struct DutRun {
+  core::RunResult r;
+  std::string sim_json;
+};
+
+/// The hand-cabled reference for dut_topology(): an engine, a device and,
+/// for legacy or lossy, one 2-port legacy switch block seeded as the
+/// loader seeds block 0. Nothing is sent before the probe stream.
+DutRun run_hand_wired(const std::string& dut, const graph::WorkloadSpec& w,
+                      std::uint64_t seed, Picos duration) {
+  telemetry::registry().reset();
+  DutRun out;
+  {
+    sim::Engine eng;
+    core::OsntDevice dev{eng};
+    std::optional<graph::Graph> g;
+    if (dut == "none") {
+      hw::connect(dev.port(0), dev.port(1));
+    } else {
+      dut::LegacySwitchConfig cfg;
+      cfg.num_ports = 2;
+      if (dut == "lossy") cfg.lookup_rate_mpps = 2.0;
+      cfg.seed = derive_seed(seed, 0x1090);
+      g.emplace(eng);
+      g->emplace<graph::LegacySwitchBlock>(eng, "dut", cfg);
+      dev.port(0).out_link().connect(g->input("dut", 0));
+      dev.port(1).out_link().connect(g->input("dut", 1));
+      g->connect_output("dut", 0, dev.port(0).rx());
+      g->connect_output("dut", 1, dev.port(1).rx());
+      g->start();
+    }
+    core::TrafficSpec spec;
+    spec.rate = gen::RateSpec::gbps(w.rate_gbps);
+    spec.frame_size = w.frame_size;
+    spec.arrivals = w.arrivals;
+    spec.seed = seed;
+    out.r = core::run_capture_test(eng, dev, 0, 1, spec, duration);
+  }
+  out.sim_json = telemetry::registry().to_json(telemetry::Snapshot::kSimOnly);
+  return out;
+}
+
+TEST(Topology, DutTopologyMatchesTheHandWiredTestbed) {
+  const bool was_enabled = telemetry::enabled();
+  telemetry::set_enabled(true);
+  constexpr std::uint64_t kSeed = 5;
+  constexpr Picos kDuration = 300 * kPicosPerMicro;
+  using Arrivals = core::TrafficSpec::Arrivals;
+  for (const char* dut : {"none", "legacy", "lossy"}) {
+    for (const Arrivals arrivals : {Arrivals::kCbr, Arrivals::kPoisson}) {
+      SCOPED_TRACE(std::string(dut) +
+                   (arrivals == Arrivals::kCbr ? " cbr" : " poisson"));
+      TopologyFile t = graph::dut_topology(dut);
+      t.workload.rate_gbps = 9.5;
+      t.workload.frame_size = 128;
+      t.workload.arrivals = arrivals;
+      const DutRun want = run_hand_wired(dut, t.workload, kSeed, kDuration);
+
+      telemetry::registry().reset();
+      DutRun got;
+      got.r = graph::run_topology_trial(t, kSeed, kDuration).cbr;
+      got.sim_json =
+          telemetry::registry().to_json(telemetry::Snapshot::kSimOnly);
+
+      EXPECT_GT(got.r.rx_frames, 0u);
+      EXPECT_EQ(got.r.tx_frames, want.r.tx_frames);
+      EXPECT_EQ(got.r.rx_frames, want.r.rx_frames);
+      EXPECT_EQ(got.r.captured, want.r.captured);
+      EXPECT_EQ(got.r.dma_drops, want.r.dma_drops);
+      EXPECT_EQ(got.r.offered_gbps, want.r.offered_gbps);
+      EXPECT_EQ(got.r.delivered_gbps, want.r.delivered_gbps);
+      EXPECT_EQ(got.r.latency_ns.samples(), want.r.latency_ns.samples());
+      EXPECT_EQ(got.r.jitter_ns.samples(), want.r.jitter_ns.samples());
+      EXPECT_EQ(got.sim_json, want.sim_json);
+    }
+  }
+  // The lossy switch's 2 Mpps lookup stage drops most of 8 Mpps.
+  TopologyFile lossy = graph::dut_topology("lossy");
+  lossy.workload.rate_gbps = 9.5;
+  lossy.workload.frame_size = 128;
+  EXPECT_GT(graph::run_topology_trial(lossy, kSeed, kDuration)
+                .cbr.loss_fraction(),
+            0.5);
+  telemetry::registry().reset();
+  telemetry::set_enabled(was_enabled);
 }
 
 }  // namespace

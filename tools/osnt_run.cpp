@@ -9,6 +9,8 @@
 //                       [--trace PATH] [--metrics-out PATH]
 //   osnt_run throughput [--frame-size N] [--resolution F] [--dut ...]
 //                       [--jobs N]
+//                       (latency and throughput run the --dut topology,
+//                       graph::dut_topology, like `topo`)
 //   osnt_run capture    [--rate-gbps N] [--snap N] [--flows N]
 //                       [--pcap-out PATH]
 //   osnt_run tcp        [--cc newreno|cubic|bbr] [--flows N]
@@ -51,14 +53,11 @@
 #include "osnt/core/measure.hpp"
 #include "osnt/core/rfc2544.hpp"
 #include "osnt/core/runner.hpp"
-#include "osnt/dut/legacy_switch.hpp"
 #include "osnt/fault/injector.hpp"
 #include "osnt/fault/plan.hpp"
 #include "osnt/gen/template_gen.hpp"
-#include "osnt/graph/dut_blocks.hpp"
-#include "osnt/graph/graph.hpp"
 #include "osnt/graph/topology.hpp"
-#include "osnt/net/builder.hpp"
+#include "osnt/hw/mac10g.hpp"
 #include "osnt/mon/flow_stats.hpp"
 #include "osnt/oflops/consistency.hpp"
 #include "osnt/oflops/context.hpp"
@@ -148,12 +147,15 @@ struct ObservabilityFlags {
     return true;
   }
 
+  /// Handler wall time rides along with --metrics-out only: timing reads
+  /// the host clock around every event.
+  [[nodiscard]] bool handler_timing() const { return !metrics_path.empty(); }
+
   /// Attach the recorder / handler timing to a trial engine. Only valid
-  /// for engines driven from one thread (the recorder is not thread-safe);
-  /// sharded sweeps must gate this on jobs == 1.
+  /// for engines driven from one thread (the recorder is not thread-safe).
   void attach(sim::Engine& eng) {
-    if (!trace_path.empty()) eng.set_trace(&rec);
-    if (!metrics_path.empty()) eng.set_handler_timing(true);
+    if (trace_enabled()) eng.set_trace(&rec);
+    eng.set_handler_timing(handler_timing());
   }
 
   /// Write the requested outputs; prints what was written. Returns false
@@ -197,15 +199,17 @@ struct ObservabilityFlags {
 }
 
 /// Flags and trial plumbing shared by the subcommands that run topology
-/// trials (tcp, topo): `--trials` independent runs at seeds base + i,
-/// sharded over `--jobs` resilient-runner workers, with an optional
-/// fault plan. Reports and series come back in plan order, so the output
-/// is identical at any --jobs value.
+/// trials (latency, tcp, topo): `--trials` independent runs at seeds
+/// base + i, sharded over `--jobs` resilient-runner workers, with an
+/// optional fault plan. Reports and series come back in plan order, so
+/// the output is identical at any --jobs value.
 struct TopologyTrials {
   std::int64_t count = 1;  ///< --trials
   std::int64_t jobs = 1;
   std::string faults_path;
   fault::FaultPlan plan;
+  /// Retries and watchdogs (latency sets them; `jobs` comes from --jobs).
+  core::RunnerConfig runner;
   std::vector<graph::TopologyTrialReport> reports;
   std::vector<core::TrialResult> outcomes;
 
@@ -243,12 +247,12 @@ struct TopologyTrials {
     tplan.run = [&](const core::TrialPoint& pt) {
       reports[pt.index] = graph::run_topology_trial(
           topo, pt.seed, duration, plan.events.empty() ? nullptr : &plan,
-          obs.trace_enabled() ? &obs.rec : nullptr, obs.series_interval());
+          obs.trace_enabled() ? &obs.rec : nullptr, obs.series_interval(),
+          obs.handler_timing());
       return core::TrialStats{};  // the report carries the results
     };
-    core::RunnerConfig rcfg;
-    rcfg.jobs = static_cast<std::size_t>(jobs < 0 ? 0 : jobs);
-    outcomes = core::Runner{rcfg}.run_resilient(tplan);
+    runner.jobs = static_cast<std::size_t>(jobs < 0 ? 0 : jobs);
+    outcomes = core::Runner{runner}.run_resilient(tplan);
     int rc = 0;
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
       const auto& tr = outcomes[i];
@@ -275,39 +279,17 @@ struct TopologyTrials {
   }
 };
 
-struct DutHolder {
-  std::unique_ptr<graph::Graph> g;
-};
-
-/// Wire OSNT port 0 → DUT → OSNT port 1 (or back-to-back for "none").
-/// The DUT is a one-node scenario graph, so the driver exercises the
-/// same seam the topology loader does.
-DutHolder wire(sim::Engine& eng, core::OsntDevice& osnt,
-               const std::string& dut) {
-  DutHolder h;
-  if (dut == "none") {
-    hw::connect(osnt.port(0), osnt.port(1));
-    return h;
+/// --dut as a topology. False after a stderr diagnostic on an unknown
+/// name.
+[[nodiscard]] bool load_dut(const std::string& dut,
+                            graph::TopologyFile& topo) {
+  try {
+    topo = graph::dut_topology(dut);
+  } catch (const graph::TopologyError& e) {
+    std::fprintf(stderr, "--dut: %s\n", e.what());
+    return false;
   }
-  dut::LegacySwitchConfig cfg;
-  if (dut == "lossy") cfg.lookup_rate_mpps = 2.0;
-  h.g = std::make_unique<graph::Graph>(eng);
-  h.g->emplace<graph::LegacySwitchBlock>(eng, "dut", cfg);
-  osnt.port(0).out_link().connect(h.g->input("dut", 0));
-  osnt.port(1).out_link().connect(h.g->input("dut", 1));
-  h.g->connect_output("dut", 0, osnt.port(0).rx());
-  h.g->connect_output("dut", 1, osnt.port(1).rx());
-  h.g->start();
-  // Prime MAC learning for the monitor-side address.
-  net::PacketBuilder b;
-  (void)osnt.port(1).tx().transmit(
-      b.eth(net::MacAddr::from_index(2), net::MacAddr::from_index(1))
-          .ipv4(net::Ipv4Addr::of(10, 0, 1, 1), net::Ipv4Addr::of(10, 0, 0, 1),
-                net::ipproto::kUdp)
-          .udp(5001, 1024)
-          .build());
-  eng.run();
-  return h;
+  return true;
 }
 
 int cmd_latency(int argc, const char* const* argv) {
@@ -315,8 +297,8 @@ int cmd_latency(int argc, const char* const* argv) {
   std::int64_t frame_size = 256;
   std::string dut = "legacy";
   bool poisson = false;
-  std::string faults_path;
   std::int64_t retries = 0, event_budget = 0, wall_deadline_ms = 0;
+  TopologyTrials trials;
   ObservabilityFlags obs;
   CliParser cli{"osnt_run latency — one-way latency/jitter through a DUT"};
   cli.add_flag("rate-gbps", &rate_gbps, "offered L1 rate");
@@ -324,7 +306,7 @@ int cmd_latency(int argc, const char* const* argv) {
   cli.add_flag("duration-ms", &duration_ms, "simulated test duration");
   cli.add_flag("dut", &dut, "device under test: none|legacy|lossy");
   cli.add_flag("poisson", &poisson, "Poisson arrivals instead of CBR");
-  cli.add_flag("faults", &faults_path, "JSON fault plan to inject");
+  cli.add_flag("faults", &trials.faults_path, "JSON fault plan to inject");
   cli.add_flag("retries", &retries,
                "deterministic retries after a failed trial");
   cli.add_flag("event-budget", &event_budget,
@@ -335,85 +317,30 @@ int cmd_latency(int argc, const char* const* argv) {
   obs.add_series_to(cli);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
   if (!obs.validate_series()) return 1;
+  graph::TopologyFile topo;
+  if (!load_dut(dut, topo) || !trials.prepare(obs)) return 1;
 
-  fault::FaultPlan fplan;
-  if (!load_fault_plan(faults_path, fplan)) return 1;
-
-  core::RunResult r;
-  telemetry::SeriesData sdata;
-
-  // Phrased as a one-point trial plan: the testbed lives inside the trial
-  // (so telemetry shards flush before the snapshot below) and the runner
-  // contributes its own metric family to --metrics-out.
-  core::TrialPlan plan;
-  plan.points.resize(1);
-  plan.run = [&](const core::TrialPoint& pt) {
-    sim::Engine eng;
-    obs.attach(eng);
-    core::OsntDevice osnt{eng};
-    auto holder = wire(eng, osnt, dut);
-
-    std::unique_ptr<fault::Injector> inj;
-    if (!fplan.events.empty()) {
-      inj = std::make_unique<fault::Injector>(eng, fplan);
-      inj->attach_device(osnt);
-      inj->arm();
-    }
-
-    const Picos duration = from_micros(duration_ms * 1000.0);
-    // Sim-time sampler over the monitor pipeline: the in-plane view of
-    // the run as it unfolds, not just end-of-run totals.
-    std::unique_ptr<telemetry::TimeSeries> series;
-    if (const Picos ival = obs.series_interval(); ival > 0) {
-      series = std::make_unique<telemetry::TimeSeries>(ival);
-      const mon::RxPipeline& rx = osnt.rx(1);
-      series->add_counter("mon.rx.frames_seen", [&rx] { return rx.seen(); });
-      series->add_counter("mon.rx.captured", [&rx] { return rx.captured(); });
-      series->add_counter("mon.rx.dma_drops",
-                          [&rx] { return rx.dma_drops(); });
-      series->add_histogram("mon.rx.rtt.ns",
-                            [&rx] { return rx.rtt_probe().merged(); });
-      series->attach(eng, duration);
-    }
-
-    core::TrafficSpec spec;
-    spec.rate = gen::RateSpec::gbps(rate_gbps);
-    spec.frame_size = static_cast<std::size_t>(frame_size);
-    spec.seed = pt.seed;
-    if (poisson) spec.arrivals = core::TrafficSpec::Arrivals::kPoisson;
-    r = core::run_capture_test(eng, osnt, 0, 1, spec, duration);
-    if (series) {
-      series->finish();
-      sdata = series->take();
-    }
-    core::TrialStats s;
-    s.tx_frames = r.tx_frames;
-    s.rx_frames = r.rx_frames;
-    s.offered_gbps = r.offered_gbps;
-    return s;
-  };
-
-  core::RunnerConfig rcfg;
-  rcfg.max_attempts =
+  graph::WorkloadSpec& w = topo.workload;
+  w.rate_gbps = rate_gbps;
+  w.frame_size = static_cast<std::size_t>(frame_size);
+  if (poisson) w.arrivals = core::TrafficSpec::Arrivals::kPoisson;
+  trials.runner.max_attempts =
       static_cast<std::uint32_t>(retries < 0 ? 0 : retries) + 1;
-  rcfg.event_budget =
+  trials.runner.event_budget =
       static_cast<std::uint64_t>(event_budget < 0 ? 0 : event_budget);
-  rcfg.wall_deadline_ms =
+  trials.runner.wall_deadline_ms =
       static_cast<std::uint64_t>(wall_deadline_ms < 0 ? 0 : wall_deadline_ms);
-  const auto outcomes = core::Runner{rcfg}.run_resilient(plan);
-  const auto& tr = outcomes.front();
-  if (!tr.ok()) {
-    std::fprintf(stderr, "trial %s after %u attempt(s): %s\n",
-                 core::trial_outcome_name(tr.outcome), tr.attempts,
-                 tr.error.c_str());
-    return 1;
-  }
+  const int rc = trials.run(topo, /*base_seed=*/1,
+                            from_micros(duration_ms * 1000.0), obs);
+  if (rc != 0) return rc;  // a failed trial has no report to print
+  const core::TrialResult& tr = trials.outcomes.front();
   if (tr.outcome == core::TrialOutcome::kRetried) {
     std::printf("degraded: ok on attempt %u (rederived seed %llu)\n",
                 tr.attempts,
                 static_cast<unsigned long long>(tr.seed_used));
   }
 
+  const core::RunResult& r = trials.reports.front().cbr;
   std::printf("tx %llu  rx %llu  loss %.4f%%  offered %.3f Gb/s\n",
               static_cast<unsigned long long>(r.tx_frames),
               static_cast<unsigned long long>(r.rx_frames),
@@ -423,8 +350,7 @@ int cmd_latency(int argc, const char* const* argv) {
               r.latency_ns.quantile(0.99), r.latency_ns.max());
   std::printf("jitter ns:  p50 %.2f p99 %.2f\n", r.jitter_ns.quantile(0.5),
               r.jitter_ns.quantile(0.99));
-  if (!obs.write_series(sdata)) return 1;
-  return obs.finish() ? 0 : 1;
+  return trials.finish(rc, obs);
 }
 
 int cmd_throughput(int argc, const char* const* argv) {
@@ -448,23 +374,24 @@ int cmd_throughput(int argc, const char* const* argv) {
     std::fprintf(stderr, "--trace requires --jobs 1\n");
     return 1;
   }
+  graph::TopologyFile topo;
+  if (!load_dut(dut, topo)) return 1;
 
-  // Each trial builds a pristine testbed, so the sweep can shard across
-  // cores; output is identical for any --jobs value.
-  const core::Trial trial = [&dut, &obs](const core::TrialPoint& pt) {
-    sim::Engine eng;
-    obs.attach(eng);
-    core::OsntDevice osnt{eng};
-    auto holder = wire(eng, osnt, dut);
-    core::TrafficSpec spec;
-    spec.rate = gen::RateSpec::line_rate(pt.load_fraction);
-    spec.frame_size = pt.frame_size;
-    const auto r = core::run_capture_test(eng, osnt, 0, 1, spec, kPicosPerMilli);
+  // Each probe is one topology trial at its load and size, so the sweep
+  // can shard across cores; output is identical for any --jobs value.
+  const core::Trial trial = [&topo, &obs](const core::TrialPoint& pt) {
+    graph::TopologyFile t = topo;
+    t.workload.rate_gbps = pt.load_fraction * hw::TxMacConfig{}.gbps;
+    t.workload.frame_size = pt.frame_size;
+    graph::TopologyTrialReport rep = graph::run_topology_trial(
+        t, pt.seed, kPicosPerMilli, /*plan=*/nullptr,
+        obs.trace_enabled() ? &obs.rec : nullptr, /*series_interval=*/0,
+        obs.handler_timing());
     core::TrialStats s;
-    s.tx_frames = r.tx_frames;
-    s.rx_frames = r.rx_frames;
-    s.offered_gbps = r.offered_gbps;
-    s.latency_ns = r.latency_ns;
+    s.tx_frames = rep.cbr.tx_frames;
+    s.rx_frames = rep.cbr.rx_frames;
+    s.offered_gbps = rep.cbr.offered_gbps;
+    s.latency_ns = std::move(rep.cbr.latency_ns);
     return s;
   };
 
