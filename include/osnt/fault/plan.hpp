@@ -29,11 +29,13 @@ enum class FaultKind : std::uint8_t {
 };
 inline constexpr std::size_t kFaultKindCount = 8;
 
+/// The JSON "type" names, in FaultKind order.
+inline constexpr const char* kFaultKindNames[kFaultKindCount] = {
+    "link_flap",       "ber_window", "latency_spike", "dma_stall",
+    "ctrl_disconnect", "gps_loss",   "rate_limit",    "queue_cap"};
+
 [[nodiscard]] constexpr const char* fault_kind_name(FaultKind k) noexcept {
-  constexpr const char* kNames[kFaultKindCount] = {
-      "link_flap", "ber_window",      "latency_spike", "dma_stall",
-      "ctrl_disconnect", "gps_loss",  "rate_limit",    "queue_cap"};
-  return kNames[static_cast<std::size_t>(k)];
+  return kFaultKindNames[static_cast<std::size_t>(k)];
 }
 
 /// One scheduled fault. Fields beyond {kind, at, duration} apply only to

@@ -73,7 +73,7 @@ struct EdgeSpec {
 
 /// The traffic that drives the graph.
 struct WorkloadSpec {
-  enum class Kind : std::uint8_t { kNone, kTcp, kCbr, kBurst };
+  enum class Kind : std::uint8_t { kNone, kTcp, kCbr };
   Kind kind = Kind::kNone;
 
   Endpoint ingress;  ///< where device TX enters the graph
@@ -101,11 +101,6 @@ struct WorkloadSpec {
   std::uint32_t flow_count = 1;
   /// Inter-departure model: "cbr" (constant gaps) or "poisson".
   core::TrafficSpec::Arrivals arrivals = core::TrafficSpec::Arrivals::kCbr;
-
-  // --- burst (graph-native: a burst_source named "burst_workload" is
-  // emplaced at `ingress` and a "burst_sink" behind `egress`) ---
-  burst::PatternConfig burst{};
-  bool burst_batched = true;
 };
 
 /// A parsed, validated topology file. Pure data until build() is called.
@@ -122,7 +117,9 @@ struct TopologyFile {
   std::vector<EdgeSpec> edges;
   WorkloadSpec workload;
 
-  /// Parse + validate. Throws TopologyError with file positions.
+  /// Parse + validate: fields, validate_workload()'s checks (positioned
+  /// at the offending stanza), then wiring. Throws TopologyError, with
+  /// the file position when one applies.
   [[nodiscard]] static TopologyFile from_json(const std::string& text);
   [[nodiscard]] static TopologyFile load(const std::string& path);
 
@@ -153,14 +150,6 @@ struct BlockCounters {
 struct TopologyTrialReport {
   tcp::TcpTrialReport tcp{};  ///< meaningful when workload.kind == kTcp
   core::RunResult cbr{};      ///< meaningful when workload.kind == kCbr
-  /// Meaningful when workload.kind == kBurst.
-  struct BurstReport {
-    std::uint64_t frames = 0;    ///< frames the burst_workload source emitted
-    std::uint64_t bursts = 0;    ///< emission events (batched: one per burst)
-    std::uint64_t tx_bytes = 0;  ///< wire bytes emitted (incl. FCS)
-    std::uint64_t rx_frames = 0; ///< frames that reached burst_sink
-    std::uint64_t rx_bytes = 0;
-  } burst{};
   std::vector<BlockCounters> blocks;
   std::uint64_t graph_frames_in = 0;
   std::uint64_t graph_drops = 0;
@@ -172,17 +161,16 @@ struct TopologyTrialReport {
 /// against the topology's block declarations without building anything:
 /// rate_limit must name a token_bucket; queue_cap a fifo_queue, red, or
 /// token_bucket. Throws TopologyError with a did-you-mean suggestion on
-/// an unknown or wrongly-typed target. Backs `osnt_run topo
-/// --validate-only`, so a bad chaos plan fails in CI, not mid-campaign.
+/// an unknown or wrongly-typed target. osnt_run calls it before the first
+/// trial, so a bad chaos plan fails up front, not once per trial.
 void validate_fault_targets(const TopologyFile& topo,
                             const fault::FaultPlan& plan);
 
 /// Semantic workload validation beyond parse-time shape checks: tcp cc
-/// names (with did-you-mean), cbr rate/frame-size ranges, and burst
-/// pattern configs — both the `burst` workload stanza and every
-/// burst_source block. Throws TopologyError. Backs `osnt_run topo
-/// --validate-only`, so a stanza that would only explode at build time
-/// fails the dry run instead.
+/// names (with did-you-mean), mss, cbr rate/frame-size ranges, and every
+/// burst_source block's pattern. Throws TopologyError. from_json() runs
+/// the same checks; callers that fill a workload in code (osnt_run's
+/// flags) call this before the first trial.
 void validate_workload(const TopologyFile& topo);
 
 /// The topology behind `osnt_run latency|throughput --dut NAME`, with a

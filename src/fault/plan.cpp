@@ -1,161 +1,22 @@
 #include "osnt/fault/plan.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <algorithm>
+#include <cstdio>
+#include <limits>
 #include <utility>
 
-#include "osnt/common/cli.hpp"
 #include "osnt/common/json.hpp"
 
 namespace osnt::fault {
 namespace {
 
-// Plans parse through the shared strict JSON reader (osnt::json, also
-// behind topology files); its positioned ParseError is rethrown as
-// PlanError so fault-plan callers keep a single exception type.
 using Json = json::Value;
+using Type = json::Value::Type;
 
-// ---------------------------------------------------------------------------
-// Schema mapping
-// ---------------------------------------------------------------------------
-
-/// Schema failure for event `i`. When the offending JSON node (or its
-/// enclosing event object) is at hand, the error carries its
-/// line/column, matching the topology loader's diagnostics.
-[[noreturn]] void bad_event(std::size_t i, const std::string& why,
-                            const Json* at = nullptr) {
-  std::string msg = "fault plan event " + std::to_string(i) + ": " + why;
-  if (at != nullptr && at->line > 0) msg += " (" + at->where() + ")";
-  throw PlanError(msg);
-}
-
-double number_field(const Json& ev, const std::string& key, std::size_t i) {
-  const Json* v = ev.find(key);
-  if (!v || v->type != Json::Type::kNumber) {
-    bad_event(i, "'" + key + "' must be a number", v ? v : &ev);
-  }
-  return v->number;
-}
-
-std::string string_field(const Json& ev, const std::string& key,
-                         std::size_t i) {
-  const Json* v = ev.find(key);
-  if (!v || v->type != Json::Type::kString) {
-    bad_event(i, "'" + key + "' must be a string", v ? v : &ev);
-  }
-  return v->string;
-}
-
-/// Reads `<base>_ns` / `<base>_us` / `<base>_ms` (at most one may appear)
-/// into picoseconds. Returns `fallback` when absent and not required.
-Picos time_field(const Json& ev, const std::string& base, std::size_t i,
-                 bool required, Picos fallback = 0) {
-  static constexpr struct {
-    const char* suffix;
-    double to_ps;
-  } kUnits[] = {{"_ns", 1e3}, {"_us", 1e6}, {"_ms", 1e9}};
-  const Json* found = nullptr;
-  double scale = 0.0;
-  for (const auto& u : kUnits) {
-    if (const Json* v = ev.find(base + u.suffix)) {
-      if (found) {
-        bad_event(i, "'" + base + "' given in more than one unit", v);
-      }
-      found = v;
-      scale = u.to_ps;
-    }
-  }
-  if (!found) {
-    if (required) {
-      bad_event(i, "missing required field '" + base + "_us'", &ev);
-    }
-    return fallback;
-  }
-  if (found->type != Json::Type::kNumber) {
-    bad_event(i, "'" + base + "' must be a number", found);
-  }
-  const double ps = found->number * scale;
-  if (ps < 0 || ps > 9.2e18) {
-    bad_event(i, "'" + base + "' out of range", found);
-  }
-  return static_cast<Picos>(ps);
-}
-
-std::vector<std::string> kind_names() {
-  std::vector<std::string> names;
-  names.reserve(kFaultKindCount);
-  for (std::size_t k = 0; k < kFaultKindCount; ++k) {
-    names.emplace_back(fault_kind_name(static_cast<FaultKind>(k)));
-  }
-  return names;
-}
-
-FaultKind kind_of(const std::string& type, std::size_t i,
-                  const Json* at) {
-  for (std::size_t k = 0; k < kFaultKindCount; ++k) {
-    if (type == fault_kind_name(static_cast<FaultKind>(k))) {
-      return static_cast<FaultKind>(k);
-    }
-  }
-  const std::vector<std::string> known = kind_names();
-  std::string msg = "unknown type '" + type + "'";
-  const std::string hint = suggest_nearest(type, known);
-  if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
-  msg += " — known:";
-  for (std::size_t k = 0; k < known.size(); ++k) {
-    msg += std::string(k ? ", " : " ") + known[k];
-  }
-  bad_event(i, msg, at);
-}
-
-/// The keys each fault kind understands beyond "type"; anything else in
-/// the event object is a hard error (typos must not silently no-op), with
-/// the offending key's position and a did-you-mean over the allowed set.
-void check_keys(const Json& ev, FaultKind kind, std::size_t i) {
-  std::vector<std::string> allowed = {
-      "type",        "at_ns",       "at_us",       "at_ms",
-      "duration_ns", "duration_us", "duration_ms"};
-  switch (kind) {
-    case FaultKind::kLinkFlap:
-      allowed.emplace_back("link");
-      break;
-    case FaultKind::kBerWindow:
-      for (const char* k : {"link", "ber", "ramp_ns", "ramp_us", "ramp_ms"}) {
-        allowed.emplace_back(k);
-      }
-      break;
-    case FaultKind::kLatencySpike:
-      for (const char* k : {"link", "extra_ns", "extra_us", "extra_ms"}) {
-        allowed.emplace_back(k);
-      }
-      break;
-    case FaultKind::kDmaStall:
-    case FaultKind::kCtrlDisconnect:
-    case FaultKind::kGpsLoss:
-      break;
-    case FaultKind::kRateLimit:
-      for (const char* k : {"target", "rate_gbps", "burst_bytes", "ramp_ns",
-                            "ramp_us", "ramp_ms"}) {
-        allowed.emplace_back(k);
-      }
-      break;
-    case FaultKind::kQueueCap:
-      for (const char* k : {"target", "queue_frames"}) {
-        allowed.emplace_back(k);
-      }
-      break;
-  }
-  for (const auto& [k, v] : ev.object) {
-    if (std::find(allowed.begin(), allowed.end(), k) != allowed.end()) {
-      continue;
-    }
-    std::string msg = "unknown key '" + k + "' for type '" +
-                      std::string(fault_kind_name(kind)) + "'";
-    const std::string hint = suggest_nearest(k, allowed);
-    if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
-    bad_event(i, msg, &v);
-  }
+/// Validation failure for event `i`. Parse failures come from json::Reader
+/// instead, positioned at the offending value.
+[[noreturn]] void bad_event(std::size_t i, const std::string& why) {
+  throw PlanError("fault plan event " + std::to_string(i) + ": " + why);
 }
 
 }  // namespace
@@ -287,83 +148,78 @@ void FaultPlan::normalize() {
 }
 
 FaultPlan FaultPlan::from_json(const std::string& text) {
-  const Json root = [&text] {
-    try {
-      return json::parse(text, "fault plan JSON");
-    } catch (const json::ParseError& e) {
-      throw PlanError(e.what());
-    }
-  }();
-  if (root.type != Json::Type::kObject) {
-    throw PlanError("fault plan JSON: root must be an object");
-  }
-  for (const auto& [k, v] : root.object) {
-    (void)v;
-    if (k != "seed" && k != "events") {
-      throw PlanError("fault plan JSON: unknown top-level key '" + k + "'");
-    }
-  }
+  // Plans parse through the shared strict reader (osnt::json, also behind
+  // topology files); its positioned ParseError is rethrown as PlanError so
+  // fault-plan callers keep a single exception type.
   FaultPlan plan;
-  if (const Json* seed = root.find("seed")) {
-    if (seed->type != Json::Type::kNumber || seed->number < 0) {
-      throw PlanError("fault plan JSON: 'seed' must be a non-negative number");
-    }
-    plan.seed = static_cast<std::uint64_t>(seed->number);
-  }
-  const Json* events = root.find("events");
-  if (!events || events->type != Json::Type::kArray) {
-    throw PlanError("fault plan JSON: 'events' array is required");
-  }
-  for (std::size_t i = 0; i < events->array.size(); ++i) {
-    const Json& ev = events->array[i];
-    if (ev.type != Json::Type::kObject) {
-      bad_event(i, "must be an object", &ev);
-    }
-    const Json* type = ev.find("type");
-    if (!type || type->type != Json::Type::kString) {
-      bad_event(i, "'type' string is required", type ? type : &ev);
-    }
-    FaultEvent e;
-    e.kind = kind_of(type->string, i, type);
-    check_keys(ev, e.kind, i);
-    e.at = time_field(ev, "at", i, /*required=*/true);
-    e.duration = time_field(ev, "duration", i, /*required=*/false);
-    if (const Json* link = ev.find("link")) {
-      if (link->type != Json::Type::kNumber || link->number < 0 ||
-          link->number != std::floor(link->number)) {
-        bad_event(i, "'link' must be a non-negative integer", link);
+  try {
+    const Json root = json::parse(text, "fault plan JSON");
+    const json::Reader r{root, "fault plan"};
+    r.allow({"seed", "events"});
+    plan.seed = r.count("seed", plan.seed);
+    const Json& events = r.need("events", Type::kArray);
+    for (std::size_t i = 0; i < events.array.size(); ++i) {
+      char who[48];
+      std::snprintf(who, sizeof who, "fault plan event %zu", i);
+      const json::Reader ev{events.array[i], who};
+      FaultEvent e;
+      e.kind = static_cast<FaultKind>(ev.need_choice("type", kFaultKindNames));
+      switch (e.kind) {
+        case FaultKind::kLinkFlap:
+          ev.allow({"type", "link"}, {"at", "duration"});
+          break;
+        case FaultKind::kBerWindow:
+          ev.allow({"type", "link", "ber"}, {"at", "duration", "ramp"});
+          break;
+        case FaultKind::kLatencySpike:
+          ev.allow({"type", "link"}, {"at", "duration", "extra"});
+          break;
+        case FaultKind::kDmaStall:
+        case FaultKind::kCtrlDisconnect:
+        case FaultKind::kGpsLoss:
+          ev.allow({"type"}, {"at", "duration"});
+          break;
+        case FaultKind::kRateLimit:
+          ev.allow({"type", "target", "rate_gbps", "burst_bytes"},
+                   {"at", "duration", "ramp"});
+          break;
+        case FaultKind::kQueueCap:
+          ev.allow({"type", "target", "queue_frames"}, {"at", "duration"});
+          break;
       }
-      e.link = static_cast<int>(link->number);
-    }
-    if (e.kind == FaultKind::kBerWindow) {
-      e.ber = number_field(ev, "ber", i);
-      e.ramp = time_field(ev, "ramp", i, /*required=*/false);
-    }
-    if (e.kind == FaultKind::kLatencySpike) {
-      e.extra_delay = time_field(ev, "extra", i, /*required=*/true);
-    }
-    if (e.kind == FaultKind::kRateLimit) {
-      e.target = string_field(ev, "target", i);
-      e.rate_gbps = number_field(ev, "rate_gbps", i);
-      e.ramp = time_field(ev, "ramp", i, /*required=*/false);
-      if (const Json* burst = ev.find("burst_bytes")) {
-        if (burst->type != Json::Type::kNumber || burst->number < 1 ||
-            burst->number != std::floor(burst->number)) {
-          bad_event(i, "'burst_bytes' must be a positive integer", burst);
-        }
-        e.burst_bytes = static_cast<std::int64_t>(burst->number);
+      // Keys a kind does not allow are absent, so optional reads are safe
+      // for every kind.
+      e.at = ev.need_time("at");
+      e.duration = ev.time("duration", 0);
+      e.ramp = ev.time("ramp", 0);
+      if (ev.get("link", Type::kNumber)) {
+        e.link = static_cast<int>(
+            ev.count("link", 0, std::numeric_limits<int>::max()));
       }
-    }
-    if (e.kind == FaultKind::kQueueCap) {
-      e.target = string_field(ev, "target", i);
-      const double frames = number_field(ev, "queue_frames", i);
-      if (frames < 1 || frames != std::floor(frames)) {
-        bad_event(i, "'queue_frames' must be a positive integer",
-                  ev.find("queue_frames"));
+      if (ev.get("burst_bytes", Type::kNumber)) {
+        e.burst_bytes = static_cast<std::int64_t>(ev.count(
+            "burst_bytes", 0, std::numeric_limits<std::int64_t>::max()));
       }
-      e.queue_frames = static_cast<std::size_t>(frames);
+      if (e.kind == FaultKind::kBerWindow) {
+        e.ber = ev.need("ber", Type::kNumber).number;
+      }
+      if (e.kind == FaultKind::kLatencySpike) {
+        e.extra_delay = ev.need_time("extra");
+      }
+      if (e.kind == FaultKind::kRateLimit || e.kind == FaultKind::kQueueCap) {
+        e.target = ev.need("target", Type::kString).string;
+      }
+      if (e.kind == FaultKind::kRateLimit) {
+        e.rate_gbps = ev.need("rate_gbps", Type::kNumber).number;
+      }
+      if (e.kind == FaultKind::kQueueCap) {
+        (void)ev.need("queue_frames", Type::kNumber);
+        e.queue_frames = ev.count("queue_frames", 0);
+      }
+      plan.events.push_back(e);
     }
-    plan.events.push_back(e);
+  } catch (const json::ParseError& e) {
+    throw PlanError(e.what());
   }
   plan.normalize();
   return plan;

@@ -1,6 +1,9 @@
 #include "osnt/graph/topology.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdio>
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -17,395 +20,246 @@ namespace osnt::graph {
 namespace {
 
 using Json = json::Value;
+using Type = json::Value::Type;
 
-[[noreturn]] void fail(const std::string& why, const Json* at = nullptr) {
-  std::string msg = "topology: " + why;
-  if (at && at->line > 0) msg += " (" + at->where() + ")";
-  throw TopologyError(msg);
+[[noreturn]] void fail(const std::string& why) {
+  throw TopologyError("topology: " + why);
 }
 
-std::string type_name(Json::Type t) {
-  switch (t) {
-    case Json::Type::kNull: return "null";
-    case Json::Type::kBool: return "bool";
-    case Json::Type::kNumber: return "number";
-    case Json::Type::kString: return "string";
-    case Json::Type::kArray: return "array";
-    case Json::Type::kObject: return "object";
-  }
-  return "?";
-}
-
-const Json& need(const Json& obj, const std::string& key, Json::Type t,
-                 const std::string& who) {
-  const Json* v = obj.find(key);
-  if (!v) fail(who + ": missing required key '" + key + "'", &obj);
-  if (!v->is(t)) {
-    fail(who + ": '" + key + "' must be a " + type_name(t) + ", got " +
-             type_name(v->type),
-         v);
-  }
-  return *v;
-}
-
-double number_or(const Json& obj, const std::string& key, double fallback,
-                 const std::string& who) {
-  const Json* v = obj.find(key);
-  if (!v) return fallback;
-  if (!v->is(Json::Type::kNumber)) {
-    fail(who + ": '" + key + "' must be a number", v);
-  }
-  return v->number;
-}
-
-std::size_t count_or(const Json& obj, const std::string& key,
-                     std::size_t fallback, const std::string& who) {
-  const double d = number_or(obj, key, static_cast<double>(fallback), who);
-  if (d < 0 || d != static_cast<double>(static_cast<std::uint64_t>(d))) {
-    fail(who + ": '" + key + "' must be a non-negative integer",
-         obj.find(key));
-  }
-  return static_cast<std::size_t>(d);
-}
-
-bool bool_or(const Json& obj, const std::string& key, bool fallback,
-             const std::string& who) {
-  const Json* v = obj.find(key);
-  if (!v) return fallback;
-  if (!v->is(Json::Type::kBool)) fail(who + ": '" + key + "' must be a bool", v);
-  return v->boolean;
-}
-
-std::string string_or(const Json& obj, const std::string& key,
-                      const std::string& fallback, const std::string& who) {
-  const Json* v = obj.find(key);
-  if (!v) return fallback;
-  if (!v->is(Json::Type::kString)) {
-    fail(who + ": '" + key + "' must be a string", v);
-  }
-  return v->string;
-}
-
-/// Optional string key restricted to `names` (the first is the
-/// default); anything else is a hard error with a did-you-mean. Returns
-/// the index into `names`.
-std::size_t choice_or(const Json& obj, const std::string& key,
-                      const std::vector<std::string>& names,
-                      const std::string& who) {
-  const std::string v = string_or(obj, key, names.front(), who);
-  const auto it = std::find(names.begin(), names.end(), v);
-  if (it != names.end()) return static_cast<std::size_t>(it - names.begin());
-  std::string msg = who + ": unknown " + key + " '" + v + "'";
-  const std::string hint = suggest_nearest(v, names);
-  if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
-  fail(msg, obj.find(key));
-}
-
-/// `<base>_ns` / `<base>_us` / `<base>_ms`, at most one unit (the same
-/// convention as fault plans). Returns `fallback` when absent.
-Picos time_or(const Json& obj, const std::string& base, Picos fallback,
-              const std::string& who) {
-  static constexpr struct {
-    const char* suffix;
-    double to_ps;
-  } kUnits[] = {{"_ns", 1e3}, {"_us", 1e6}, {"_ms", 1e9}};
-  const Json* found = nullptr;
-  double scale = 0.0;
-  for (const auto& u : kUnits) {
-    if (const Json* v = obj.find(base + u.suffix)) {
-      if (found) fail(who + ": '" + base + "' given in more than one unit", v);
-      found = v;
-      scale = u.to_ps;
+/// The semantic workload checks behind validate_workload(). The loader
+/// runs them too, so a file's error carries its stanza's position.
+/// `bad(why)` must throw.
+template <class Bad>
+void check_workload(const WorkloadSpec& w, const Bad& bad) {
+  if (w.kind == WorkloadSpec::Kind::kTcp) {
+    static const std::vector<std::string> kCc = {"newreno", "cubic", "bbr"};
+    if (std::find(kCc.begin(), kCc.end(), w.cc) == kCc.end()) {
+      const std::string hint = suggest_nearest(w.cc, kCc);
+      bad("unknown cc '" + w.cc + "' (" +
+          (hint.empty() ? "known: newreno cubic bbr"
+                        : "did you mean '" + hint + "'?") +
+          ")");
+    }
+    if (w.mss == 0) bad("'mss' must be positive");
+    if (w.mss > tcp::kMaxMss) {
+      bad("'mss' must be at most " + std::to_string(tcp::kMaxMss) + " (a " +
+          std::to_string(net::kEthMaxFrame) + " B frame less " +
+          std::to_string(net::kEthFcsLen) + " B FCS and " +
+          std::to_string(tcp::kSegmentHeaderLen) + " B of headers), got " +
+          std::to_string(w.mss));
+    }
+    if (w.bottleneck_gbps < 0) bad("'bottleneck_gbps' must not be negative");
+  } else if (w.kind == WorkloadSpec::Kind::kCbr) {
+    if (!(w.rate_gbps > 0)) bad("'rate_gbps' must be positive");
+    if (w.frame_size < net::kEthMinFrame ||
+        w.frame_size > net::kEthMaxFrame) {
+      bad("'frame_size' must be in [64, 1518], got " +
+          std::to_string(w.frame_size));
     }
   }
-  if (!found) return fallback;
-  if (!found->is(Json::Type::kNumber)) {
-    fail(who + ": '" + base + "' must be a number", found);
-  }
-  const double ps = found->number * scale;
-  if (ps < 0 || ps > 9.2e18) fail(who + ": '" + base + "' out of range", found);
-  return static_cast<Picos>(ps);
 }
 
-/// Every key in `obj` must be allowed; anything else is a hard error
-/// with a did-you-mean when the typo is close.
-void check_keys(const Json& obj, const std::vector<std::string>& allowed,
-                const std::string& who) {
-  for (const auto& [k, v] : obj.object) {
-    if (std::find(allowed.begin(), allowed.end(), k) != allowed.end()) {
-      continue;
-    }
-    std::string msg = who + ": unknown key '" + k + "'";
-    const std::string hint = suggest_nearest(k, allowed);
-    if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
-    fail(msg, &v);
+template <class Bad>
+void check_pattern(const burst::PatternConfig& p, const Bad& bad) {
+  try {
+    p.validate();
+  } catch (const burst::BurstError& e) {
+    bad(e.what());
   }
 }
 
-std::vector<std::string> with_time_units(std::vector<std::string> keys,
-                                         std::initializer_list<const char*>
-                                             bases) {
-  for (const char* base : bases) {
-    for (const char* suffix : {"_ns", "_us", "_ms"}) {
-      keys.push_back(std::string(base) + suffix);
-    }
-  }
-  return keys;
-}
-
-/// Pattern fields shared by burst_source blocks and the burst workload
-/// stanza. `extra` carries the caller's structural keys ("name"/"type" or
-/// "kind"/"ingress"/...); the allowed set is per-pattern, so a strobe
-/// stanza with an `alpha` key fails like any other unknown key.
-burst::PatternConfig parse_burst_pattern(const Json& obj,
-                                         std::vector<std::string> extra,
-                                         const std::string& who) {
-  burst::PatternConfig cfg;
-  const std::string pname =
-      need(obj, "pattern", Json::Type::kString, who).string;
-  const auto& names = burst::known_patterns();
-  if (std::find(names.begin(), names.end(), pname) == names.end()) {
-    std::string msg = who + ": unknown burst pattern '" + pname + "'";
-    const std::string hint = suggest_nearest(pname, names);
-    if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
-    fail(msg, obj.find("pattern"));
-  }
-  cfg.pattern = burst::pattern_from_name(pname);
-
-  std::vector<std::string> keys = std::move(extra);
-  for (const char* k : {"pattern", "rate_gbps", "frame_size", "flows", "l4"}) {
-    keys.emplace_back(k);
-  }
-  switch (cfg.pattern) {
-    case burst::Pattern::kOnOff:
-      keys = with_time_units(std::move(keys), {"period"});
-      keys.emplace_back("duty");
-      break;
-    case burst::Pattern::kStrobe:
-      keys = with_time_units(std::move(keys), {"period"});
-      keys.emplace_back("pulse_frames");
-      break;
-    case burst::Pattern::kHeavyTail:
-      keys = with_time_units(std::move(keys), {"mean_on", "mean_off"});
-      keys.emplace_back("alpha");
-      break;
-    case burst::Pattern::kAmplification:
-      keys = with_time_units(std::move(keys), {"period"});
-      for (const char* k : {"duty", "attackers", "request_size", "amp_factor"}) {
-        keys.emplace_back(k);
-      }
-      break;
-  }
-  check_keys(obj, keys, who);
-
-  cfg.rate_gbps = number_or(obj, "rate_gbps", cfg.rate_gbps, who);
-  cfg.frame_size = count_or(obj, "frame_size", cfg.frame_size, who);
-  cfg.flows = count_or(obj, "flows", cfg.flows, who);
-  cfg.l4 = choice_or(obj, "l4", {"udp", "tcp_syn"}, who) == 0
-               ? burst::L4::kUdp
-               : burst::L4::kTcpSyn;
-  cfg.period = time_or(obj, "period", cfg.period, who);
-  cfg.duty = number_or(obj, "duty", cfg.duty, who);
-  cfg.pulse_frames = count_or(obj, "pulse_frames", cfg.pulse_frames, who);
-  cfg.alpha = number_or(obj, "alpha", cfg.alpha, who);
-  cfg.mean_on = time_or(obj, "mean_on", cfg.mean_on, who);
-  cfg.mean_off = time_or(obj, "mean_off", cfg.mean_off, who);
-  cfg.attackers = count_or(obj, "attackers", cfg.attackers, who);
-  cfg.request_size = count_or(obj, "request_size", cfg.request_size, who);
-  cfg.amp_factor = number_or(obj, "amp_factor", cfg.amp_factor, who);
-  return cfg;
-}
-
-Endpoint parse_endpoint(const Json& v, const std::string& who) {
-  if (!v.is(Json::Type::kString)) {
-    fail(who + ": endpoint must be a \"block\" or \"block:port\" string", &v);
-  }
-  Endpoint ep;
+/// "block" or "block:port"; the port is range-checked as it is read.
+Endpoint parse_endpoint(const json::Reader& r, const Json& v) {
   const std::string& s = v.string;
   const auto colon = s.find(':');
-  if (colon == std::string::npos) {
-    ep.block = s;
-    return ep;
+  Endpoint ep{s.substr(0, colon)};
+  if (colon != std::string::npos) {
+    const char* first = s.data() + colon + 1;
+    const char* last = s.data() + s.size();
+    const auto [end, ec] = std::from_chars(first, last, ep.port);
+    if (first == last || ec != std::errc() || end != last) {
+      r.fail("bad port in endpoint '" + s + "'", v);
+    }
   }
-  ep.block = s.substr(0, colon);
-  const std::string port = s.substr(colon + 1);
-  if (port.empty() ||
-      port.find_first_not_of("0123456789") != std::string::npos) {
-    fail(who + ": bad port in endpoint '" + s + "'", &v);
-  }
-  ep.port = static_cast<std::size_t>(std::stoul(port));
-  if (ep.block.empty()) fail(who + ": empty block name in endpoint", &v);
+  if (ep.block.empty()) r.fail("empty block name in endpoint", v);
   return ep;
 }
 
+/// A burst_source block's pattern. The allowed keys are per pattern, so
+/// a strobe block with an `alpha` key fails like any other unknown key.
+burst::PatternConfig parse_burst_pattern(const json::Reader& r) {
+  burst::PatternConfig cfg;
+  cfg.pattern = static_cast<burst::Pattern>(
+      r.need_choice("pattern", burst::known_patterns(), "burst pattern"));
+  switch (cfg.pattern) {
+    case burst::Pattern::kOnOff:
+      r.allow({"name", "type", "pattern", "rate_gbps", "frame_size", "flows",
+               "l4", "duty"},
+              {"period"});
+      break;
+    case burst::Pattern::kStrobe:
+      r.allow({"name", "type", "pattern", "rate_gbps", "frame_size", "flows",
+               "l4", "pulse_frames"},
+              {"period"});
+      break;
+    case burst::Pattern::kHeavyTail:
+      r.allow({"name", "type", "pattern", "rate_gbps", "frame_size", "flows",
+               "l4", "alpha"},
+              {"mean_on", "mean_off"});
+      break;
+    case burst::Pattern::kAmplification:
+      r.allow({"name", "type", "pattern", "rate_gbps", "frame_size", "flows",
+               "l4", "duty", "attackers", "request_size", "amp_factor"},
+              {"period"});
+      break;
+  }
+  cfg.rate_gbps = r.number("rate_gbps", cfg.rate_gbps);
+  cfg.frame_size = r.count("frame_size", cfg.frame_size);
+  cfg.flows = r.count("flows", cfg.flows);
+  cfg.l4 = r.choice("l4", {"udp", "tcp_syn"}) == 0 ? burst::L4::kUdp
+                                                   : burst::L4::kTcpSyn;
+  cfg.period = r.time("period", cfg.period);
+  cfg.duty = r.number("duty", cfg.duty);
+  cfg.pulse_frames = r.count("pulse_frames", cfg.pulse_frames);
+  cfg.alpha = r.number("alpha", cfg.alpha);
+  cfg.mean_on = r.time("mean_on", cfg.mean_on);
+  cfg.mean_off = r.time("mean_off", cfg.mean_off);
+  cfg.attackers = r.count("attackers", cfg.attackers);
+  cfg.request_size = r.count("request_size", cfg.request_size);
+  cfg.amp_factor = r.number("amp_factor", cfg.amp_factor);
+  return cfg;
+}
+
 BlockSpec parse_block(const Json& b, std::size_t i) {
-  const std::string who = "blocks[" + std::to_string(i) + "]";
-  if (!b.is(Json::Type::kObject)) fail(who + ": must be an object", &b);
+  char who[48];
+  std::snprintf(who, sizeof who, "topology: blocks[%zu]", i);
+  const json::Reader head{b, who};
   BlockSpec spec;
-  spec.name = need(b, "name", Json::Type::kString, who).string;
-  if (spec.name.empty()) fail(who + ": 'name' must not be empty", &b);
-  spec.type = need(b, "type", Json::Type::kString, who).string;
-  const std::string who2 = who + " ('" + spec.name + "')";
+  spec.name = head.need("name", Type::kString).string;
+  if (spec.name.empty()) head.fail("'name' must not be empty");
+  const auto& types = TopologyFile::known_types();
+  spec.type = types[head.need_choice("type", types, "block type")];
+  const std::string named = std::string(who) + " ('" + spec.name + "')";
+  const json::Reader r{b, named};
 
   if (spec.type == "fifo_queue") {
-    check_keys(b, {"name", "type", "rate_gbps", "queue_frames"}, who2);
-    spec.fifo.rate_gbps =
-        number_or(b, "rate_gbps", spec.fifo.rate_gbps, who2);
-    spec.fifo.queue_frames =
-        count_or(b, "queue_frames", spec.fifo.queue_frames, who2);
+    r.allow({"name", "type", "rate_gbps", "queue_frames"});
+    spec.fifo.rate_gbps = r.number("rate_gbps", spec.fifo.rate_gbps);
+    spec.fifo.queue_frames = r.count("queue_frames", spec.fifo.queue_frames);
   } else if (spec.type == "red") {
-    check_keys(b,
-               {"name", "type", "rate_gbps", "queue_frames", "min_th",
-                "max_th", "max_p", "weight"},
-               who2);
-    spec.red.rate_gbps = number_or(b, "rate_gbps", spec.red.rate_gbps, who2);
-    spec.red.queue_frames =
-        count_or(b, "queue_frames", spec.red.queue_frames, who2);
-    spec.red.min_th = number_or(b, "min_th", spec.red.min_th, who2);
-    spec.red.max_th = number_or(b, "max_th", spec.red.max_th, who2);
-    spec.red.max_p = number_or(b, "max_p", spec.red.max_p, who2);
-    spec.red.weight = number_or(b, "weight", spec.red.weight, who2);
+    r.allow({"name", "type", "rate_gbps", "queue_frames", "min_th", "max_th",
+             "max_p", "weight"});
+    spec.red.rate_gbps = r.number("rate_gbps", spec.red.rate_gbps);
+    spec.red.queue_frames = r.count("queue_frames", spec.red.queue_frames);
+    spec.red.min_th = r.number("min_th", spec.red.min_th);
+    spec.red.max_th = r.number("max_th", spec.red.max_th);
+    spec.red.max_p = r.number("max_p", spec.red.max_p);
+    spec.red.weight = r.number("weight", spec.red.weight);
   } else if (spec.type == "token_bucket") {
-    check_keys(
-        b, {"name", "type", "rate_gbps", "burst_bytes", "shape",
-            "queue_frames"},
-        who2);
-    spec.token_bucket.rate_gbps =
-        number_or(b, "rate_gbps", spec.token_bucket.rate_gbps, who2);
-    spec.token_bucket.burst_bytes =
-        count_or(b, "burst_bytes", spec.token_bucket.burst_bytes, who2);
-    spec.token_bucket.shape =
-        bool_or(b, "shape", spec.token_bucket.shape, who2);
-    spec.token_bucket.queue_frames =
-        count_or(b, "queue_frames", spec.token_bucket.queue_frames, who2);
+    r.allow({"name", "type", "rate_gbps", "burst_bytes", "shape",
+             "queue_frames"});
+    auto& c = spec.token_bucket;
+    c.rate_gbps = r.number("rate_gbps", c.rate_gbps);
+    c.burst_bytes = r.count("burst_bytes", c.burst_bytes);
+    c.shape = r.boolean("shape", c.shape);
+    c.queue_frames = r.count("queue_frames", c.queue_frames);
   } else if (spec.type == "delay_ber") {
-    check_keys(b, with_time_units({"name", "type", "ber"}, {"delay"}), who2);
-    spec.delay_ber.delay = time_or(b, "delay", 0, who2);
-    spec.delay_ber.ber = number_or(b, "ber", 0.0, who2);
+    r.allow({"name", "type", "ber"}, {"delay"});
+    spec.delay_ber.delay = r.time("delay", 0);
+    spec.delay_ber.ber = r.number("ber", 0.0);
   } else if (spec.type == "ecmp") {
-    check_keys(b, {"name", "type", "fanout", "salt"}, who2);
-    spec.ecmp.fanout = count_or(b, "fanout", spec.ecmp.fanout, who2);
-    spec.ecmp.salt = count_or(b, "salt", 0, who2);
+    r.allow({"name", "type", "fanout", "salt"});
+    spec.ecmp.fanout = r.count("fanout", spec.ecmp.fanout);
+    spec.ecmp.salt = r.count("salt", 0);
     spec.num_outputs = spec.ecmp.fanout;
   } else if (spec.type == "sink") {
-    check_keys(b, {"name", "type"}, who2);
+    r.allow({"name", "type"});
     spec.num_outputs = 0;
   } else if (spec.type == "monitor") {
-    check_keys(b, {"name", "type", "rtt_probe"}, who2);
-    spec.monitor.rtt_probe =
-        bool_or(b, "rtt_probe", spec.monitor.rtt_probe, who2);
+    r.allow({"name", "type", "rtt_probe"});
+    spec.monitor.rtt_probe = r.boolean("rtt_probe", spec.monitor.rtt_probe);
   } else if (spec.type == "burst_source") {
-    spec.burst.pattern =
-        parse_burst_pattern(b, {"name", "type", "batched"}, who2);
-    spec.burst.batched = bool_or(b, "batched", spec.burst.batched, who2);
+    spec.burst.pattern = parse_burst_pattern(r);
+    check_pattern(spec.burst.pattern,
+                  [&r](const std::string& why) { r.fail(why); });
     spec.num_inputs = 0;
   } else if (spec.type == "legacy_switch") {
-    check_keys(b,
-               with_time_units({"name", "type", "num_ports", "queue_bytes",
-                                "flood_unknown", "lookup_rate_mpps",
-                                "cut_through"},
-                               {"pipeline_latency"}),
-               who2);
+    r.allow({"name", "type", "num_ports", "queue_bytes", "flood_unknown",
+             "lookup_rate_mpps", "cut_through"},
+            {"pipeline_latency"});
     auto& c = spec.legacy_switch;
-    c.num_ports = count_or(b, "num_ports", c.num_ports, who2);
-    c.queue_bytes = count_or(b, "queue_bytes", c.queue_bytes, who2);
-    c.flood_unknown = bool_or(b, "flood_unknown", c.flood_unknown, who2);
-    c.lookup_rate_mpps =
-        number_or(b, "lookup_rate_mpps", c.lookup_rate_mpps, who2);
-    c.cut_through = bool_or(b, "cut_through", c.cut_through, who2);
-    c.pipeline_latency =
-        time_or(b, "pipeline_latency", c.pipeline_latency, who2);
-    if (c.num_ports == 0) fail(who2 + ": num_ports must be positive", &b);
+    c.num_ports = r.count("num_ports", c.num_ports);
+    c.queue_bytes = r.count("queue_bytes", c.queue_bytes);
+    c.flood_unknown = r.boolean("flood_unknown", c.flood_unknown);
+    c.lookup_rate_mpps = r.number("lookup_rate_mpps", c.lookup_rate_mpps);
+    c.cut_through = r.boolean("cut_through", c.cut_through);
+    c.pipeline_latency = r.time("pipeline_latency", c.pipeline_latency);
+    if (c.num_ports == 0) r.fail("num_ports must be positive");
     spec.num_inputs = spec.num_outputs = c.num_ports;
-  } else if (spec.type == "openflow_switch") {
-    check_keys(b, {"name", "type", "num_ports", "table_size"}, who2);
+  } else {  // openflow_switch
+    r.allow({"name", "type", "num_ports", "table_size"});
     auto& c = spec.openflow_switch.sw;
-    c.num_ports = count_or(b, "num_ports", c.num_ports, who2);
-    c.table.max_entries =
-        count_or(b, "table_size", c.table.max_entries, who2);
-    if (c.num_ports == 0) fail(who2 + ": num_ports must be positive", &b);
+    c.num_ports = r.count("num_ports", c.num_ports);
+    c.table.max_entries = r.count("table_size", c.table.max_entries);
+    if (c.num_ports == 0) r.fail("num_ports must be positive");
     spec.num_inputs = spec.num_outputs = c.num_ports;
-  } else {
-    std::string msg = who + ": unknown block type '" + spec.type + "'";
-    const std::string hint =
-        suggest_nearest(spec.type, TopologyFile::known_types());
-    if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
-    fail(msg, b.find("type"));
   }
   return spec;
 }
 
 WorkloadSpec parse_workload(const Json& w) {
-  const std::string who = "workload";
-  if (!w.is(Json::Type::kObject)) fail("'workload' must be an object", &w);
+  const json::Reader r{w, "topology: workload"};
   WorkloadSpec spec;
-  const std::string kind = need(w, "kind", Json::Type::kString, who).string;
-  if (kind == "none") {
-    check_keys(w, {"kind"}, who);
+  // The names in Kind's order.
+  spec.kind = static_cast<WorkloadSpec::Kind>(
+      r.need_choice("kind", {"none", "tcp", "cbr"}));
+  if (spec.kind == WorkloadSpec::Kind::kNone) {
+    r.allow({"kind"});
     return spec;
   }
-  if (kind == "tcp") {
-    spec.kind = WorkloadSpec::Kind::kTcp;
-    check_keys(w,
-               {"kind", "ingress", "egress", "ack_ingress", "ack_egress",
-                "flows", "cc", "mss", "bottleneck_gbps", "queue_segments",
-                "rwnd_kb", "rate_limit_detector"},
-               who);
-    spec.flows = count_or(w, "flows", spec.flows, who);
-    spec.cc = string_or(w, "cc", spec.cc, who);
-    spec.mss = static_cast<std::uint32_t>(count_or(w, "mss", spec.mss, who));
-    spec.bottleneck_gbps =
-        number_or(w, "bottleneck_gbps", spec.bottleneck_gbps, who);
-    spec.queue_segments =
-        count_or(w, "queue_segments", spec.queue_segments, who);
-    spec.rwnd_kb = count_or(w, "rwnd_kb", spec.rwnd_kb, who);
+  if (spec.kind == WorkloadSpec::Kind::kTcp) {
+    r.allow({"kind", "ingress", "egress", "ack_ingress", "ack_egress", "flows",
+             "cc", "mss", "bottleneck_gbps", "queue_segments", "rwnd_kb",
+             "rate_limit_detector"});
+    spec.flows = r.count("flows", spec.flows);
+    spec.cc = r.string("cc", spec.cc);
+    spec.mss = static_cast<std::uint32_t>(
+        r.count("mss", spec.mss, std::numeric_limits<std::uint32_t>::max()));
+    spec.bottleneck_gbps = r.number("bottleneck_gbps", spec.bottleneck_gbps);
+    spec.queue_segments = r.count("queue_segments", spec.queue_segments);
+    spec.rwnd_kb = r.count("rwnd_kb", spec.rwnd_kb);
     spec.rate_limit_detector =
-        bool_or(w, "rate_limit_detector", spec.rate_limit_detector, who);
-    if (spec.flows == 0) fail(who + ": 'flows' must be positive", &w);
-  } else if (kind == "cbr") {
-    spec.kind = WorkloadSpec::Kind::kCbr;
-    check_keys(w,
-               {"kind", "ingress", "egress", "rate_gbps", "frame_size",
-                "flows", "arrivals"},
-               who);
-    spec.rate_gbps = number_or(w, "rate_gbps", spec.rate_gbps, who);
-    spec.arrivals = choice_or(w, "arrivals", {"cbr", "poisson"}, who) == 0
+        r.boolean("rate_limit_detector", spec.rate_limit_detector);
+    if (spec.flows == 0) r.fail("'flows' must be positive");
+  } else {
+    r.allow({"kind", "ingress", "egress", "rate_gbps", "frame_size", "flows",
+             "arrivals"});
+    spec.rate_gbps = r.number("rate_gbps", spec.rate_gbps);
+    spec.arrivals = r.choice("arrivals", {"cbr", "poisson"}) == 0
                         ? core::TrafficSpec::Arrivals::kCbr
                         : core::TrafficSpec::Arrivals::kPoisson;
-    spec.frame_size = count_or(w, "frame_size", spec.frame_size, who);
-    const std::size_t flows = count_or(w, "flows", spec.flow_count, who);
+    spec.frame_size = r.count("frame_size", spec.frame_size);
+    const std::uint64_t flows = r.count("flows", spec.flow_count);
     const std::uint32_t max_flows = gen::TemplateConfig{}.max_flows();
     if (flows < 1 || flows > max_flows) {
-      fail(who + ": 'flows' must be in [1, " + std::to_string(max_flows) +
-               "], got " + std::to_string(flows),
-           w.find("flows"));
+      r.fail("'flows' must be in [1, " + std::to_string(max_flows) +
+                 "], got " + std::to_string(flows),
+             *w.find("flows"));
     }
     spec.flow_count = static_cast<std::uint32_t>(flows);
-  } else if (kind == "burst") {
-    spec.kind = WorkloadSpec::Kind::kBurst;
-    spec.burst = parse_burst_pattern(
-        w, {"kind", "ingress", "egress", "batched"}, who);
-    spec.burst_batched = bool_or(w, "batched", spec.burst_batched, who);
-  } else {
-    const std::vector<std::string> kinds = {"none", "tcp", "cbr", "burst"};
-    std::string msg = who + ": unknown kind '" + kind + "'";
-    const std::string hint = suggest_nearest(kind, kinds);
-    if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
-    fail(msg, w.find("kind"));
   }
-  spec.ingress = parse_endpoint(need(w, "ingress", Json::Type::kString, who),
-                                who + ".ingress");
-  spec.egress = parse_endpoint(need(w, "egress", Json::Type::kString, who),
-                               who + ".egress");
-  if (const Json* v = w.find("ack_ingress")) {
-    spec.ack_ingress = parse_endpoint(*v, who + ".ack_ingress");
+  spec.ingress = parse_endpoint(r, r.need("ingress", Type::kString));
+  spec.egress = parse_endpoint(r, r.need("egress", Type::kString));
+  if (const Json* v = r.get("ack_ingress", Type::kString)) {
+    spec.ack_ingress = parse_endpoint(r, *v);
   }
-  if (const Json* v = w.find("ack_egress")) {
-    spec.ack_egress = parse_endpoint(*v, who + ".ack_egress");
+  if (const Json* v = r.get("ack_egress", Type::kString)) {
+    spec.ack_egress = parse_endpoint(r, *v);
   }
   if (spec.ack_ingress.has_value() != spec.ack_egress.has_value()) {
-    fail(who + ": ack_ingress and ack_egress must be given together", &w);
+    r.fail("ack_ingress and ack_egress must be given together");
   }
+  check_workload(spec, [&r](const std::string& why) { r.fail(why); });
   return spec;
 }
 
@@ -471,14 +325,6 @@ void validate(const TopologyFile& t) {
       claim(*t.workload.ack_egress, "workload.ack_egress");
     }
   }
-  if (t.workload.kind == WorkloadSpec::Kind::kBurst) {
-    for (const char* r : {"burst_workload", "burst_sink"}) {
-      if (by_name.count(r) != 0) {
-        fail("block name '" + std::string(r) +
-             "' is reserved for the burst workload");
-      }
-    }
-  }
 }
 
 /// Cable the device into the graph for a tcp or cbr workload: TX port 0
@@ -514,54 +360,35 @@ const std::vector<std::string>& TopologyFile::known_types() {
 }
 
 TopologyFile TopologyFile::from_json(const std::string& text) {
-  const Json root = [&text] {
-    try {
-      return json::parse(text, "topology JSON");
-    } catch (const json::ParseError& e) {
-      throw TopologyError(e.what());
-    }
-  }();
-  if (!root.is(Json::Type::kObject)) {
-    fail("top level must be an object", &root);
-  }
-  check_keys(root,
-             with_time_units({"name", "seed", "blocks", "edges", "workload"},
-                             {"duration"}),
-             "topology");
-
   TopologyFile t;
-  t.name = string_or(root, "name", "", "topology");
-  t.seed = static_cast<std::uint64_t>(
-      count_or(root, "seed", static_cast<std::size_t>(t.seed), "topology"));
-  t.duration = time_or(root, "duration", t.duration, "topology");
+  try {
+    const Json root = json::parse(text, "topology JSON");
+    const json::Reader r{root, "topology"};
+    r.allow({"name", "seed", "blocks", "edges", "workload"}, {"duration"});
+    t.name = r.string("name", "");
+    t.seed = r.count("seed", t.seed);
+    t.duration = r.time("duration", t.duration);
 
-  const Json& blocks = need(root, "blocks", Json::Type::kArray, "topology");
-  if (blocks.array.empty()) fail("'blocks' must not be empty", &blocks);
-  for (std::size_t i = 0; i < blocks.array.size(); ++i) {
-    t.blocks.push_back(parse_block(blocks.array[i], i));
-  }
-
-  if (const Json* edges = root.find("edges")) {
-    if (!edges->is(Json::Type::kArray)) {
-      fail("'edges' must be an array", edges);
+    const Json& blocks = r.need("blocks", Type::kArray);
+    if (blocks.array.empty()) r.fail("'blocks' must not be empty", blocks);
+    for (std::size_t i = 0; i < blocks.array.size(); ++i) {
+      t.blocks.push_back(parse_block(blocks.array[i], i));
     }
-    for (std::size_t i = 0; i < edges->array.size(); ++i) {
-      const Json& e = edges->array[i];
-      const std::string who = "edges[" + std::to_string(i) + "]";
-      if (!e.is(Json::Type::kObject)) fail(who + ": must be an object", &e);
-      check_keys(e, with_time_units({"from", "to"}, {"propagation"}), who);
-      EdgeSpec edge;
-      edge.from = parse_endpoint(need(e, "from", Json::Type::kString, who),
-                                 who + ".from");
-      edge.to =
-          parse_endpoint(need(e, "to", Json::Type::kString, who), who + ".to");
-      edge.propagation = time_or(e, "propagation", 0, who);
-      t.edges.push_back(edge);
+    if (const Json* edges = r.get("edges", Type::kArray)) {
+      for (std::size_t i = 0; i < edges->array.size(); ++i) {
+        char who[48];
+        std::snprintf(who, sizeof who, "topology: edges[%zu]", i);
+        const json::Reader e{edges->array[i], who};
+        e.allow({"from", "to"}, {"propagation"});
+        t.edges.push_back({parse_endpoint(e, e.need("from", Type::kString)),
+                           parse_endpoint(e, e.need("to", Type::kString)),
+                           e.time("propagation", 0)});
+      }
     }
+    if (const Json* w = root.find("workload")) t.workload = parse_workload(*w);
+  } catch (const json::ParseError& e) {
+    throw TopologyError(e.what());
   }
-
-  if (const Json* w = root.find("workload")) t.workload = parse_workload(*w);
-
   validate(t);
   return t;
 }
@@ -666,46 +493,13 @@ void validate_fault_targets(const TopologyFile& topo,
 }
 
 void validate_workload(const TopologyFile& topo) {
-  const WorkloadSpec& w = topo.workload;
-  if (w.kind == WorkloadSpec::Kind::kTcp) {
-    static const std::vector<std::string> kCc = {"newreno", "cubic", "bbr"};
-    if (std::find(kCc.begin(), kCc.end(), w.cc) == kCc.end()) {
-      std::string msg = "workload: unknown cc '" + w.cc + "'";
-      const std::string hint = suggest_nearest(w.cc, kCc);
-      if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
-      fail(msg);
-    }
-    if (w.mss == 0) fail("workload: 'mss' must be positive");
-    if (w.mss > tcp::kMaxMss) {
-      fail("workload: 'mss' must be at most " + std::to_string(tcp::kMaxMss) +
-           " (a " + std::to_string(net::kEthMaxFrame) + " B frame less " +
-           std::to_string(net::kEthFcsLen) + " B FCS and " +
-           std::to_string(tcp::kSegmentHeaderLen) + " B of headers), got " +
-           std::to_string(w.mss));
-    }
-    if (w.bottleneck_gbps < 0) {
-      fail("workload: 'bottleneck_gbps' must not be negative");
-    }
-  } else if (w.kind == WorkloadSpec::Kind::kCbr) {
-    if (w.rate_gbps <= 0) fail("workload: 'rate_gbps' must be positive");
-    if (w.frame_size < net::kEthMinFrame ||
-        w.frame_size > net::kEthMaxFrame) {
-      fail("workload: 'frame_size' must be in [64, 1518]");
-    }
-  } else if (w.kind == WorkloadSpec::Kind::kBurst) {
-    try {
-      w.burst.validate();
-    } catch (const burst::BurstError& e) {
-      fail("workload: " + std::string(e.what()));
-    }
-  }
+  check_workload(topo.workload,
+                 [](const std::string& why) { fail("workload: " + why); });
   for (const auto& b : topo.blocks) {
     if (b.type != "burst_source") continue;
-    try {
-      b.burst.pattern.validate();
-    } catch (const burst::BurstError& e) {
-      fail("block '" + b.name + "': " + std::string(e.what()));
-    }
+    check_pattern(b.burst.pattern, [&b](const std::string& why) {
+      fail("block '" + b.name + "': " + why);
+    });
   }
 }
 
@@ -753,24 +547,6 @@ TopologyTrialReport run_topology_trial(const TopologyFile& topo,
 
   const WorkloadSpec& w = topo.workload;
 
-  // Burst workloads are graph-native: the source and sink join the graph
-  // itself (so the series loop below picks up their channels) rather than
-  // riding the device ports. Names are reserved at validate() time.
-  burst::BurstSourceBlock* burst_src = nullptr;
-  SinkBlock* burst_sink = nullptr;
-  if (w.kind == WorkloadSpec::Kind::kBurst) {
-    burst::BurstSourceConfig bcfg;
-    bcfg.pattern = w.burst;
-    // Stream tag 0x10B0: decorrelated from the 0x1090+i block streams.
-    bcfg.pattern.seed = derive_seed(trial_seed, 0x10B0);
-    bcfg.batched = w.burst_batched;
-    bcfg.horizon = duration;
-    burst_src =
-        &g.emplace<burst::BurstSourceBlock>(eng, "burst_workload", bcfg);
-    burst_sink = &g.emplace<SinkBlock>(eng, "burst_sink");
-    g.connect("burst_workload", 0, w.ingress.block, w.ingress.port);
-    g.connect(w.egress.block, w.egress.port, "burst_sink", 0);
-  }
   std::optional<fault::Injector> injector;
   const auto arm_faults = [&] {
     if (plan && !plan->events.empty()) {
@@ -861,17 +637,6 @@ TopologyTrialReport run_topology_trial(const TopologyFile& topo,
     spec.arrivals = w.arrivals;
     spec.seed = trial_seed;
     report.cbr = core::run_capture_test(eng, dev, 0, 1, spec, duration);
-    finish_series();
-  } else if (w.kind == WorkloadSpec::Kind::kBurst) {
-    arm_faults();
-    g.start();
-    eng.run_until(duration);
-    auto& r = report.burst;
-    r.frames = burst_src->frames_out();
-    r.bursts = burst_src->bursts_emitted();
-    r.tx_bytes = burst_src->wire_bytes();
-    r.rx_frames = burst_sink->frames_in();
-    r.rx_bytes = burst_sink->bytes();
     finish_series();
   } else {
     arm_faults();

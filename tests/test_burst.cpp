@@ -1,8 +1,8 @@
 // osnt::burst — schedule math for each pattern (period tiling, pulse
 // sizing, Pareto seeding, volley shapes), batched-vs-naive emission
-// equivalence on the wire, the workload/topology integration with its
-// did-you-mean error paths, the BurstEnvelopeGap synth bridge, and the
-// headline determinism claim: an amplification-DDoS topology is
+// equivalence on the wire, the burst_source block's topology integration
+// with its did-you-mean error paths, the BurstEnvelopeGap synth bridge,
+// and the headline determinism claim: an amplification-DDoS topology is
 // byte-identical under kSimOnly telemetry — including the --series-out
 // trajectory — at any --jobs value.
 #include <gtest/gtest.h>
@@ -297,109 +297,127 @@ void expect_contains(const std::string& msg, const std::string& needle) {
       << "expected \"" << needle << "\" in: " << msg;
 }
 
-TEST(Burst, WorkloadStanzaParses) {
-  const auto topo = graph::TopologyFile::from_json(R"({
+/// A burst_source block "src" (its pattern keys in `pattern`) feeding a
+/// fifo_queue "q" that drains into a sink "snk"; no device workload.
+std::string burst_topology(const std::string& pattern) {
+  return R"({
     "name": "t",
+    "seed": 11,
     "duration_us": 500,
-    "blocks": [{"name": "q", "type": "fifo_queue", "rate_gbps": 10.0,
-                "queue_frames": 64}],
-    "workload": {"kind": "burst", "pattern": "strobe", "rate_gbps": 4.0,
-                 "period_us": 10, "pulse_frames": 8, "l4": "tcp_syn",
-                 "batched": false, "ingress": "q:0", "egress": "q:0"}
-  })");
-  EXPECT_EQ(topo.workload.kind, graph::WorkloadSpec::Kind::kBurst);
-  EXPECT_EQ(topo.workload.burst.pattern, Pattern::kStrobe);
-  EXPECT_EQ(topo.workload.burst.rate_gbps, 4.0);
-  EXPECT_EQ(topo.workload.burst.period, 10 * kPicosPerMicro);
-  EXPECT_EQ(topo.workload.burst.pulse_frames, 8u);
-  EXPECT_EQ(topo.workload.burst.l4, burst::L4::kTcpSyn);
-  EXPECT_FALSE(topo.workload.burst_batched);
+    "blocks": [{"name": "src", "type": "burst_source", )" +
+         pattern + R"(},
+               {"name": "q", "type": "fifo_queue", "rate_gbps": 10.0,
+                "queue_frames": 64},
+               {"name": "snk", "type": "sink"}],
+    "edges": [{"from": "src:0", "to": "q:0"}, {"from": "q:0", "to": "snk:0"}],
+    "workload": {"kind": "none"}
+  })";
+}
+
+TEST(Burst, WorkloadStanzaParses) {
+  const auto topo = graph::TopologyFile::from_json(burst_topology(
+      R"("pattern": "strobe", "rate_gbps": 4.0, "period_us": 10,
+         "pulse_frames": 8, "l4": "tcp_syn")"));
+  const graph::BlockSpec& src = topo.blocks[0];
+  EXPECT_EQ(src.num_inputs, 0u);
+  EXPECT_EQ(src.burst.pattern.pattern, Pattern::kStrobe);
+  EXPECT_EQ(src.burst.pattern.rate_gbps, 4.0);
+  EXPECT_EQ(src.burst.pattern.period, 10 * kPicosPerMicro);
+  EXPECT_EQ(src.burst.pattern.pulse_frames, 8u);
+  EXPECT_EQ(src.burst.pattern.l4, burst::L4::kTcpSyn);
+  // The naive emission path is a C++ reference switch, not a file key.
+  EXPECT_TRUE(src.burst.batched);
 }
 
 TEST(Burst, UnknownPatternSuggestsNearest) {
-  const std::string msg = load_error(R"({
-    "name": "t",
-    "blocks": [{"name": "q", "type": "fifo_queue"}],
-    "workload": {"kind": "burst", "pattern": "amplificaton",
-                 "ingress": "q:0", "egress": "q:0"}
-  })");
+  const std::string msg =
+      load_error(burst_topology(R"("pattern": "amplificaton")"));
   expect_contains(msg, "unknown burst pattern 'amplificaton'");
   expect_contains(msg, "did you mean 'amplification'?");
 }
 
 TEST(Burst, PatternKeysAreStrictPerPattern) {
   // pulse_frames belongs to strobe, not on_off: strict keys catch the
-  // stanza mixing patterns up.
-  const std::string msg = load_error(R"({
-    "name": "t",
-    "blocks": [{"name": "q", "type": "fifo_queue"}],
-    "workload": {"kind": "burst", "pattern": "on_off", "pulse_frames": 8,
-                 "ingress": "q:0", "egress": "q:0"}
-  })");
+  // block mixing patterns up.
+  const std::string msg =
+      load_error(burst_topology(R"("pattern": "on_off", "pulse_frames": 8)"));
   expect_contains(msg, "unknown key 'pulse_frames'");
 }
 
-TEST(Burst, ReservedBlockNamesAreRejected) {
+TEST(Burst, BatchedIsNotAFileKey) {
+  const std::string msg =
+      load_error(burst_topology(R"("pattern": "on_off", "batched": false)"));
+  expect_contains(msg, "blocks[0] ('src'): unknown key 'batched'");
+  expect_contains(msg, "line 5 column 88");
+}
+
+TEST(Burst, BurstIsNotAWorkloadKind) {
+  // A burst source is a block, so a "burst" workload is an unknown kind.
   const std::string msg = load_error(R"({
     "name": "t",
-    "blocks": [{"name": "burst_workload", "type": "fifo_queue"}],
+    "blocks": [{"name": "q", "type": "fifo_queue"}],
     "workload": {"kind": "burst", "pattern": "on_off",
-                 "ingress": "burst_workload:0", "egress": "burst_workload:0"}
+                 "ingress": "q:0", "egress": "q:0"}
   })");
-  expect_contains(msg, "reserved for the burst workload");
+  expect_contains(msg, "workload: unknown kind 'burst'");
+  expect_contains(msg, "line 4 column 26");
 }
 
 TEST(Burst, ValidateWorkloadCatchesSemanticErrors) {
-  // Parses fine (duty is a number) but validate() must reject it.
-  const auto topo = graph::TopologyFile::from_json(R"({
-    "name": "t",
-    "blocks": [{"name": "q", "type": "fifo_queue"}],
-    "workload": {"kind": "burst", "pattern": "on_off", "duty": 2.0,
-                 "ingress": "q:0", "egress": "q:0"}
-  })");
+  // duty is a number, so the block parses, but validate_workload()'s
+  // checks — which loading runs — reject it, at the block's position.
+  expect_contains(
+      load_error(burst_topology(R"("pattern": "on_off", "duty": 2.0)")),
+      "blocks[0] ('src'): burst: on_off needs duty in (0, 1] "
+      "(line 5 column 16)");
+
+  // A topology filled in code reaches the same check directly.
+  auto topo = graph::TopologyFile::from_json(
+      burst_topology(R"("pattern": "on_off")"));
+  topo.blocks[0].burst.pattern.duty = 2.0;
   try {
     graph::validate_workload(topo);
     ADD_FAILURE() << "expected TopologyError about duty";
   } catch (const graph::TopologyError& e) {
-    expect_contains(e.what(), "duty");
+    expect_contains(e.what(), "block 'src': burst: on_off needs duty");
   }
 
   // The same pass spell-checks the tcp stanza's cc name.
-  const auto tcp = graph::TopologyFile::from_json(R"({
+  const std::string msg = load_error(R"({
     "name": "t",
     "blocks": [{"name": "q", "type": "fifo_queue"}],
     "workload": {"kind": "tcp", "cc": "neweno",
                  "ingress": "q:0", "egress": "q:0"}
   })");
-  try {
-    graph::validate_workload(tcp);
-    ADD_FAILURE() << "expected TopologyError about cc";
-  } catch (const graph::TopologyError& e) {
-    expect_contains(e.what(), "unknown cc 'neweno'");
-    expect_contains(e.what(), "did you mean 'newreno'?");
-  }
+  expect_contains(msg, "unknown cc 'neweno'");
+  expect_contains(msg, "did you mean 'newreno'?");
 }
 
 TEST(Burst, WorkloadRunsThroughTheGraph) {
-  const auto topo = graph::TopologyFile::from_json(R"({
-    "name": "t",
-    "seed": 11,
-    "duration_us": 500,
-    "blocks": [{"name": "q", "type": "fifo_queue", "rate_gbps": 10.0,
-                "queue_frames": 64}],
-    "workload": {"kind": "burst", "pattern": "on_off", "rate_gbps": 2.0,
-                 "period_us": 100, "duty": 0.5,
-                 "ingress": "q:0", "egress": "q:0"}
-  })");
+  const bool was_enabled = telemetry::enabled();
+  telemetry::set_enabled(true);
+  telemetry::registry().reset();
+  const auto topo = graph::TopologyFile::from_json(burst_topology(
+      R"("pattern": "on_off", "rate_gbps": 2.0, "period_us": 100,
+         "duty": 0.5)"));
   const auto r = graph::run_topology_trial(topo, topo.seed);
-  EXPECT_GT(r.burst.frames, 0u);
-  EXPECT_GT(r.burst.bursts, 0u);
+  ASSERT_EQ(r.blocks.size(), 3u);
+  const graph::BlockCounters& src = r.blocks[0];
+  const graph::BlockCounters& q = r.blocks[1];
+  const graph::BlockCounters& snk = r.blocks[2];
+  EXPECT_GT(src.frames_out, 0u);
   // 2G bursts through a 10G queue: nothing drops, every frame reaches
   // the sink and the byte accounting closes.
-  EXPECT_EQ(r.burst.rx_frames, r.burst.frames);
-  EXPECT_EQ(r.burst.tx_bytes, r.burst.frames * 64u);
-  EXPECT_EQ(r.burst.rx_bytes, r.burst.tx_bytes);
+  EXPECT_EQ(snk.frames_in, src.frames_out);
+  EXPECT_EQ(q.frame_bytes, src.frames_out * 64u);
+  EXPECT_EQ(snk.frame_bytes, q.frame_bytes);
   EXPECT_EQ(r.graph_drops, 0u);
+  // The source flushes its emission events and wire bytes at teardown.
+  EXPECT_GT(telemetry::registry().counter("graph.src.bursts").value(), 0u);
+  EXPECT_EQ(telemetry::registry().counter("graph.src.tx_bytes").value(),
+            snk.frame_bytes);
+  telemetry::registry().reset();
+  telemetry::set_enabled(was_enabled);
 }
 
 // ----------------------------------------- determinism across --jobs

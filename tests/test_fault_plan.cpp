@@ -1,9 +1,11 @@
-// FaultPlan: JSON parsing (strict schema), builders, validation, summary.
+// FaultPlan: JSON parsing (strict schema), builders, validation, summary,
+// and a seeded mutation sweep over every example plan.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "osnt/fault/plan.hpp"
+#include "json_mutator.hpp"
 
 namespace osnt::fault {
 namespace {
@@ -261,6 +263,63 @@ TEST(FaultPlan, SummaryCountsBlockTargetedKinds) {
   const std::string s = p.summary();
   EXPECT_NE(s.find("1 rate_limit"), std::string::npos) << s;
   EXPECT_NE(s.find("1 queue_cap"), std::string::npos) << s;
+}
+
+TEST(FaultPlan, DeepNestingIsAPositionedError) {
+  // 100 KB of '[' must not overflow the parser's stack.
+  EXPECT_EQ(plan_error(std::string(100000, '[')),
+            "fault plan JSON: nesting deeper than 64 levels "
+            "(line 1 column 65)");
+}
+
+TEST(FaultPlan, LinkPastTheIntRangeIsAnError) {
+  // 3e9 must not wrap to a negative link, which means every link.
+  EXPECT_EQ(plan_error(R"({"events": [
+      {"type": "link_flap", "at_us": 1, "link": 3e9}]})"),
+            "fault plan event 0: 'link' must be at most 2147483647, got "
+            "3000000000 (line 2 column 49)");
+}
+
+TEST(FaultPlan, CountsPastTheIntegerRangeAreErrors) {
+  // Each is range-checked before its double-to-integer cast.
+  const struct {
+    std::string text;
+    std::string want;
+  } kCases[] = {
+      {R"({"seed": 1e30, "events": []})",
+       "fault plan: 'seed' must be at most 18446744073709551615, got 1e+30 "
+       "(line 1 column 10)"},
+      {R"({"events": [{"type": "queue_cap", "at_us": 1, "target": "q",
+                      "queue_frames": 1e30}]})",
+       "fault plan event 0: 'queue_frames' must be at most "
+       "18446744073709551615, got 1e+30 (line 2 column 39)"},
+      {R"({"events": [{"type": "rate_limit", "at_us": 1, "target": "p",
+                      "rate_gbps": 1, "burst_bytes": 1e30}]})",
+       "fault plan event 0: 'burst_bytes' must be at most "
+       "9223372036854775807, got 1e+30 (line 2 column 54)"},
+  };
+  for (const auto& c : kCases) EXPECT_EQ(plan_error(c.text), c.want);
+}
+
+// Seeded mutations of every example plan: each case loads or throws
+// PlanError, never anything else and never UB (CI runs this under
+// ASan+UBSan).
+TEST(FaultPlan, MutatedExamplesLoadOrThrowPlanError) {
+  fuzz::JsonMutator mutator{
+      fuzz::read_corpus(OSNT_EXAMPLES_DIR "/faults"), 0xFA17};
+  std::size_t loaded = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const std::string text = mutator.next();
+    try {
+      (void)FaultPlan::from_json(text);
+      ++loaded;
+    } catch (const PlanError&) {
+    } catch (const std::exception& e) {
+      FAIL() << "case " << i << " threw " << e.what() << " for:\n" << text;
+    }
+  }
+  // Enough mutations keep the document valid to reach the field checks.
+  EXPECT_GT(loaded, 100u);
 }
 
 }  // namespace

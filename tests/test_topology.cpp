@@ -1,7 +1,9 @@
 // Topology loader: strict-JSON error paths (unknown block types, dangling
 // edges, port mismatches, duplicate names — each with a position and a
-// did-you-mean hint), a round-trip of the schema into a live trial, and
-// the headline determinism claim: a dumbbell of closed-loop TCP flows is
+// did-you-mean hint), adversarial input (deep nesting, out-of-range
+// integers, a seeded mutation sweep over every example topology), a
+// round-trip of the schema into a live trial, and the headline
+// determinism claim: a dumbbell of closed-loop TCP flows is
 // byte-identical under kSimOnly telemetry at any --jobs value.
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include "osnt/hw/port.hpp"
 #include "osnt/telemetry/registry.hpp"
 #include "osnt/telemetry/series.hpp"
+#include "json_mutator.hpp"
 
 namespace osnt {
 namespace {
@@ -219,15 +222,59 @@ TEST(Topology, CbrArrivalsAreCbrOrPoisson) {
 }
 
 TEST(Topology, ArrivalsIsOnlyACbrKey) {
-  for (const char* kind : {R"("kind": "tcp")",
-                           R"("kind": "burst", "pattern": "on_off")"}) {
-    const std::string msg = load_error(
-        R"({"name": "t", "blocks": [{"name": "q", "type": "fifo_queue"}],
-            "workload": {)" +
-        std::string(kind) +
-        R"(, "arrivals": "poisson", "ingress": "q:0", "egress": "q:0"}})");
-    expect_contains(msg, "unknown key 'arrivals'");
-  }
+  const std::string msg = load_error(
+      R"({"name": "t", "blocks": [{"name": "q", "type": "fifo_queue"}],
+          "workload": {"kind": "tcp", "arrivals": "poisson",
+                       "ingress": "q:0", "egress": "q:0"}})");
+  expect_contains(msg, "unknown key 'arrivals'");
+}
+
+TEST(Topology, DeepNestingIsAPositionedError) {
+  // 100 KB of '[' must not overflow the parser's stack.
+  EXPECT_EQ(load_error(std::string(100000, '[')),
+            "topology JSON: nesting deeper than 64 levels "
+            "(line 1 column 65)");
+}
+
+TEST(Topology, EndpointPortPastTheIntegerRangeIsAnError) {
+  const std::string msg = load_error(
+      R"({"blocks": [{"name": "tap", "type": "monitor"}],
+          "workload": {"kind": "cbr", "ingress": "tap:0",
+                       "egress": "tap:99999999999999999999999"}})");
+  expect_contains(msg, "workload: bad port in endpoint "
+                       "'tap:99999999999999999999999' (line 3 column 34)");
+}
+
+TEST(Topology, CountsPastTheIntegerRangeAreErrors) {
+  // Each is range-checked before its double-to-integer cast.
+  const std::string tcp =
+      R"("workload": {"kind": "tcp", "ingress": "q:0", "egress": "q:0")";
+  const struct {
+    std::string text;
+    std::string want;
+  } kCases[] = {
+      {R"({"blocks": [{"name": "q", "type": "fifo_queue"}], )" + tcp +
+           R"(, "flows": 1e30}})",
+       "workload: 'flows' must be at most 18446744073709551615, got 1e+30 "
+       "(line 1 column 123)"},
+      {R"({"seed": 1e30, "blocks": [{"name": "q", "type": "fifo_queue"}]})",
+       "topology: 'seed' must be at most 18446744073709551615, got 1e+30 "
+       "(line 1 column 10)"},
+      {R"({"blocks": [{"name": "q", "type": "fifo_queue",
+                       "queue_frames": 18446744073709551616}]})",
+       "('q'): 'queue_frames' must be at most 18446744073709551615, got "
+       "1.84467440737096e+19 (line 2 column 40)"},
+      {R"({"blocks": [{"name": "p", "type": "token_bucket",
+                       "burst_bytes": 1e30}]})",
+       "('p'): 'burst_bytes' must be at most 18446744073709551615, got 1e+30 "
+       "(line 2 column 39)"},
+      // 2^32 + 1448 must not wrap to a valid mss.
+      {R"({"blocks": [{"name": "q", "type": "fifo_queue"}], )" + tcp +
+           R"(, "mss": 4294968744}})",
+       "workload: 'mss' must be at most 4294967295, got 4294968744 "
+       "(line 1 column 121)"},
+  };
+  for (const auto& c : kCases) expect_contains(load_error(c.text), c.want);
 }
 
 TEST(Topology, DutTopologyIsACableOrATwoPortSwitch) {
@@ -596,6 +643,27 @@ TEST(Topology, DutTopologyMatchesTheHandWiredTestbed) {
             0.5);
   telemetry::registry().reset();
   telemetry::set_enabled(was_enabled);
+}
+
+// Seeded mutations of every example topology: each case loads or throws
+// TopologyError, never anything else and never UB (CI runs this under
+// ASan+UBSan).
+TEST(Topology, MutatedExamplesLoadOrThrowTopologyError) {
+  fuzz::JsonMutator mutator{
+      fuzz::read_corpus(OSNT_EXAMPLES_DIR "/topologies"), 0x70B0};
+  std::size_t loaded = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const std::string text = mutator.next();
+    try {
+      (void)TopologyFile::from_json(text);
+      ++loaded;
+    } catch (const graph::TopologyError&) {
+    } catch (const std::exception& e) {
+      FAIL() << "case " << i << " threw " << e.what() << " for:\n" << text;
+    }
+  }
+  // Enough mutations keep the document valid to reach the field checks.
+  EXPECT_GT(loaded, 100u);
 }
 
 }  // namespace

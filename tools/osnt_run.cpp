@@ -40,7 +40,9 @@
 // --faults loads
 // a deterministic fault plan (see examples/faults/) and injects it into
 // the testbed; fault activations show up as a "fault/*" trace track and
-// in the fault.* metric family.
+// in the fault.* metric family. latency, throughput, tcp and topo check
+// the workload and the plan's block targets once, before the first
+// trial: a bad value exits 1 and runs nothing.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -198,6 +200,21 @@ struct ObservabilityFlags {
   return true;
 }
 
+/// The one check every topology run passes before its first trial: the
+/// workload, as the flags left it, and the fault plan's block targets.
+/// False after a stderr diagnostic.
+[[nodiscard]] bool check_topology(const graph::TopologyFile& topo,
+                                  const fault::FaultPlan& plan) {
+  try {
+    graph::validate_workload(topo);
+    graph::validate_fault_targets(topo, plan);
+  } catch (const graph::GraphError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return false;
+  }
+  return true;
+}
+
 /// Flags and trial plumbing shared by the subcommands that run topology
 /// trials (latency, tcp, topo): `--trials` independent runs at seeds
 /// base + i, sharded over `--jobs` resilient-runner workers, with an
@@ -220,8 +237,10 @@ struct TopologyTrials {
                  "worker threads for the trials (0 = all hardware threads)");
   }
 
-  /// Post-parse checks, then load --faults. False after a diagnostic.
-  [[nodiscard]] bool prepare(const ObservabilityFlags& obs) {
+  /// Post-parse checks, load --faults, then check_topology(). False
+  /// after a diagnostic.
+  [[nodiscard]] bool prepare(const graph::TopologyFile& topo,
+                             const ObservabilityFlags& obs) {
     if (count <= 0) {
       std::fprintf(stderr, "--trials must be positive\n");
       return false;
@@ -230,7 +249,7 @@ struct TopologyTrials {
       std::fprintf(stderr, "--trace requires --trials 1 --jobs 1\n");
       return false;
     }
-    return load_fault_plan(faults_path, plan);
+    return load_fault_plan(faults_path, plan) && check_topology(topo, plan);
   }
 
   /// Run every trial; failed ones are reported on stderr. Returns the
@@ -318,12 +337,12 @@ int cmd_latency(int argc, const char* const* argv) {
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
   if (!obs.validate_series()) return 1;
   graph::TopologyFile topo;
-  if (!load_dut(dut, topo) || !trials.prepare(obs)) return 1;
-
+  if (!load_dut(dut, topo)) return 1;
   graph::WorkloadSpec& w = topo.workload;
   w.rate_gbps = rate_gbps;
   w.frame_size = static_cast<std::size_t>(frame_size);
   if (poisson) w.arrivals = core::TrafficSpec::Arrivals::kPoisson;
+  if (!trials.prepare(topo, obs)) return 1;
   trials.runner.max_attempts =
       static_cast<std::uint32_t>(retries < 0 ? 0 : retries) + 1;
   trials.runner.event_budget =
@@ -376,6 +395,10 @@ int cmd_throughput(int argc, const char* const* argv) {
   }
   graph::TopologyFile topo;
   if (!load_dut(dut, topo)) return 1;
+  if (frame_size != 0) {
+    topo.workload.frame_size = static_cast<std::size_t>(frame_size);
+  }
+  if (!check_topology(topo, fault::FaultPlan{})) return 1;
 
   // Each probe is one topology trial at its load and size, so the sweep
   // can shard across cores; output is identical for any --jobs value.
@@ -575,13 +598,7 @@ int cmd_tcp(int argc, const char* const* argv) {
   w.queue_segments = static_cast<std::size_t>(queue_segments);
   w.rwnd_kb = static_cast<std::uint64_t>(rwnd_kb);
   cable.duration = from_micros(duration_ms * 1000.0);
-  try {
-    graph::validate_workload(cable);
-  } catch (const graph::GraphError& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
-  }
-  if (!trials.prepare(obs)) return 1;
+  if (!trials.prepare(cable, obs)) return 1;
 
   const int rc = trials.run(cable, static_cast<std::uint64_t>(seed),
                             cable.duration, obs);
@@ -656,30 +673,20 @@ int cmd_topo(int argc, const char* const* argv) {
       seed > 0 ? static_cast<std::uint64_t>(seed) : topo.seed;
   const Picos duration =
       duration_ms > 0 ? from_micros(duration_ms * 1000.0) : topo.duration;
-  if (!trials.prepare(obs)) return 1;
-  const fault::FaultPlan& fplan = trials.plan;
+  if (!trials.prepare(topo, obs)) return 1;
 
   std::printf("topology %s: %zu blocks, %zu edges, workload %s\n",
               topo.name.empty() ? cli.positional()[0].c_str()
                                 : topo.name.c_str(),
               topo.blocks.size(), topo.edges.size(),
-              topo.workload.kind == graph::WorkloadSpec::Kind::kTcp     ? "tcp"
-              : topo.workload.kind == graph::WorkloadSpec::Kind::kCbr   ? "cbr"
-              : topo.workload.kind == graph::WorkloadSpec::Kind::kBurst ? "burst"
-                                                                        : "none");
+              topo.workload.kind == graph::WorkloadSpec::Kind::kTcp   ? "tcp"
+              : topo.workload.kind == graph::WorkloadSpec::Kind::kCbr ? "cbr"
+                                                                      : "none");
 
   if (validate_only) {
-    // Dry run: the file already parsed and wired, so all that is left is
-    // the semantic workload checks, resolving the fault plan's block
-    // targets, and showing what would be built — cheap enough for CI to
-    // gate every plan/topology pair on.
-    try {
-      graph::validate_workload(topo);
-      graph::validate_fault_targets(topo, fplan);
-    } catch (const graph::GraphError& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
-    }
+    // Dry run: loading and prepare() already checked everything, so all
+    // that is left is showing what would be built — cheap enough for CI
+    // to gate every plan/topology pair on.
     std::printf("%-16s %-16s %7s %8s\n", "block", "type", "inputs",
                 "outputs");
     for (const auto& b : topo.blocks) {
@@ -687,7 +694,7 @@ int cmd_topo(int argc, const char* const* argv) {
                   b.num_inputs, b.num_outputs);
     }
     std::printf("ok: topology valid, workload valid%s\n",
-                fplan.events.empty() ? "" : ", fault targets resolved");
+                trials.plan.events.empty() ? "" : ", fault targets resolved");
     return 0;
   }
 
@@ -726,15 +733,6 @@ int cmd_topo(int argc, const char* const* argv) {
           static_cast<unsigned long long>(rep.cbr.tx_frames),
           static_cast<unsigned long long>(rep.cbr.rx_frames),
           rep.cbr.loss_fraction() * 100.0,
-          static_cast<unsigned long long>(rep.graph_drops));
-    } else if (topo.workload.kind == graph::WorkloadSpec::Kind::kBurst) {
-      std::printf(
-          "trial %zu seed %llu: %llu frames in %llu bursts  rx %llu  "
-          "graph drops %llu\n",
-          i, static_cast<unsigned long long>(tr.seed_used),
-          static_cast<unsigned long long>(rep.burst.frames),
-          static_cast<unsigned long long>(rep.burst.bursts),
-          static_cast<unsigned long long>(rep.burst.rx_frames),
           static_cast<unsigned long long>(rep.graph_drops));
     } else {
       std::printf("trial %zu seed %llu: %llu frames through the graph\n", i,
