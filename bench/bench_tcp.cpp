@@ -194,13 +194,9 @@ void BM_GoodputVsBer(benchmark::State& state) {
   cable.workload.flows = 4;
   cable.workload.bottleneck_gbps = 5.0;
   fault::FaultPlan plan;
-  if (ber > 0.0) {
-    plan = fault::FaultPlan::from_json(
-        std::string("{\"seed\": 5, \"events\": [{\"type\": \"ber_window\", "
-                    "\"at_ms\": 2, \"duration_ms\": 6, \"ramp_us\": 500, "
-                    "\"ber\": ") +
-        std::to_string(ber) + "}]}");
-  }
+  plan.seed = 5;
+  plan.ber_window(2 * kPicosPerMilli, 6 * kPicosPerMilli, ber,
+                  500 * kPicosPerMicro);
   double goodput = 0.0;
   for (auto _ : state) {
     const auto r = graph::run_topology_trial(

@@ -36,9 +36,7 @@ struct GraphTestbed {
 
   explicit GraphTestbed(const dut::OpenFlowSwitchConfig& sw_cfg)
       : osnt(eng), g(eng), snmp(eng) {
-    graph::OpenFlowSwitchBlockConfig bc;
-    bc.sw = sw_cfg;
-    sw = &g.emplace<graph::OpenFlowSwitchBlock>(eng, "sw", bc);
+    sw = &g.emplace<graph::OpenFlowSwitchBlock>(eng, "sw", sw_cfg);
     const std::size_t n = std::min(osnt.num_ports(), sw->dut().num_ports());
     for (std::size_t i = 0; i < n; ++i) {
       osnt.port(i).out_link().connect(g.input("sw", i));

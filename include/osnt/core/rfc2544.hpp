@@ -19,9 +19,8 @@
 
 namespace osnt::core {
 
+/// Searches run from a floor of 2% of line rate up to line rate.
 struct ThroughputSearchConfig {
-  double lo = 0.02;          ///< search floor (fraction of line rate)
-  double hi = 1.0;           ///< search ceiling
   double resolution = 0.005; ///< stop when hi-lo below this
   double loss_tolerance = 0.0;
 };

@@ -20,17 +20,12 @@ struct SelfTestResult {
   }
 };
 
-struct SelfTestConfig {
-  std::size_t frames_per_port = 200;
-  std::size_t frame_size = 512;
-};
-
 /// Runs on a device whose ports are NOT yet cabled: the test wires
-/// port 2k → port 2k+1 internally (loopback pairs), drives traffic, and
-/// checks: zero loss, in-order sequence numbers, hash integrity of every
-/// capture, and timestamp sanity. The device is left with those cables
-/// in place; use a fresh device for production wiring afterwards.
-[[nodiscard]] SelfTestResult run_self_test(sim::Engine& eng, OsntDevice& dev,
-                                           SelfTestConfig cfg = SelfTestConfig());
+/// port 2k → port 2k+1 internally (loopback pairs), drives 200 frames of
+/// 512 B per pair, and checks: zero loss, in-order sequence numbers, hash
+/// integrity of every capture, and timestamp sanity. The device is left
+/// with those cables in place; use a fresh device for production wiring
+/// afterwards.
+[[nodiscard]] SelfTestResult run_self_test(sim::Engine& eng, OsntDevice& dev);
 
 }  // namespace osnt::core

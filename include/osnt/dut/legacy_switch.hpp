@@ -39,9 +39,6 @@ struct LegacySwitchConfig {
   /// Under-provisioned switches are packet-rate-limited: small frames
   /// saturate the lookup stage long before the link fills.
   double lookup_rate_mpps = 0.0;
-  /// Max backlog (in time) tolerated at the lookup stage before ingress
-  /// drops, when lookup_rate_mpps > 0.
-  Picos lookup_queue_limit = 100 * kPicosPerMicro;
   std::uint64_t seed = 11;
 };
 

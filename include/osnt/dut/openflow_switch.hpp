@@ -55,11 +55,7 @@ struct OpenFlowSwitchConfig {
   /// behaviour), barrier covers agent processing only.
   bool barrier_covers_commit = false;
 
-  /// How often the agent sweeps the table for idle/hard timeouts.
-  Picos expiry_scan_interval = 500 * kPicosPerMilli;
-
   // --- packet_in path ---
-  std::size_t packet_in_trunc = 128;
   /// Token-bucket rate limit on packet_in generation (0 = unlimited).
   double packet_in_limit_pps = 2000.0;
 

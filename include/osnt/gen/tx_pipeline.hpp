@@ -24,7 +24,6 @@ struct TxConfig {
   RateSpec rate = RateSpec::line_rate(1.0);
   bool embed_timestamp = true;
   std::size_t embed_offset = tstamp::kDefaultEmbedOffset;
-  Picos start_delay = 0;
   std::uint64_t seed = 99;
 };
 
@@ -45,7 +44,7 @@ class TxPipeline {
     gap_model_ = std::move(model);
   }
 
-  /// Begin generation `cfg.start_delay` after the current sim time.
+  /// Begin generation at the current sim time.
   /// Requires a source. Generation ends when the source is exhausted or
   /// stop() is called. A source that reports blocked() parks the pipeline
   /// instead of ending it; kick() resumes.

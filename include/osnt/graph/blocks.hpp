@@ -10,6 +10,11 @@
 //   ecmp          stateless 5-tuple hash fan-out across N outputs
 //   sink          terminal byte/frame counter
 //   monitor       pass-through tap with a frame-size histogram
+//
+// A config with a rule carries it as validate(), which throws GraphError
+// ("red needs min_th < max_th") naming the first rule the config breaks.
+// The block's constructor and retime setters, the topology loader and
+// graph::validate_workload all apply it.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +33,7 @@ namespace osnt::graph {
 struct FifoQueueConfig {
   double rate_gbps = 10.0;        ///< output serialization rate
   std::size_t queue_frames = 64;  ///< tail-drop beyond this depth
+  void validate() const;
 };
 
 /// Bounded store-and-forward queue: frames serialize out at `rate_gbps`
@@ -93,6 +99,7 @@ struct RedConfig {
   double max_p = 0.1;     ///< early-drop probability as avg -> max_th
   double weight = 0.002;  ///< EWMA weight for the average queue estimate
   std::uint64_t seed = 1; ///< drop-lottery stream (loader derives this)
+  void validate() const;
 };
 
 /// Random Early Detection in front of the FIFO serializer (Floyd/Jacobson
@@ -130,6 +137,7 @@ struct TokenBucketConfig {
   std::size_t burst_bytes = 15000; ///< bucket capacity (line-length bytes)
   bool shape = true;               ///< true: delay excess; false: drop it
   std::size_t queue_frames = 256;  ///< shaper backlog cap (shape mode)
+  void validate() const;
 };
 
 /// Token bucket over frame line lengths. In police mode nonconforming
@@ -198,12 +206,13 @@ struct DelayBerConfig {
   Picos delay = 0;        ///< added to both bit times
   double ber = 0.0;       ///< per-bit error probability
   std::uint64_t seed = 1; ///< corruption lottery (loader derives this)
+  void validate() const;
 };
 
 /// Link physics as a named node: constant extra delay plus optional
-/// bit-error corruption (same model as sim::Link's BER — one flipped bit,
-/// fcs_bad set). Exists so topologies can put delay/noise *between* any
-/// two blocks and read its corruption count under graph.<name>.*.
+/// bit-error corruption (sim::BitErrors, sim::Link's model — one flipped
+/// bit, fcs_bad set). Exists so topologies can put delay/noise *between*
+/// any two blocks and read its corruption count under graph.<name>.*.
 class DelayBerBlock : public Block {
  public:
   DelayBerBlock(sim::Engine& eng, std::string name, DelayBerConfig cfg = {});
@@ -217,9 +226,8 @@ class DelayBerBlock : public Block {
  private:
   DelayBerConfig cfg_;
   Rng rng_;
+  sim::BitErrors errors_;
   std::uint64_t corrupted_ = 0;
-  std::size_t hit_line_len_ = 0;  ///< line length p_hit_ was computed for
-  double p_hit_ = 0.0;
 };
 
 // ------------------------------------------------------------------ ecmp
@@ -227,6 +235,7 @@ class DelayBerBlock : public Block {
 struct EcmpConfig {
   std::size_t fanout = 2;   ///< number of output ports
   std::uint64_t salt = 0;   ///< mixed into the hash (path polarization)
+  void validate() const;
 };
 
 /// Stateless equal-cost fan-out: FNV-1a over the IPv4 5-tuple picks the

@@ -48,16 +48,12 @@ class LegacySwitchBlock : public Block {
 };
 
 /// dut::OpenFlowSwitch as an N-in/N-out block. The block owns its
-/// control channel; drive the switch through controller().
-struct OpenFlowSwitchBlockConfig {
-  dut::OpenFlowSwitchConfig sw{};
-  openflow::ChannelConfig chan{};
-};
-
+/// control channel (default ChannelConfig); drive the switch through
+/// controller().
 class OpenFlowSwitchBlock : public Block {
  public:
   OpenFlowSwitchBlock(sim::Engine& eng, std::string name,
-                      OpenFlowSwitchBlockConfig cfg = {});
+                      dut::OpenFlowSwitchConfig cfg = {});
 
   void on_frame(std::size_t in_port, net::Packet pkt, Picos first_bit,
                 Picos last_bit) override;

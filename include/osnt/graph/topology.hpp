@@ -61,7 +61,7 @@ struct BlockSpec {
   EcmpConfig ecmp{};
   MonitorConfig monitor{};
   dut::LegacySwitchConfig legacy_switch{};
-  OpenFlowSwitchBlockConfig openflow_switch{};
+  dut::OpenFlowSwitchConfig openflow_switch{};
   burst::BurstSourceConfig burst{};
 };
 
@@ -168,9 +168,10 @@ void validate_fault_targets(const TopologyFile& topo,
 
 /// Semantic workload validation beyond parse-time shape checks: tcp cc
 /// names (with did-you-mean), mss, cbr rate/frame-size ranges, and every
-/// burst_source block's pattern. Throws TopologyError. from_json() runs
-/// the same checks; callers that fill a workload in code (osnt_run's
-/// flags) call this before the first trial.
+/// block's config rule (the one its constructor enforces, e.g. a
+/// burst_source's pattern or a red block's thresholds). Throws
+/// TopologyError. from_json() runs the same checks; callers that fill a
+/// topology in code (osnt_run's flags) call this before the first trial.
 void validate_workload(const TopologyFile& topo);
 
 /// The topology behind `osnt_run latency|throughput --dut NAME`, with a

@@ -64,9 +64,8 @@ class TxMac {
 
 struct RxMacConfig {
   double gbps = 10.0;
-  std::size_t min_frame = net::kEthMinFrame;  ///< incl. FCS
-  std::size_t max_frame = net::kEthMaxFrame;  ///< incl. FCS (1518 untagged)
-  bool accept_oversize = false;               ///< jumbo tolerance
+  /// Accept frames above net::kEthMaxFrame (1518 B untagged, incl. FCS).
+  bool accept_oversize = false;
 };
 
 /// Receive-side 10GbE MAC.

@@ -14,15 +14,16 @@ namespace osnt::hw {
 struct EthPortConfig {
   TxMac::Config tx{};
   RxMac::Config rx{};
-  Picos propagation = sim::fiber_delay(2.0);
 };
 
 class EthPort {
  public:
   using Config = EthPortConfig;
+  /// The outbound wire: 2 m of fiber.
+  static constexpr Picos kPropagation = sim::fiber_delay(2.0);
 
   EthPort(sim::Engine& eng, Config cfg = Config())
-      : tx_(eng, cfg.tx), rx_(eng, cfg.rx), out_(eng, cfg.propagation) {
+      : tx_(eng, cfg.tx), rx_(eng, cfg.rx), out_(eng, kPropagation) {
     tx_.attach(out_);
   }
 

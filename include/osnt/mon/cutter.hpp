@@ -13,14 +13,12 @@ namespace osnt::mon {
 struct CutterConfig {
   /// Bytes to keep per frame; 0 = cutting disabled (full frames).
   std::size_t snap_len = 0;
-  /// Hash the full (pre-cut) frame and carry it in the capture record.
-  bool hash_full_frame = true;
 };
 
 struct CutResult {
   Bytes data;                 ///< snapped frame bytes
   std::uint32_t orig_len = 0; ///< original frame length (without FCS)
-  std::uint32_t hash = 0;     ///< CRC32 over the full frame (0 if disabled)
+  std::uint32_t hash = 0;     ///< CRC32 over the full (pre-cut) frame
 };
 
 class PacketCutter {

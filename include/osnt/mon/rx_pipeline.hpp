@@ -34,11 +34,10 @@ struct RxConfig {
   /// `probe_embed_offset` before the trigger/filter/DMA stages and record
   /// the device-clock latency per traffic class (IPv4 DSCP). Frames whose
   /// bytes at the offset do not decode to a plausible stamp (delta outside
-  /// [0, probe_window_ns)) are skipped — unstamped traffic decodes to
+  /// [0, kProbeWindowNs)) are skipped — unstamped traffic decodes to
   /// absurd deltas, which is what makes the probe safe to leave on.
   bool rtt_probe = true;
   std::size_t probe_embed_offset = tstamp::kDefaultEmbedOffset;
-  double probe_window_ns = 1e9;
 };
 
 class RxPipeline {

@@ -27,8 +27,7 @@ namespace osnt::net {
 /// Reassembles fragment streams back into full datagrams. Fragments may
 /// arrive in any order; completed datagrams are returned from add().
 struct ReassemblerConfig {
-  Picos timeout = 30 * kPicosPerSec;  ///< partial datagrams expire
-  std::size_t max_pending = 1024;     ///< concurrent partial datagrams
+  std::size_t max_pending = 1024;  ///< concurrent partial datagrams
 };
 
 class Ipv4Reassembler {
@@ -42,7 +41,7 @@ class Ipv4Reassembler {
   /// frame; otherwise nullopt.
   [[nodiscard]] std::optional<Packet> add(const Packet& frame, Picos now);
 
-  /// Drop partial datagrams older than the timeout; returns how many.
+  /// Drop partial datagrams older than 30 s; returns how many.
   std::size_t expire(Picos now);
 
   [[nodiscard]] std::size_t pending() const noexcept { return pending_.size(); }

@@ -12,7 +12,6 @@ namespace osnt::oflops {
 
 struct ActionLatencyConfig {
   std::size_t samples_per_mode = 200;
-  double probe_pps = 50'000.0;
   Picos settle = 20 * kPicosPerMilli;
 };
 

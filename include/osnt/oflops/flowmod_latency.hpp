@@ -18,7 +18,6 @@ namespace osnt::oflops {
 struct FlowModLatencyConfig {
   std::size_t table_size = 64;   ///< filler rules pre-installed
   std::size_t rounds = 20;       ///< redirect cycles measured
-  double probe_pps = 100000.0;   ///< probe flow rate
   Picos settle = 50 * kPicosPerMilli;  ///< pause between rounds
   /// Wait after the fill barrier before measuring, so the fillers' own
   /// hardware commits drain (the barrier does not cover them on a

@@ -12,7 +12,6 @@ namespace osnt::oflops {
 
 struct InteractionConfig {
   std::size_t rounds_per_phase = 30;
-  Picos round_interval = 10 * kPicosPerMilli;
   double storm_pps = 1500.0;  ///< below the switch's packet_in limiter
 };
 

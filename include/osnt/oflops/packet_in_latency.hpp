@@ -12,7 +12,6 @@ namespace osnt::oflops {
 
 struct PacketInLatencyConfig {
   std::size_t probes = 200;
-  double probe_pps = 500.0;  ///< keep below the switch packet_in limiter
 };
 
 class PacketInLatencyModule final : public MeasurementModule {

@@ -18,13 +18,10 @@ struct ChannelConfig {
   Picos latency = 50 * kPicosPerMicro;  ///< one-way propagation+stack delay
   double mbps = 1000.0;                 ///< control-channel bandwidth
   /// Session-reconnect policy after a disconnect: probe attempt k fires
-  /// after base * multiplier^k (capped at `reconnect_max_backoff`). The
-  /// FSM gives up after `reconnect_max_attempts` probes so a permanently
-  /// dead link cannot keep the event queue alive forever; a later
+  /// after 2 ms * 2^k (capped at 100 ms). The FSM gives up after
+  /// `reconnect_max_attempts` probes so a permanently dead link cannot
+  /// keep the event queue alive forever; a later
   /// set_link_available(true) still restores the session directly.
-  Picos reconnect_base = 2 * kPicosPerMilli;
-  double reconnect_multiplier = 2.0;
-  Picos reconnect_max_backoff = 100 * kPicosPerMilli;
   std::size_t reconnect_max_attempts = 16;
 };
 
@@ -111,7 +108,6 @@ class ControlChannel {
   void schedule_probe_(std::size_t attempt);
   void restore_session_();
   void notify_(bool up);
-  [[nodiscard]] Picos backoff_(std::size_t attempt) const noexcept;
 
   sim::Engine* eng_;
   Config cfg_;

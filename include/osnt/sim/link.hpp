@@ -37,6 +37,24 @@ struct TimedFrame {
   return static_cast<Picos>(meters * 4'900.0);  // ps
 }
 
+/// The frame-hit model of a bit-error channel, shared by Link and
+/// graph::DelayBerBlock: a frame of L line bytes is hit with probability
+/// P = 1 - (1-ber)^(8L); a hit flips one random bit and marks the FCS
+/// bad for the receiver to discard.
+class BitErrors {
+ public:
+  explicit BitErrors(double ber = 0.0) noexcept : ber_(ber) {}
+  /// One chance() draw from `rng`, then on a hit the byte and bit to
+  /// flip; true when `pkt` was corrupted. A zero BER or an empty frame
+  /// draws nothing.
+  bool corrupt(net::Packet& pkt, Rng& rng) noexcept;
+
+ private:
+  double ber_;
+  std::size_t line_len_ = 0;  ///< P depends only on the line length, and
+  double p_hit_ = 0.0;        ///< streams repeat lengths: keep the last
+};
+
 class Link {
  public:
   /// `propagation` is the one-way flight time of a bit.
@@ -93,8 +111,8 @@ class Link {
   FrameSink* sink_ = nullptr;
   Picos propagation_;
   Picos extra_delay_ = 0;
-  double ber_ = 0.0;
-  std::unique_ptr<Rng> rng_;
+  BitErrors errors_;
+  std::unique_ptr<Rng> rng_;  ///< null while the BER is 0
   bool up_ = true;
   std::uint64_t carried_ = 0;
   std::uint64_t dark_ = 0;

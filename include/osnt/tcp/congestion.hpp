@@ -17,9 +17,7 @@
 namespace osnt::tcp {
 
 struct CcConfig {
-  std::uint32_t mss = 1448;            ///< payload bytes per full segment
-  std::uint64_t initial_cwnd = 0;      ///< 0 = 10·mss (RFC 6928 IW10)
-  std::uint64_t min_cwnd = 0;          ///< 0 = 2·mss (BbrLite floors at 4·mss)
+  std::uint32_t mss = 1448;  ///< payload bytes per full segment
 };
 
 /// One ACK's worth of feedback, delivered after the flow has advanced

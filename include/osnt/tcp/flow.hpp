@@ -109,7 +109,6 @@ struct FlowConfig {
   /// and when off, the detector is never constructed, so the flow is
   /// byte-identical to a build without it.
   bool rate_limit_detector = false;
-  RateLimitDetectorConfig rld{};
 };
 
 /// Sender-side counters, exposed for tests and the CLI report.

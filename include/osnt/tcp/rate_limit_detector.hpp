@@ -10,7 +10,7 @@
 //
 // Three mechanisms:
 //   * Plateau detection integrates `delivered` over wall-clock windows
-//     (`window_rtts * srtt`, floored at `min_window` so one window
+//     (`kWindowRtts * srtt`, floored at `kMinWindow` so one window
 //     spans several RTO stall/burst cycles). Cumulative-ACK goodput is
 //     immune to the delivery-rate aliasing of loss recovery, so "flat
 //     across consecutive windows, with losses or inflated RTT" is a
@@ -32,11 +32,11 @@
 //     above any threshold, so counting over-rate ACKs cannot tell a
 //     lifted limiter from a deep bucket. Instead the detector
 //     periodically runs an active probe epoch: for one measurement
-//     window every `probe_interval_windows`, the exported rate is
-//     `probe_gain` times the verdict (the controller simply follows
+//     window every `kProbeIntervalWindows`, the exported rate is
+//     `kProbeGain` times the verdict (the controller simply follows
 //     it). A standing limiter holds that window's goodput at the token
 //     rate — inside the verdict band — while a lifted one lets it
-//     break above `(1 + rate_tolerance) * verdict`, which releases the
+//     break above `(1 + kRateTolerance) * verdict`, which releases the
 //     verdict and restarts learning. The epoch's cost against a
 //     standing policer is one window of overshoot loss every interval.
 //
@@ -55,40 +55,36 @@
 
 namespace osnt::tcp {
 
-struct RateLimitDetectorConfig {
+class RateLimitDetector {
+ public:
   /// Consecutive in-band measurement windows before a verdict.
-  int plateau_windows = 4;
+  static constexpr int kPlateauWindows = 4;
   /// Measurement-window length in units of the smoothed RTT (the
   /// queue-inflated one, not the floor).
-  double window_rtts = 8.0;
+  static constexpr double kWindowRtts = 8.0;
   /// Absolute floor on the window length. Go-back-N recovery turns
   /// goodput into a stall/burst square wave on the RTO timescale
   /// (min_rto is 1 ms in this stack); windows must integrate over
   /// several such cycles or the plateau test just samples the wave.
-  Picos min_window = 2 * kPicosPerMilli;
+  static constexpr Picos kMinWindow = 2 * kPicosPerMilli;
   /// Half-width of the plateau band, as a fraction of the plateau rate:
   /// a window whose goodput lands within ±tolerance extends the
   /// plateau, anything else restarts it. Also the release test: a probe
   /// epoch whose goodput breaks above `(1 + tolerance) * verdict`
   /// proves the limiter no longer binds.
-  double rate_tolerance = 0.25;
-  /// RTT must inflate past `rtt_inflation * min_rtt` (shaper signature)
+  static constexpr double kRateTolerance = 0.25;
+  /// RTT must inflate past `kRttInflation * min_rtt` (shaper signature)
   /// — or a loss must land inside the plateau (policer signature) —
   /// for the plateau to count as *limited* rather than app-limited.
-  double rtt_inflation = 1.5;
+  static constexpr double kRttInflation = 1.5;
   /// While a verdict stands, run one probe epoch (exported rate =
-  /// `probe_gain` * verdict for a single window) every this many
+  /// `kProbeGain` * verdict for a single window) every this many
   /// windows. 16 windows at the 2 ms floor = one epoch per ~32 ms.
-  int probe_interval_windows = 16;
+  static constexpr int kProbeIntervalWindows = 16;
   /// Exported-rate multiple during a probe epoch. Must clear the
-  /// release band `(1 + rate_tolerance)` with margin once the limiter
+  /// release band `(1 + kRateTolerance)` with margin once the limiter
   /// is gone; 2x leaves the verdict band unambiguous.
-  double probe_gain = 2.0;
-};
-
-class RateLimitDetector {
- public:
-  explicit RateLimitDetector(RateLimitDetectorConfig cfg = {}) : cfg_(cfg) {}
+  static constexpr double kProbeGain = 2.0;
 
   /// Feed one ACK's worth of estimator state. `delivery_rate_bps` is the
   /// instantaneous BBR-style sample; the caller passes 0 for samples it
@@ -106,7 +102,7 @@ class RateLimitDetector {
       // Smoothed RTT (EWMA, gain 1/8) sizes the measurement window.
       srtt_ = srtt_ ? srtt_ - srtt_ / 8 + rtt / 8 : rtt;
       if (static_cast<double>(rtt) >
-          cfg_.rtt_inflation * static_cast<double>(min_rtt_)) {
+          kRttInflation * static_cast<double>(min_rtt_)) {
         rtt_inflated_ = true;
       }
     }
@@ -120,8 +116,8 @@ class RateLimitDetector {
       return false;
     }
     const auto win_len = std::max<Picos>(
-        static_cast<Picos>(cfg_.window_rtts * static_cast<double>(srtt_)),
-        cfg_.min_window);
+        static_cast<Picos>(kWindowRtts * static_cast<double>(srtt_)),
+        kMinWindow);
     if (now - win_start_ < win_len) return false;
     const double r =
         static_cast<double>(delivered_bytes - win_delivered_) * 8.0 *
@@ -135,7 +131,7 @@ class RateLimitDetector {
       // there — the limiter was lifted (or retimed far upward).
       probing_ = false;
       windows_since_probe_ = 0;
-      if (r > detected_rate_bps_ * (1.0 + cfg_.rate_tolerance)) {
+      if (r > detected_rate_bps_ * (1.0 + kRateTolerance)) {
         detected_ = false;
         detected_rate_bps_ = 0.0;
         ++releases_;
@@ -149,8 +145,8 @@ class RateLimitDetector {
       return false;
     }
     if (plateau_goodput_bps_ <= 0.0 ||
-        r > plateau_goodput_bps_ * (1.0 + cfg_.rate_tolerance) ||
-        r < plateau_goodput_bps_ * (1.0 - cfg_.rate_tolerance)) {
+        r > plateau_goodput_bps_ * (1.0 + kRateTolerance) ||
+        r < plateau_goodput_bps_ * (1.0 - kRateTolerance)) {
       reset_plateau();
       plateau_goodput_bps_ = r;
       plateau_len_ = 1;
@@ -158,7 +154,7 @@ class RateLimitDetector {
     }
     plateau_goodput_bps_ = std::max(plateau_goodput_bps_, r);
     ++plateau_len_;
-    if (plateau_len_ >= cfg_.plateau_windows &&
+    if (plateau_len_ >= kPlateauWindows &&
         (rtt_inflated_ || loss_in_plateau_)) {
       const double verdict = verdict_rate_();
       // A standing verdict only re-fires for a materially *lower* rate
@@ -166,7 +162,7 @@ class RateLimitDetector {
       // caught by the probe epochs.
       if (verdict > 0.0 &&
           (!detected_ ||
-           verdict < detected_rate_bps_ * (1.0 - cfg_.rate_tolerance))) {
+           verdict < detected_rate_bps_ * (1.0 - kRateTolerance))) {
         detected_ = true;
         detected_rate_bps_ = verdict;
         detect_time_ = now - first_sample_;
@@ -184,10 +180,10 @@ class RateLimitDetector {
 
   [[nodiscard]] bool detected() const { return detected_; }
   /// Rate to hand to `adapt_to_policer`, in payload bits/s: the verdict
-  /// — or `probe_gain` times it during a release-probe epoch (0 when
+  /// — or `kProbeGain` times it during a release-probe epoch (0 when
   /// nothing is detected).
   [[nodiscard]] double detected_rate_bps() const {
-    return probing_ ? cfg_.probe_gain * detected_rate_bps_
+    return probing_ ? kProbeGain * detected_rate_bps_
                     : detected_rate_bps_;
   }
   /// The standing verdict itself, unmodulated by probe epochs.
@@ -239,7 +235,7 @@ class RateLimitDetector {
         break;
       }
     }
-    const double cut = (1.0 - cfg_.rate_tolerance) * bin_rate_(p90_bin);
+    const double cut = (1.0 - kRateTolerance) * bin_rate_(p90_bin);
     std::uint64_t below = 0;
     for (int i = 0; i < kBins; ++i) {
       if (bin_rate_(i) < cut) below += hist_[i];
@@ -259,7 +255,7 @@ class RateLimitDetector {
   /// release-probe epoch? Returns true when the exported rate changed.
   bool start_probe_() {
     if (!detected_) return false;
-    if (++windows_since_probe_ < cfg_.probe_interval_windows) return false;
+    if (++windows_since_probe_ < kProbeIntervalWindows) return false;
     probing_ = true;
     return true;
   }
@@ -273,7 +269,6 @@ class RateLimitDetector {
     hist_total_ = 0;
   }
 
-  RateLimitDetectorConfig cfg_;
   Picos first_sample_ = 0;
   Picos min_rtt_ = 0;
   Picos srtt_ = 0;

@@ -10,15 +10,17 @@
 // caller's: graph::run_topology_trial cables them through a topology, or
 // back to back when the topology has no blocks.
 //
-// Built for flow counts in the 10k–1M range (DESIGN.md §12): flows live
-// in a generation-counted Slab (no per-flow unique_ptr), receiver state
-// is split hot/cold so the per-ACK touch set stays cache-resident, and
-// the per-frame demux is pure index arithmetic over the flow addressing
-// scheme — no map lookups anywhere on the RX tap path.
+// Built for flow counts in the 10k–1M range (DESIGN.md §12): the flows
+// live in one array allocated at construction and indexed by flow id (no
+// per-flow allocation), receiver state is split hot/cold so the per-ACK
+// touch set stays cache-resident, and the per-frame demux is pure index
+// arithmetic over the flow addressing scheme — no map lookups anywhere
+// on the RX tap path.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,7 +29,6 @@
 #include "osnt/mon/latency_probe.hpp"
 #include "osnt/sim/engine.hpp"
 #include "osnt/tcp/flow.hpp"
-#include "osnt/tcp/flow_slab.hpp"
 
 namespace osnt::tcp {
 
@@ -185,12 +186,8 @@ class ClosedLoopWorkload {
   void start();
 
   [[nodiscard]] std::size_t num_flows() const { return flows_.size(); }
-  [[nodiscard]] Flow& flow(std::size_t i) {
-    return flows_[static_cast<std::uint32_t>(i)];
-  }
-  [[nodiscard]] const Flow& flow(std::size_t i) const {
-    return flows_[static_cast<std::uint32_t>(i)];
-  }
+  [[nodiscard]] Flow& flow(std::size_t i) { return *flows_[i]; }
+  [[nodiscard]] const Flow& flow(std::size_t i) const { return *flows_[i]; }
   [[nodiscard]] const ReceiverHot& receiver(std::size_t i) const {
     return recv_hot_.at(i);
   }
@@ -253,9 +250,10 @@ class ClosedLoopWorkload {
   /// Every flow records into this shard; declared before flows_ so it
   /// outlives them. Flushed under tcp.* at destruction.
   FlowTelemetry telemetry_;
-  /// Flows live in the slab; handles are dense (slot == flow index).
-  Slab<Flow> flows_;
-  std::vector<Slab<Flow>::Handle> flow_handles_;
+  /// Flow i at index i, sized once at construction. A Flow can be
+  /// neither copied nor moved, so each is constructed in place; every
+  /// slot is engaged from the constructor until the destructor.
+  std::vector<std::optional<Flow>> flows_;
   std::vector<ReceiverHot> recv_hot_;
   std::vector<ReceiverCold> recv_cold_;
   std::uint64_t delack_cancels_saved_ = 0;

@@ -21,9 +21,6 @@ struct FabricConfig {
   std::size_t leaves = 2;
   std::size_t spines = 2;
   std::size_t testers_per_leaf = 2;
-  dut::LegacySwitchConfig leaf_cfg{};   ///< num_ports set by the fabric
-  dut::LegacySwitchConfig spine_cfg{};  ///< num_ports set by the fabric
-  core::DeviceConfig tester_cfg{};      ///< each tester uses its port 0
 };
 
 class LeafSpineFabric {

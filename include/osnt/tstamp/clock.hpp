@@ -19,10 +19,6 @@ namespace osnt::tstamp {
 struct ClockConfig {
   Oscillator::Config osc{};
   bool discipline = true;  ///< false = free-running (GPS ignored)
-  double servo_kp = 0.7;   ///< fraction of phase error removed per second
-  double servo_ki = 0.3;   ///< integral gain (absorbs frequency offset)
-  /// Above this error the clock phase-steps instead of slewing.
-  double step_threshold_ns = 10'000.0;
 };
 
 class DisciplinedClock {

@@ -1,6 +1,7 @@
 // Free-running oscillator model: maps ground-truth simulation time to a
-// tick count, with a static ppm offset plus a random-walk frequency
-// component — the imperfection that GPS discipline must correct.
+// tick count at the nominal kDatapathHz, with a static ppm offset plus a
+// random-walk frequency component — the imperfection that GPS discipline
+// must correct.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +13,6 @@
 namespace osnt::tstamp {
 
 struct OscillatorConfig {
-  double nominal_hz = kDatapathHz;
   double ppm_offset = 0.0;          ///< static frequency error
   double random_walk_ppm = 0.0;     ///< per-sqrt(second) random walk intensity
   std::uint64_t seed = 42;

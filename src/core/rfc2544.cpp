@@ -12,6 +12,9 @@ namespace {
 constexpr std::array<std::size_t, 7> kRfc2544Sizes = {64,  128, 256, 512,
                                                       1024, 1280, 1518};
 
+constexpr double kSearchFloor = 0.02;  ///< fraction of line rate
+constexpr double kSearchCeiling = 1.0;  ///< search ceiling
+
 double load_to_gbps(double load_fraction, std::size_t frame_size) {
   const double line = net::max_frame_rate(frame_size, 10.0) *
                       static_cast<double>(frame_size + net::kEthPerFrameOverhead) *
@@ -37,8 +40,8 @@ ThroughputPoint find_throughput(const Trial& run, std::size_t frame_size,
   ThroughputPoint pt;
   pt.frame_size = frame_size;
 
-  double lo = cfg.lo;
-  double hi = cfg.hi;
+  double lo = kSearchFloor;
+  double hi = kSearchCeiling;
   // Try the ceiling first: a wire-rate DUT should exit in one trial.
   TrialStats best{};
   double best_load = 0.0;

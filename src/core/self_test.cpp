@@ -9,6 +9,9 @@
 namespace osnt::core {
 namespace {
 
+constexpr std::size_t kFramesPerPort = 200;
+constexpr std::size_t kFrameSize = 512;
+
 std::string portmsg(std::size_t p, const char* what) {
   char buf[128];
   std::snprintf(buf, sizeof buf, "port %zu: %s", p, what);
@@ -17,8 +20,7 @@ std::string portmsg(std::size_t p, const char* what) {
 
 }  // namespace
 
-SelfTestResult run_self_test(sim::Engine& eng, OsntDevice& dev,
-                             SelfTestConfig cfg) {
+SelfTestResult run_self_test(sim::Engine& eng, OsntDevice& dev) {
   SelfTestResult result;
 
   for (std::size_t p = 0; p + 1 < dev.num_ports(); p += 2) {
@@ -36,17 +38,17 @@ SelfTestResult run_self_test(sim::Engine& eng, OsntDevice& dev,
     txc.seed = 42 + p;
     auto& tx = dev.configure_tx(p, txc);
     TrafficSpec spec;
-    spec.frame_size = cfg.frame_size;
-    spec.frame_count = cfg.frames_per_port;
+    spec.frame_size = kFrameSize;
+    spec.frame_count = kFramesPerPort;
     spec.seed = p + 1;
     tx.set_source(make_source(spec));
     tx.start();
     eng.run();
 
     auto& rx = dev.rx(p + 1);
-    if (tx.frames_sent() != cfg.frames_per_port)
+    if (tx.frames_sent() != kFramesPerPort)
       result.fail(portmsg(p, "generator under-delivered"));
-    if (rx.seen() != cfg.frames_per_port)
+    if (rx.seen() != kFramesPerPort)
       result.fail(portmsg(p + 1, "monitor missed frames"));
     if (rx.dma_drops() != 0)
       result.fail(portmsg(p + 1, "DMA dropped during self-test"));

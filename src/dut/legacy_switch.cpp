@@ -47,10 +47,13 @@ void LegacySwitch::on_frame(std::size_t in_port, net::Packet pkt,
   // --- lookup stage (serial, packet-rate-limited when configured) ---
   Picos lookup_done = eng_->now();
   if (cfg_.lookup_rate_mpps > 0.0) {
+    // Max backlog (in time) tolerated at the lookup stage before ingress
+    // drops.
+    constexpr Picos kLookupQueueLimit = 100 * kPicosPerMicro;
     const Picos per_lookup =
         static_cast<Picos>(1e6 / cfg_.lookup_rate_mpps);  // ps per packet
     const Picos start = std::max(eng_->now(), lookup_busy_);
-    if (start - eng_->now() > cfg_.lookup_queue_limit) {
+    if (start - eng_->now() > kLookupQueueLimit) {
       ++lookup_drops_;
       return;  // ingress queue overflow
     }

@@ -10,6 +10,11 @@ namespace {
 
 using namespace osnt::openflow;
 
+/// How often the agent sweeps the table for idle/hard timeouts.
+constexpr Picos kExpiryScanInterval = 500 * kPicosPerMilli;
+/// Frame bytes a packet_in carries.
+constexpr std::size_t kPacketInTrunc = 128;
+
 /// Insert an 802.1Q tag (or rewrite the VID of an existing one).
 void set_vlan(Bytes& frame, std::uint16_t vid) {
   if (frame.size() < net::EthHeader::kSize) return;
@@ -341,7 +346,7 @@ void OpenFlowSwitch::schedule_expiry_scan() {
   }
   if (!needed) return;
   expiry_scan_pending_ = true;
-  eng_->schedule_in(cfg_.expiry_scan_interval, [this] {
+  eng_->schedule_in(kExpiryScanInterval, [this] {
     expiry_scan_pending_ = false;
     for (const auto& e : table_.expire(eng_->now())) {
       const bool idle =
@@ -378,7 +383,7 @@ void OpenFlowSwitch::send_packet_in(std::size_t in_port,
   pin.total_len = static_cast<std::uint16_t>(pkt.size());
   pin.in_port = static_cast<std::uint16_t>(in_port + 1);
   pin.reason = PacketInReason::kNoMatch;
-  const std::size_t keep = std::min(cfg_.packet_in_trunc, pkt.size());
+  const std::size_t keep = std::min(kPacketInTrunc, pkt.size());
   pin.data.assign(pkt.data.begin(),
                   pkt.data.begin() + static_cast<std::ptrdiff_t>(keep));
   eng_->schedule_at(done, [this, pin = std::move(pin)]() mutable {

@@ -28,7 +28,7 @@ void TxPipeline::start() {
   if (running_) return;
   running_ = true;
   const sim::Engine::CategoryScope cat(*eng_, sim::EventCategory::kGen);
-  pending_ = eng_->schedule_in(cfg_.start_delay, [this] { send_one(); });
+  pending_ = eng_->schedule_in(0, [this] { send_one(); });
 }
 
 void TxPipeline::stop() {

@@ -8,23 +8,35 @@
 #include "osnt/telemetry/registry.hpp"
 
 namespace osnt::graph {
+namespace {
+
+/// `name`, once `cfg` passes its rule; a broken rule throws GraphError
+/// naming the block. Constructors take their name through it, so the
+/// check runs before any member is built.
+template <class Config>
+std::string checked(std::string name, const Config& cfg) {
+  try {
+    cfg.validate();
+  } catch (const GraphError& e) {
+    throw GraphError("graph: block '" + name + "': " + e.what());
+  }
+  return name;
+}
+
+}  // namespace
 
 // ------------------------------------------------------------ fifo_queue
 
+void FifoQueueConfig::validate() const {
+  if (rate_gbps <= 0.0) throw GraphError("fifo_queue needs rate_gbps > 0");
+  if (queue_frames == 0) throw GraphError("fifo_queue needs queue_frames > 0");
+}
+
 FifoQueueBlock::FifoQueueBlock(sim::Engine& eng, std::string name,
                                FifoQueueConfig cfg)
-    : Block(eng, std::move(name), 1, 1),
+    : Block(eng, checked(std::move(name), cfg), 1, 1),
       fifo_cfg_(cfg),
-      departures_(eng, Depart{this}) {
-  if (fifo_cfg_.rate_gbps <= 0.0) {
-    throw GraphError("graph: fifo_queue '" + this->name() +
-                     "' needs rate_gbps > 0");
-  }
-  if (fifo_cfg_.queue_frames == 0) {
-    throw GraphError("graph: fifo_queue '" + this->name() +
-                     "' needs queue_frames > 0");
-  }
-}
+      departures_(eng, Depart{this}) {}
 
 FifoQueueBlock::~FifoQueueBlock() {
   if (telemetry::enabled() && frames_in() > 0) {
@@ -37,11 +49,10 @@ FifoQueueBlock::~FifoQueueBlock() {
 }
 
 void FifoQueueBlock::set_queue_frames(std::size_t frames) {
-  if (frames == 0) {
-    throw GraphError("graph: fifo_queue '" + name() +
-                     "' retime needs queue_frames > 0");
-  }
-  fifo_cfg_.queue_frames = frames;
+  FifoQueueConfig next = fifo_cfg_;
+  next.queue_frames = frames;
+  (void)checked(name(), next);
+  fifo_cfg_ = next;
 }
 
 void FifoQueueBlock::on_frame(std::size_t /*in_port*/, net::Packet pkt,
@@ -65,24 +76,23 @@ void FifoQueueBlock::enqueue(net::Packet pkt) {
 
 // ------------------------------------------------------------------- red
 
-RedBlock::RedBlock(sim::Engine& eng, std::string name, RedConfig cfg)
-    : FifoQueueBlock(eng, std::move(name),
-                     FifoQueueConfig{cfg.rate_gbps, cfg.queue_frames}),
-      cfg_(cfg),
-      rng_(cfg.seed) {
-  if (!(cfg_.min_th < cfg_.max_th)) {
-    throw GraphError("graph: red '" + this->name() +
-                     "' needs min_th < max_th");
+void RedConfig::validate() const {
+  if (rate_gbps <= 0.0) throw GraphError("red needs rate_gbps > 0");
+  if (queue_frames == 0) throw GraphError("red needs queue_frames > 0");
+  if (!(min_th < max_th)) throw GraphError("red needs min_th < max_th");
+  if (max_p <= 0.0 || max_p > 1.0) {
+    throw GraphError("red needs max_p in (0, 1]");
   }
-  if (cfg_.max_p <= 0.0 || cfg_.max_p > 1.0) {
-    throw GraphError("graph: red '" + this->name() +
-                     "' needs max_p in (0, 1]");
-  }
-  if (cfg_.weight <= 0.0 || cfg_.weight > 1.0) {
-    throw GraphError("graph: red '" + this->name() +
-                     "' needs weight in (0, 1]");
+  if (weight <= 0.0 || weight > 1.0) {
+    throw GraphError("red needs weight in (0, 1]");
   }
 }
+
+RedBlock::RedBlock(sim::Engine& eng, std::string name, RedConfig cfg)
+    : FifoQueueBlock(eng, checked(std::move(name), cfg),
+                     FifoQueueConfig{cfg.rate_gbps, cfg.queue_frames}),
+      cfg_(cfg),
+      rng_(cfg.seed) {}
 
 RedBlock::~RedBlock() {
   if (telemetry::enabled() && frames_in() > 0) {
@@ -115,22 +125,23 @@ void RedBlock::on_frame(std::size_t in_port, net::Packet pkt, Picos first_bit,
 
 // ----------------------------------------------------------- token_bucket
 
+void TokenBucketConfig::validate() const {
+  if (rate_gbps <= 0.0) throw GraphError("token_bucket needs rate_gbps > 0");
+  if (burst_bytes == 0) {
+    throw GraphError("token_bucket needs burst_bytes > 0");
+  }
+  if (queue_frames == 0) {
+    throw GraphError("token_bucket needs queue_frames > 0");
+  }
+}
+
 TokenBucketBlock::TokenBucketBlock(sim::Engine& eng, std::string name,
                                    TokenBucketConfig cfg)
-    : Block(eng, std::move(name), 1, 1),
+    : Block(eng, checked(std::move(name), cfg), 1, 1),
       cfg_(cfg),
       bytes_per_pico_(cfg.rate_gbps / 8000.0),
       tokens_(static_cast<double>(cfg.burst_bytes)),
-      releases_(eng, Release{this}) {
-  if (cfg_.rate_gbps <= 0.0) {
-    throw GraphError("graph: token_bucket '" + this->name() +
-                     "' needs rate_gbps > 0");
-  }
-  if (cfg_.burst_bytes == 0) {
-    throw GraphError("graph: token_bucket '" + this->name() +
-                     "' needs burst_bytes > 0");
-  }
-}
+      releases_(eng, Release{this}) {}
 
 TokenBucketBlock::~TokenBucketBlock() {
   if (telemetry::enabled() && frames_in() > 0) {
@@ -143,10 +154,9 @@ TokenBucketBlock::~TokenBucketBlock() {
 }
 
 void TokenBucketBlock::set_rate_gbps(double rate_gbps) {
-  if (rate_gbps <= 0.0) {
-    throw GraphError("graph: token_bucket '" + name() +
-                     "' retime needs rate_gbps > 0");
-  }
+  TokenBucketConfig next = cfg_;
+  next.rate_gbps = rate_gbps;
+  (void)checked(name(), next);
   // Settle the balance at the old slope first — tokens earned before the
   // retime were earned at the old rate — then switch the slope.
   refill();
@@ -155,10 +165,9 @@ void TokenBucketBlock::set_rate_gbps(double rate_gbps) {
 }
 
 void TokenBucketBlock::set_burst_bytes(std::size_t burst_bytes) {
-  if (burst_bytes == 0) {
-    throw GraphError("graph: token_bucket '" + name() +
-                     "' retime needs burst_bytes > 0");
-  }
+  TokenBucketConfig next = cfg_;
+  next.burst_bytes = burst_bytes;
+  (void)checked(name(), next);
   refill();
   cfg_.burst_bytes = burst_bytes;
   // A shrunken bucket spills the excess; a shaping deficit (negative
@@ -167,10 +176,9 @@ void TokenBucketBlock::set_burst_bytes(std::size_t burst_bytes) {
 }
 
 void TokenBucketBlock::set_queue_frames(std::size_t frames) {
-  if (frames == 0) {
-    throw GraphError("graph: token_bucket '" + name() +
-                     "' retime needs queue_frames > 0");
-  }
+  TokenBucketConfig next = cfg_;
+  next.queue_frames = frames;
+  (void)checked(name(), next);
   cfg_.queue_frames = frames;  // gates admission only; backlog stays
 }
 
@@ -218,14 +226,18 @@ void TokenBucketBlock::on_frame(std::size_t /*in_port*/, net::Packet pkt,
 
 // -------------------------------------------------------------- delay_ber
 
-DelayBerBlock::DelayBerBlock(sim::Engine& eng, std::string name,
-                             DelayBerConfig cfg)
-    : Block(eng, std::move(name), 1, 1), cfg_(cfg), rng_(cfg.seed) {
-  if (cfg_.ber < 0.0 || cfg_.ber >= 1.0) {
-    throw GraphError("graph: delay_ber '" + this->name() +
-                     "' needs ber in [0, 1)");
+void DelayBerConfig::validate() const {
+  if (ber < 0.0 || ber >= 1.0) {
+    throw GraphError("delay_ber needs ber in [0, 1)");
   }
 }
+
+DelayBerBlock::DelayBerBlock(sim::Engine& eng, std::string name,
+                             DelayBerConfig cfg)
+    : Block(eng, checked(std::move(name), cfg), 1, 1),
+      cfg_(cfg),
+      rng_(cfg.seed),
+      errors_(cfg.ber) {}
 
 DelayBerBlock::~DelayBerBlock() {
   if (telemetry::enabled() && corrupted_ > 0) {
@@ -237,34 +249,18 @@ DelayBerBlock::~DelayBerBlock() {
 
 void DelayBerBlock::on_frame(std::size_t /*in_port*/, net::Packet pkt,
                              Picos first_bit, Picos last_bit) {
-  if (cfg_.ber > 0.0 && !pkt.empty()) {
-    // Same frame-hit model as sim::Link: P = 1 - (1-ber)^bits, one bit
-    // flipped on a hit, FCS marked bad for the receiver to discard.
-    // P depends only on the line length, and streams repeat lengths.
-    if (pkt.line_len() != hit_line_len_) {
-      hit_line_len_ = pkt.line_len();
-      const double bits = static_cast<double>(hit_line_len_) * 8.0;
-      p_hit_ = -std::expm1(bits * std::log1p(-cfg_.ber));
-    }
-    if (rng_.chance(p_hit_)) {
-      const auto byte = rng_.uniform_int(0, pkt.size() - 1);
-      const auto bit = rng_.uniform_int(0, 7);
-      pkt.data[byte] ^= static_cast<std::uint8_t>(1u << bit);
-      pkt.fcs_bad = true;
-      ++corrupted_;
-    }
-  }
+  if (errors_.corrupt(pkt, rng_)) ++corrupted_;
   emit(0, std::move(pkt), first_bit + cfg_.delay, last_bit + cfg_.delay);
 }
 
 // ------------------------------------------------------------------ ecmp
 
-EcmpBlock::EcmpBlock(sim::Engine& eng, std::string name, EcmpConfig cfg)
-    : Block(eng, std::move(name), 1, cfg.fanout), cfg_(cfg) {
-  if (cfg_.fanout == 0) {
-    throw GraphError("graph: ecmp '" + this->name() + "' needs fanout > 0");
-  }
+void EcmpConfig::validate() const {
+  if (fanout == 0) throw GraphError("ecmp needs fanout > 0");
 }
+
+EcmpBlock::EcmpBlock(sim::Engine& eng, std::string name, EcmpConfig cfg)
+    : Block(eng, checked(std::move(name), cfg), 1, cfg.fanout), cfg_(cfg) {}
 
 void EcmpBlock::on_frame(std::size_t /*in_port*/, net::Packet pkt,
                          Picos first_bit, Picos last_bit) {

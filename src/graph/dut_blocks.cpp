@@ -18,10 +18,10 @@ void LegacySwitchBlock::on_frame(std::size_t in_port, net::Packet pkt,
 }
 
 OpenFlowSwitchBlock::OpenFlowSwitchBlock(sim::Engine& eng, std::string name,
-                                         OpenFlowSwitchBlockConfig cfg)
-    : Block(eng, std::move(name), cfg.sw.num_ports, cfg.sw.num_ports),
-      chan_(eng, cfg.chan),
-      sw_(eng, chan_, cfg.sw) {
+                                         dut::OpenFlowSwitchConfig cfg)
+    : Block(eng, std::move(name), cfg.num_ports, cfg.num_ports),
+      chan_(eng),
+      sw_(eng, chan_, cfg) {
   for (std::size_t i = 0; i < sw_.num_ports(); ++i) {
     egress_.emplace_back(*this, i);
     sw_.port(i).out_link().connect(egress_.back());

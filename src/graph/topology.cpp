@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdio>
 #include <limits>
+#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -59,11 +60,18 @@ void check_workload(const WorkloadSpec& w, const Bad& bad) {
   }
 }
 
+/// The rule the block's constructor enforces, checked without building
+/// the block. `bad(why)` must throw.
 template <class Bad>
-void check_pattern(const burst::PatternConfig& p, const Bad& bad) {
+void check_block(const BlockSpec& b, const Bad& bad) {
   try {
-    p.validate();
-  } catch (const burst::BurstError& e) {
+    if (b.type == "fifo_queue") b.fifo.validate();
+    if (b.type == "red") b.red.validate();
+    if (b.type == "token_bucket") b.token_bucket.validate();
+    if (b.type == "delay_ber") b.delay_ber.validate();
+    if (b.type == "ecmp") b.ecmp.validate();
+    if (b.type == "burst_source") b.burst.pattern.validate();
+  } catch (const std::runtime_error& e) {  // GraphError or BurstError
     bad(e.what());
   }
 }
@@ -180,8 +188,6 @@ BlockSpec parse_block(const Json& b, std::size_t i) {
     spec.monitor.rtt_probe = r.boolean("rtt_probe", spec.monitor.rtt_probe);
   } else if (spec.type == "burst_source") {
     spec.burst.pattern = parse_burst_pattern(r);
-    check_pattern(spec.burst.pattern,
-                  [&r](const std::string& why) { r.fail(why); });
     spec.num_inputs = 0;
   } else if (spec.type == "legacy_switch") {
     r.allow({"name", "type", "num_ports", "queue_bytes", "flood_unknown",
@@ -198,12 +204,13 @@ BlockSpec parse_block(const Json& b, std::size_t i) {
     spec.num_inputs = spec.num_outputs = c.num_ports;
   } else {  // openflow_switch
     r.allow({"name", "type", "num_ports", "table_size"});
-    auto& c = spec.openflow_switch.sw;
+    auto& c = spec.openflow_switch;
     c.num_ports = r.count("num_ports", c.num_ports);
     c.table.max_entries = r.count("table_size", c.table.max_entries);
     if (c.num_ports == 0) r.fail("num_ports must be positive");
     spec.num_inputs = spec.num_outputs = c.num_ports;
   }
+  check_block(spec, [&r](const std::string& why) { r.fail(why); });
   return spec;
 }
 
@@ -432,8 +439,8 @@ void TopologyFile::build(sim::Engine& eng, Graph& g, std::uint64_t trial_seed,
       cfg.seed = block_seed;
       g.emplace<LegacySwitchBlock>(eng, b.name, cfg);
     } else if (b.type == "openflow_switch") {
-      OpenFlowSwitchBlockConfig cfg = b.openflow_switch;
-      cfg.sw.seed = block_seed;
+      dut::OpenFlowSwitchConfig cfg = b.openflow_switch;
+      cfg.seed = block_seed;
       g.emplace<OpenFlowSwitchBlock>(eng, b.name, cfg);
     } else if (b.type == "burst_source") {
       burst::BurstSourceConfig cfg = b.burst;
@@ -496,8 +503,7 @@ void validate_workload(const TopologyFile& topo) {
   check_workload(topo.workload,
                  [](const std::string& why) { fail("workload: " + why); });
   for (const auto& b : topo.blocks) {
-    if (b.type != "burst_source") continue;
-    check_pattern(b.burst.pattern, [&b](const std::string& why) {
+    check_block(b, [&b](const std::string& why) {
       fail("block '" + b.name + "': " + why);
     });
   }

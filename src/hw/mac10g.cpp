@@ -41,11 +41,11 @@ void RxMac::on_frame(net::Packet pkt, Picos first_bit, Picos last_bit) {
     return;
   }
   const std::size_t wire = pkt.wire_len();
-  if (wire < cfg_.min_frame) {
+  if (wire < net::kEthMinFrame) {
     ++runts_;
     return;
   }
-  if (wire > cfg_.max_frame && !cfg_.accept_oversize) {
+  if (wire > net::kEthMaxFrame && !cfg_.accept_oversize) {
     ++giants_;
     return;
   }

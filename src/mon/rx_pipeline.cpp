@@ -65,10 +65,13 @@ void RxPipeline::on_frame(net::Packet pkt, Picos first_bit, Picos last_bit) {
   // loss cannot bias the distribution. Unstamped frames decode to deltas
   // outside the plausibility window and are skipped.
   if (cfg_.rtt_probe) {
+    // The plausibility window: a decoded stamp counts only if its delta
+    // lies in [0, kProbeWindowNs).
+    constexpr double kProbeWindowNs = 1e9;
     if (const auto st =
             tstamp::extract_timestamp(pkt.bytes(), cfg_.probe_embed_offset)) {
       const double d = tstamp::delta_nanos(ts, st->ts);
-      if (d >= 0.0 && d < cfg_.probe_window_ns) {
+      if (d >= 0.0 && d < kProbeWindowNs) {
         const std::uint8_t cls =
             parsed->l3 == net::L3Kind::kIpv4 ? parsed->ipv4.dscp : 0;
         rtt_probe_.observe(static_cast<std::uint64_t>(d), cls);

@@ -125,9 +125,10 @@ std::optional<Packet> Ipv4Reassembler::add(const Packet& frame, Picos now) {
 }
 
 std::size_t Ipv4Reassembler::expire(Picos now) {
+  constexpr Picos kTimeout = 30 * kPicosPerSec;  // partial datagrams expire
   std::size_t n = 0;
   for (auto it = pending_.begin(); it != pending_.end();) {
-    if (now - it->second.first_seen >= cfg_.timeout) {
+    if (now - it->second.first_seen >= kTimeout) {
       it = pending_.erase(it);
       ++n;
     } else {

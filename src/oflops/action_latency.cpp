@@ -9,6 +9,7 @@ namespace osnt::oflops {
 using namespace osnt::openflow;
 
 namespace {
+constexpr double kProbePps = 50'000.0;
 constexpr std::uint32_t kSrcIp = (10u << 24) | 1;
 constexpr std::uint32_t kDstIp = (10u << 24) | (1 << 8) | 1;
 }  // namespace
@@ -32,7 +33,7 @@ void ActionLatencyModule::start(OflopsContext& ctx) {
   mode_ = Mode::kInstallPlain;
 
   gen::TxConfig txc;
-  txc.rate = gen::RateSpec::pps(cfg_.probe_pps);
+  txc.rate = gen::RateSpec::pps(kProbePps);
   auto& tx = ctx.osnt().configure_tx(0, txc);
   gen::TemplateConfig tc;
   tx.set_source(std::make_unique<gen::TemplateSource>(

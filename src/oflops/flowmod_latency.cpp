@@ -8,6 +8,7 @@ namespace osnt::oflops {
 using namespace osnt::openflow;
 
 namespace {
+constexpr double kProbePps = 100000.0;  ///< probe flow rate
 // The probe flow matches TemplateSource defaults with flow_count = 1.
 constexpr std::uint32_t kProbeSrcIp = (10u << 24) | 1;             // 10.0.0.1
 constexpr std::uint32_t kProbeDstIp = (10u << 24) | (1 << 8) | 1;  // 10.0.1.1
@@ -52,7 +53,7 @@ void FlowModLatencyModule::start(OflopsContext& ctx) {
   // Continuous probe flow from OSNT port 0 — started only once the fill
   // commits have drained (see kTimerStartProbe).
   gen::TxConfig txc;
-  txc.rate = gen::RateSpec::pps(cfg_.probe_pps);
+  txc.rate = gen::RateSpec::pps(kProbePps);
   auto& tx = ctx.osnt().configure_tx(0, txc);
   gen::TemplateConfig tc;  // defaults produce exactly the probe 5-tuple
   tc.flow_count = 1;

@@ -55,7 +55,8 @@ void InteractionModule::on_of_message(OflopsContext& ctx,
     ctx.osnt().tx(0).stop();
     return;
   }
-  ctx.timer_in(cfg_.round_interval, kTimerRound);
+  constexpr Picos kRoundInterval = 10 * kPicosPerMilli;
+  ctx.timer_in(kRoundInterval, kTimerRound);
 }
 
 void InteractionModule::on_timer(OflopsContext& ctx, std::uint64_t timer_id) {

@@ -6,8 +6,10 @@
 namespace osnt::oflops {
 
 void PacketInLatencyModule::start(OflopsContext& ctx) {
+  // Keep below the switch packet_in limiter.
+  constexpr double kProbePps = 500.0;
   gen::TxConfig txc;
-  txc.rate = gen::RateSpec::pps(cfg_.probe_pps);
+  txc.rate = gen::RateSpec::pps(kProbePps);
   auto& tx = ctx.osnt().configure_tx(0, txc);
   gen::TemplateConfig tc;
   tc.count = cfg_.probes * 2;  // headroom for limiter losses

@@ -7,6 +7,11 @@ namespace osnt::oflops {
 
 using namespace osnt::openflow;
 
+namespace {
+constexpr double kProbePps = 500.0;
+constexpr Picos kPollInterval = 10 * kPicosPerMilli;
+}  // namespace
+
 void StatsPollModule::start(OflopsContext& ctx) {
   // Fillers the stats scan will have to serialize over. They deliberately
   // do not match the probe flow, which must keep missing the table.
@@ -22,7 +27,7 @@ void StatsPollModule::start(OflopsContext& ctx) {
   fill_barrier_ = ctx.send(BarrierRequest{});
 
   gen::TxConfig txc;
-  txc.rate = gen::RateSpec::pps(cfg_.probe_pps);
+  txc.rate = gen::RateSpec::pps(kProbePps);
   auto& tx = ctx.osnt().configure_tx(0, txc);
   gen::TemplateConfig tc;
   tx.set_source(std::make_unique<gen::TemplateSource>(
@@ -79,7 +84,7 @@ void StatsPollModule::on_timer(OflopsContext& ctx, std::uint64_t timer_id) {
     req.match = OfMatch::any();
     const std::uint32_t xid = ctx.send(req);
     stats_in_flight_[xid] = ctx.now();
-    ctx.timer_in(cfg_.poll_interval, kTimerPoll);
+    ctx.timer_in(kPollInterval, kTimerPoll);
   }
 }
 

@@ -8,6 +8,20 @@
 #include "osnt/telemetry/registry.hpp"
 
 namespace osnt::openflow {
+namespace {
+
+/// Reconnect backoff: probe attempt k fires after kReconnectBase * 2^k,
+/// capped at kReconnectMaxBackoff.
+constexpr Picos kReconnectBase = 2 * kPicosPerMilli;
+constexpr Picos kReconnectMaxBackoff = 100 * kPicosPerMilli;
+
+Picos reconnect_backoff(std::size_t attempt) noexcept {
+  Picos d = kReconnectBase;
+  for (std::size_t i = 0; i < attempt && d < kReconnectMaxBackoff; ++i) d *= 2;
+  return std::min(d, kReconnectMaxBackoff);
+}
+
+}  // namespace
 
 ControlChannel::ControlChannel(sim::Engine& eng, Config cfg)
     : eng_(&eng), cfg_(cfg) {
@@ -104,19 +118,9 @@ void ControlChannel::set_link_available(bool available) {
   }
 }
 
-Picos ControlChannel::backoff_(std::size_t attempt) const noexcept {
-  double d = static_cast<double>(cfg_.reconnect_base);
-  for (std::size_t i = 0; i < attempt; ++i) {
-    d *= cfg_.reconnect_multiplier;
-    if (d >= static_cast<double>(cfg_.reconnect_max_backoff)) break;
-  }
-  const auto capped = std::min(d, static_cast<double>(cfg_.reconnect_max_backoff));
-  return std::max<Picos>(1, static_cast<Picos>(capped));
-}
-
 void ControlChannel::schedule_probe_(std::size_t attempt) {
   probing_ = true;
-  eng_->schedule_in(backoff_(attempt), [this, attempt] {
+  eng_->schedule_in(reconnect_backoff(attempt), [this, attempt] {
     probing_ = false;
     if (connected_) return;  // something else restored the session
     ++probes_;

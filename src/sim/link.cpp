@@ -6,8 +6,24 @@
 
 namespace osnt::sim {
 
+bool BitErrors::corrupt(net::Packet& pkt, Rng& rng) noexcept {
+  if (ber_ <= 0.0 || pkt.empty()) return false;
+  if (pkt.line_len() != line_len_) {
+    line_len_ = pkt.line_len();
+    // Numerically stable for tiny ber.
+    const double bits = static_cast<double>(line_len_) * 8.0;
+    p_hit_ = -std::expm1(bits * std::log1p(-ber_));
+  }
+  if (!rng.chance(p_hit_)) return false;
+  const auto byte = rng.uniform_int(0, pkt.size() - 1);
+  const auto bit = rng.uniform_int(0, 7);
+  pkt.data[byte] ^= static_cast<std::uint8_t>(1u << bit);
+  pkt.fcs_bad = true;
+  return true;
+}
+
 void Link::set_bit_error_rate(double ber, std::uint64_t seed) noexcept {
-  ber_ = ber;
+  errors_ = BitErrors(ber);
   rng_ = ber > 0.0 ? std::make_unique<Rng>(seed) : nullptr;
 }
 
@@ -21,18 +37,7 @@ void Link::carry(net::Packet pkt, Picos tx_start, Picos tx_end) {
     return;
   }
   ++carried_;
-  if (ber_ > 0.0 && rng_ && !pkt.empty()) {
-    // P(frame hit) = 1 - (1-ber)^bits, numerically stable for tiny ber.
-    const double bits = static_cast<double>(pkt.line_len()) * 8.0;
-    const double p_hit = -std::expm1(bits * std::log1p(-ber_));
-    if (rng_->chance(p_hit)) {
-      const auto byte = rng_->uniform_int(0, pkt.size() - 1);
-      const auto bit = rng_->uniform_int(0, 7);
-      pkt.data[byte] ^= static_cast<std::uint8_t>(1u << bit);
-      pkt.fcs_bad = true;
-      ++corrupted_;
-    }
-  }
+  if (rng_ && errors_.corrupt(pkt, *rng_)) ++corrupted_;
   const Picos first_bit = tx_start + propagation_ + extra_delay_;
   const Picos last_bit = tx_end + propagation_ + extra_delay_;
   // Deliver at last-bit arrival: sinks are store-and-forward MACs. The

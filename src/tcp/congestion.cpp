@@ -8,14 +8,12 @@
 namespace osnt::tcp {
 namespace {
 
-std::uint64_t resolve_initial(const CcConfig& cfg) {
-  return cfg.initial_cwnd ? cfg.initial_cwnd : std::uint64_t{10} * cfg.mss;
-}
-
-std::uint64_t resolve_min(const CcConfig& cfg, std::uint64_t floor_mss) {
-  const std::uint64_t floor = floor_mss * cfg.mss;
-  return cfg.min_cwnd ? std::max(cfg.min_cwnd, floor) : floor;
-}
+/// Initial window, in segments (RFC 6928 IW10).
+constexpr std::uint64_t kInitialCwndSegments = 10;
+/// Window floor, in segments.
+constexpr std::uint64_t kMinCwndSegments = 2;
+/// bbr_cwnd_min_target = 4 packets.
+constexpr std::uint64_t kBbrMinCwndSegments = 4;
 
 // How far above the policer BDP an adapted controller may keep in
 // flight. A quarter-BDP of slack keeps the ACK clock alive through
@@ -42,8 +40,8 @@ class NewReno final : public CongestionControl {
  public:
   explicit NewReno(CcConfig cfg)
       : mss_(cfg.mss),
-        min_cwnd_(resolve_min(cfg, 2)),
-        cwnd_(resolve_initial(cfg)) {}
+        min_cwnd_(kMinCwndSegments * cfg.mss),
+        cwnd_(kInitialCwndSegments * cfg.mss) {}
 
   void on_ack(const AckEvent& ev) override {
     if (cwnd_ < ssthresh_) {
@@ -90,8 +88,8 @@ class CubicLite final : public CongestionControl {
  public:
   explicit CubicLite(CcConfig cfg)
       : mss_(cfg.mss),
-        min_cwnd_(resolve_min(cfg, 2)),
-        cwnd_(static_cast<double>(resolve_initial(cfg))) {}
+        min_cwnd_(kMinCwndSegments * cfg.mss),
+        cwnd_(static_cast<double>(kInitialCwndSegments * cfg.mss)) {}
 
   void on_ack(const AckEvent& ev) override {
     if (cwnd_ < ssthresh_) {
@@ -183,8 +181,8 @@ class BbrLite final : public CongestionControl {
  public:
   explicit BbrLite(CcConfig cfg)
       : mss_(cfg.mss),
-        min_cwnd_(resolve_min(cfg, 4)),  // bbr_cwnd_min_target = 4 packets
-        initial_cwnd_(std::max(resolve_initial(cfg), resolve_min(cfg, 4))),
+        min_cwnd_(kBbrMinCwndSegments * cfg.mss),
+        initial_cwnd_(kInitialCwndSegments * cfg.mss),
         cwnd_(initial_cwnd_) {}
 
   void on_ack(const AckEvent& ev) override {

@@ -42,7 +42,7 @@ Flow::Flow(sim::Engine& eng, FlowConfig cfg, FlowTelemetry& shard,
       cc_(make_congestion_control(
           cfg_.cc, CcConfig{.mss = cfg_.mss})),
       rld_(cfg_.rate_limit_detector
-               ? std::make_unique<RateLimitDetector>(cfg_.rld)
+               ? std::make_unique<RateLimitDetector>()
                : nullptr),
       rto_(cfg_.min_rto, cfg_.max_rto),
       isn_(static_cast<std::uint32_t>(derive_seed(cfg_.seed, 1))) {}

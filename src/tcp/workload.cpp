@@ -56,7 +56,7 @@ ClosedLoopWorkload::ClosedLoopWorkload(sim::Engine& eng,
   dev_->rx(kTxPort).set_capture_enabled(false);
   dev_->rx(kRxPort).set_capture_enabled(false);
 
-  flow_handles_.reserve(cfg_.flows);
+  flows_ = std::vector<std::optional<Flow>>(cfg_.flows);
   recv_hot_.resize(cfg_.flows);
   recv_cold_.resize(cfg_.flows);
   for (std::size_t i = 0; i < cfg_.flows; ++i) {
@@ -81,24 +81,20 @@ ClosedLoopWorkload::ClosedLoopWorkload(sim::Engine& eng,
     fc.dscp = static_cast<std::uint8_t>(i & mon::LatencyProbe::kClassMask);
     fc.rtt_probe = &rtt_probe_;
     fc.rate_limit_detector = cfg_.rate_limit_detector;
-    const auto h =
-        flows_.emplace(*eng_, fc, telemetry_, [this](net::Packet&& pkt) {
+    Flow& f =
+        flows_[i].emplace(*eng_, fc, telemetry_, [this](net::Packet&& pkt) {
           return source_->offer(std::move(pkt));
         });
-    // Dense creation on a fresh slab: slot == flow index, which the O(1)
-    // demux and the flow(i) accessor both rely on.
-    if (h.slot != i) throw std::logic_error("tcp: flow slab not dense");
     // Drop-early admission probe: under congestion (the common case at
     // 10k+ flows sharing one bottleneck buffer) senders skip serializing
     // frames the queue would tail-drop anyway; the probe records the
     // drop so queue_drops telemetry is identical to built-then-dropped.
-    flows_[h.slot].set_emit_preflight([this] {
+    f.set_emit_preflight([this] {
       if (!source_->full()) return true;
       source_->note_tail_drop();
       return false;
     });
-    flow_handles_.push_back(h);
-    recv_hot_[i].isn = flows_[h.slot].isn();
+    recv_hot_[i].isn = f.isn();
   }
 
   dev_->rx(kRxPort).set_tap(
@@ -120,9 +116,9 @@ ClosedLoopWorkload::~ClosedLoopWorkload() {
   dev_->rx(kTxPort).set_tap(nullptr);
 
   // One flush for the whole workload, once every flow (and its timers)
-  // is gone.
+  // is gone, destroyed in flow-index order.
   const FlowStats total = total_stats();
-  flows_.clear();
+  for (std::optional<Flow>& f : flows_) f.reset();
   telemetry_.flush(total);
   if (telemetry::enabled() && total_acks_sent() + source_->offered() > 0) {
     auto& reg = telemetry::registry();
@@ -136,7 +132,7 @@ ClosedLoopWorkload::~ClosedLoopWorkload() {
 
 void ClosedLoopWorkload::start() {
   dev_->tx(kTxPort).start();
-  for (const auto& h : flow_handles_) flows_[h.slot].start();
+  for (std::optional<Flow>& f : flows_) f->start();
 }
 
 void ClosedLoopWorkload::on_data_frame(const net::ParsedPacket& p,
@@ -220,7 +216,7 @@ void ClosedLoopWorkload::send_ack(std::size_t idx, Picos now) {
   // ACK less delayed, which RFC 1122 always allows.)
   if (st.delack_timer) ++delack_cancels_saved_;
 
-  const FlowConfig& fc = flows_[static_cast<std::uint32_t>(idx)].config();
+  const FlowConfig& fc = flows_[idx]->config();
   net::Packet ack = write_segment(
       {.src_mac = fc.dst_mac,
        .dst_mac = fc.src_mac,
@@ -258,15 +254,14 @@ void ClosedLoopWorkload::on_ack_frame(const net::ParsedPacket& p,
   if (p.l4 != net::L4Kind::kTcp || p.l3 != net::L3Kind::kIpv4) return;
   if ((p.tcp.flags & net::TcpFlags::kAck) == 0) return;
   const std::size_t idx = flow_index_of_ack(p.ipv4.dst, p.tcp.dst_port);
-  if (idx >= flow_handles_.size()) return;
+  if (idx >= flows_.size()) return;
   const auto [tsval, tsecr] = frame_timestamps(p, pkt);
-  flows_[static_cast<std::uint32_t>(idx)].on_ack(p.tcp, tsval, tsecr,
-                                                 first_bit);
+  flows_[idx]->on_ack(p.tcp, tsval, tsecr, first_bit);
 }
 
 FlowStats ClosedLoopWorkload::total_stats() const {
   FlowStats v;
-  for (const auto& h : flow_handles_) v += flows_[h.slot].stats();
+  for (const std::optional<Flow>& f : flows_) v += f->stats();
   return v;
 }
 std::uint64_t ClosedLoopWorkload::total_acks_sent() const {
@@ -282,8 +277,8 @@ std::uint64_t ClosedLoopWorkload::total_ooo_segs() const {
 
 std::uint64_t ClosedLoopWorkload::total_rld_detections() const {
   std::uint64_t v = 0;
-  for (const auto& h : flow_handles_) {
-    if (const auto* d = flows_[h.slot].rate_limit_detector()) {
+  for (const std::optional<Flow>& f : flows_) {
+    if (const auto* d = f->rate_limit_detector()) {
       v += d->detections();
     }
   }
@@ -293,8 +288,8 @@ std::uint64_t ClosedLoopWorkload::total_rld_detections() const {
 double ClosedLoopWorkload::mean_rld_rate_bps() const {
   double sum = 0.0;
   std::size_t n = 0;
-  for (const auto& h : flow_handles_) {
-    const auto* d = flows_[h.slot].rate_limit_detector();
+  for (const std::optional<Flow>& f : flows_) {
+    const auto* d = f->rate_limit_detector();
     if (d && d->detected()) {
       sum += d->detected_rate_bps();
       ++n;
@@ -306,8 +301,8 @@ double ClosedLoopWorkload::mean_rld_rate_bps() const {
 Picos ClosedLoopWorkload::mean_rld_detect_time() const {
   Picos sum = 0;
   std::size_t n = 0;
-  for (const auto& h : flow_handles_) {
-    const auto* d = flows_[h.slot].rate_limit_detector();
+  for (const std::optional<Flow>& f : flows_) {
+    const auto* d = f->rate_limit_detector();
     if (d && d->detections() > 0) {
       sum += d->detect_time();
       ++n;

@@ -13,17 +13,19 @@ LeafSpineFabric::LeafSpineFabric(sim::Engine& eng, Config cfg)
     throw std::invalid_argument("LeafSpineFabric: empty dimension");
 
   // Port plan: leaf = [0..testers_per_leaf) down, then one uplink per
-  // spine; spine = one port per leaf.
-  cfg_.leaf_cfg.num_ports = cfg_.testers_per_leaf + cfg_.spines;
-  cfg_.leaf_cfg.flood_unknown = false;  // loop safety with multiple spines
-  cfg_.spine_cfg.num_ports = cfg_.leaves;
-  cfg_.spine_cfg.flood_unknown = false;
-  cfg_.tester_cfg.num_ports = 1;
+  // spine; spine = one port per leaf. Switches otherwise keep the
+  // LegacySwitchConfig defaults.
+  dut::LegacySwitchConfig leaf_cfg;
+  leaf_cfg.num_ports = cfg_.testers_per_leaf + cfg_.spines;
+  leaf_cfg.flood_unknown = false;  // loop safety with multiple spines
+  dut::LegacySwitchConfig spine_cfg;
+  spine_cfg.num_ports = cfg_.leaves;
+  spine_cfg.flood_unknown = false;
 
   for (std::size_t s = 0; s < cfg_.spines; ++s)
-    spines_.push_back(std::make_unique<dut::LegacySwitch>(eng, cfg_.spine_cfg));
+    spines_.push_back(std::make_unique<dut::LegacySwitch>(eng, spine_cfg));
   for (std::size_t l = 0; l < cfg_.leaves; ++l) {
-    leaves_.push_back(std::make_unique<dut::LegacySwitch>(eng, cfg_.leaf_cfg));
+    leaves_.push_back(std::make_unique<dut::LegacySwitch>(eng, leaf_cfg));
     for (std::size_t s = 0; s < cfg_.spines; ++s) {
       hw::connect(leaves_[l]->port(cfg_.testers_per_leaf + s),
                   spines_[s]->port(l));
@@ -32,8 +34,10 @@ LeafSpineFabric::LeafSpineFabric(sim::Engine& eng, Config cfg)
 
   const std::size_t n = cfg_.leaves * cfg_.testers_per_leaf;
   for (std::size_t i = 0; i < n; ++i) {
-    // Distinct deterministic clock seeds so the cards are independent.
-    core::DeviceConfig tc = cfg_.tester_cfg;
+    // One-port testers with distinct deterministic clock seeds, so the
+    // cards are independent.
+    core::DeviceConfig tc;
+    tc.num_ports = 1;
     tc.clock.osc.seed = 1000 + i;
     tc.gps.seed = 2000 + i;
     testers_.push_back(std::make_unique<core::OsntDevice>(eng, tc));

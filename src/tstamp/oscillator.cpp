@@ -17,7 +17,7 @@ std::uint64_t Oscillator::ticks_at(Picos truth) {
       freq_error_ppm_ +=
           cfg_.random_walk_ppm * std::sqrt(dt) * rng_.normal(0.0, 1.0);
     }
-    phase_ticks_ += dt * cfg_.nominal_hz * (1.0 + freq_error_ppm_ * 1e-6);
+    phase_ticks_ += dt * kDatapathHz * (1.0 + freq_error_ppm_ * 1e-6);
     last_truth_ += step;
   }
   return static_cast<std::uint64_t>(phase_ticks_);

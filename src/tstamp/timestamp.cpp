@@ -6,8 +6,8 @@ namespace osnt::tstamp {
 
 DisciplinedClock::DisciplinedClock(GpsModel& gps, Config cfg)
     : osc_(cfg.osc), gps_(&gps), cfg_(cfg) {
-  // increment = 2^64 / nominal_hz, in 2^-64 s per tick.
-  const double inc = std::ldexp(1.0, 64) / cfg_.osc.nominal_hz;
+  // increment = 2^64 / kDatapathHz, in 2^-64 s per tick.
+  const double inc = std::ldexp(1.0, 64) / kDatapathHz;
   nominal_inc_ = static_cast<std::uint64_t>(inc);
   increment_ = nominal_inc_;
   if (cfg_.discipline) next_pps_ = gps_->next_pps_after(0);
@@ -20,6 +20,12 @@ void DisciplinedClock::advance_to(Picos truth) {
 }
 
 void DisciplinedClock::process_pps(Picos edge) {
+  // Fraction of phase error removed per second.
+  constexpr double kServoKp = 0.7;
+  // Integral gain (absorbs frequency offset).
+  constexpr double kServoKi = 0.3;
+  // Above this error the clock phase-steps instead of slewing.
+  constexpr double kStepThresholdNs = 10'000.0;
   advance_to(edge);
   ++pps_count_;
   // GPS tells us which absolute second this edge marks.
@@ -31,7 +37,7 @@ void DisciplinedClock::process_pps(Picos edge) {
       std::ldexp(1.0, -64) * 1e9;
   last_err_ns_ = err_ns;
 
-  if (std::abs(err_ns) > cfg_.step_threshold_ns) {
+  if (std::abs(err_ns) > kStepThresholdNs) {
     // Cold start / gross error: step the phase, and fold the whole error
     // (accumulated over ~1 s) into the frequency trim so a large static
     // ppm offset converges instead of stepping every second.
@@ -42,10 +48,10 @@ void DisciplinedClock::process_pps(Picos edge) {
     return;
   }
   // PI servo (NTP-style PLL+FLL): the integral `trim_` is the persistent
-  // frequency estimate; the proportional term slews out `kp` of the phase
-  // error over the next second on top of it.
-  trim_ += -cfg_.servo_ki * err_ns * 1e-9;
-  const double phase_slew = -cfg_.servo_kp * err_ns * 1e-9;
+  // frequency estimate; the proportional term slews out `kServoKp` of the
+  // phase error over the next second on top of it.
+  trim_ += -kServoKi * err_ns * 1e-9;
+  const double phase_slew = -kServoKp * err_ns * 1e-9;
   increment_ = static_cast<std::uint64_t>(
       static_cast<double>(nominal_inc_) * (1.0 + trim_ + phase_slew));
 }

@@ -61,7 +61,7 @@ struct SyntheticAckClock {
   /// `span` of sim time at a steady operating point.
   void run(Picos span, double sample_bps, double goodput_bps, Picos rtt,
            bool loss_each_window = false) {
-    const Picos window = 2 * kPicosPerMilli;  // cfg min_window default
+    const Picos window = RateLimitDetector::kMinWindow;
     for (Picos t = 0; t < span; t += kStep) {
       const bool loss = loss_each_window && (t % window) < kStep;
       tick(sample_bps, goodput_bps, rtt, loss);
@@ -179,11 +179,10 @@ void run_until_probing(SyntheticAckClock& clk) {
 TEST(RateLimit, ProbeEpochExportsRaisedRate) {
   SyntheticAckClock clk;
   run_until_probing(clk);
-  // During the epoch the exported rate is probe_gain x the verdict; the
+  // During the epoch the exported rate is kProbeGain x the verdict; the
   // standing verdict itself is untouched.
-  const tcp::RateLimitDetectorConfig cfg{};
   EXPECT_DOUBLE_EQ(clk.det.detected_rate_bps(),
-                   cfg.probe_gain * clk.det.verdict_rate_bps());
+                   RateLimitDetector::kProbeGain * clk.det.verdict_rate_bps());
 }
 
 TEST(RateLimit, ProbeEpochReleasesWhenLimiterIsLifted) {

@@ -10,6 +10,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "osnt/core/runner.hpp"
 #include "osnt/fault/injector.hpp"
@@ -145,6 +146,29 @@ TEST(TcpClosedLoop, BbrDeliveryRateTracksBottleneckWithinTenPercent) {
   EXPECT_GE(r.goodput_bps, 0.85 * expected);
 }
 
+TEST(TcpClosedLoop, GoodputFallsMonotonicallyWithBer) {
+  // BENCH_tcp.json's goodput_curve gates over BM_GoodputVsBer's trials:
+  // 4 BBR flows on the cable for 20 ms, a 6 ms ber_window from 2 ms with
+  // a 500 us ramp. The clean point is within 10% of the payload share of
+  // the bottleneck, and goodput never rises as the BER does.
+  const double bers[] = {0.0, 1e-7, 1e-6, 5e-6, 2e-5};
+  std::vector<double> goodput;
+  for (const double ber : bers) {
+    fault::FaultPlan plan;
+    plan.seed = 5;
+    plan.ber_window(2 * kPicosPerMilli, 6 * kPicosPerMilli, ber,
+                    500 * kPicosPerMicro);
+    goodput.push_back(run_cable("bbr", 4, 20 * kPicosPerMilli,
+                                ber > 0.0 ? &plan : nullptr)
+                          .goodput_bps);
+  }
+  const double expected = payload_share_of(kBottleneckGbps);
+  EXPECT_NEAR(goodput[0], expected, 0.1 * expected);
+  for (std::size_t i = 1; i < goodput.size(); ++i) {
+    EXPECT_LE(goodput[i], goodput[i - 1]) << "ber " << bers[i];
+  }
+}
+
 TEST(TcpClosedLoop, FlowsShareTheBottleneck) {
   const auto r = run_cable("newreno", 4, 20 * kPicosPerMilli);
   // Aggregate goodput approaches the pipe; nobody is starved outright.
@@ -213,6 +237,28 @@ TEST(TcpClosedLoop, LazyDelayedAckElidesTimerCancels) {
   (void)trial.run(10 * kPicosPerMilli);
   EXPECT_GT(trial.workload->delack_cancels_saved(), 0u);
   EXPECT_GT(trial.workload->total_acks_sent(), 0u);
+}
+
+TEST(TcpClosedLoop, FlowIndexIsFlowIdAndAddressesAreStable) {
+  // The demux maps a frame to a flow index, and flow(i) must be the flow
+  // built for that index. Flows are never moved, so a flow's address
+  // holds from construction until the workload is destroyed.
+  constexpr std::size_t kFlows = 600;
+  HandBuiltTrial trial(base_cfg("newreno", kFlows));
+  ClosedLoopWorkload& w = *trial.workload;
+  ASSERT_EQ(w.num_flows(), kFlows);
+  std::vector<const Flow*> addr(kFlows);
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    const FlowConfig& fc = w.flow(i).config();
+    EXPECT_EQ(fc.flow_id, i);
+    EXPECT_EQ(fc.dst_port, receiver_port_of(i));
+    EXPECT_EQ(flow_index_of_data(fc.dst_ip, fc.dst_port), i);
+    EXPECT_EQ(flow_index_of_ack(fc.src_ip, fc.src_port), i);
+    addr[i] = &w.flow(i);
+  }
+  (void)trial.run(2 * kPicosPerMilli);
+  EXPECT_GT(w.total_acks_sent(), 0u);
+  for (std::size_t i = 0; i < kFlows; ++i) EXPECT_EQ(&w.flow(i), addr[i]);
 }
 
 // ------------------------------------------------ one telemetry shard

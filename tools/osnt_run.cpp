@@ -45,6 +45,7 @@
 // trial: a bad value exits 1 and runs nothing.
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -185,19 +186,32 @@ struct ObservabilityFlags {
   }
 };
 
-/// --faults: load the plan (an empty path is an empty plan) and print its
-/// summary. Returns false after a stderr diagnostic on a bad file.
-[[nodiscard]] bool load_fault_plan(const std::string& path,
-                                   fault::FaultPlan& plan) {
+/// --faults: load the plan (an empty path is an empty plan), print its
+/// summary, and hand it to `arm` when one is given. Returns false after a
+/// stderr diagnostic on a bad file or a plan `arm` refuses (PlanError).
+[[nodiscard]] bool load_fault_plan(
+    const std::string& path, fault::FaultPlan& plan,
+    const std::function<void(fault::FaultPlan&)>& arm = {}) {
   if (path.empty()) return true;
   try {
     plan = fault::FaultPlan::load(path);
+    std::printf("fault plan: %s\n", plan.summary().c_str());
+    if (arm) arm(plan);
   } catch (const fault::PlanError& e) {
     std::fprintf(stderr, "bad fault plan %s: %s\n", path.c_str(), e.what());
     return false;
   }
-  std::printf("fault plan: %s\n", plan.summary().c_str());
   return true;
+}
+
+/// The rate-limit detector's line of a tcp report, when it detected.
+void print_detector(const tcp::TcpTrialReport& rep, const char* indent) {
+  if (rep.rld_detections == 0) return;
+  std::printf("%srate-limit detector: %llu detections  rate %.3f Gb/s  "
+              "time-to-detect %.1f us\n",
+              indent, static_cast<unsigned long long>(rep.rld_detections),
+              rep.rld_rate_bps / 1e9,
+              static_cast<double>(rep.rld_detect_time) / kPicosPerMicro);
 }
 
 /// The one check every topology run passes before its first trial: the
@@ -513,18 +527,13 @@ int cmd_oflops(int argc, const char* const* argv) {
   oflops::Testbed tb{sw_cfg};
 
   std::unique_ptr<fault::Injector> inj;
-  if (!faults_path.empty()) {
-    try {
-      fault::FaultPlan fplan = fault::FaultPlan::load(faults_path);
-      std::printf("fault plan: %s\n", fplan.summary().c_str());
-      inj = std::make_unique<fault::Injector>(tb.eng, std::move(fplan));
-      inj->attach_device(tb.osnt).attach_channel(tb.chan);
-      inj->arm();
-    } catch (const fault::PlanError& e) {
-      std::fprintf(stderr, "bad fault plan %s: %s\n", faults_path.c_str(),
-                   e.what());
-      return 1;
-    }
+  fault::FaultPlan fplan;
+  if (!load_fault_plan(faults_path, fplan, [&](fault::FaultPlan& p) {
+        inj = std::make_unique<fault::Injector>(tb.eng, std::move(p));
+        inj->attach_device(tb.osnt).attach_channel(tb.chan);
+        inj->arm();
+      })) {
+    return 1;
   }
 
   std::unique_ptr<oflops::MeasurementModule> mod;
@@ -624,13 +633,7 @@ int cmd_tcp(int argc, const char* const* argv) {
                 static_cast<unsigned long long>(rep.cwnd_reductions),
                 static_cast<unsigned long long>(rep.acks_sent),
                 rep.min_flow_rate_bps / 1e9, rep.max_flow_rate_bps / 1e9);
-    if (rep.rld_detections > 0) {
-      std::printf("rate-limit detector: %llu detections  rate %.3f Gb/s  "
-                  "time-to-detect %.1f us\n",
-                  static_cast<unsigned long long>(rep.rld_detections),
-                  rep.rld_rate_bps / 1e9,
-                  static_cast<double>(rep.rld_detect_time) / kPicosPerMicro);
-    }
+    print_detector(rep, "");
   }
   return trials.finish(rc, obs);
 }
@@ -717,14 +720,7 @@ int cmd_topo(int argc, const char* const* argv) {
                     rep.tcp.rtt_p99_ns,
                     rep.tcp.rtt_p99_ns / rep.tcp.rtt_min_ns);
       }
-      if (rep.tcp.rld_detections > 0) {
-        std::printf(
-            "  rate-limit detector: %llu detections  rate %.3f Gb/s  "
-            "time-to-detect %.1f us\n",
-            static_cast<unsigned long long>(rep.tcp.rld_detections),
-            rep.tcp.rld_rate_bps / 1e9,
-            static_cast<double>(rep.tcp.rld_detect_time) / kPicosPerMicro);
-      }
+      print_detector(rep.tcp, "  ");
     } else if (topo.workload.kind == graph::WorkloadSpec::Kind::kCbr) {
       std::printf(
           "trial %zu seed %llu: tx %llu  rx %llu  loss %.4f%%  "
