@@ -11,12 +11,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
 #include <utility>
 
+#include "osnt/common/fifo.hpp"
 #include "osnt/net/headers.hpp"
 #include "osnt/net/packet.hpp"
 #include "osnt/sim/engine.hpp"
@@ -205,7 +205,7 @@ class Flow {
   /// sample dips during pacing drain phases; the windowed max tracks the
   /// bottleneck.
   [[nodiscard]] double delivery_rate_bps() const {
-    return rate_window_.empty() ? last_rate_bps_ : rate_window_.front().second;
+    return rate_window_.empty() ? last_rate_bps_ : rate_window_.front().bps;
   }
   /// Most recent raw delivery-rate sample (delivered-delta / elapsed).
   [[nodiscard]] double last_delivery_sample_bps() const {
@@ -232,6 +232,10 @@ class Flow {
     std::uint64_t delivered_at_send;  ///< delivery-rate sample anchors
     Picos delivered_time_at_send;
   };
+  struct RateSample {
+    std::uint64_t round;  ///< `round_count_` when the sample was taken
+    double bps;
+  };
 
   void try_send();
   void emit_segment(std::uint64_t offset, std::uint32_t len, bool in_place);
@@ -256,7 +260,9 @@ class Flow {
   std::uint64_t snd_una_ = 0;  ///< stream offsets, 0-based (header adds ISN)
   std::uint64_t snd_nxt_ = 0;
   std::uint64_t max_sent_ = 0;
-  std::deque<SegRec> inflight_;
+  /// One record per segment sent and not yet cumulatively ACKed, in
+  /// send order. Allocated by the flow's first send.
+  Fifo<SegRec> inflight_;
   std::uint32_t dup_acks_ = 0;
   bool in_recovery_ = false;
   std::uint64_t recover_point_ = 0;
@@ -269,8 +275,9 @@ class Flow {
   std::uint64_t round_mark_ = 0;  ///< `delivered_` at last round start
   std::uint64_t round_count_ = 0;
   double last_rate_bps_ = 0.0;
-  /// Monotone-decreasing (round, rate) deque: front holds the windowed max.
-  std::deque<std::pair<std::uint64_t, double>> rate_window_;
+  /// Rate samples of the last 10 rounds, decreasing from front to back:
+  /// the front holds the windowed max. Allocated by the first sample.
+  Fifo<RateSample> rate_window_;
 
   Picos pace_next_ = 0;
   sim::EventId pace_timer_{};

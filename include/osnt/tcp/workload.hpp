@@ -11,11 +11,12 @@
 // back to back when the topology has no blocks.
 //
 // Built for flow counts in the 10k–1M range (DESIGN.md §12): the flows
-// live in one array allocated at construction and indexed by flow id (no
-// per-flow allocation), receiver state is split hot/cold so the per-ACK
-// touch set stays cache-resident, and the per-frame demux is pure index
-// arithmetic over the flow addressing scheme — no map lookups anywhere
-// on the RX tap path.
+// live in one array allocated at construction and indexed by flow id,
+// each allocating only its congestion controller until it sends;
+// receiver state is split hot/cold so the per-ACK touch set stays
+// cache-resident, and the per-frame demux is pure index arithmetic over
+// the flow addressing scheme — no map lookups anywhere on the RX tap
+// path.
 #pragma once
 
 #include <cstdint>
@@ -127,8 +128,8 @@ struct ReceiverHot {
 };
 static_assert(sizeof(ReceiverHot) <= 48, "per-segment touch set grew");
 /// Per-flow sender state, histograms excluded: they live in the
-/// workload's one FlowTelemetry shard.
-static_assert(sizeof(Flow) <= 1024, "per-flow sender state grew");
+/// workload's one FlowTelemetry shard. 528 bytes with libstdc++.
+static_assert(sizeof(Flow) <= 576, "per-flow sender state grew");
 
 /// Loss-episode state: only touched when a hole opens or a spurious
 /// retransmit lands, so it stays out of the hot array entirely.
@@ -155,8 +156,9 @@ struct TcpTrialReport {
   double max_flow_rate_bps = 0.0;
   // Rate-limit detector aggregates (0 when the detector is off).
   std::uint64_t rld_detections = 0;
-  double rld_rate_bps = 0.0;       ///< mean detected rate across flows
-  Picos rld_detect_time = 0;       ///< mean first-sample→detect latency
+  double rld_rate_bps = 0.0;  ///< mean rate of the flows detecting at the end
+  Picos rld_detect_time = 0;  ///< mean first-sample→detect latency of the
+                              ///< flows that ever detected
   // In-plane RTT summary (from the workload's tcp.rtt probe): p99 and
   // the observed floor, so callers can report queueing inflation.
   double rtt_p99_ns = 0.0;
@@ -225,15 +227,9 @@ class ClosedLoopWorkload {
   }
   /// Application goodput (cum-acked bytes) over `window`, in bits/s.
   [[nodiscard]] double goodput_bps(Picos window) const;
-  /// Every aggregate in one row; `window` scales the goodput figure.
+  /// Every aggregate in one row, from one walk over the flows; `window`
+  /// scales the goodput figure.
   [[nodiscard]] TcpTrialReport report(Picos window) const;
-
-  // --- rate-limit detector aggregates (all 0 when the detector is off) ---
-  [[nodiscard]] std::uint64_t total_rld_detections() const;
-  /// Mean detected rate across currently-detected flows, bits/s.
-  [[nodiscard]] double mean_rld_rate_bps() const;
-  /// Mean first-sample→detection latency across flows that detected.
-  [[nodiscard]] Picos mean_rld_detect_time() const;
 
  private:
   void on_data_frame(const net::ParsedPacket& p, const net::Packet& pkt,

@@ -49,6 +49,18 @@ void check_workload(const WorkloadSpec& w, const Bad& bad) {
           std::to_string(tcp::kSegmentHeaderLen) + " B of headers), got " +
           std::to_string(w.mss));
     }
+    if (w.flows > tcp::kMaxFlows) {
+      bad("'flows' must be at most " + std::to_string(tcp::kMaxFlows) +
+          " (the flow addressing scheme's capacity), got " +
+          std::to_string(w.flows));
+    }
+    // A window below one segment never opens: the run would send nothing.
+    const std::uint64_t min_rwnd_kb = (std::uint64_t{w.mss} + 1023) / 1024;
+    if (w.rwnd_kb < min_rwnd_kb) {
+      bad("'rwnd_kb' must be at least " + std::to_string(min_rwnd_kb) +
+          " (one " + std::to_string(w.mss) + " B segment), got " +
+          std::to_string(w.rwnd_kb));
+    }
     if (w.bottleneck_gbps < 0) bad("'bottleneck_gbps' must not be negative");
   } else if (w.kind == WorkloadSpec::Kind::kCbr) {
     if (!(w.rate_gbps > 0)) bad("'rate_gbps' must be positive");

@@ -131,13 +131,13 @@ void Flow::on_ack(const net::TcpHeader& hdr, std::uint32_t peer_tsval,
                8.0 * static_cast<double>(kPicosPerSec) /
                static_cast<double>(now - anchor.delivered_time_at_send);
         last_rate_bps_ = rate;
-        // Windowed max over the last 10 rounds (monotone deque).
-        while (!rate_window_.empty() && rate_window_.back().second <= rate) {
+        // Windowed max over the last 10 rounds (monotone queue).
+        while (!rate_window_.empty() && rate_window_.back().bps <= rate) {
           rate_window_.pop_back();
         }
-        rate_window_.emplace_back(round_count_, rate);
+        rate_window_.push_back({round_count_, rate});
         while (!rate_window_.empty() &&
-               rate_window_.front().first + 10 < round_count_) {
+               rate_window_.front().round + 10 < round_count_) {
           rate_window_.pop_front();
         }
       }

@@ -25,6 +25,13 @@ std::pair<std::uint32_t, std::uint32_t> frame_timestamps(
   return ts ? *ts : std::pair<std::uint32_t, std::uint32_t>{0, 0};
 }
 
+/// Cumulatively ACKed bytes over `window`, in bits/s.
+double goodput_of(std::uint64_t bytes_acked, Picos window) {
+  if (window <= 0) return 0.0;
+  return static_cast<double>(bytes_acked) * 8.0 *
+         static_cast<double>(kPicosPerSec) / static_cast<double>(window);
+}
+
 }  // namespace
 
 ClosedLoopWorkload::ClosedLoopWorkload(sim::Engine& eng,
@@ -120,9 +127,10 @@ ClosedLoopWorkload::~ClosedLoopWorkload() {
   const FlowStats total = total_stats();
   for (std::optional<Flow>& f : flows_) f.reset();
   telemetry_.flush(total);
-  if (telemetry::enabled() && total_acks_sent() + source_->offered() > 0) {
+  const std::uint64_t acks_sent = total_acks_sent();
+  if (telemetry::enabled() && acks_sent + source_->offered() > 0) {
     auto& reg = telemetry::registry();
-    reg.counter("tcp.acks_sent").add(total_acks_sent());
+    reg.counter("tcp.acks_sent").add(acks_sent);
     reg.counter("tcp.ooo_segs").add(total_ooo_segs());
     reg.counter("tcp.queue_drops").add(source_->drops());
     reg.counter("tcp.delack.cancels_saved").add(delack_cancels_saved_);
@@ -275,51 +283,37 @@ std::uint64_t ClosedLoopWorkload::total_ooo_segs() const {
   return v;
 }
 
-std::uint64_t ClosedLoopWorkload::total_rld_detections() const {
-  std::uint64_t v = 0;
-  for (const std::optional<Flow>& f : flows_) {
-    if (const auto* d = f->rate_limit_detector()) {
-      v += d->detections();
-    }
-  }
-  return v;
-}
-
-double ClosedLoopWorkload::mean_rld_rate_bps() const {
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (const std::optional<Flow>& f : flows_) {
-    const auto* d = f->rate_limit_detector();
-    if (d && d->detected()) {
-      sum += d->detected_rate_bps();
-      ++n;
-    }
-  }
-  return n ? sum / static_cast<double>(n) : 0.0;
-}
-
-Picos ClosedLoopWorkload::mean_rld_detect_time() const {
-  Picos sum = 0;
-  std::size_t n = 0;
-  for (const std::optional<Flow>& f : flows_) {
-    const auto* d = f->rate_limit_detector();
-    if (d && d->detections() > 0) {
-      sum += d->detect_time();
-      ++n;
-    }
-  }
-  return n ? sum / static_cast<Picos>(n) : 0;
-}
-
 double ClosedLoopWorkload::goodput_bps(Picos window) const {
-  if (window <= 0) return 0.0;
-  return static_cast<double>(total_bytes_acked()) * 8.0 *
-         static_cast<double>(kPicosPerSec) / static_cast<double>(window);
+  return goodput_of(total_bytes_acked(), window);
 }
 
 TcpTrialReport ClosedLoopWorkload::report(Picos window) const {
-  const FlowStats total = total_stats();
+  // One walk over the flows, in index order, so every sum is the one the
+  // aggregate accessors compute.
+  FlowStats total;
   TcpTrialReport r;
+  double rld_rate_sum = 0.0;
+  std::size_t rld_detected = 0;
+  Picos rld_time_sum = 0;
+  std::size_t rld_detecting = 0;
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    const Flow& f = *flows_[i];
+    total += f.stats();
+    const double rate = f.delivery_rate_bps();
+    if (i == 0 || rate < r.min_flow_rate_bps) r.min_flow_rate_bps = rate;
+    if (i == 0 || rate > r.max_flow_rate_bps) r.max_flow_rate_bps = rate;
+    if (const RateLimitDetector* d = f.rate_limit_detector()) {
+      r.rld_detections += d->detections();
+      if (d->detected()) {
+        rld_rate_sum += d->detected_rate_bps();
+        ++rld_detected;
+      }
+      if (d->detections() > 0) {
+        rld_time_sum += d->detect_time();
+        ++rld_detecting;
+      }
+    }
+  }
   r.bytes_acked = total.bytes_acked;
   r.segs_sent = total.segs_sent;
   r.retransmits = total.retransmits;
@@ -329,15 +323,13 @@ TcpTrialReport ClosedLoopWorkload::report(Picos window) const {
   r.acks_sent = total_acks_sent();
   r.queue_drops = source_->drops();
   r.emit_rejects = total.emit_rejects;
-  r.goodput_bps = goodput_bps(window);
-  for (std::size_t i = 0; i < num_flows(); ++i) {
-    const double rate = flow(i).delivery_rate_bps();
-    if (i == 0 || rate < r.min_flow_rate_bps) r.min_flow_rate_bps = rate;
-    if (i == 0 || rate > r.max_flow_rate_bps) r.max_flow_rate_bps = rate;
+  r.goodput_bps = goodput_of(total.bytes_acked, window);
+  if (rld_detected > 0) {
+    r.rld_rate_bps = rld_rate_sum / static_cast<double>(rld_detected);
   }
-  r.rld_detections = total_rld_detections();
-  r.rld_rate_bps = mean_rld_rate_bps();
-  r.rld_detect_time = mean_rld_detect_time();
+  if (rld_detecting > 0) {
+    r.rld_detect_time = rld_time_sum / static_cast<Picos>(rld_detecting);
+  }
   const telemetry::Log2Histogram rtt = rtt_probe_.merged();
   if (rtt.count() > 0) {
     r.rtt_p99_ns = rtt.quantile(0.99);

@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <set>
 
 #include "osnt/common/crc.hpp"
+#include "osnt/common/fifo.hpp"
 #include "osnt/common/hash.hpp"
 #include "osnt/common/random.hpp"
 #include "osnt/common/stats.hpp"
@@ -295,6 +297,105 @@ TEST(Time, Conversions) {
   EXPECT_EQ(from_seconds(1.0), kPicosPerSec);
   EXPECT_DOUBLE_EQ(to_seconds(kPicosPerSec), 1.0);
   EXPECT_DOUBLE_EQ(to_nanos(kPicosPerMicro), 1000.0);
+}
+
+// ------------------------------------------------------------------ fifo
+
+struct Rec {
+  std::uint64_t a;
+  std::uint32_t b;
+  friend bool operator==(const Rec&, const Rec&) = default;
+};
+
+// Allocation counts are in test_alloc.cpp, which replaces operator new.
+
+TEST(Fifo, PopsInPushOrderAcrossWrapAndGrowth) {
+  Fifo<std::uint64_t> q;
+  std::uint64_t next_in = 0;
+  std::uint64_t next_out = 0;
+  // Three in, two out: the head walks round the ring before each growth.
+  for (int round = 0; round < 100; ++round) {
+    for (int i = 0; i < 3; ++i) q.push_back(next_in++);
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_EQ(q.front(), next_out++);
+      q.pop_front();
+    }
+  }
+  EXPECT_EQ(q.size(), 100u);
+  EXPECT_EQ(q.back(), next_in - 1);
+  while (!q.empty()) {
+    ASSERT_EQ(q.front(), next_out++);
+    q.pop_front();
+  }
+  EXPECT_EQ(next_out, next_in);
+}
+
+TEST(Fifo, PopBackDownToEmpty) {
+  Fifo<std::uint64_t> q;
+  for (std::uint64_t v = 0; v < 20; ++v) q.push_back(v);
+  for (std::uint64_t v = 20; v-- > 0;) {
+    ASSERT_EQ(q.back(), v);
+    ASSERT_EQ(q.front(), 0u);
+    q.pop_back();
+  }
+  EXPECT_TRUE(q.empty());
+  q.push_back(7);
+  EXPECT_EQ(q.front(), 7u);
+  EXPECT_EQ(q.back(), 7u);
+}
+
+TEST(Fifo, ClearKeepsCapacity) {
+  Fifo<std::uint64_t> q;
+  for (std::uint64_t v = 0; v < 40; ++v) q.push_back(v);
+  q.pop_front();
+  const std::size_t cap = q.capacity();
+  EXPECT_GE(cap, 40u);
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.capacity(), cap);
+  for (std::uint64_t v = 0; v < 40; ++v) q.push_back(v);
+  EXPECT_EQ(q.capacity(), cap);
+  EXPECT_EQ(q.front(), 0u);
+  EXPECT_EQ(q.back(), 39u);
+}
+
+TEST(Fifo, MatchesADequeOverASeededRandomSequence) {
+  Fifo<Rec> q;
+  std::deque<Rec> ref;
+  Rng rng{20};
+  for (std::uint32_t op = 0; op < 100000; ++op) {
+    const std::uint64_t pick = rng.uniform_int(0, 999);
+    if (pick < 520) {
+      const Rec r{rng(), op};
+      q.push_back(r);
+      ref.push_back(r);
+    } else if (pick < 800) {
+      if (ref.empty()) continue;
+      ASSERT_EQ(q.front(), ref.front()) << "op " << op;
+      q.pop_front();
+      ref.pop_front();
+    } else if (pick < 999) {
+      if (ref.empty()) continue;
+      ASSERT_EQ(q.back(), ref.back()) << "op " << op;
+      q.pop_back();
+      ref.pop_back();
+    } else {
+      q.clear();
+      ref.clear();
+    }
+    ASSERT_EQ(q.size(), ref.size()) << "op " << op;
+    if (!ref.empty()) {
+      ASSERT_EQ(q.front(), ref.front()) << "op " << op;
+      ASSERT_EQ(q.back(), ref.back()) << "op " << op;
+    }
+  }
+  EXPECT_GE(q.capacity(), 64u);  // the sequence grew the ring
+  while (!ref.empty()) {
+    ASSERT_EQ(q.front(), ref.front());
+    q.pop_front();
+    ref.pop_front();
+  }
+  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace

@@ -196,6 +196,46 @@ TEST(Topology, TcpMssMustFitAMaximumSizeFrame) {
   }
 }
 
+TEST(Topology, TcpFlowsMustFitTheAddressingScheme) {
+  // Flow i's index is split across a port number and an IP octet, which
+  // addresses 2^21 flows; one more would fail every trial at set-up.
+  const auto with_flows = [](const std::string& flows) {
+    return R"({"name": "t", "blocks": [{"name": "q", "type": "fifo_queue"}],
+               "workload": {"kind": "tcp", "flows": )" +
+           flows + R"(, "ingress": "q:0", "egress": "q:0"}})";
+  };
+  EXPECT_EQ(TopologyFile::from_json(with_flows("2097152")).workload.flows,
+            tcp::kMaxFlows);
+  for (const char* flows : {"2097153", "3000000"}) {
+    const std::string msg = load_error(with_flows(flows));
+    expect_contains(msg, "'flows' must be at most 2097152 (the flow "
+                         "addressing scheme's capacity)");
+    expect_contains(msg, std::string("got ") + flows);
+  }
+}
+
+TEST(Topology, TcpRwndMustHoldOneSegment) {
+  // A window smaller than one mss never opens: the run would send
+  // nothing and report 0 Gb/s.
+  const auto with = [](const std::string& kv) {
+    return R"({"name": "t", "blocks": [{"name": "q", "type": "fifo_queue"}],
+               "workload": {"kind": "tcp", )" +
+           kv + R"(, "ingress": "q:0", "egress": "q:0"}})";
+  };
+  EXPECT_EQ(TopologyFile::from_json(with(R"("rwnd_kb": 2)")).workload.rwnd_kb,
+            2u);
+  EXPECT_EQ(TopologyFile::from_json(with(R"("rwnd_kb": 1, "mss": 1024)"))
+                .workload.rwnd_kb,
+            1u);
+  for (const char* rwnd : {"0", "1"}) {
+    const std::string msg = load_error(with(R"("rwnd_kb": )" + std::string(rwnd)));
+    expect_contains(msg, "'rwnd_kb' must be at least 2 (one 1448 B "
+                         "segment), got " + std::string(rwnd));
+  }
+  expect_contains(load_error(with(R"("rwnd_kb": 1, "mss": 1025)")),
+                  "'rwnd_kb' must be at least 2 (one 1025 B segment), got 1");
+}
+
 TEST(Topology, CbrArrivalsAreCbrOrPoisson) {
   const auto with_arrivals = [](const std::string& kv) {
     return R"({"name": "t", "blocks": [{"name": "q", "type": "fifo_queue"}],
