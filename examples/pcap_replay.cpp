@@ -8,6 +8,7 @@
 
 #include "osnt/core/device.hpp"
 #include "osnt/gen/replay.hpp"
+#include "osnt/gen/synth.hpp"
 #include "osnt/gen/template_gen.hpp"
 #include "osnt/net/pcap.hpp"
 
@@ -18,23 +19,17 @@ int main(int argc, char** argv) {
   const std::string trace_path = dir + "/osnt_demo_trace.pcap";
   const std::string capture_path = dir + "/osnt_demo_capture.pcap";
 
-  // --- 1. Synthesize a trace: 2000 frames, bursty, mixed sizes ---
+  // --- 1. Synthesize a trace: 2000 IMIX frames in bursts of 8 ---
   {
-    net::PcapWriter w{trace_path, /*nanosecond=*/true};
     gen::TemplateConfig tc;
-    tc.count = 2000;
     tc.flow_count = 16;
     gen::TemplateSource src{tc, std::make_unique<gen::ImixSize>()};
-    Rng rng{2024};
-    std::uint64_t t_ns = 0;
-    while (auto tp = src.next()) {
-      w.write(t_ns, tp->pkt.bytes());
-      // Bursts of ~8 frames, then a long think-time gap.
-      t_ns += (tp->pkt.id % 8 == 7)
-                  ? static_cast<std::uint64_t>(rng.exponential(80'000.0))
-                  : 1'500;
-    }
-    std::printf("wrote %zu-frame trace to %s\n", w.records_written(),
+    gen::BurstGap gaps{8};
+    gen::SynthSpec spec;
+    spec.frames = 2000;
+    spec.mean_gap_ns = 10'000;
+    std::printf("wrote %zu-frame trace to %s\n",
+                gen::synthesize_trace_file(trace_path, src, gaps, spec),
                 trace_path.c_str());
   }
 

@@ -47,9 +47,6 @@ class BurstSourceBlock final : public graph::Block {
   void on_frame(std::size_t in_port, net::Packet pkt, Picos first_bit,
                 Picos last_bit) override;
 
-  /// Must be called before start().
-  void set_horizon(Picos horizon);
-
   [[nodiscard]] const BurstSourceConfig& config() const noexcept {
     return cfg_;
   }

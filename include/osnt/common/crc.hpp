@@ -26,8 +26,4 @@ class Crc32 {
 /// One-shot CRC32 of a buffer.
 [[nodiscard]] std::uint32_t crc32(ByteSpan data) noexcept;
 
-/// Ethernet FCS as transmitted on the wire (little-endian byte order of the
-/// CRC32 over the frame from destination MAC through payload).
-[[nodiscard]] std::uint32_t ethernet_fcs(ByteSpan frame_without_fcs) noexcept;
-
 }  // namespace osnt

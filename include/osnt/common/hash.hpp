@@ -11,10 +11,6 @@ namespace osnt {
 /// FNV-1a 64-bit hash.
 [[nodiscard]] std::uint64_t fnv1a64(ByteSpan data) noexcept;
 
-/// Bob Jenkins one-at-a-time hash (32-bit), the classic cheap hardware-
-/// friendly mix used for flow hashing.
-[[nodiscard]] std::uint32_t jenkins_oaat(ByteSpan data) noexcept;
-
 /// 64-bit mix function (splitmix64 finaliser); good for hashing small keys.
 [[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
   x += 0x9E3779B97F4A7C15ull;

@@ -1,11 +1,10 @@
-// Streaming statistics and histograms used by every measurement path:
-// latency distributions, jitter, rate accuracy.
+// Streaming statistics used by every measurement path: latency
+// distributions, jitter, rate accuracy.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace osnt {
@@ -61,38 +60,6 @@ class SampleSet {
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
   RunningStats stats_;
-};
-
-/// Fixed-bin linear histogram over [lo, hi); out-of-range values land in
-/// saturating under/overflow bins. Mirrors the hardware stats counters.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-
-  [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] double bin_lo(std::size_t i) const noexcept;
-  [[nodiscard]] double bin_hi(std::size_t i) const noexcept;
-  [[nodiscard]] std::uint64_t underflow() const noexcept { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const noexcept { return overflow_; }
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-
-  /// Quantile estimated from bin midpoints.
-  [[nodiscard]] double quantile(double q) const noexcept;
-
-  /// Render as a terminal bar chart (for CLI tools/bench output).
-  [[nodiscard]] std::string ascii(std::size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  double bin_width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace osnt

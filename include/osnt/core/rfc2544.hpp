@@ -1,13 +1,12 @@
 // RFC 2544-style automated benchmarking built on OSNT: zero-loss
-// throughput search, frame-loss-rate sweep, and back-to-back burst
-// capacity. The suite is generic over a trial runner so each trial can
-// rebuild a pristine simulated testbed; searches and sweeps speak the
-// unified core::Trial vocabulary (core/trial.hpp), and the sweeps shard
-// independent work across cores via core::Runner.
+// throughput search and frame-loss-rate sweep. The suite is generic over
+// a trial runner so each trial can rebuild a pristine simulated testbed;
+// searches and sweeps speak the unified core::Trial vocabulary
+// (core/trial.hpp), and the sweeps shard independent work across cores
+// via core::Runner.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <utility>
@@ -67,22 +66,6 @@ struct LossPoint {
 [[nodiscard]] std::vector<LossPoint> loss_rate_sweep(
     const Trial& run, std::size_t frame_size, double hi = 1.0,
     double step = 0.1, const RunnerConfig& runner = RunnerConfig());
-
-/// Back-to-back burst capacity (RFC 2544 §26.4): the longest line-rate
-/// burst the DUT forwards without loss. The caller's trial runner offers
-/// `burst_len` frames back-to-back and reports what came through.
-using BurstTrialFn =
-    std::function<TrialStats(std::size_t burst_len, std::size_t frame_size)>;
-
-struct BackToBackPoint {
-  std::size_t frame_size = 0;
-  std::size_t max_burst = 0;  ///< longest zero-loss burst found
-  std::uint32_t trials = 0;
-};
-
-[[nodiscard]] BackToBackPoint find_back_to_back(
-    const BurstTrialFn& run, std::size_t frame_size,
-    std::size_t max_burst = 1 << 16);
 
 /// The canonical RFC 2544 frame sizes.
 [[nodiscard]] std::span<const std::size_t> rfc2544_frame_sizes() noexcept;

@@ -5,8 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "osnt/common/random.hpp"
 #include "osnt/common/time.hpp"
@@ -85,34 +83,10 @@ class FixedSize final : public SizeModel {
   std::size_t size_;
 };
 
-class UniformSize final : public SizeModel {
- public:
-  UniformSize(std::size_t lo, std::size_t hi) noexcept : lo_(lo), hi_(hi) {}
-  [[nodiscard]] std::size_t sample(Rng& rng) override;
-
- private:
-  std::size_t lo_, hi_;
-};
-
 /// Classic "simple IMIX": 64 B : 594 B : 1518 B at 7 : 4 : 1.
 class ImixSize final : public SizeModel {
  public:
   [[nodiscard]] std::size_t sample(Rng& rng) override;
-};
-
-/// Arbitrary empirical distribution (size, weight) pairs.
-class WeightedSize final : public SizeModel {
- public:
-  struct Entry {
-    std::size_t size;
-    double weight;
-  };
-  explicit WeightedSize(std::vector<Entry> entries);
-  [[nodiscard]] std::size_t sample(Rng& rng) override;
-
- private:
-  std::vector<Entry> entries_;
-  double total_weight_ = 0.0;
 };
 
 }  // namespace osnt::gen

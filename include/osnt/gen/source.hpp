@@ -2,9 +2,7 @@
 // TemplateSource (synthetic flows) and PcapReplaySource (trace replay).
 #pragma once
 
-#include <memory>
 #include <optional>
-#include <vector>
 
 #include "osnt/common/time.hpp"
 #include "osnt/net/packet.hpp"
@@ -32,23 +30,6 @@ class PacketSource {
   /// blocked; closed-loop sources (gen::ClosedLoopSource) are blocked
   /// until closed.
   [[nodiscard]] virtual bool blocked() const { return false; }
-};
-
-/// Adapter: fragments every IPv4 frame of an inner source at `mtu`
-/// (non-IPv4 and already-fitting frames pass through) — the way a tester
-/// produces fragmented workloads to stress DUT reassembly/TCAM paths.
-class FragmentingSource final : public PacketSource {
- public:
-  FragmentingSource(std::unique_ptr<PacketSource> inner, std::size_t mtu);
-
-  [[nodiscard]] std::optional<TimedPacket> next() override;
-  void rewind() override;
-
- private:
-  std::unique_ptr<PacketSource> inner_;
-  std::size_t mtu_;
-  std::vector<net::Packet> backlog_;  ///< fragments awaiting emission
-  std::size_t backlog_idx_ = 0;
 };
 
 }  // namespace osnt::gen

@@ -4,37 +4,14 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "osnt/burst/pattern.hpp"
 #include "osnt/gen/models.hpp"
 #include "osnt/gen/source.hpp"
 #include "osnt/net/pcap.hpp"
 
 namespace osnt::gen {
-
-/// Bridge from osnt::burst envelopes to the GapModel seam: renders a
-/// BurstSchedule over `horizon` and replays its inter-departure gaps, so
-/// synthesize_trace / synthesize_trace_file can turn any burst pattern
-/// into a replayable .pcap without a live run. The requested mean is
-/// ignored — the pattern's own timing (rate, period, duty, ...) IS the
-/// timeline; `min_gap` still clamps, as for every GapModel. When the
-/// schedule runs out the envelope wraps, so a trace can be longer than
-/// one horizon.
-class BurstEnvelopeGap final : public GapModel {
- public:
-  /// Throws burst::BurstError on an invalid config/horizon or an empty
-  /// schedule.
-  BurstEnvelopeGap(const burst::PatternConfig& cfg, Picos horizon);
-  [[nodiscard]] Picos sample(Rng& rng, Picos mean, Picos min_gap) override;
-
- private:
-  std::vector<Picos> departures_;  ///< absolute, flattened from the schedule
-  std::size_t next_ = 1;
-  Picos wrap_gap_ = 0;  ///< last departure → first of the next horizon
-};
 
 struct SynthSpec {
   std::size_t frames = 1000;

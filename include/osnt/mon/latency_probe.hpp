@@ -5,7 +5,7 @@
 // DMA path drops capture records. Host-side `HostCapture::latency_ns`
 // only sees the survivors — under load its quantiles are biased toward
 // whatever the DMA ring happened to keep; the probe is the unbiased
-// population (see BiasReport / DESIGN.md §14).
+// population (DESIGN.md §14).
 //
 // The hot path is batch-structured: observe() packs (latency, class) into
 // one u64 and appends to a fixed ring; the bit_width bucketing runs in a
@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <string>
 
-#include "osnt/common/stats.hpp"
 #include "osnt/telemetry/histogram.hpp"
 
 namespace osnt::mon {
@@ -76,30 +75,5 @@ class LatencyProbe {
   mutable std::size_t pending_ = 0;
   mutable std::array<telemetry::Log2Histogram, kClasses> hist_{};
 };
-
-/// Host-vs-in-plane bias: the same latency population seen by the probe
-/// (full) and by host capture (post-DMA survivors). `coverage` is the
-/// fraction of in-plane samples that made it to the host — 1.0 means the
-/// DMA path kept up, anything less means host-side quantiles are computed
-/// over a biased subset.
-struct BiasReport {
-  std::uint64_t inplane_samples = 0;
-  std::uint64_t host_samples = 0;
-  double coverage = 1.0;
-  double inplane_p50 = 0.0;
-  double inplane_p99 = 0.0;
-  double host_p50 = 0.0;
-  double host_p99 = 0.0;
-
-  [[nodiscard]] std::uint64_t lost_samples() const noexcept {
-    return inplane_samples > host_samples ? inplane_samples - host_samples
-                                          : 0;
-  }
-};
-
-/// Compare the probe's full population against a host-side SampleSet
-/// (typically HostCapture::latency_ns over the same port/offset).
-[[nodiscard]] BiasReport compare_bias(const LatencyProbe& probe,
-                                      const SampleSet& host);
 
 }  // namespace osnt::mon

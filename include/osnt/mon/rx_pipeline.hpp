@@ -31,7 +31,7 @@ struct RxConfig {
   bool capture_enabled = true;
   CutterConfig cutter{};
   /// In-plane RTT probe (LatencyProbe): decode the embedded TX stamp at
-  /// `probe_embed_offset` before the trigger/filter/DMA stages and record
+  /// `probe_embed_offset` before the filter/DMA stages and record
   /// the device-clock latency per traffic class (IPv4 DSCP). Frames whose
   /// bytes at the offset do not decode to a plausible stamp (delta outside
   /// [0, kProbeWindowNs)) are skipped — unstamped traffic decodes to
@@ -62,8 +62,8 @@ class RxPipeline {
   void set_rtt_probe_enabled(bool on) noexcept { cfg_.rtt_probe = on; }
 
   /// In-sim frame tap: invoked for every parseable frame after the stats
-  /// block, before the capture path (so trigger/filter/DMA state cannot
-  /// hide traffic from it). This is the seam protocol endpoints build on —
+  /// block, before the capture path (so filter/DMA state cannot hide
+  /// traffic from it). This is the seam protocol endpoints build on —
   /// osnt::tcp hangs its senders/receivers here so ACK generation rides
   /// the same monitor datapath as measurement. The parse is shared with
   /// the stats block; `first_bit` is MAC-receipt (pre-queueing) sim time.
@@ -81,23 +81,6 @@ class RxPipeline {
     probe_seen_ = 0;
   }
   [[nodiscard]] std::uint64_t probe_seen() const noexcept { return probe_seen_; }
-
-  /// Oscilloscope-style triggered capture: nothing is captured until a
-  /// frame matches `rule`; then the trigger frame plus the following
-  /// `window - 1` frames are captured and the pipeline disarms. Re-arm
-  /// for the next event. Works on top of the regular capture filter.
-  void arm_trigger(FilterRule rule, std::uint64_t window);
-  void disarm_trigger() noexcept { trigger_state_ = TriggerState::kOff; }
-  [[nodiscard]] bool trigger_armed() const noexcept {
-    return trigger_state_ == TriggerState::kArmed;
-  }
-  [[nodiscard]] bool trigger_fired() const noexcept {
-    return trigger_state_ == TriggerState::kFired ||
-           trigger_state_ == TriggerState::kDone;
-  }
-  [[nodiscard]] bool trigger_window_open() const noexcept {
-    return trigger_state_ == TriggerState::kFired;
-  }
 
   /// The in-plane RTT probe (per-class log2 histograms over the embedded
   /// TX stamp → RX device stamp delta, pre-DMA). Empty when cfg.rtt_probe
@@ -125,11 +108,6 @@ class RxPipeline {
   std::optional<FilterRule> probe_;
   std::uint64_t probe_seen_ = 0;
   FrameTap tap_;
-
-  enum class TriggerState : std::uint8_t { kOff, kArmed, kFired, kDone };
-  TriggerState trigger_state_ = TriggerState::kOff;
-  FilterRule trigger_rule_{};
-  std::uint64_t trigger_remaining_ = 0;
 
   std::uint64_t seen_ = 0;
   std::uint64_t captured_ = 0;

@@ -81,7 +81,6 @@ class PcapWriter {
 
   void write(std::uint64_t ts_nanos, ByteSpan frame,
              std::uint32_t orig_len = 0);  ///< orig_len 0 → frame.size()
-  void flush();
 
   [[nodiscard]] std::size_t records_written() const noexcept { return count_; }
 

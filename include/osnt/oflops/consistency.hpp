@@ -15,7 +15,9 @@
 namespace osnt::oflops {
 
 struct ConsistencyConfig {
-  std::size_t rule_count = 128;        ///< flows/rules updated in the burst
+  /// Largest update burst the module measures.
+  static constexpr std::size_t kMaxRules = 1024;
+  std::size_t rule_count = 128;        ///< rules updated, [1, kMaxRules]
   double traffic_gbps = 1.0;           ///< aggregate probe load
   Picos warmup = 100 * kPicosPerMilli; ///< traffic before the update burst
   Picos drain = 200 * kPicosPerMilli;  ///< observation after the last switch
@@ -25,6 +27,8 @@ class ConsistencyModule final : public MeasurementModule {
  public:
   using Config = ConsistencyConfig;
 
+  /// Throws std::invalid_argument when cfg.rule_count is outside
+  /// [1, Config::kMaxRules].
   explicit ConsistencyModule(Config cfg = Config());
 
   [[nodiscard]] std::string name() const override {

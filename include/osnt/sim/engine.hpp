@@ -100,9 +100,6 @@ class WatchdogScope {
   WatchdogConfig prev_;
 };
 
-/// The thread's current ambient watchdog config (all-zero when none).
-[[nodiscard]] WatchdogConfig ambient_watchdog() noexcept;
-
 template <typename T, typename Fire>
 class FifoLane;
 

@@ -11,9 +11,9 @@
 // Naming convention: metric names are dot-separated families
 // (`sim.engine.*`, `gen.tx.*`, `mon.rx.*`, `hw.dma.*`, `core.runner.*`).
 // Anything derived from the host's wall clock — as opposed to simulated
-// time — MUST contain the token "wall" in its name; likewise anything
+// time — MUST have a "wall" segment in its name; likewise anything
 // describing *how* the engine executed (timer routing, slab growth) as
-// opposed to what the simulation did MUST contain the token "impl".
+// opposed to what the simulation did MUST have an "impl" segment.
 // `Snapshot::kSimOnly` filters both out so determinism checks can compare
 // the rest bit-exactly across worker counts and execution strategies.
 #pragma once
@@ -98,9 +98,9 @@ class SharedHistogram {
 };
 
 /// Which metrics a snapshot includes. kSimOnly drops every metric whose
-/// name contains "wall" (host-clock domain) or "impl" (execution-strategy
-/// internals) — the remainder is derived from simulated time only and
-/// must be byte-identical for any --jobs value or timer routing.
+/// name has a "wall" (host-clock domain) or "impl" (execution-strategy
+/// internals) segment — the remainder is derived from simulated time
+/// only and must be byte-identical for any --jobs value or timer routing.
 enum class Snapshot : std::uint8_t { kAll, kSimOnly };
 
 class Registry {

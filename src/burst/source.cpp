@@ -23,14 +23,6 @@ BurstSourceBlock::~BurstSourceBlock() {
   }
 }
 
-void BurstSourceBlock::set_horizon(Picos horizon) {
-  if (sched_) {
-    throw BurstError("burst: source '" + name() +
-                     "' horizon cannot change after start()");
-  }
-  cfg_.horizon = horizon;
-}
-
 net::Packet BurstSourceBlock::make_frame(const PatternConfig& cfg,
                                          std::uint32_t flow_id,
                                          std::size_t frame_size) {

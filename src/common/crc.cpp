@@ -57,12 +57,4 @@ std::uint32_t crc32(ByteSpan data) noexcept {
   return c.value();
 }
 
-std::uint32_t ethernet_fcs(ByteSpan frame_without_fcs) noexcept {
-  // The FCS field carries the CRC32 of the frame; on the wire it is sent
-  // least-significant byte first, which matches storing the finalised value
-  // little-endian. We return the CRC value itself; framing code decides
-  // byte order when appending.
-  return crc32(frame_without_fcs);
-}
-
 }  // namespace osnt

@@ -11,17 +11,4 @@ std::uint64_t fnv1a64(ByteSpan data) noexcept {
   return h;
 }
 
-std::uint32_t jenkins_oaat(ByteSpan data) noexcept {
-  std::uint32_t h = 0;
-  for (auto b : data) {
-    h += b;
-    h += h << 10;
-    h ^= h >> 6;
-  }
-  h += h << 3;
-  h ^= h >> 11;
-  h += h << 15;
-  return h;
-}
-
 }  // namespace osnt

@@ -46,64 +46,4 @@ void SampleSet::clear() {
   stats_.reset();
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), bin_width_((hi - lo) / static_cast<double>(bins ? bins : 1)),
-      counts_(bins ? bins : 1, 0) {}
-
-void Histogram::add(double x) noexcept {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto idx = static_cast<std::size_t>((x - lo_) / bin_width_);
-  if (idx >= counts_.size()) idx = counts_.size() - 1;  // FP edge guard
-  ++counts_[idx];
-}
-
-double Histogram::bin_lo(std::size_t i) const noexcept {
-  return lo_ + bin_width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const noexcept {
-  return lo_ + bin_width_ * static_cast<double>(i + 1);
-}
-
-double Histogram::quantile(double q) const noexcept {
-  if (total_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto target = static_cast<std::uint64_t>(
-      q * static_cast<double>(total_));
-  std::uint64_t cum = underflow_;
-  if (cum > target) return lo_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += counts_[i];
-    if (cum > target) return (bin_lo(i) + bin_hi(i)) / 2.0;
-  }
-  return hi_;
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  char line[128];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(width));
-    std::snprintf(line, sizeof line, "[%12.3f, %12.3f) %10llu ",
-                  bin_lo(i), bin_hi(i),
-                  static_cast<unsigned long long>(counts_[i]));
-    out += line;
-    out.append(bar, '#');
-    out += '\n';
-  }
-  return out;
-}
-
 }  // namespace osnt

@@ -104,33 +104,6 @@ std::vector<ThroughputPoint> throughput_sweep(
   return out;
 }
 
-BackToBackPoint find_back_to_back(const BurstTrialFn& run,
-                                  std::size_t frame_size,
-                                  std::size_t max_burst) {
-  BackToBackPoint pt;
-  pt.frame_size = frame_size;
-  const auto passes = [&](std::size_t burst) {
-    ++pt.trials;
-    return run(burst, frame_size).loss_fraction() <= 0.0;
-  };
-  // Ceiling first, then binary search on the burst length.
-  if (passes(max_burst)) {
-    pt.max_burst = max_burst;
-    return pt;
-  }
-  std::size_t lo = 0, hi = max_burst;  // lo passes (trivially), hi fails
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (passes(mid)) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  pt.max_burst = lo;
-  return pt;
-}
-
 std::vector<LossPoint> loss_rate_sweep(const Trial& run,
                                        std::size_t frame_size, double hi,
                                        double step,

@@ -53,35 +53,11 @@ Picos ParetoGap::sample(Rng& rng, Picos mean, Picos min_gap) {
   return std::max(g, min_gap);
 }
 
-std::size_t UniformSize::sample(Rng& rng) {
-  return static_cast<std::size_t>(rng.uniform_int(lo_, hi_));
-}
-
 std::size_t ImixSize::sample(Rng& rng) {
   const std::uint64_t r = rng.uniform_int(0, 11);
   if (r < 7) return 64;
   if (r < 11) return 594;
   return 1518;
-}
-
-WeightedSize::WeightedSize(std::vector<Entry> entries)
-    : entries_(std::move(entries)) {
-  if (entries_.empty())
-    throw std::invalid_argument("WeightedSize: empty distribution");
-  for (const auto& e : entries_) {
-    if (e.weight <= 0.0)
-      throw std::invalid_argument("WeightedSize: non-positive weight");
-    total_weight_ += e.weight;
-  }
-}
-
-std::size_t WeightedSize::sample(Rng& rng) {
-  double r = rng.uniform(0.0, total_weight_);
-  for (const auto& e : entries_) {
-    r -= e.weight;
-    if (r <= 0.0) return e.size;
-  }
-  return entries_.back().size;
 }
 
 }  // namespace osnt::gen

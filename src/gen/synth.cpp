@@ -1,39 +1,8 @@
 #include "osnt/gen/synth.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
-#include "osnt/burst/schedule.hpp"
-
 namespace osnt::gen {
-
-BurstEnvelopeGap::BurstEnvelopeGap(const burst::PatternConfig& cfg,
-                                   Picos horizon) {
-  const burst::BurstSchedule sched{cfg, horizon};
-  departures_.reserve(sched.total_frames());
-  for (const burst::Burst& b : sched.bursts()) {
-    for (std::size_t i = 0; i < b.count; ++i) {
-      departures_.push_back(b.start + sched.offsets()[b.first + i]);
-    }
-  }
-  if (departures_.empty()) {
-    throw burst::BurstError("burst: envelope renders no frames over horizon");
-  }
-  // Wrap as if the whole envelope repeated after the horizon.
-  wrap_gap_ = horizon - departures_.back() + departures_.front();
-}
-
-Picos BurstEnvelopeGap::sample(Rng& /*rng*/, Picos /*mean*/, Picos min_gap) {
-  Picos gap;
-  if (next_ < departures_.size()) {
-    gap = departures_[next_] - departures_[next_ - 1];
-    ++next_;
-  } else {
-    gap = wrap_gap_;
-    next_ = 1;
-  }
-  return std::max(gap, min_gap);
-}
 
 std::vector<net::PcapRecord> synthesize_trace(PacketSource& source,
                                               GapModel& gaps,

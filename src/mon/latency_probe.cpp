@@ -57,20 +57,4 @@ void LatencyProbe::reset() noexcept {
   for (auto& h : hist_) h.reset();
 }
 
-BiasReport compare_bias(const LatencyProbe& probe, const SampleSet& host) {
-  BiasReport rep;
-  const telemetry::Log2Histogram inplane = probe.merged();
-  rep.inplane_samples = inplane.count();
-  rep.host_samples = host.count();
-  rep.coverage = rep.inplane_samples == 0
-                     ? 1.0
-                     : static_cast<double>(rep.host_samples) /
-                           static_cast<double>(rep.inplane_samples);
-  rep.inplane_p50 = inplane.quantile(0.5);
-  rep.inplane_p99 = inplane.quantile(0.99);
-  rep.host_p50 = host.quantile(0.5);
-  rep.host_p99 = host.quantile(0.99);
-  return rep;
-}
-
 }  // namespace osnt::mon

@@ -17,12 +17,6 @@ RxPipeline::~RxPipeline() {
   rtt_probe_.flush("mon.rx.");
 }
 
-void RxPipeline::arm_trigger(FilterRule rule, std::uint64_t window) {
-  trigger_rule_ = rule;
-  trigger_remaining_ = window;
-  trigger_state_ = TriggerState::kArmed;
-}
-
 RxPipeline::RxPipeline(sim::Engine& eng, hw::RxMac& mac,
                        tstamp::DisciplinedClock& clock, hw::DmaEngine& dma,
                        Config cfg)
@@ -61,7 +55,7 @@ void RxPipeline::on_frame(net::Packet pkt, Picos first_bit, Picos last_bit) {
 
   // In-plane RTT probe: the same embedded-stamp-vs-RX-stamp delta that
   // HostCapture::latency_ns computes for DMA survivors, taken here for
-  // *every* frame — ahead of the trigger/filter/DMA stages, so capture
+  // *every* frame — ahead of the filter/DMA stages, so capture
   // loss cannot bias the distribution. Unstamped frames decode to deltas
   // outside the plausibility window and are skipped.
   if (cfg_.rtt_probe) {
@@ -80,22 +74,6 @@ void RxPipeline::on_frame(net::Packet pkt, Picos first_bit, Picos last_bit) {
   }
 
   if (!cfg_.capture_enabled) return;
-
-  // Trigger gate (before the capture filter): swallow everything until
-  // the trigger matches, then pass a bounded window through.
-  if (trigger_state_ == TriggerState::kArmed) {
-    if (!trigger_rule_.matches(*parsed)) return;
-    trigger_state_ = TriggerState::kFired;
-  }
-  if (trigger_state_ == TriggerState::kFired) {
-    if (trigger_remaining_ == 0) {
-      trigger_state_ = TriggerState::kDone;
-      return;
-    }
-    --trigger_remaining_;
-  } else if (trigger_state_ == TriggerState::kDone) {
-    return;
-  }
 
   const auto verdict = filters_.classify(*parsed);
   if (!verdict.capture) {

@@ -187,8 +187,4 @@ void PcapWriter::write(std::uint64_t ts_nanos, ByteSpan frame,
   ++count_;
 }
 
-void PcapWriter::flush() {
-  if (f_) std::fflush(f_);
-}
-
 }  // namespace osnt::net

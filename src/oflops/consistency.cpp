@@ -1,6 +1,7 @@
 #include "osnt/oflops/consistency.hpp"
 
-#include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "osnt/gen/template_gen.hpp"
 #include "osnt/net/flow.hpp"
@@ -17,7 +18,11 @@ constexpr std::uint16_t kDport = 5001;
 }  // namespace
 
 ConsistencyModule::ConsistencyModule(Config cfg) : cfg_(cfg) {
-  cfg_.rule_count = std::min(cfg_.rule_count, std::size_t{1024});
+  if (cfg_.rule_count == 0 || cfg_.rule_count > Config::kMaxRules) {
+    throw std::invalid_argument(
+        "consistency updates 1 to " + std::to_string(Config::kMaxRules) +
+        " rules, got " + std::to_string(cfg_.rule_count));
+  }
   first_on_new_ns_.assign(cfg_.rule_count, -1.0);
 }
 

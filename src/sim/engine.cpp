@@ -21,8 +21,6 @@ WatchdogScope::WatchdogScope(WatchdogConfig cfg) noexcept
 
 WatchdogScope::~WatchdogScope() { g_ambient_watchdog = prev_; }
 
-WatchdogConfig ambient_watchdog() noexcept { return g_ambient_watchdog; }
-
 Engine::Engine() {
   const WatchdogConfig wd = g_ambient_watchdog;
   budget_ = wd.event_budget;

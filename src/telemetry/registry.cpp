@@ -33,13 +33,20 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-/// Stats excluded from kSimOnly snapshots: "wall" marks host-time
-/// measurements, "impl" marks implementation internals that vary with
-/// execution strategy (timer routing, slot recycling) while the simulated
-/// universe — and everything else in the snapshot — is unchanged.
+/// Stats excluded from kSimOnly snapshots: a "wall" segment marks
+/// host-time measurements, an "impl" segment marks implementation
+/// internals that vary with execution strategy (timer routing, slot
+/// recycling) while the simulated universe — and everything else in the
+/// snapshot — is unchanged. Only whole dot-separated segments count, so a
+/// block named "firewall" or "simple_q" keeps its graph.<name>.* stats.
 bool is_host_dependent(std::string_view name) noexcept {
-  return name.find("wall") != std::string_view::npos ||
-         name.find("impl") != std::string_view::npos;
+  for (;;) {
+    const std::size_t dot = name.find('.');
+    const std::string_view segment = name.substr(0, dot);
+    if (segment == "wall" || segment == "impl") return true;
+    if (dot == std::string_view::npos) return false;
+    name.remove_prefix(dot + 1);
+  }
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // osnt::burst — schedule math for each pattern (period tiling, pulse
 // sizing, Pareto seeding, volley shapes), batched-vs-naive emission
 // equivalence on the wire, the burst_source block's topology integration
-// with its did-you-mean error paths, the BurstEnvelopeGap synth bridge,
-// and the headline determinism claim: an amplification-DDoS topology is
-// byte-identical under kSimOnly telemetry — including the --series-out
-// trajectory — at any --jobs value.
+// with its did-you-mean error paths, and the headline determinism claim:
+// an amplification-DDoS topology is byte-identical under kSimOnly
+// telemetry — including the --series-out trajectory — at any --jobs
+// value.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,10 +16,6 @@
 #include "osnt/burst/schedule.hpp"
 #include "osnt/burst/source.hpp"
 #include "osnt/core/runner.hpp"
-#include "osnt/gen/models.hpp"
-#include "osnt/gen/source.hpp"
-#include "osnt/gen/synth.hpp"
-#include "osnt/gen/template_gen.hpp"
 #include "osnt/graph/blocks.hpp"
 #include "osnt/graph/graph.hpp"
 #include "osnt/graph/topology.hpp"
@@ -542,49 +538,6 @@ TEST(Burst, AmplificationSeriesShowsCollapseAndRecovery) {
   EXPECT_LT(acked[2], acked[3]) << "no collapse in wave 2";
   EXPECT_GT(acked[1], 0u);
   EXPECT_GT(acked[3], 0u);
-}
-
-// ------------------------------------------------------ synth bridge
-
-TEST(Burst, EnvelopeGapReplaysTheSchedule) {
-  PatternConfig cfg = base_config(Pattern::kOnOff);
-  cfg.period = 10 * kPicosPerMicro;
-  cfg.duty = 0.5;  // 5 us on-window -> 74 frames per burst
-  gen::BurstEnvelopeGap gaps{cfg, 20 * kPicosPerMicro};
-
-  Rng rng{1};
-  // In-burst gaps are the serialization slot...
-  for (int i = 0; i < 73; ++i) {
-    EXPECT_EQ(gaps.sample(rng, 0, 0), kSlot64At10G) << "frame " << i;
-  }
-  // ...the burst boundary carries the idle remainder of the period...
-  const Picos idle = 10 * kPicosPerMicro - 73 * kSlot64At10G;
-  EXPECT_EQ(gaps.sample(rng, 0, 0), idle);
-  for (int i = 0; i < 73; ++i) EXPECT_EQ(gaps.sample(rng, 0, 0), kSlot64At10G);
-  // ...and past the horizon the envelope wraps as if it repeated.
-  EXPECT_EQ(gaps.sample(rng, 0, 0), idle);
-  EXPECT_EQ(gaps.sample(rng, 0, 0), kSlot64At10G);
-  // min_gap still clamps, like every GapModel.
-  EXPECT_EQ(gaps.sample(rng, 0, kPicosPerMicro), kPicosPerMicro);
-}
-
-TEST(Burst, EnvelopeGapDrivesSynthesizeTrace) {
-  PatternConfig cfg = base_config(Pattern::kOnOff);
-  cfg.period = 10 * kPicosPerMicro;
-  cfg.duty = 0.5;
-  gen::BurstEnvelopeGap gaps{cfg, 20 * kPicosPerMicro};
-
-  gen::TemplateConfig tc;
-  tc.count = 10;
-  gen::TemplateSource src{tc, std::make_unique<gen::FixedSize>(64)};
-  gen::SynthSpec spec;
-  spec.frames = 10;
-  const auto records = gen::synthesize_trace(src, gaps, spec);
-  ASSERT_EQ(records.size(), 10u);
-  for (std::size_t i = 1; i < records.size(); ++i) {
-    // 67.2 ns slots on the pcap timeline (ns resolution truncates to 67).
-    EXPECT_EQ(records[i].ts_nanos - records[i - 1].ts_nanos, 67u);
-  }
 }
 
 }  // namespace

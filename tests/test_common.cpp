@@ -133,12 +133,6 @@ TEST(Hash, Fnv1aKnownVector) {
   EXPECT_EQ(fnv1a64({}), 0xCBF29CE484222325ull);
 }
 
-TEST(Hash, JenkinsDistinguishesPermutations) {
-  const std::uint8_t a[] = {1, 2, 3};
-  const std::uint8_t b[] = {3, 2, 1};
-  EXPECT_NE(jenkins_oaat(ByteSpan{a, 3}), jenkins_oaat(ByteSpan{b, 3}));
-}
-
 TEST(Hash, Mix64NoFixedPointAtSmallInputs) {
   std::set<std::uint64_t> outs;
   for (std::uint64_t i = 0; i < 1000; ++i) outs.insert(mix64(i));
@@ -258,35 +252,6 @@ TEST(SampleSet, MeanTracksRunningStats) {
   for (int i = 0; i < 1000; ++i) s.add(r.uniform(0, 10));
   EXPECT_GT(s.mean(), 4.5);
   EXPECT_LT(s.mean(), 5.5);
-}
-
-TEST(Histogram, BinningAndQuantile) {
-  Histogram h{0.0, 100.0, 10};
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_EQ(h.total(), 100u);
-  EXPECT_EQ(h.underflow(), 0u);
-  EXPECT_EQ(h.overflow(), 0u);
-  for (std::size_t b = 0; b < 10; ++b) EXPECT_EQ(h.bin(b), 10u);
-  EXPECT_NEAR(h.quantile(0.5), 55.0, 10.0);
-}
-
-TEST(Histogram, OutOfRangeCounted) {
-  Histogram h{0.0, 10.0, 5};
-  h.add(-1.0);
-  h.add(11.0);
-  h.add(5.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, AsciiRenders) {
-  Histogram h{0.0, 10.0, 2};
-  h.add(1.0);
-  h.add(6.0);
-  h.add(7.0);
-  const std::string art = h.ascii(10);
-  EXPECT_NE(art.find('#'), std::string::npos);
 }
 
 // ------------------------------------------------------------------ time

@@ -1,7 +1,6 @@
 // Determinism: the whole simulation is seeded and single-threaded, so an
 // identical scenario must reproduce bit-identical results — the property
 // that makes regression comparisons and distributed debugging possible.
-// Plus: fragmented workloads through the full device path.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -11,9 +10,6 @@
 #include "osnt/core/measure.hpp"
 #include "osnt/dut/legacy_switch.hpp"
 #include "osnt/net/builder.hpp"
-#include "osnt/gen/replay.hpp"
-#include "osnt/net/fragment.hpp"
-#include "osnt/net/pcap.hpp"
 #include "osnt/oflops/context.hpp"
 #include "osnt/oflops/flowmod_latency.hpp"
 
@@ -87,53 +83,6 @@ TEST(Determinism, OflopsModuleReproduces) {
     return std::vector<double>{};
   };
   EXPECT_EQ(run_once(), run_once());
-}
-
-TEST(FragmentedWorkload, SurvivesDeviceAndReassembles) {
-  // Generator port 0 emits jumbos pre-fragmented to MTU 1500; the monitor
-  // captures the fragments; host-side reassembly recovers every datagram.
-  sim::Engine eng;
-  core::OsntDevice dev{eng};
-  hw::connect(dev.port(0), dev.port(1));
-
-  std::vector<net::PcapRecord> recs;
-  for (int i = 0; i < 20; ++i) {
-    net::PacketBuilder b;
-    net::Packet p =
-        b.eth(net::MacAddr::from_index(1), net::MacAddr::from_index(2))
-            .ipv4(net::Ipv4Addr::of(10, 0, 0, 1), net::Ipv4Addr::of(10, 0, 1, 1),
-                  net::ipproto::kUdp)
-            .udp(1024, 5001)
-            .payload_random(4000, static_cast<std::uint64_t>(i))
-            .build();
-    store_be16(p.data.data() + net::EthHeader::kSize + 4,
-               static_cast<std::uint16_t>(1000 + i));  // unique IP id
-    net::PcapRecord rec;
-    rec.ts_nanos = static_cast<std::uint64_t>(i) * 20'000;
-    rec.orig_len = static_cast<std::uint32_t>(p.size());
-    rec.data = std::move(p.data);
-    recs.push_back(std::move(rec));
-  }
-
-  gen::TxConfig txc;
-  txc.embed_timestamp = false;  // don't clobber fragment payloads
-  auto& tx = dev.configure_tx(0, txc);
-  tx.set_source(std::make_unique<gen::FragmentingSource>(
-      std::make_unique<gen::PcapReplaySource>(std::move(recs)), 1500));
-  tx.start();
-  eng.run();
-
-  // 20 datagrams × 3 fragments (4028 B datagram at 1480 B payload/frag).
-  EXPECT_EQ(dev.rx(1).seen(), 60u);
-  net::Ipv4Reassembler r;
-  int whole = 0;
-  for (const auto& rec : dev.capture().records()) {
-    net::Packet f;
-    f.data = rec.data;
-    if (r.add(f, 0)) ++whole;
-  }
-  EXPECT_EQ(whole, 20);
-  EXPECT_EQ(r.pending(), 0u);
 }
 
 TEST(Determinism, RandomizedScheduleCancelInterleaving) {

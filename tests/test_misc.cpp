@@ -1,5 +1,5 @@
 // Remaining odds and ends: logging, packet description, engine scale,
-// histogram rendering, describe() edge cases.
+// describe() edge cases.
 #include <gtest/gtest.h>
 
 #include "osnt/common/log.hpp"
@@ -93,16 +93,6 @@ TEST(Engine, CancelStormStaysConsistent) {
   eng.run();
   EXPECT_EQ(fired, 500);
   EXPECT_TRUE(eng.empty());
-}
-
-TEST(Histogram, QuantileOnEmptyAndSaturated) {
-  Histogram h{0, 10, 5};
-  EXPECT_EQ(h.quantile(0.5), 0.0);
-  for (int i = 0; i < 10; ++i) h.add(100.0);  // everything overflows
-  EXPECT_EQ(h.quantile(0.5), 10.0);  // clamps to hi
-  Histogram lo{0, 10, 5};
-  for (int i = 0; i < 10; ++i) lo.add(-5.0);
-  EXPECT_EQ(lo.quantile(0.5), 0.0);  // clamps to lo
 }
 
 TEST(SampleSet, ClearResetsEverything) {

@@ -1,7 +1,7 @@
-// TCP options, trace synthesis, device self-test, jumbo frames.
+// TCP options, trace synthesis, jumbo frames.
 #include <gtest/gtest.h>
 
-#include "osnt/core/self_test.hpp"
+#include "osnt/core/device.hpp"
 #include "osnt/gen/synth.hpp"
 #include "osnt/gen/template_gen.hpp"
 #include "osnt/net/builder.hpp"
@@ -140,34 +140,6 @@ TEST(Synth, FileRoundTrip) {
   EXPECT_EQ(gen::synthesize_trace_file(path, src, gaps, spec), 50u);
   EXPECT_EQ(net::PcapReader::read_all(path).size(), 50u);
   std::remove(path.c_str());
-}
-
-// ----------------------------------------------------------- self test
-
-TEST(SelfTest, HealthyCardPasses) {
-  sim::Engine eng;
-  core::OsntDevice dev{eng};
-  const auto r = core::run_self_test(eng, dev);
-  EXPECT_TRUE(r.passed) << (r.failures.empty() ? "" : r.failures[0]);
-  EXPECT_TRUE(r.failures.empty());
-}
-
-TEST(SelfTest, DetectsBrokenWire) {
-  sim::Engine eng;
-  core::OsntDevice dev{eng};
-  // Sabotage: corrupt everything on port 0's fiber.
-  dev.port(0).out_link().set_bit_error_rate(1.0);
-  const auto r = core::run_self_test(eng, dev);
-  EXPECT_FALSE(r.passed);
-  EXPECT_FALSE(r.failures.empty());
-}
-
-TEST(SelfTest, RefusesCabledCard) {
-  sim::Engine eng;
-  core::OsntDevice dev{eng};
-  hw::connect(dev.port(0), dev.port(1));
-  const auto r = core::run_self_test(eng, dev);
-  EXPECT_FALSE(r.passed);
 }
 
 // -------------------------------------------------------------- jumbo

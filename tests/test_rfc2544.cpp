@@ -86,41 +86,6 @@ TEST(Rfc2544, LossRateSweepMonotoneForQueueDut) {
   EXPECT_NEAR(ladder[1].loss_fraction, 0.0, 0.01);  // 0.8 load: no loss
 }
 
-TEST(Rfc2544, BackToBackFindsBufferLimit) {
-  // Fake DUT: forwards bursts up to 1000 frames, then tail-drops.
-  const auto dut = [](std::size_t burst, std::size_t) {
-    TrialStats s;
-    s.tx_frames = burst;
-    s.rx_frames = std::min<std::uint64_t>(burst, 1000);
-    return s;
-  };
-  const auto pt = find_back_to_back(dut, 64, 1 << 14);
-  EXPECT_EQ(pt.max_burst, 1000u);
-  EXPECT_LE(pt.trials, 16u);
-}
-
-TEST(Rfc2544, BackToBackUnlimitedDut) {
-  const auto perfect = [](std::size_t burst, std::size_t) {
-    TrialStats s;
-    s.tx_frames = burst;
-    s.rx_frames = burst;
-    return s;
-  };
-  const auto pt = find_back_to_back(perfect, 64, 4096);
-  EXPECT_EQ(pt.max_burst, 4096u);
-  EXPECT_EQ(pt.trials, 1u);
-}
-
-TEST(Rfc2544, BackToBackDeadDut) {
-  const auto dead = [](std::size_t burst, std::size_t) {
-    TrialStats s;
-    s.tx_frames = burst;
-    s.rx_frames = 0;
-    return s;
-  };
-  EXPECT_EQ(find_back_to_back(dead, 64, 1024).max_burst, 0u);
-}
-
 TEST(Rfc2544, TrialCountBounded) {
   ThroughputSearchConfig cfg;
   cfg.resolution = 0.001;

@@ -195,6 +195,23 @@ TEST(TelemetryRegistry, JsonShapeAndWallFiltering) {
   EXPECT_EQ(sim.find("wall"), std::string::npos);
 }
 
+TEST(TelemetryRegistry, SimOnlyDropsWholeWallAndImplSegmentsOnly) {
+  auto& reg = telemetry::registry();
+  reg.reset();
+  // "firewall" and "simple_q" contain "wall" and "impl" inside a segment
+  // name; only a whole segment marks a host-dependent stat.
+  reg.counter("graph.firewall.drops").add(1);
+  reg.counter("graph.simple_q.frames_in").add(2);
+  reg.counter("core.runner.span_ns.wall").add(3);
+  reg.gauge("sim.engine.impl.slab_slots").set(4);
+
+  const std::string sim = reg.to_json(telemetry::Snapshot::kSimOnly);
+  EXPECT_NE(sim.find("\"graph.firewall.drops\": 1"), std::string::npos);
+  EXPECT_NE(sim.find("\"graph.simple_q.frames_in\": 2"), std::string::npos);
+  EXPECT_EQ(sim.find("core.runner.span_ns.wall"), std::string::npos);
+  EXPECT_EQ(sim.find("sim.engine.impl.slab_slots"), std::string::npos);
+}
+
 TEST(TelemetryRegistry, ResetZeroesInPlace) {
   auto& reg = telemetry::registry();
   reg.reset();

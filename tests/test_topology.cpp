@@ -359,6 +359,45 @@ TEST(Topology, CbrTrialRunsThroughTheGraph) {
   EXPECT_EQ(r.graph_frames_in, r.blocks[0].frames_in);
 }
 
+// Two queues whose names hold "wall" and "impl" inside a segment name.
+constexpr const char* kHostMarkerLookalikes = R"({
+  "name": "lookalikes",
+  "seed": 9,
+  "duration_us": 1500,
+  "blocks": [
+    {"name": "firewall", "type": "fifo_queue", "rate_gbps": 10.0,
+     "queue_frames": 32},
+    {"name": "simple_q", "type": "fifo_queue", "rate_gbps": 10.0,
+     "queue_frames": 32}
+  ],
+  "edges": [{"from": "firewall:0", "to": "simple_q:0"}],
+  "workload": {
+    "kind": "cbr", "rate_gbps": 2.0, "frame_size": 512,
+    "ingress": "firewall:0", "egress": "simple_q:0"
+  }
+})";
+
+TEST(Topology, SimOnlySnapshotKeepsBlocksNamedLikeHostMarkers) {
+  const bool was_enabled = telemetry::enabled();
+  telemetry::set_enabled(true);
+  telemetry::registry().reset();
+  const TopologyFile t = TopologyFile::from_json(kHostMarkerLookalikes);
+  const graph::TopologyTrialReport r = graph::run_topology_trial(t, t.seed);
+  ASSERT_GT(r.cbr.rx_frames, 0u);
+  const std::string all =
+      telemetry::registry().to_json(telemetry::Snapshot::kAll);
+  const std::string sim =
+      telemetry::registry().to_json(telemetry::Snapshot::kSimOnly);
+  for (const std::string name : {"firewall", "simple_q"}) {
+    const std::string line = "\"graph." + name + ".frames_in\": " +
+                             std::to_string(r.cbr.tx_frames);
+    EXPECT_NE(all.find(line), std::string::npos) << line;
+    EXPECT_NE(sim.find(line), std::string::npos) << line;
+  }
+  telemetry::registry().reset();
+  telemetry::set_enabled(was_enabled);
+}
+
 // A scaled-down dumbbell10: closed-loop TCP flows share a RED bottleneck
 // with an in-plane monitor tap behind it, and a symmetric delay on the
 // ACK path.

@@ -1,99 +1,14 @@
-// Triggered capture windows, link flap failure injection, and the
-// packet_out latency module.
+// Link flap failure injection and the packet_out latency module.
 #include <gtest/gtest.h>
 
 #include "osnt/core/device.hpp"
 #include "osnt/core/measure.hpp"
 #include "osnt/net/builder.hpp"
-#include "osnt/net/flow.hpp"
 #include "osnt/oflops/context.hpp"
 #include "osnt/oflops/packet_out_latency.hpp"
 
 namespace osnt {
 namespace {
-
-// ----------------------------------------------------- triggered capture
-
-struct TriggerBench {
-  sim::Engine eng;
-  core::OsntDevice osnt{eng};
-
-  TriggerBench() { hw::connect(osnt.port(0), osnt.port(1)); }
-
-  /// Send `n` background frames, one marker frame (dst port 9999), then
-  /// `m` more background frames.
-  void send_pattern(std::size_t n, std::size_t m) {
-    auto send = [&](std::uint16_t dport) {
-      net::PacketBuilder b;
-      (void)osnt.port(0).tx().transmit(
-          b.eth(net::MacAddr::from_index(1), net::MacAddr::from_index(2))
-              .ipv4(net::Ipv4Addr::of(10, 0, 0, 1),
-                    net::Ipv4Addr::of(10, 0, 1, 1), net::ipproto::kUdp)
-              .udp(1024, dport)
-              .pad_to_frame(128)
-              .build());
-    };
-    for (std::size_t i = 0; i < n; ++i) send(5001);
-    send(9999);  // the trigger event
-    for (std::size_t i = 0; i < m; ++i) send(5001);
-  }
-};
-
-TEST(Trigger, CapturesWindowFromMarker) {
-  TriggerBench b;
-  mon::FilterRule marker;
-  marker.dst_port = 9999;
-  b.osnt.rx(1).arm_trigger(marker, 5);  // marker + 4 following
-  b.send_pattern(20, 20);
-  b.eng.run();
-  EXPECT_EQ(b.osnt.rx(1).seen(), 41u);     // monitor saw everything
-  EXPECT_EQ(b.osnt.capture().size(), 5u);  // host got only the window
-  // First captured record is the marker itself.
-  const auto flow = net::extract_flow(
-      ByteSpan{b.osnt.capture().records()[0].data.data(),
-               b.osnt.capture().records()[0].data.size()});
-  ASSERT_TRUE(flow);
-  EXPECT_EQ(flow->dst_port, 9999);
-  EXPECT_TRUE(b.osnt.rx(1).trigger_fired());
-  EXPECT_FALSE(b.osnt.rx(1).trigger_window_open());
-}
-
-TEST(Trigger, NeverFiresWithoutMarker) {
-  TriggerBench b;
-  mon::FilterRule marker;
-  marker.dst_port = 7777;  // never sent
-  b.osnt.rx(1).arm_trigger(marker, 5);
-  b.send_pattern(10, 0);  // pattern includes dport 9999, not 7777...
-  b.eng.run();
-  // The 9999 marker doesn't match 7777, so nothing is captured.
-  EXPECT_EQ(b.osnt.capture().size(), 0u);
-  EXPECT_TRUE(b.osnt.rx(1).trigger_armed());
-}
-
-TEST(Trigger, RearmCapturesSecondEvent) {
-  TriggerBench b;
-  mon::FilterRule marker;
-  marker.dst_port = 9999;
-  b.osnt.rx(1).arm_trigger(marker, 2);
-  b.send_pattern(3, 3);
-  b.eng.run();
-  EXPECT_EQ(b.osnt.capture().size(), 2u);
-  b.osnt.rx(1).arm_trigger(marker, 3);
-  b.send_pattern(1, 5);
-  b.eng.run();
-  EXPECT_EQ(b.osnt.capture().size(), 5u);  // 2 + 3
-}
-
-TEST(Trigger, DisarmRestoresNormalCapture) {
-  TriggerBench b;
-  mon::FilterRule marker;
-  marker.dst_port = 9999;
-  b.osnt.rx(1).arm_trigger(marker, 1);
-  b.osnt.rx(1).disarm_trigger();
-  b.send_pattern(2, 0);
-  b.eng.run();
-  EXPECT_EQ(b.osnt.capture().size(), 3u);  // everything (2 bg + marker)
-}
 
 // ------------------------------------------------------------- link flap
 

@@ -24,8 +24,10 @@
 //                       [--trials N] [--jobs N] [--faults PLAN.json]
 //                       [--series-out PATH] [--series-interval-us N]
 //                       [--validate-only]
-//   osnt_run oflops     [--module M] [--table-size N] [--rounds N]
-//                       [--faults PLAN.json]
+//   osnt_run oflops     [--module echo|packet_in|packet_out|flowmod|action|
+//                                 consistency|stats_poll|queue_delay|
+//                                 interaction]
+//                       [--table-size N] [--rounds N] [--faults PLAN.json]
 //
 // Global flags (any subcommand): --log-level debug|info|warn|error|off.
 // latency, throughput, capture, and tcp all take --trace PATH and
@@ -43,10 +45,12 @@
 // in the fault.* metric family. latency, throughput, tcp and topo check
 // the workload and the plan's block targets once, before the first
 // trial: a bad value exits 1 and runs nothing.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -62,12 +66,14 @@
 #include "osnt/graph/topology.hpp"
 #include "osnt/hw/mac10g.hpp"
 #include "osnt/mon/flow_stats.hpp"
+#include "osnt/oflops/action_latency.hpp"
 #include "osnt/oflops/consistency.hpp"
 #include "osnt/oflops/context.hpp"
 #include "osnt/oflops/echo_rtt.hpp"
 #include "osnt/oflops/flowmod_latency.hpp"
-#include "osnt/oflops/packet_in_latency.hpp"
 #include "osnt/oflops/interaction.hpp"
+#include "osnt/oflops/packet_in_latency.hpp"
+#include "osnt/oflops/packet_out_latency.hpp"
 #include "osnt/oflops/queue_delay.hpp"
 #include "osnt/oflops/stats_poll.hpp"
 #include "osnt/telemetry/registry.hpp"
@@ -507,23 +513,96 @@ int cmd_capture(int argc, const char* const* argv) {
   return obs.finish() ? 0 : 1;
 }
 
+using ModulePtr = std::unique_ptr<oflops::MeasurementModule>;
+
+/// One `oflops --module` choice: its name and a factory taking
+/// --table-size and --rounds. The --module help, the lookup and the
+/// error for an unknown name all read kOflopsModules.
+struct OflopsModule {
+  const char* name;
+  ModulePtr (*make)(std::size_t table_size, std::size_t rounds);
+};
+
+template <class M>
+ModulePtr make_module(std::size_t, std::size_t) {
+  return std::make_unique<M>();
+}
+
+constexpr OflopsModule kOflopsModules[] = {
+    {"echo", make_module<oflops::EchoRttModule>},
+    {"packet_in", make_module<oflops::PacketInLatencyModule>},
+    {"packet_out", make_module<oflops::PacketOutLatencyModule>},
+    {"flowmod",
+     [](std::size_t n, std::size_t rounds) -> ModulePtr {
+       return std::make_unique<oflops::FlowModLatencyModule>(
+           oflops::FlowModLatencyConfig{.table_size = n, .rounds = rounds});
+     }},
+    {"action", make_module<oflops::ActionLatencyModule>},
+    {"consistency",
+     [](std::size_t n, std::size_t) -> ModulePtr {
+       return std::make_unique<oflops::ConsistencyModule>(
+           oflops::ConsistencyConfig{.rule_count = n});
+     }},
+    {"stats_poll",
+     [](std::size_t n, std::size_t) -> ModulePtr {
+       return std::make_unique<oflops::StatsPollModule>(
+           oflops::StatsPollConfig{.table_size = n});
+     }},
+    {"queue_delay", make_module<oflops::QueueDelayModule>},
+    {"interaction", make_module<oflops::InteractionModule>},
+};
+
 int cmd_oflops(int argc, const char* const* argv) {
+  // The switch's flow table: --table-size may fill it, never overflow it.
+  constexpr std::int64_t kTableEntries = 16384;
+  std::vector<std::string> names;
+  std::string names_help;
+  for (const OflopsModule& m : kOflopsModules) {
+    names.emplace_back(m.name);
+    names_help += (names_help.empty() ? "" : "|") + names.back();
+  }
   std::string module = "flowmod";
   std::int64_t table_size = 128, rounds = 10;
   std::string faults_path;
   CliParser cli{
       "osnt_run oflops — OFLOPS-turbo module against an OpenFlow switch"};
-  cli.add_flag("module", &module,
-               "echo|packet_in|flowmod|consistency|stats_poll|queue_delay|interaction");
+  cli.add_flag("module", &module, names_help);
   cli.add_flag("table-size", &table_size, "flow table occupancy");
   cli.add_flag("rounds", &rounds, "measurement rounds (flowmod)");
   cli.add_flag("faults", &faults_path,
                "JSON fault plan (ctrl_disconnect targets the control channel)");
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
+  const auto it = std::find(names.begin(), names.end(), module);
+  if (it == names.end()) {
+    const std::string hint = suggest_nearest(module, names);
+    std::fprintf(stderr, "unknown module '%s' (%s)\n", module.c_str(),
+                 hint.empty() ? names_help.c_str()
+                              : ("did you mean '" + hint + "'?").c_str());
+    return 1;
+  }
+  if (table_size < 1 || table_size > kTableEntries) {
+    std::fprintf(stderr, "--table-size must be in [1, %lld], got %lld\n",
+                 static_cast<long long>(kTableEntries),
+                 static_cast<long long>(table_size));
+    return 1;
+  }
+  if (rounds < 1) {
+    std::fprintf(stderr, "--rounds must be at least 1, got %lld\n",
+                 static_cast<long long>(rounds));
+    return 1;
+  }
+  ModulePtr mod;
+  try {
+    mod = kOflopsModules[it - names.begin()].make(
+        static_cast<std::size_t>(table_size), static_cast<std::size_t>(rounds));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "--table-size: %s\n", e.what());
+    return 1;
+  }
 
   dut::OpenFlowSwitchConfig sw_cfg;
   sw_cfg.commit_base = 2 * kPicosPerMilli;
-  sw_cfg.table.max_entries = 16384;
+  sw_cfg.table.max_entries = kTableEntries;
   oflops::Testbed tb{sw_cfg};
 
   std::unique_ptr<fault::Injector> inj;
@@ -533,33 +612,6 @@ int cmd_oflops(int argc, const char* const* argv) {
         inj->attach_device(tb.osnt).attach_channel(tb.chan);
         inj->arm();
       })) {
-    return 1;
-  }
-
-  std::unique_ptr<oflops::MeasurementModule> mod;
-  if (module == "echo") {
-    mod = std::make_unique<oflops::EchoRttModule>();
-  } else if (module == "packet_in") {
-    mod = std::make_unique<oflops::PacketInLatencyModule>();
-  } else if (module == "flowmod") {
-    oflops::FlowModLatencyConfig cfg;
-    cfg.table_size = static_cast<std::size_t>(table_size);
-    cfg.rounds = static_cast<std::size_t>(rounds);
-    mod = std::make_unique<oflops::FlowModLatencyModule>(cfg);
-  } else if (module == "consistency") {
-    oflops::ConsistencyConfig cfg;
-    cfg.rule_count = static_cast<std::size_t>(table_size);
-    mod = std::make_unique<oflops::ConsistencyModule>(cfg);
-  } else if (module == "stats_poll") {
-    oflops::StatsPollConfig cfg;
-    cfg.table_size = static_cast<std::size_t>(table_size);
-    mod = std::make_unique<oflops::StatsPollModule>(cfg);
-  } else if (module == "queue_delay") {
-    mod = std::make_unique<oflops::QueueDelayModule>();
-  } else if (module == "interaction") {
-    mod = std::make_unique<oflops::InteractionModule>();
-  } else {
-    std::fprintf(stderr, "unknown module '%s'\n", module.c_str());
     return 1;
   }
   tb.ctx.run(*mod, 600 * kPicosPerSec).print();
