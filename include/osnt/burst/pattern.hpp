@@ -39,9 +39,6 @@ enum class Pattern { kOnOff, kStrobe, kHeavyTail, kAmplification };
 /// Spelled names, in enum order — the vocabulary JSON stanzas accept.
 [[nodiscard]] const std::vector<std::string>& known_patterns();
 [[nodiscard]] const char* pattern_name(Pattern p) noexcept;
-/// Throws BurstError on an unknown name (callers with CLI context add
-/// their own did-you-mean before surfacing it).
-[[nodiscard]] Pattern pattern_from_name(const std::string& name);
 
 /// L4 framing of generated frames: UDP datagrams (reflection traffic) or
 /// bare TCP SYNs (connection-exhaustion floods).

@@ -42,6 +42,9 @@ class SnmpAgent {
   void get(const std::string& oid, ResponseFn cb);
 
   [[nodiscard]] std::uint64_t polls_served() const noexcept { return polls_; }
+  [[nodiscard]] Picos refresh_interval() const noexcept {
+    return cfg_.refresh_interval;
+  }
 
  private:
   void refresh_if_due();

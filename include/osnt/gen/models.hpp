@@ -50,21 +50,6 @@ class BurstGap final : public GapModel {
   std::size_t in_burst_ = 0;
 };
 
-/// Heavy-tailed gaps: bounded-Pareto inter-departure times rescaled to
-/// the requested mean — a cheap stand-in for self-similar traffic, whose
-/// long bursts and long silences stress queues far more than Poisson at
-/// the same average load.
-class ParetoGap final : public GapModel {
- public:
-  /// alpha in (1, 2] controls tail weight (smaller = burstier).
-  explicit ParetoGap(double alpha = 1.5);
-  [[nodiscard]] Picos sample(Rng& rng, Picos mean, Picos min_gap) override;
-
- private:
-  double alpha_;
-  double raw_mean_;  ///< E[X] of the unscaled bounded Pareto
-};
-
 // ------------------------------------------------------------ size models
 
 /// Frame size (including FCS) distribution.

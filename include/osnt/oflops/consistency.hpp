@@ -19,7 +19,9 @@ struct ConsistencyConfig {
   static constexpr std::size_t kMaxRules = 1024;
   std::size_t rule_count = 128;        ///< rules updated, [1, kMaxRules]
   double traffic_gbps = 1.0;           ///< aggregate probe load
-  Picos warmup = 100 * kPicosPerMilli; ///< traffic before the update burst
+  /// Traffic before the update burst, from when the first generation is
+  /// in hardware.
+  Picos warmup = 100 * kPicosPerMilli;
   Picos drain = 200 * kPicosPerMilli;  ///< observation after the last switch
 };
 
@@ -45,7 +47,7 @@ class ConsistencyModule final : public MeasurementModule {
 
  private:
   enum class Phase { kInstall, kWarmup, kUpdating, kDrain, kDone };
-  enum : std::uint64_t { kTimerBurst = 1, kTimerFinish = 2 };
+  enum : std::uint64_t { kTimerInstalled = 1, kTimerBurst, kTimerFinish };
 
   void send_generation(OflopsContext& ctx, std::uint16_t out_port);
 

@@ -18,10 +18,11 @@ namespace osnt::oflops {
 
 class OflopsContext {
  public:
-  /// `snmp` may be null (modules that don't poll).
+  /// await_table() polls `snmp` for "ofFlowTableSize.0", the switch's
+  /// committed rule count, which Testbed registers.
   OflopsContext(sim::Engine& eng, core::OsntDevice& osnt,
                 openflow::ControlChannel::Endpoint& ctrl,
-                dut::SnmpAgent* snmp = nullptr);
+                dut::SnmpAgent& snmp);
 
   // --- control plane ---
   std::uint32_t send(const openflow::OfMessage& msg) { return ctrl_->send(msg); }
@@ -34,7 +35,11 @@ class OflopsContext {
 
   // --- SNMP ---
   void snmp_get(const std::string& oid);
-  [[nodiscard]] bool has_snmp() const noexcept { return snmp_ != nullptr; }
+  /// Call the module's on_timer(timer_id) once the switch reports, over
+  /// SNMP, at least `rules` entries in its hardware table. A barrier
+  /// cannot tell this: on a production-like switch it covers the agent,
+  /// not the commits. Polls once per agent refresh.
+  void await_table(std::size_t rules, std::uint64_t timer_id);
 
   // --- timers ---
   void timer_in(Picos dt, std::uint64_t timer_id);

@@ -16,13 +16,10 @@
 namespace osnt::oflops {
 
 struct FlowModLatencyConfig {
-  std::size_t table_size = 64;   ///< filler rules pre-installed
+  /// Rules in the table while measuring, the probe rule included.
+  std::size_t table_size = 64;
   std::size_t rounds = 20;       ///< redirect cycles measured
   Picos settle = 50 * kPicosPerMilli;  ///< pause between rounds
-  /// Wait after the fill barrier before measuring, so the fillers' own
-  /// hardware commits drain (the barrier does not cover them on a
-  /// production-like switch) and rounds measure a quiescent table.
-  Picos fill_settle = 5 * kPicosPerSec;
 };
 
 class FlowModLatencyModule final : public MeasurementModule {
@@ -70,7 +67,6 @@ class FlowModLatencyModule final : public MeasurementModule {
 
   SampleSet ctrl_ms_;
   SampleSet data_ms_;
-  SampleSet gap_ms_;
 };
 
 }  // namespace osnt::oflops

@@ -57,7 +57,8 @@ class MeasurementModule {
   /// SNMP poll answered.
   virtual void on_snmp(OflopsContext& /*ctx*/, const std::string& /*oid*/,
                        std::uint64_t /*value*/) {}
-  /// A timer armed via ctx.timer_in() fired.
+  /// A timer armed via ctx.timer_in() fired, or a ctx.await_table() wait
+  /// ended.
   virtual void on_timer(OflopsContext& /*ctx*/, std::uint64_t /*timer_id*/) {}
   /// Control-channel session transition (down on disconnect, up on
   /// reconnect). Everything the module had in flight on the old session —

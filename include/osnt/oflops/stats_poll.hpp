@@ -13,7 +13,6 @@ namespace osnt::oflops {
 struct StatsPollConfig {
   std::size_t table_size = 256;       ///< rules the stats scan must walk
   std::size_t probes_per_phase = 100; ///< packet_in samples per phase
-  Picos fill_settle = 5 * kPicosPerSec;
 };
 
 class StatsPollModule final : public MeasurementModule {

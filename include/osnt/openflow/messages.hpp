@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <variant>
 #include <vector>
 
@@ -16,6 +17,15 @@ namespace osnt::openflow {
 
 inline constexpr std::uint8_t kOfVersion = 0x01;
 inline constexpr std::size_t kHeaderSize = 8;
+/// The longest message the header's 16-bit length field can state.
+inline constexpr std::size_t kMaxMessageSize = 0xFFFF;
+
+/// encode() refuses a message longer than kMaxMessageSize rather than
+/// wrap its length.
+class EncodeError : public std::length_error {
+ public:
+  using std::length_error::length_error;
+};
 
 enum class MsgType : std::uint8_t {
   kHello = 0,
@@ -195,7 +205,14 @@ struct FlowStatsEntry {
 
 struct FlowStatsReply {
   std::vector<FlowStatsEntry> flows;
+  /// OFPSF_REPLY_MORE: another part of this reply follows.
+  bool more = false;
 };
+
+/// Split a table's flow-stats entries into replies that each encode
+/// within kMaxMessageSize, every part but the last flagged `more`.
+[[nodiscard]] std::vector<FlowStatsReply> split_flow_stats(
+    std::vector<FlowStatsEntry> flows);
 
 // Aggregate statistics (OFPST_AGGREGATE).
 struct AggregateStatsRequest {
@@ -262,7 +279,8 @@ using OfMessage =
 
 [[nodiscard]] MsgType message_type(const OfMessage& msg) noexcept;
 
-/// Serialize one message with the given transaction id.
+/// Serialize one message with the given transaction id. Throws
+/// EncodeError when it would exceed kMaxMessageSize.
 [[nodiscard]] Bytes encode(const OfMessage& msg, std::uint32_t xid);
 
 struct Decoded {

@@ -20,16 +20,6 @@ const char* pattern_name(Pattern p) noexcept {
   return "?";
 }
 
-Pattern pattern_from_name(const std::string& name) {
-  const auto& names = known_patterns();
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == name) return static_cast<Pattern>(i);
-  }
-  std::string msg = "burst: unknown pattern '" + name + "' (expected one of";
-  for (const auto& n : names) msg += " " + n;
-  throw BurstError(msg + ")");
-}
-
 void PatternConfig::validate() const {
   const auto bad = [this](const std::string& why) {
     throw BurstError("burst: " + std::string(pattern_name(pattern)) + " " +

@@ -9,8 +9,8 @@ namespace osnt::burst {
 
 namespace {
 
-// E[X] of a bounded Pareto on [lo, hi] with shape alpha != 1 — same
-// rescaling scheme as gen::ParetoGap, applied here to on-period lengths.
+// E[X] of a bounded Pareto on [lo, hi] with shape alpha != 1, which
+// rescales a Pareto draw to the requested mean on-period length.
 double bounded_pareto_mean(double alpha, double lo, double hi) {
   const double la = std::pow(lo, alpha);
   const double ha = std::pow(hi, alpha);

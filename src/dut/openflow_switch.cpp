@@ -155,7 +155,7 @@ void OpenFlowSwitch::on_control(openflow::Decoded d) {
               static_cast<Picos>(table_.size()) * 2 * kPicosPerMicro);
           const std::uint32_t xid = d.xid;
           eng_->schedule_at(done, [this, req = std::move(msg), xid] {
-            FlowStatsReply reply;
+            std::vector<FlowStatsEntry> flows;
             for (const auto* e : table_.collect_stats(req)) {
               FlowStatsEntry fe;
               fe.match = e->match;
@@ -170,9 +170,11 @@ void OpenFlowSwitch::on_control(openflow::Decoded d) {
               fe.duration_sec = static_cast<std::uint32_t>(age / kPicosPerSec);
               fe.duration_nsec = static_cast<std::uint32_t>(
                   (age % kPicosPerSec) / kPicosPerNano);
-              reply.flows.push_back(std::move(fe));
+              flows.push_back(std::move(fe));
             }
-            ctrl_->send(reply, xid);
+            // A reply past 64 KiB goes out in parts, as OF 1.0 allows.
+            for (const auto& part : split_flow_stats(std::move(flows)))
+              ctrl_->send(part, xid);
           });
         } else if constexpr (std::is_same_v<T, AggregateStatsRequest>) {
           // Aggregation walks the table like a flow-stats scan.

@@ -1,8 +1,6 @@
 #include "osnt/gen/models.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
 
 namespace osnt::gen {
 
@@ -25,32 +23,6 @@ Picos BurstGap::sample(Rng&, Picos mean, Picos min_gap) {
   const auto n = static_cast<Picos>(burst_len_);
   const Picos idle = n * std::max(mean, min_gap) - (n - 1) * min_gap;
   return std::max(idle, min_gap);
-}
-
-namespace {
-// E[X] of a bounded Pareto on [lo, hi] with shape alpha != 1.
-double bounded_pareto_mean(double alpha, double lo, double hi) {
-  const double la = std::pow(lo, alpha);
-  const double ha = std::pow(hi, alpha);
-  return la * alpha / (alpha - 1.0) *
-         (1.0 / std::pow(lo, alpha - 1.0) - 1.0 / std::pow(hi, alpha - 1.0)) /
-         (1.0 - la / ha);
-}
-constexpr double kParetoLo = 1.0;
-constexpr double kParetoHi = 1000.0;
-}  // namespace
-
-ParetoGap::ParetoGap(double alpha)
-    : alpha_(alpha), raw_mean_(bounded_pareto_mean(alpha, kParetoLo, kParetoHi)) {
-  if (alpha <= 1.0 || alpha > 2.5)
-    throw std::invalid_argument("ParetoGap: alpha must be in (1, 2.5]");
-}
-
-Picos ParetoGap::sample(Rng& rng, Picos mean, Picos min_gap) {
-  const double x = rng.pareto(alpha_, kParetoLo, kParetoHi) / raw_mean_;
-  const Picos g = static_cast<Picos>(
-      x * static_cast<double>(std::max(mean, min_gap)));
-  return std::max(g, min_gap);
 }
 
 std::size_t ImixSize::sample(Rng& rng) {

@@ -73,13 +73,19 @@ void ConsistencyModule::on_of_message(OflopsContext& ctx,
                                       const openflow::Decoded& msg) {
   if (!std::holds_alternative<BarrierReply>(msg.msg)) return;
   if (phase_ == Phase::kInstall && msg.xid == install_barrier_) {
+    // Every install flow_mod reached the agent; start the traffic once
+    // they are in hardware too, so the burst does not queue behind them.
     phase_ = Phase::kWarmup;
-    ctx.osnt().tx(0).start();
-    ctx.timer_in(cfg_.warmup, kTimerBurst);
+    ctx.await_table(cfg_.rule_count, kTimerInstalled);
   }
 }
 
 void ConsistencyModule::on_timer(OflopsContext& ctx, std::uint64_t timer_id) {
+  if (timer_id == kTimerInstalled && phase_ == Phase::kWarmup) {
+    ctx.osnt().tx(0).start();
+    ctx.timer_in(cfg_.warmup, kTimerBurst);
+    return;
+  }
   if (timer_id == kTimerBurst && phase_ == Phase::kWarmup) {
     // The update burst: redirect every flow → switch port 3 (OSNT 2).
     phase_ = Phase::kUpdating;
@@ -119,7 +125,8 @@ void ConsistencyModule::on_channel_status(OflopsContext& ctx, bool up) {
     ctx.send(BarrierRequest{});
     rules_resent_ += cfg_.rule_count;
   }
-  // kWarmup and kDrain are timer-driven with nothing in flight.
+  // kWarmup (table wait or timer pending) and kDrain have nothing in
+  // flight.
 }
 
 void ConsistencyModule::on_capture(OflopsContext& ctx,

@@ -3,20 +3,38 @@
 #include "osnt/common/log.hpp"
 
 namespace osnt::oflops {
+namespace {
+/// The switch's committed rule count: Testbed publishes it, await_table
+/// polls it.
+constexpr const char* kFlowTableSizeOid = "ofFlowTableSize.0";
+}  // namespace
 
 OflopsContext::OflopsContext(sim::Engine& eng, core::OsntDevice& osnt,
                              openflow::ControlChannel::Endpoint& ctrl,
-                             dut::SnmpAgent* snmp)
-    : eng_(&eng), osnt_(&osnt), ctrl_(&ctrl), snmp_(snmp) {}
+                             dut::SnmpAgent& snmp)
+    : eng_(&eng), osnt_(&osnt), ctrl_(&ctrl), snmp_(&snmp) {}
 
 void OflopsContext::snmp_get(const std::string& oid) {
-  if (!snmp_) {
-    OSNT_WARN("oflops: snmp_get(%s) without an SNMP agent", oid.c_str());
-    return;
-  }
   snmp_->get(oid, [this](std::string o, std::uint64_t v, Picos) {
     if (active_) active_->on_snmp(*this, o, v);
   });
+}
+
+void OflopsContext::await_table(std::size_t rules, std::uint64_t timer_id) {
+  snmp_->get(kFlowTableSizeOid,
+             [this, rules, timer_id](std::string, std::uint64_t v, Picos) {
+               if (!active_) return;
+               if (v >= rules) {
+                 active_->on_timer(*this, timer_id);
+                 return;
+               }
+               // The agent serves a snapshot; polling faster than it
+               // refreshes would read the same value again.
+               eng_->schedule_in(snmp_->refresh_interval(),
+                                 [this, rules, timer_id] {
+                                   await_table(rules, timer_id);
+                                 });
+             });
 }
 
 void OflopsContext::timer_in(Picos dt, std::uint64_t timer_id) {
@@ -59,7 +77,7 @@ Testbed::Testbed(dut::OpenFlowSwitchConfig sw_cfg, core::DeviceConfig osnt_cfg,
                  openflow::ChannelConfig chan_cfg)
     : osnt(eng, osnt_cfg), chan(eng, chan_cfg),
       sw(eng, chan, sw_cfg),
-      snmp(eng), ctx(eng, osnt, chan.controller(), &snmp) {
+      snmp(eng), ctx(eng, osnt, chan.controller(), snmp) {
   const std::size_t n = std::min(osnt.num_ports(), sw.num_ports());
   for (std::size_t i = 0; i < n; ++i) hw::connect(osnt.port(i), sw.port(i));
   snmp.register_counter("ifInOctets.1", [this] {
@@ -74,7 +92,7 @@ Testbed::Testbed(dut::OpenFlowSwitchConfig sw_cfg, core::DeviceConfig osnt_cfg,
       total += sw.port(i).tx().bytes_sent();
     return total;
   });
-  snmp.register_counter("ofFlowTableSize.0", [this] { return sw.table().size(); });
+  snmp.register_counter(kFlowTableSizeOid, [this] { return sw.table().size(); });
 }
 
 }  // namespace osnt::oflops

@@ -27,13 +27,14 @@ FlowMod FlowModLatencyModule::probe_rule(std::uint16_t out_port) const {
 }
 
 void FlowModLatencyModule::install_table(OflopsContext& ctx) {
-  // Pre-populate the table with filler rules (distinct flows, low prio).
-  // Flow_mods replace same-match entries, so a reconnect re-drive of this
-  // whole block is idempotent on the switch.
-  for (std::size_t i = 0; i < cfg_.table_size; ++i) {
+  // Pre-populate the table with filler rules (distinct flows, low prio)
+  // up to `table_size` with the probe rule. Flow_mods replace same-match
+  // entries, so a reconnect re-drive of this whole block is idempotent on
+  // the switch.
+  for (std::size_t i = 1; i < cfg_.table_size; ++i) {
     FlowMod fm;
     fm.match = OfMatch::exact_5tuple(
-        kProbeSrcIp, (172u << 24) | static_cast<std::uint32_t>(i + 1),
+        kProbeSrcIp, (172u << 24) | static_cast<std::uint32_t>(i),
         net::ipproto::kUdp, 2000, 2000);
     fm.priority = 0x4000;
     fm.actions = {ActionOutput{2}};
@@ -50,8 +51,8 @@ void FlowModLatencyModule::start(OflopsContext& ctx) {
   phase_ = Phase::kFill;
   install_table(ctx);
 
-  // Continuous probe flow from OSNT port 0 — started only once the fill
-  // commits have drained (see kTimerStartProbe).
+  // Continuous probe flow from OSNT port 0 — started only once the whole
+  // table is in hardware (see kTimerStartProbe).
   gen::TxConfig txc;
   txc.rate = gen::RateSpec::pps(kProbePps);
   auto& tx = ctx.osnt().configure_tx(0, txc);
@@ -80,10 +81,10 @@ void FlowModLatencyModule::on_of_message(OflopsContext& ctx,
   awaiting_barrier_ = false;
 
   if (phase_ == Phase::kFill) {
-    // Table populated at the agent; wait out the hardware commit backlog
+    // Table populated at the agent; wait for its hardware commits to land
     // before generating load and measuring.
     phase_ = Phase::kWarmup;
-    ctx.timer_in(cfg_.fill_settle, kTimerStartProbe);
+    ctx.await_table(cfg_.table_size, kTimerStartProbe);
     return;
   }
   if (phase_ == Phase::kMeasure) {
@@ -137,8 +138,8 @@ void FlowModLatencyModule::on_channel_status(OflopsContext& ctx, bool up) {
     ctx.send(probe_rule(static_cast<std::uint16_t>(target_osnt_port_ + 1)));
     barrier_xid_ = ctx.send(BarrierRequest{});
   }
-  // kWarmup (timer pending) and a measure round whose barrier was already
-  // acknowledged have nothing in flight to recover.
+  // kWarmup (table wait or timer pending) and a measure round whose
+  // barrier was already acknowledged have nothing in flight to recover.
 }
 
 void FlowModLatencyModule::on_timer(OflopsContext& ctx,

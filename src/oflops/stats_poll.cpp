@@ -60,15 +60,18 @@ void StatsPollModule::on_of_message(OflopsContext& ctx,
   }
   if (std::holds_alternative<BarrierReply>(msg.msg)) {
     if (phase_ == Phase::kFill && msg.xid == fill_barrier_)
-      ctx.timer_in(cfg_.fill_settle, kTimerStartProbe);
+      ctx.await_table(cfg_.table_size, kTimerStartProbe);
     return;
   }
   if (const auto* rep = std::get_if<FlowStatsReply>(&msg.msg)) {
     const auto it = stats_in_flight_.find(msg.xid);
     if (it == stats_in_flight_.end()) return;
+    flows_reported_ += rep->flows.size();
+    // A large table's reply comes in parts; the poll is answered by the
+    // last one.
+    if (rep->more) return;
     stats_rtt_ms_.add(to_seconds(ctx.now() - it->second) * 1e3);
     stats_in_flight_.erase(it);
-    flows_reported_ += rep->flows.size();
   }
 }
 

@@ -1,6 +1,7 @@
 #include "osnt/openflow/messages.hpp"
 
 #include <cstring>
+#include <string>
 
 namespace osnt::openflow {
 namespace {
@@ -180,6 +181,7 @@ std::size_t actions_wire_size(const std::vector<Action>& actions) noexcept {
 constexpr std::uint16_t kStatsTypeFlow = 1;
 constexpr std::uint16_t kStatsTypeAggregate = 2;
 constexpr std::uint16_t kStatsTypePort = 4;
+constexpr std::uint16_t kStatsReplyMore = 1;  ///< OFPSF_REPLY_MORE
 
 }  // namespace
 
@@ -294,7 +296,7 @@ Bytes encode(const OfMessage& msg, std::uint32_t xid) {
           w.u16(m.out_port);
         } else if constexpr (std::is_same_v<T, FlowStatsReply>) {
           w.u16(kStatsTypeFlow);
-          w.u16(0);  // flags
+          w.u16(m.more ? kStatsReplyMore : 0);
           for (const auto& f : m.flows) {
             const std::size_t entry_len = 88 + actions_wire_size(f.actions);
             w.u16(static_cast<std::uint16_t>(entry_len));
@@ -375,8 +377,31 @@ Bytes encode(const OfMessage& msg, std::uint32_t xid) {
       },
       msg);
 
+  if (out.size() > kMaxMessageSize) {
+    throw EncodeError("openflow: a " + std::to_string(out.size()) +
+                      " B message overflows the 16-bit length field");
+  }
   store_be16(out.data() + 2, static_cast<std::uint16_t>(out.size()));
   return out;
+}
+
+std::vector<FlowStatsReply> split_flow_stats(
+    std::vector<FlowStatsEntry> flows) {
+  // ofp_header, then ofp_stats_reply's type and flags.
+  constexpr std::size_t kReplyHeader = kHeaderSize + 4;
+  std::vector<FlowStatsReply> parts(1);
+  std::size_t size = kReplyHeader;
+  for (auto& f : flows) {
+    const std::size_t entry = 88 + actions_wire_size(f.actions);
+    if (size + entry > kMaxMessageSize) {
+      parts.back().more = true;
+      parts.emplace_back();
+      size = kReplyHeader;
+    }
+    size += entry;
+    parts.back().flows.push_back(std::move(f));
+  }
+  return parts;
 }
 
 std::optional<Decoded> decode(ByteSpan in) {
@@ -529,7 +554,7 @@ std::optional<Decoded> decode(ByteSpan in) {
     }
     case MsgType::kStatsReply: {
       const std::uint16_t stype = r.u16();
-      r.skip(2);  // flags
+      const std::uint16_t flags = r.u16();
       if (stype == kStatsTypePort) {
         PortStatsReply m;
         while (r.ok() && r.remaining() >= 104) {
@@ -566,6 +591,7 @@ std::optional<Decoded> decode(ByteSpan in) {
       }
       if (stype != kStatsTypeFlow) return std::nullopt;
       FlowStatsReply m;
+      m.more = (flags & kStatsReplyMore) != 0;
       while (r.ok() && r.remaining() >= 88) {
         FlowStatsEntry f;
         const std::uint16_t entry_len = r.u16();

@@ -47,12 +47,12 @@ PatternConfig base_config(Pattern p) {
 // ------------------------------------------------------------ vocabulary
 
 TEST(Burst, PatternNamesRoundTrip) {
+  // The loader casts a name's index in known_patterns() to a Pattern.
   const auto& names = burst::known_patterns();
   ASSERT_EQ(names.size(), 4u);
-  for (const auto& n : names) {
-    EXPECT_EQ(burst::pattern_name(burst::pattern_from_name(n)), n);
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(burst::pattern_name(static_cast<burst::Pattern>(i)), names[i]);
   }
-  EXPECT_THROW((void)burst::pattern_from_name("sawtooth"), BurstError);
 }
 
 TEST(Burst, ValidateNamesTheOffendingField) {

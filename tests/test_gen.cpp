@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <set>
 
-#include "osnt/common/stats.hpp"
 #include "osnt/gen/models.hpp"
 #include "osnt/gen/rate.hpp"
 #include "osnt/gen/replay.hpp"
@@ -87,36 +86,6 @@ TEST(GapModels, BurstAlternatesLineRateAndIdle) {
   }
   EXPECT_EQ(line_rate_gaps, 3);       // 3 back-to-back + 1 idle
   EXPECT_EQ(total, 4 * mean);         // long-run mean preserved
-}
-
-TEST(GapModels, ParetoPreservesMeanRoughly) {
-  Rng rng{6};
-  ParetoGap g{1.5};
-  double sum = 0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i)
-    sum += static_cast<double>(g.sample(rng, 1'000'000, 1));
-  // Heavy tail: the empirical mean converges slowly; 15% is plenty tight
-  // to catch a broken rescale.
-  EXPECT_NEAR(sum / n, 1e6, 1.5e5);
-}
-
-TEST(GapModels, ParetoIsBurstierThanPoisson) {
-  Rng rng{7};
-  ParetoGap pareto{1.5};
-  PoissonGap poisson;
-  RunningStats sp, sq;
-  for (int i = 0; i < 100000; ++i) {
-    sp.add(static_cast<double>(pareto.sample(rng, 1'000'000, 1)));
-    sq.add(static_cast<double>(poisson.sample(rng, 1'000'000, 1)));
-  }
-  // Coefficient of variation well above the exponential's 1.
-  EXPECT_GT(sp.stddev() / sp.mean(), 1.5 * sq.stddev() / sq.mean());
-}
-
-TEST(GapModels, ParetoRejectsBadAlpha) {
-  EXPECT_THROW(ParetoGap{1.0}, std::invalid_argument);
-  EXPECT_THROW(ParetoGap{3.0}, std::invalid_argument);
 }
 
 // ------------------------------------------------------------ size models

@@ -100,6 +100,39 @@ TEST(FlowModLatency, SpecFaithfulBarrierClosesGap) {
   EXPECT_GT(ctrl.quantile(0.5), 2.0);
 }
 
+TEST(FlowModLatency, MeasuresAFullTable) {
+  // table_size counts the probe rule, so a full table still forwards the
+  // probe and every round completes.
+  dut::OpenFlowSwitchConfig sw_cfg;
+  sw_cfg.table.max_entries = 64;
+  Testbed tb{sw_cfg};
+  FlowModLatencyConfig cfg;
+  cfg.table_size = 64;
+  cfg.rounds = 5;
+  FlowModLatencyModule mod{cfg};
+  const auto rep = tb.ctx.run(mod, 5 * kPicosPerSec);
+  EXPECT_EQ(scalar(rep, "rounds_completed"), 5);
+  EXPECT_EQ(dist(rep, "data_plane_ms").count(), 5u);
+  EXPECT_EQ(tb.sw.table().size(), 64u);
+}
+
+TEST(FlowModLatency, ProbeWaitsForASlowFill) {
+  // 600 fillers at 10 ms a commit land after 6 s. The rounds must start
+  // on the finished table, so each measures one commit, not the backlog.
+  dut::OpenFlowSwitchConfig sw_cfg;
+  sw_cfg.commit_base = 10 * kPicosPerMilli;
+  Testbed tb{sw_cfg};
+  FlowModLatencyConfig cfg;
+  cfg.table_size = 600;
+  cfg.rounds = 4;
+  FlowModLatencyModule mod{cfg};
+  const auto rep = tb.ctx.run(mod, 60 * kPicosPerSec);
+  const auto& data = dist(rep, "data_plane_ms");
+  ASSERT_EQ(data.count(), 4u);
+  EXPECT_GT(data.min(), 10.0);
+  EXPECT_LT(data.max(), 20.0);
+}
+
 TEST(Consistency, UpdateWindowAndStaleness) {
   dut::OpenFlowSwitchConfig sw_cfg;
   sw_cfg.commit_base = 500 * kPicosPerMicro;  // 0.5 ms per rule
@@ -119,28 +152,44 @@ TEST(Consistency, UpdateWindowAndStaleness) {
   EXPECT_GT(eff.max(), eff.min());
 }
 
-TEST(StatsPoll, RttScalesWithTableAndPacketInsSurvive) {
+TEST(Consistency, BurstStartsOnAnInstalledTable) {
+  // 128 rules at 2 ms a commit take 256 ms to install, longer than the
+  // 100 ms warmup. The burst waits for them, so its first rule takes
+  // effect one commit after it is sent.
   dut::OpenFlowSwitchConfig sw_cfg;
+  sw_cfg.commit_base = 2 * kPicosPerMilli;
   Testbed tb{sw_cfg};
-  StatsPollConfig cfg;
-  cfg.table_size = 256;
-  cfg.probes_per_phase = 40;
-  StatsPollModule mod{cfg};
-  const auto rep = tb.ctx.run(mod, 300 * kPicosPerSec);
-  EXPECT_GT(scalar(rep, "stats_polls_answered"), 0);
-  // Every answered poll reported the full table.
-  EXPECT_EQ(scalar(rep, "flow_entries_reported"),
-            scalar(rep, "stats_polls_answered") * 256);
-  const auto& rtt = dist(rep, "stats_rtt_ms");
-  ASSERT_GT(rtt.count(), 0u);
-  // Scan cost: agent service + 2 µs × 256 entries ≈ 0.5 ms + channel.
-  EXPECT_GT(rtt.quantile(0.5), 0.5);
-  const auto& base = dist(rep, "packet_in_baseline_us");
-  const auto& poll = dist(rep, "packet_in_while_polling_us");
-  EXPECT_EQ(base.count(), 40u);
-  EXPECT_EQ(poll.count(), 40u);
-  // Polling may inflate the tail but must not break the path.
-  EXPECT_GE(poll.quantile(0.5), base.quantile(0.5) * 0.8);
+  ConsistencyModule mod;
+  const auto rep = tb.ctx.run(mod, 120 * kPicosPerSec);
+  EXPECT_EQ(scalar(rep, "flows_switched"), 128);
+  EXPECT_LT(dist(rep, "rule_effective_ms").min(), 3.0);
+}
+
+TEST(StatsPoll, RttScalesWithTableAndPacketInsSurvive) {
+  // 1024 entries do not fit one 64 KiB reply, so they come in parts.
+  for (const double rules : {256.0, 1024.0}) {
+    SCOPED_TRACE(rules);
+    Testbed tb;
+    StatsPollConfig cfg;
+    cfg.table_size = static_cast<std::size_t>(rules);
+    cfg.probes_per_phase = 40;
+    StatsPollModule mod{cfg};
+    const auto rep = tb.ctx.run(mod, 300 * kPicosPerSec);
+    EXPECT_GT(scalar(rep, "stats_polls_answered"), 0);
+    // Every answered poll reported the full table.
+    EXPECT_EQ(scalar(rep, "flow_entries_reported"),
+              scalar(rep, "stats_polls_answered") * rules);
+    const auto& rtt = dist(rep, "stats_rtt_ms");
+    ASSERT_GT(rtt.count(), 0u);
+    // Scan cost: agent service + 2 µs per entry (≥ 0.5 ms) + channel.
+    EXPECT_GT(rtt.quantile(0.5), 0.5);
+    const auto& base = dist(rep, "packet_in_baseline_us");
+    const auto& poll = dist(rep, "packet_in_while_polling_us");
+    EXPECT_EQ(base.count(), 40u);
+    EXPECT_EQ(poll.count(), 40u);
+    // Polling may inflate the tail but must not break the path.
+    EXPECT_GE(poll.quantile(0.5), base.quantile(0.5) * 0.8);
+  }
 }
 
 TEST(Interaction, StormSlowsRuleInstallation) {

@@ -33,15 +33,17 @@ TEST(OflopsFaults, FlowModLatencySurvivesMidRoundDisconnect) {
   FlowModLatencyConfig cfg;
   cfg.table_size = 8;
   cfg.rounds = 5;
-  cfg.fill_settle = 30 * kPicosPerMilli;
   cfg.settle = 30 * kPicosPerMilli;
   FlowModLatencyModule mod{cfg};
 
-  // Timeline: fill barrier returns at ~20 ms, probe starts at ~50 ms, the
-  // first redirect goes out at ~80 ms and its flow_mod + barrier are in
-  // flight until ~100 ms. An outage at 85 ms eats both mid-flight.
+  // Timeline: fill barrier returns at ~20 ms; the table wait's first
+  // SNMP poll there reads a snapshot without all 8 rules, and its second,
+  // one agent refresh later, is answered at ~1033 ms. The probe starts
+  // then, the first redirect goes out at ~1063 ms and its flow_mod +
+  // barrier are in flight until ~1073 ms. An outage at 1068 ms eats both
+  // mid-flight.
   fault::FaultPlan plan;
-  plan.ctrl_disconnect(85 * kPicosPerMilli, 2 * kPicosPerMilli);
+  plan.ctrl_disconnect(1068 * kPicosPerMilli, 2 * kPicosPerMilli);
   fault::Injector inj{tb.eng, plan};
   inj.attach_channel(tb.chan);
   inj.arm();
@@ -71,12 +73,14 @@ TEST(OflopsFaults, ConsistencySurvivesDisconnectDuringUpdateBurst) {
   cfg.drain = 50 * kPicosPerMilli;
   ConsistencyModule mod{cfg};
 
-  // Install barrier returns at ~20 ms, the update burst fires at ~120 ms
-  // and its 16 flow_mods + barrier are in flight until ~130 ms. The
-  // outage at 123 ms loses the whole burst; without the reconnect
-  // re-drive no flow would ever switch and the module would hang.
+  // Install barrier returns at ~20 ms, the table wait sees all 16 rules
+  // at its second SNMP poll (~1033 ms), the update burst fires after the
+  // 100 ms warmup at ~1133 ms and its 16 flow_mods + barrier are in
+  // flight until ~1143 ms. The outage at 1138 ms loses the whole burst;
+  // without the reconnect re-drive no flow would ever switch and the
+  // module would hang.
   fault::FaultPlan plan;
-  plan.ctrl_disconnect(123 * kPicosPerMilli, 3 * kPicosPerMilli);
+  plan.ctrl_disconnect(1138 * kPicosPerMilli, 3 * kPicosPerMilli);
   fault::Injector inj{tb.eng, plan};
   inj.attach_channel(tb.chan);
   inj.arm();
@@ -101,7 +105,6 @@ TEST(OflopsFaults, CleanRunReportsNoDegradation) {
   FlowModLatencyConfig cfg;
   cfg.table_size = 8;
   cfg.rounds = 3;
-  cfg.fill_settle = 30 * kPicosPerMilli;
   cfg.settle = 30 * kPicosPerMilli;
   FlowModLatencyModule mod{cfg};
   const Report r = tb.ctx.run(mod, 60 * kPicosPerSec);

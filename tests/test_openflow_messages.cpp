@@ -164,13 +164,27 @@ TEST(OfWire, FlowStats) {
   FlowStatsEntry e2;
   e2.priority = 200;
   rep.flows = {e1, e2};
+  rep.more = true;
   const auto back = round_trip(rep);
+  EXPECT_TRUE(back.more);
+  EXPECT_FALSE(round_trip(FlowStatsReply{}).more);
   ASSERT_EQ(back.flows.size(), 2u);
   EXPECT_EQ(back.flows[0].priority, 100);
   EXPECT_EQ(back.flows[0].packet_count, 55u);
   ASSERT_EQ(back.flows[0].actions.size(), 1u);
   EXPECT_EQ(back.flows[1].priority, 200);
   EXPECT_TRUE(back.flows[1].actions.empty());
+}
+
+TEST(OfWire, EncodeRefusesALengthPastSixteenBits) {
+  // 700 entries of 96 B make a 67,212 B reply, past the length field.
+  FlowStatsReply rep;
+  FlowStatsEntry e;
+  e.actions = {ActionOutput{2}};
+  rep.flows.assign(700, e);
+  EXPECT_THROW((void)encode(rep, 1), EncodeError);
+  rep.flows.resize(682);  // 12 + 682 × 96 = 65,484 B fits
+  EXPECT_EQ(encode(rep, 1).size(), 65484u);
 }
 
 TEST(OfWire, PortStats) {

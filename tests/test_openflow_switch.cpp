@@ -241,6 +241,35 @@ TEST(OpenFlowSwitch, FlowStatsReplyReflectsCounters) {
   EXPECT_EQ(rep.flows[0].packet_count, 2u);
 }
 
+TEST(OpenFlowSwitch, LargeFlowStatsReplyComesInParts) {
+  // 1024 entries of 96 B do not fit one 64 KiB message: the reply is
+  // split, every part but the last flagged OFPSF_REPLY_MORE.
+  Bench b;
+  for (std::uint32_t i = 0; i < 1024; ++i)
+    b.chan.controller().send(b.rule(0x0A010000 + i, 3));
+  b.eng.run();
+  ASSERT_EQ(b.sw.table().size(), 1024u);
+  FlowStatsRequest req;
+  req.match = OfMatch::any();
+  const std::uint32_t xid = b.chan.controller().send(req);
+  b.ctrl_msgs.clear();
+  b.eng.run();
+  std::vector<const FlowStatsReply*> parts;
+  for (const auto& m : b.ctrl_msgs) {
+    if (const auto* rep = std::get_if<FlowStatsReply>(&m.msg)) {
+      EXPECT_EQ(m.xid, xid);
+      parts.push_back(rep);
+    }
+  }
+  ASSERT_GE(parts.size(), 2u);
+  std::size_t entries = 0;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    EXPECT_EQ(parts[i]->more, i + 1 < parts.size()) << "part " << i;
+    entries += parts[i]->flows.size();
+  }
+  EXPECT_EQ(entries, 1024u);
+}
+
 TEST(OpenFlowSwitch, TableFullSendsError) {
   OpenFlowSwitchConfig cfg;
   cfg.table.max_entries = 2;
