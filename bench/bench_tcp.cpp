@@ -200,7 +200,7 @@ void BM_GoodputVsBer(benchmark::State& state) {
   double goodput = 0.0;
   for (auto _ : state) {
     const auto r = graph::run_topology_trial(
-        cable, 1, 20 * kPicosPerMilli, ber > 0.0 ? &plan : nullptr);
+        cable, 1, 20 * kPicosPerMilli, {.plan = ber > 0.0 ? &plan : nullptr});
     goodput = r.tcp.goodput_bps;
     benchmark::DoNotOptimize(r.tcp.retransmits);
   }

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -23,7 +22,6 @@ namespace osnt::dut {
 
 struct OpenFlowSwitchConfig {
   std::size_t num_ports = 4;
-  std::uint64_t datapath_id = 0xCAFE;
 
   // --- data plane ---
   Picos pipeline_latency = 700 * kPicosPerNano;
@@ -66,9 +64,9 @@ class OpenFlowSwitch {
  public:
   using Config = OpenFlowSwitchConfig;
 
-  /// The caller cables the ports itself (scenario code usually wants
-  /// graph::OpenFlowSwitchBlock). `chan.switch_end()` is claimed by this
-  /// switch. Both must outlive it.
+  /// The caller cables the ports itself (oflops::Testbed cables them to
+  /// an OSNT tester). `chan.switch_end()` is claimed by this switch. Both
+  /// must outlive it.
   OpenFlowSwitch(sim::Engine& eng, openflow::ControlChannel& chan,
                  Config cfg = Config());
 
@@ -92,9 +90,6 @@ class OpenFlowSwitch {
   [[nodiscard]] std::uint64_t packet_ins_rate_limited() const noexcept {
     return packet_ins_limited_;
   }
-  [[nodiscard]] std::uint64_t flow_mods_received() const noexcept {
-    return flow_mods_;
-  }
   [[nodiscard]] std::uint64_t flow_mods_committed() const noexcept {
     return commits_done_;
   }
@@ -102,20 +97,14 @@ class OpenFlowSwitch {
   [[nodiscard]] std::uint64_t frames_shaped() const noexcept {
     return enqueue_shaped_;
   }
-  /// When the last scheduled TCAM commit lands (diagnostics).
-  [[nodiscard]] Picos commit_backlog_until() const noexcept {
-    return commit_busy_;
-  }
 
  private:
-  void on_control(openflow::Decoded d);
+  void on_control(openflow::Decoded& d);
   void on_frame(std::size_t in_port, net::Packet pkt, Picos first_bit,
                 Picos last_bit);
   void execute_actions(const std::vector<openflow::Action>& actions,
                        std::size_t in_port, net::Packet pkt, Picos release);
   void send_packet_in(std::size_t in_port, const net::Packet& pkt);
-  void send_flow_removed(const openflow::FlowEntry& e,
-                         openflow::FlowRemovedReason reason);
   /// Arm the periodic timeout sweep iff some entry can expire.
   void schedule_expiry_scan();
   /// Serial agent CPU: returns the completion time of a job started now.
@@ -141,7 +130,6 @@ class OpenFlowSwitch {
   std::uint64_t misses_ = 0;
   std::uint64_t packet_ins_ = 0;
   std::uint64_t packet_ins_limited_ = 0;
-  std::uint64_t flow_mods_ = 0;
   std::uint64_t commits_done_ = 0;
 };
 

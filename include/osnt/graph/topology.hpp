@@ -61,7 +61,6 @@ struct BlockSpec {
   EcmpConfig ecmp{};
   MonitorConfig monitor{};
   dut::LegacySwitchConfig legacy_switch{};
-  dut::OpenFlowSwitchConfig openflow_switch{};
   burst::BurstSourceConfig burst{};
 };
 
@@ -183,25 +182,28 @@ void validate_workload(const TopologyFile& topo);
 /// TopologyError, with a did-you-mean, on any other name.
 [[nodiscard]] TopologyFile dut_topology(const std::string& name);
 
+/// What a trial attaches beside its topology; the defaults attach
+/// nothing.
+struct TrialOptions {
+  const fault::FaultPlan* plan = nullptr;     ///< faults to inject
+  telemetry::TraceRecorder* trace = nullptr;  ///< records every event
+  /// `> 0` samples a telemetry::TimeSeries into the report: per-block
+  /// frames/bytes/drops, monitor RTT histograms, and the workload's
+  /// channels (mon.rx.* for cbr, tcp.* for tcp). Per-trial series merge
+  /// commutatively, so sharded runs stay byte-identical at any --jobs.
+  Picos series_interval = 0;
+  /// Times every handler on the host clock (sim.engine.handler_ns.wall.*).
+  bool handler_timing = false;
+};
+
 /// One deterministic trial: fresh engine + device + graph built from
 /// `topo`, workload attached at the declared endpoints (or over the
 /// back-to-back cable when `topo` has no blocks), run for `duration`
 /// (0 = the file's duration). The one trial runner: shared by every
 /// osnt_run subcommand that drives the device through a topology, the
 /// tests, and the benchmarks.
-///
-/// `series_interval > 0` attaches a telemetry::TimeSeries sampler to the
-/// trial engine (per-block frames/bytes/drops channels, monitor RTT
-/// histograms, and the workload's channels: the device monitor's mon.rx.*
-/// for cbr, the aggregate tcp.* for tcp) and returns its data in the
-/// report. Per-trial series merge commutatively, so sharded runs stay
-/// byte-identical at any --jobs. `handler_timing` turns on the engine's
-/// per-category handler wall time (sim.engine.handler_ns.wall.*), which
-/// reads the host clock around every event.
 [[nodiscard]] TopologyTrialReport run_topology_trial(
     const TopologyFile& topo, std::uint64_t trial_seed, Picos duration = 0,
-    const fault::FaultPlan* plan = nullptr,
-    telemetry::TraceRecorder* trace = nullptr, Picos series_interval = 0,
-    bool handler_timing = false);
+    const TrialOptions& opts = {});
 
 }  // namespace osnt::graph

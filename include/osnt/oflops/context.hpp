@@ -26,9 +26,6 @@ class OflopsContext {
 
   // --- control plane ---
   std::uint32_t send(const openflow::OfMessage& msg) { return ctrl_->send(msg); }
-  /// Whether the control-channel session is currently up. Sends while it
-  /// is down are dropped (and counted by the channel).
-  [[nodiscard]] bool channel_up() const noexcept { return ctrl_->session_up(); }
 
   // --- data plane ---
   [[nodiscard]] core::OsntDevice& osnt() noexcept { return *osnt_; }
@@ -44,11 +41,13 @@ class OflopsContext {
   // --- timers ---
   void timer_in(Picos dt, std::uint64_t timer_id);
 
-  [[nodiscard]] sim::Engine& engine() noexcept { return *eng_; }
   [[nodiscard]] Picos now() const noexcept { return eng_->now(); }
 
-  /// Run one module to completion (or `timeout` of simulated time) and
-  /// return its report. Events are routed to the module for the duration.
+  /// Run one module to completion and return its report. Events are
+  /// routed to the module for the duration. The run stops early, saying
+  /// why in Report::stopped, after `timeout` of simulated time or at once
+  /// when the switch refuses a flow_mod: a module measures the table it
+  /// asked for or nothing.
   Report run(MeasurementModule& module, Picos timeout = 60 * kPicosPerSec);
 
  private:
@@ -57,6 +56,8 @@ class OflopsContext {
   openflow::ControlChannel::Endpoint* ctrl_;
   dut::SnmpAgent* snmp_;
   MeasurementModule* active_ = nullptr;
+  /// Set when the switch refused a flow_mod during the current run.
+  std::string refused_;
 };
 
 /// The demo topology in one object: a 4-port OSNT tester cabled 1:1 to a

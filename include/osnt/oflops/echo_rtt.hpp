@@ -25,13 +25,16 @@ class EchoRttModule final : public MeasurementModule {
   void on_timer(OflopsContext& ctx, std::uint64_t timer_id) override;
   void on_of_message(OflopsContext& ctx,
                      const openflow::Decoded& msg) override;
+  /// Every reply is in, or kAnswerGrace has passed since the last
+  /// request: an outage loses replies, which the report's count shows.
   [[nodiscard]] bool finished() const override {
-    return replies_ >= cfg_.count;
+    return replies_ >= cfg_.count || grace_over_;
   }
   [[nodiscard]] Report report() const override;
 
  private:
   Config cfg_;
+  bool grace_over_ = false;
   std::size_t sent_ = 0;
   std::size_t replies_ = 0;
   std::unordered_map<std::uint32_t, Picos> in_flight_;

@@ -26,6 +26,7 @@ class InteractionModule final : public MeasurementModule {
   void on_of_message(OflopsContext& ctx,
                      const openflow::Decoded& msg) override;
   void on_timer(OflopsContext& ctx, std::uint64_t timer_id) override;
+  void on_channel_status(OflopsContext& ctx, bool up) override;
   [[nodiscard]] bool finished() const override { return done_; }
   [[nodiscard]] Report report() const override;
 
@@ -40,8 +41,12 @@ class InteractionModule final : public MeasurementModule {
   bool done_ = false;
   std::size_t round_ = 0;
   std::uint32_t barrier_xid_ = 0;
+  bool awaiting_barrier_ = false;
   Picos t_send_ = 0;
   std::uint64_t packet_ins_seen_ = 0;
+  /// Rounds lost in a control-channel outage and sent again on
+  /// reconnect; their samples keep the outage.
+  std::uint64_t degraded_rounds_ = 0;
 
   SampleSet idle_rtt_us_;
   SampleSet storm_rtt_us_;

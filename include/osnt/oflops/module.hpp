@@ -11,12 +11,18 @@
 #include <vector>
 
 #include "osnt/common/stats.hpp"
+#include "osnt/common/time.hpp"
 #include "osnt/mon/capture.hpp"
 #include "osnt/openflow/messages.hpp"
 
 namespace osnt::oflops {
 
 class OflopsContext;
+
+/// How long a module that counts answers waits for them after its last
+/// request: an outage loses some for good, and a simulated second is far
+/// past any healthy round trip.
+inline constexpr Picos kAnswerGrace = kPicosPerSec;
 
 struct Metric {
   std::string name;
@@ -26,6 +32,7 @@ struct Metric {
 
 struct Report {
   std::string module;
+  std::string stopped;  ///< why the run ended early; empty when it finished
   std::vector<Metric> scalars;
   std::vector<std::pair<std::string, SampleSet>> distributions;
 
@@ -35,7 +42,8 @@ struct Report {
   void add_distribution(std::string name, SampleSet s) {
     distributions.emplace_back(std::move(name), std::move(s));
   }
-  /// Pretty-print: scalars, then p50/p99 etc. of each distribution.
+  /// Pretty-print: why the run stopped early (if it did), scalars, then
+  /// p50/p99 etc. of each distribution.
   void print(std::FILE* out = stdout) const;
 };
 

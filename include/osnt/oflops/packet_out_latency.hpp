@@ -27,13 +27,16 @@ class PacketOutLatencyModule final : public MeasurementModule {
   void start(OflopsContext& ctx) override;
   void on_timer(OflopsContext& ctx, std::uint64_t timer_id) override;
   void on_capture(OflopsContext& ctx, const mon::CaptureRecord& rec) override;
+  /// Every frame is in, or kAnswerGrace has passed since the last
+  /// packet_out: an outage loses frames, which the report's count shows.
   [[nodiscard]] bool finished() const override {
-    return received_ >= cfg_.count;
+    return received_ >= cfg_.count || grace_over_;
   }
   [[nodiscard]] Report report() const override;
 
  private:
   Config cfg_;
+  bool grace_over_ = false;
   std::size_t sent_ = 0;
   std::size_t received_ = 0;
   SampleSet latency_us_;

@@ -50,9 +50,6 @@ class ControlChannel {
     [[nodiscard]] std::uint64_t messages_dropped() const noexcept {
       return dropped_down_;
     }
-    /// Whether the session this endpoint belongs to is currently up.
-    [[nodiscard]] bool session_up() const noexcept;
-
    private:
     friend class ControlChannel;
     ControlChannel* chan_ = nullptr;
@@ -125,9 +122,5 @@ class ControlChannel {
   std::uint64_t lost_in_flight_ = 0;
   std::uint64_t probes_ = 0;
 };
-
-inline bool ControlChannel::Endpoint::session_up() const noexcept {
-  return chan_->connected();
-}
 
 }  // namespace osnt::openflow

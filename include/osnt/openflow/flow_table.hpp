@@ -20,7 +20,6 @@ struct FlowEntry {
   std::vector<Action> actions;
   std::uint16_t idle_timeout = 0;  ///< seconds; 0 = none
   std::uint16_t hard_timeout = 0;
-  std::uint16_t flags = 0;
   Picos installed_at = 0;
   Picos last_used = 0;
   std::uint64_t packet_count = 0;
@@ -46,19 +45,17 @@ class FlowTable {
     kNoOp,      ///< delete/modify matched nothing (per spec: not an error)
   };
 
-  /// Apply a flow_mod at simulated time `now`. For DELETE commands the
-  /// removed entries are returned through `removed` when non-null (used
-  /// to emit flow_removed messages).
-  ModResult apply(const FlowMod& mod, Picos now,
-                  std::vector<FlowEntry>* removed = nullptr);
+  /// Apply a flow_mod at simulated time `now`.
+  ModResult apply(const FlowMod& mod, Picos now);
 
   /// Highest-priority entry matching a packet's concrete match; updates
   /// counters when `wire_bytes` > 0. Ties broken by install order.
   [[nodiscard]] const FlowEntry* lookup(const OfMatch& concrete, Picos now,
                                         std::size_t wire_bytes = 0);
 
-  /// Remove expired entries; returns them (reason derivable from config).
-  [[nodiscard]] std::vector<FlowEntry> expire(Picos now);
+  /// Remove the entries whose idle or hard timeout has passed; returns
+  /// how many went.
+  std::size_t expire(Picos now);
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }

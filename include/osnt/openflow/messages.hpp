@@ -1,7 +1,9 @@
 // OpenFlow 1.0 message types with full wire-format encode/decode. Only
-// the subset a switch-evaluation framework exercises is modelled, but
-// each message round-trips through the real byte layout so the control
-// channel carries genuine OF 1.0 bytes.
+// the subset a switch-evaluation framework exercises is modelled: what
+// the OFLOPS modules send (flow_mod, barrier, echo, packet_out, flow
+// stats) and what the switch answers with. Each message round-trips
+// through the real byte layout, so the control channel carries genuine
+// OF 1.0 bytes.
 #pragma once
 
 #include <cstdint>
@@ -28,29 +30,21 @@ class EncodeError : public std::length_error {
 };
 
 enum class MsgType : std::uint8_t {
-  kHello = 0,
   kError = 1,
   kEchoRequest = 2,
   kEchoReply = 3,
-  kFeaturesRequest = 5,
-  kFeaturesReply = 6,
   kPacketIn = 10,
-  kFlowRemoved = 11,
   kPacketOut = 13,
   kFlowMod = 14,
   kStatsRequest = 16,
   kStatsReply = 17,
   kBarrierRequest = 18,
   kBarrierReply = 19,
-  kQueueGetConfigRequest = 20,
-  kQueueGetConfigReply = 21,
 };
 
 /// Reserved port numbers (OF 1.0 ofp_port).
 namespace ofpp {
-inline constexpr std::uint16_t kMax = 0xFF00;
 inline constexpr std::uint16_t kInPort = 0xFFF8;
-inline constexpr std::uint16_t kTable = 0xFFF9;
 inline constexpr std::uint16_t kFlood = 0xFFFB;
 inline constexpr std::uint16_t kAll = 0xFFFC;
 inline constexpr std::uint16_t kController = 0xFFFD;
@@ -91,24 +85,11 @@ using Action = std::variant<ActionOutput, ActionSetVlanVid, ActionStripVlan,
 
 // --------------------------------------------------------------- messages
 
-struct Hello {};
-
 struct EchoRequest {
   Bytes payload;
 };
 struct EchoReply {
   Bytes payload;
-};
-
-struct FeaturesRequest {};
-
-struct FeaturesReply {
-  std::uint64_t datapath_id = 0;
-  std::uint32_t n_buffers = 256;
-  std::uint8_t n_tables = 1;
-  std::uint32_t capabilities = 0;
-  std::uint32_t actions = 0x0FFF;
-  std::uint16_t n_ports = 0;  ///< port descriptions elided (count only)
 };
 
 enum class FlowModCommand : std::uint16_t {
@@ -121,7 +102,6 @@ enum class FlowModCommand : std::uint16_t {
 
 /// ofp_flow_mod flags.
 namespace off {
-inline constexpr std::uint16_t kSendFlowRem = 1 << 0;
 inline constexpr std::uint16_t kCheckOverlap = 1 << 1;
 }  // namespace off
 
@@ -155,24 +135,6 @@ struct PacketOut {
   Bytes data;
 };
 
-enum class FlowRemovedReason : std::uint8_t {
-  kIdleTimeout = 0,
-  kHardTimeout = 1,
-  kDelete = 2,
-};
-
-struct FlowRemoved {
-  OfMatch match;
-  std::uint64_t cookie = 0;
-  std::uint16_t priority = 0;
-  FlowRemovedReason reason = FlowRemovedReason::kDelete;
-  std::uint32_t duration_sec = 0;
-  std::uint32_t duration_nsec = 0;
-  std::uint16_t idle_timeout = 0;
-  std::uint64_t packet_count = 0;
-  std::uint64_t byte_count = 0;
-};
-
 struct BarrierRequest {};
 struct BarrierReply {};
 
@@ -181,6 +143,16 @@ struct ErrorMsg {
   std::uint16_t code = 0;
   Bytes data;
 };
+
+/// The error a refused flow_mod gets: OF 1.0's ofp_error_type
+/// OFPET_FLOW_MOD_FAILED, with an ofp_flow_mod_failed_code.
+namespace ofpet {
+inline constexpr std::uint16_t kFlowModFailed = 3;
+}  // namespace ofpet
+namespace ofpfmfc {
+inline constexpr std::uint16_t kAllTablesFull = 0;
+inline constexpr std::uint16_t kOverlap = 1;
+}  // namespace ofpfmfc
 
 // Flow statistics (OFPST_FLOW).
 struct FlowStatsRequest {
@@ -214,68 +186,10 @@ struct FlowStatsReply {
 [[nodiscard]] std::vector<FlowStatsReply> split_flow_stats(
     std::vector<FlowStatsEntry> flows);
 
-// Aggregate statistics (OFPST_AGGREGATE).
-struct AggregateStatsRequest {
-  OfMatch match;
-  std::uint8_t table_id = 0xFF;
-  std::uint16_t out_port = ofpp::kNone;
-};
-
-struct AggregateStatsReply {
-  std::uint64_t packet_count = 0;
-  std::uint64_t byte_count = 0;
-  std::uint32_t flow_count = 0;
-};
-
-// Port statistics (OFPST_PORT).
-struct PortStatsRequest {
-  std::uint16_t port_no = ofpp::kNone;  ///< kNone = all ports
-};
-
-struct PortStatsEntry {
-  std::uint16_t port_no = 0;
-  std::uint64_t rx_packets = 0;
-  std::uint64_t tx_packets = 0;
-  std::uint64_t rx_bytes = 0;
-  std::uint64_t tx_bytes = 0;
-  std::uint64_t rx_dropped = 0;
-  std::uint64_t tx_dropped = 0;
-  std::uint64_t rx_errors = 0;
-  std::uint64_t tx_errors = 0;
-  std::uint64_t rx_frame_err = 0;
-  std::uint64_t rx_over_err = 0;
-  std::uint64_t rx_crc_err = 0;
-  std::uint64_t collisions = 0;
-};
-
-struct PortStatsReply {
-  std::vector<PortStatsEntry> ports;
-};
-
-// Queue configuration (OFPT_QUEUE_GET_CONFIG_*).
-struct QueueGetConfigRequest {
-  std::uint16_t port = 0;
-};
-
-struct QueueDesc {
-  std::uint32_t queue_id = 0;
-  /// Guaranteed minimum rate in 1/10 of a percent of the link
-  /// (OFPQT_MIN_RATE); 0xFFFF = disabled.
-  std::uint16_t min_rate_tenths = 0xFFFF;
-};
-
-struct QueueGetConfigReply {
-  std::uint16_t port = 0;
-  std::vector<QueueDesc> queues;
-};
-
 using OfMessage =
-    std::variant<Hello, EchoRequest, EchoReply, FeaturesRequest, FeaturesReply,
-                 FlowMod, PacketIn, PacketOut, FlowRemoved, BarrierRequest,
-                 BarrierReply, ErrorMsg, FlowStatsRequest, FlowStatsReply,
-                 PortStatsRequest, PortStatsReply, AggregateStatsRequest,
-                 AggregateStatsReply, QueueGetConfigRequest,
-                 QueueGetConfigReply>;
+    std::variant<EchoRequest, EchoReply, FlowMod, PacketIn, PacketOut,
+                 BarrierRequest, BarrierReply, ErrorMsg, FlowStatsRequest,
+                 FlowStatsReply>;
 
 [[nodiscard]] MsgType message_type(const OfMessage& msg) noexcept;
 

@@ -57,7 +57,7 @@ OpenFlowSwitch::OpenFlowSwitch(sim::Engine& eng,
   if (cfg_.queue_rates.empty()) cfg_.queue_rates = {1.0};
   shaper_free_.assign(cfg_.num_ports,
                       std::vector<Picos>(cfg_.queue_rates.size(), 0));
-  ctrl_->set_handler([this](openflow::Decoded d) { on_control(std::move(d)); });
+  ctrl_->set_handler([this](openflow::Decoded d) { on_control(d); });
 }
 
 Picos OpenFlowSwitch::agent_run(Picos cost) {
@@ -69,30 +69,18 @@ Picos OpenFlowSwitch::agent_run(Picos cost) {
   return agent_busy_;
 }
 
-void OpenFlowSwitch::on_control(openflow::Decoded d) {
+void OpenFlowSwitch::on_control(openflow::Decoded& d) {
   std::visit(
       [&](auto& msg) {
         using T = std::decay_t<decltype(msg)>;
-        if constexpr (std::is_same_v<T, Hello>) {
-          ctrl_->send(Hello{}, d.xid);
-        } else if constexpr (std::is_same_v<T, EchoRequest>) {
+        if constexpr (std::is_same_v<T, EchoRequest>) {
           const Picos done = agent_run(cfg_.agent_service);
           const std::uint32_t xid = d.xid;
           eng_->schedule_at(
               done, [this, payload = std::move(msg.payload), xid]() mutable {
                 ctrl_->send(EchoReply{std::move(payload)}, xid);
               });
-        } else if constexpr (std::is_same_v<T, FeaturesRequest>) {
-          const Picos done = agent_run(cfg_.agent_service);
-          const std::uint32_t xid = d.xid;
-          eng_->schedule_at(done, [this, xid] {
-            FeaturesReply fr;
-            fr.datapath_id = cfg_.datapath_id;
-            fr.n_ports = static_cast<std::uint16_t>(ports_.size());
-            ctrl_->send(fr, xid);
-          });
         } else if constexpr (std::is_same_v<T, FlowMod>) {
-          ++flow_mods_;
           // Stage 1: agent parses/validates the message (serial CPU).
           const Picos parsed = agent_run(cfg_.agent_service);
           // Stage 2: asynchronous hardware commit; the cost grows with
@@ -106,23 +94,18 @@ void OpenFlowSwitch::on_control(openflow::Decoded d) {
             commit_busy_ = std::max(commit_busy_, eng_->now()) + cost;
             // The mod rides through both stages by move; nothing is shared.
             eng_->schedule_at(commit_busy_, [this, mod = std::move(mod), xid] {
-              std::vector<FlowEntry> removed;
-              const auto result = table_.apply(mod, eng_->now(), &removed);
+              const auto result = table_.apply(mod, eng_->now());
               ++commits_done_;
               if (result == FlowTable::ModResult::kTableFull ||
                   result == FlowTable::ModResult::kOverlap) {
                 ErrorMsg err;
-                err.type = 3;  // OFPET_FLOW_MOD_FAILED
+                err.type = ofpet::kFlowModFailed;
                 err.code = result == FlowTable::ModResult::kTableFull
-                               ? 0   // OFPFMFC_ALL_TABLES_FULL
-                               : 2;  // OFPFMFC_OVERLAP
+                               ? ofpfmfc::kAllTablesFull
+                               : ofpfmfc::kOverlap;
                 err.data = encode(mod, xid);  // spec: offending message
                 ctrl_->send(std::move(err), xid);
                 return;
-              }
-              for (const auto& e : removed) {
-                if (e.flags & off::kSendFlowRem)
-                  send_flow_removed(e, FlowRemovedReason::kDelete);
               }
               schedule_expiry_scan();
             });
@@ -176,69 +159,8 @@ void OpenFlowSwitch::on_control(openflow::Decoded d) {
             for (const auto& part : split_flow_stats(std::move(flows)))
               ctrl_->send(part, xid);
           });
-        } else if constexpr (std::is_same_v<T, AggregateStatsRequest>) {
-          // Aggregation walks the table like a flow-stats scan.
-          const Picos done = agent_run(
-              cfg_.agent_service +
-              static_cast<Picos>(table_.size()) * 2 * kPicosPerMicro);
-          const std::uint32_t xid = d.xid;
-          eng_->schedule_at(done, [this, req = std::move(msg), xid] {
-            FlowStatsRequest as_flow;
-            as_flow.match = req.match;
-            as_flow.table_id = req.table_id;
-            as_flow.out_port = req.out_port;
-            AggregateStatsReply reply;
-            for (const auto* e : table_.collect_stats(as_flow)) {
-              reply.packet_count += e->packet_count;
-              reply.byte_count += e->byte_count;
-              ++reply.flow_count;
-            }
-            ctrl_->send(reply, xid);
-          });
-        } else if constexpr (std::is_same_v<T, PortStatsRequest>) {
-          const Picos done = agent_run(
-              cfg_.agent_service +
-              static_cast<Picos>(ports_.size()) * kPicosPerMicro);
-          const std::uint32_t xid = d.xid;
-          eng_->schedule_at(done, [this, req = std::move(msg), xid] {
-            PortStatsReply reply;
-            for (std::size_t i = 0; i < ports_.size(); ++i) {
-              const auto of_port = static_cast<std::uint16_t>(i + 1);
-              if (req.port_no != ofpp::kNone && req.port_no != of_port)
-                continue;
-              PortStatsEntry ps;
-              ps.port_no = of_port;
-              ps.rx_packets = ports_[i]->rx().frames_received();
-              ps.rx_bytes = ports_[i]->rx().bytes_received();
-              ps.tx_packets = ports_[i]->tx().frames_sent();
-              ps.tx_bytes = ports_[i]->tx().bytes_sent();
-              ps.tx_dropped = ports_[i]->tx().drops();
-              ps.rx_crc_err = ports_[i]->rx().crc_errors();
-              ps.rx_errors =
-                  ports_[i]->rx().runts() + ports_[i]->rx().giants() +
-                  ports_[i]->rx().crc_errors();
-              reply.ports.push_back(ps);
-            }
-            ctrl_->send(reply, xid);
-          });
-        } else if constexpr (std::is_same_v<T, QueueGetConfigRequest>) {
-          const Picos done = agent_run(cfg_.agent_service);
-          const std::uint16_t port = msg.port;
-          const std::uint32_t xid = d.xid;
-          eng_->schedule_at(done, [this, port, xid] {
-            QueueGetConfigReply reply;
-            reply.port = port;
-            for (std::size_t q = 0; q < cfg_.queue_rates.size(); ++q) {
-              QueueDesc desc;
-              desc.queue_id = static_cast<std::uint32_t>(q);
-              desc.min_rate_tenths =
-                  static_cast<std::uint16_t>(cfg_.queue_rates[q] * 1000.0);
-              reply.queues.push_back(desc);
-            }
-            ctrl_->send(reply, xid);
-          });
         } else {
-          // EchoReply/FeaturesReply/etc. arriving at a switch: ignore.
+          // Replies and errors arriving at a switch: ignore.
         }
       },
       d.msg);
@@ -318,23 +240,6 @@ void OpenFlowSwitch::execute_actions(
   // Empty action list = drop (per OF 1.0).
 }
 
-void OpenFlowSwitch::send_flow_removed(const openflow::FlowEntry& e,
-                                       openflow::FlowRemovedReason reason) {
-  FlowRemoved fr;
-  fr.match = e.match;
-  fr.cookie = e.cookie;
-  fr.priority = e.priority;
-  fr.reason = reason;
-  fr.idle_timeout = e.idle_timeout;
-  fr.packet_count = e.packet_count;
-  fr.byte_count = e.byte_count;
-  const Picos age = eng_->now() - e.installed_at;
-  fr.duration_sec = static_cast<std::uint32_t>(age / kPicosPerSec);
-  fr.duration_nsec =
-      static_cast<std::uint32_t>((age % kPicosPerSec) / kPicosPerNano);
-  ctrl_->send(fr);
-}
-
 void OpenFlowSwitch::schedule_expiry_scan() {
   if (expiry_scan_pending_) return;
   // Only arm the scan while some entry can actually expire, so an idle
@@ -350,16 +255,7 @@ void OpenFlowSwitch::schedule_expiry_scan() {
   expiry_scan_pending_ = true;
   eng_->schedule_in(kExpiryScanInterval, [this] {
     expiry_scan_pending_ = false;
-    for (const auto& e : table_.expire(eng_->now())) {
-      const bool idle =
-          e.idle_timeout != 0 &&
-          eng_->now() - e.last_used >=
-              static_cast<Picos>(e.idle_timeout) * kPicosPerSec;
-      if (e.flags & off::kSendFlowRem) {
-        send_flow_removed(e, idle ? FlowRemovedReason::kIdleTimeout
-                                  : FlowRemovedReason::kHardTimeout);
-      }
-    }
+    table_.expire(eng_->now());
     schedule_expiry_scan();
   });
 }

@@ -201,7 +201,7 @@ BlockSpec parse_block(const Json& b, std::size_t i) {
   } else if (spec.type == "burst_source") {
     spec.burst.pattern = parse_burst_pattern(r);
     spec.num_inputs = 0;
-  } else if (spec.type == "legacy_switch") {
+  } else {  // legacy_switch
     r.allow({"name", "type", "num_ports", "queue_bytes", "flood_unknown",
              "lookup_rate_mpps", "cut_through"},
             {"pipeline_latency"});
@@ -212,13 +212,6 @@ BlockSpec parse_block(const Json& b, std::size_t i) {
     c.lookup_rate_mpps = r.number("lookup_rate_mpps", c.lookup_rate_mpps);
     c.cut_through = r.boolean("cut_through", c.cut_through);
     c.pipeline_latency = r.time("pipeline_latency", c.pipeline_latency);
-    if (c.num_ports == 0) r.fail("num_ports must be positive");
-    spec.num_inputs = spec.num_outputs = c.num_ports;
-  } else {  // openflow_switch
-    r.allow({"name", "type", "num_ports", "table_size"});
-    auto& c = spec.openflow_switch;
-    c.num_ports = r.count("num_ports", c.num_ports);
-    c.table.max_entries = r.count("table_size", c.table.max_entries);
     if (c.num_ports == 0) r.fail("num_ports must be positive");
     spec.num_inputs = spec.num_outputs = c.num_ports;
   }
@@ -372,9 +365,8 @@ void cable_device(core::OsntDevice& dev, Graph& g, const TopologyFile& topo) {
 
 const std::vector<std::string>& TopologyFile::known_types() {
   static const std::vector<std::string> kTypes = {
-      "fifo_queue",    "red",  "token_bucket", "delay_ber", "ecmp",
-      "sink",          "monitor", "legacy_switch", "openflow_switch",
-      "burst_source"};
+      "fifo_queue", "red",     "token_bucket",  "delay_ber",   "ecmp",
+      "sink",       "monitor", "legacy_switch", "burst_source"};
   return kTypes;
 }
 
@@ -450,10 +442,6 @@ void TopologyFile::build(sim::Engine& eng, Graph& g, std::uint64_t trial_seed,
       dut::LegacySwitchConfig cfg = b.legacy_switch;
       cfg.seed = block_seed;
       g.emplace<LegacySwitchBlock>(eng, b.name, cfg);
-    } else if (b.type == "openflow_switch") {
-      dut::OpenFlowSwitchConfig cfg = b.openflow_switch;
-      cfg.seed = block_seed;
-      g.emplace<OpenFlowSwitchBlock>(eng, b.name, cfg);
     } else if (b.type == "burst_source") {
       burst::BurstSourceConfig cfg = b.burst;
       cfg.pattern.seed = block_seed;
@@ -549,16 +537,13 @@ TopologyFile dut_topology(const std::string& name) {
 TopologyTrialReport run_topology_trial(const TopologyFile& topo,
                                        std::uint64_t trial_seed,
                                        Picos duration,
-                                       const fault::FaultPlan* plan,
-                                       telemetry::TraceRecorder* trace,
-                                       Picos series_interval,
-                                       bool handler_timing) {
+                                       const TrialOptions& opts) {
   if (duration == 0) duration = topo.duration;
   TopologyTrialReport report;
 
   sim::Engine eng;
-  if (trace) eng.set_trace(trace);
-  eng.set_handler_timing(handler_timing);
+  if (opts.trace) eng.set_trace(opts.trace);
+  eng.set_handler_timing(opts.handler_timing);
   core::OsntDevice dev{eng};
   Graph g{eng};
   topo.build(eng, g, trial_seed, duration);
@@ -567,8 +552,8 @@ TopologyTrialReport run_topology_trial(const TopologyFile& topo,
 
   std::optional<fault::Injector> injector;
   const auto arm_faults = [&] {
-    if (plan && !plan->events.empty()) {
-      injector.emplace(eng, *plan);
+    if (opts.plan && !opts.plan->events.empty()) {
+      injector.emplace(eng, *opts.plan);
       injector->attach_device(dev);
       injector->attach_graph(g);
       injector->arm();
@@ -578,8 +563,8 @@ TopologyTrialReport run_topology_trial(const TopologyFile& topo,
   // Sim-time sampler: per-block intrinsic channels plus each monitor's
   // in-plane RTT histogram. Workload channels join below, before start.
   std::optional<telemetry::TimeSeries> series;
-  if (series_interval > 0) {
-    series.emplace(series_interval);
+  if (opts.series_interval > 0) {
+    series.emplace(opts.series_interval);
     for (std::size_t i = 0; i < g.num_blocks(); ++i) {
       const Block* b = &g.block(i);
       const std::string prefix = "graph." + b->name() + ".";

@@ -1,12 +1,21 @@
 #include "osnt/oflops/context.hpp"
 
-#include "osnt/common/log.hpp"
+#include <cstdio>
 
 namespace osnt::oflops {
 namespace {
 /// The switch's committed rule count: Testbed publishes it, await_table
 /// polls it.
 constexpr const char* kFlowTableSizeOid = "ofFlowTableSize.0";
+
+/// Why a run stopped at a refused flow_mod, naming the refusal's code.
+std::string refusal(std::uint16_t code) {
+  using namespace openflow::ofpfmfc;
+  return "the switch refused a flow_mod: " +
+         (code == kAllTablesFull ? std::string("OFPFMFC_ALL_TABLES_FULL")
+          : code == kOverlap     ? std::string("OFPFMFC_OVERLAP")
+                                 : "OFPFMFC code " + std::to_string(code));
+}
 }  // namespace
 
 OflopsContext::OflopsContext(sim::Engine& eng, core::OsntDevice& osnt,
@@ -45,9 +54,17 @@ void OflopsContext::timer_in(Picos dt, std::uint64_t timer_id) {
 
 Report OflopsContext::run(MeasurementModule& module, Picos timeout) {
   active_ = &module;
-  // Route control-plane and data-plane events to the module.
-  ctrl_->set_handler([this](openflow::Decoded d) {
-    if (active_) active_->on_of_message(*this, d);
+  refused_.clear();
+  // Route control-plane and data-plane events to the module; a refused
+  // flow_mod ends the run instead.
+  ctrl_->set_handler([this](const openflow::Decoded& d) {
+    if (!active_) return;
+    const auto* err = std::get_if<openflow::ErrorMsg>(&d.msg);
+    if (err && err->type == openflow::ofpet::kFlowModFailed) {
+      refused_ = refusal(err->code);
+      return;
+    }
+    active_->on_of_message(*this, d);
   });
   ctrl_->set_status_handler([this](bool up) {
     if (active_) active_->on_channel_status(*this, up);
@@ -59,18 +76,23 @@ Report OflopsContext::run(MeasurementModule& module, Picos timeout) {
   module.start(*this);
 
   const Picos deadline = eng_->now() + timeout;
-  while (!module.finished() && eng_->now() < deadline && !eng_->empty()) {
+  while (!module.finished() && refused_.empty() && eng_->now() < deadline &&
+         !eng_->empty()) {
     eng_->step();
-  }
-  if (!module.finished()) {
-    OSNT_WARN("oflops: module '%s' hit the %0.1fs timeout",
-              module.name().c_str(), to_seconds(timeout));
   }
 
   active_ = nullptr;
   ctrl_->set_status_handler(nullptr);
   osnt_->capture().set_on_record(nullptr);
-  return module.report();
+  Report rep = module.report();
+  rep.stopped = refused_;
+  if (rep.stopped.empty() && !module.finished()) {
+    char why[48];
+    std::snprintf(why, sizeof why, "hit the %0.1fs timeout",
+                  to_seconds(timeout));
+    rep.stopped = eng_->empty() ? "no event left to run" : why;
+  }
+  return rep;
 }
 
 Testbed::Testbed(dut::OpenFlowSwitchConfig sw_cfg, core::DeviceConfig osnt_cfg,

@@ -7,13 +7,16 @@ void EchoRttModule::start(OflopsContext& ctx) {
 }
 
 void EchoRttModule::on_timer(OflopsContext& ctx, std::uint64_t /*timer_id*/) {
-  if (sent_ >= cfg_.count) return;
+  if (sent_ >= cfg_.count) {  // the grace after the last request is over
+    grace_over_ = true;
+    return;
+  }
   openflow::EchoRequest req;
   req.payload = {0xDE, 0xAD, 0xBE, 0xEF};
   const std::uint32_t xid = ctx.send(req);
   in_flight_[xid] = ctx.now();
   ++sent_;
-  if (sent_ < cfg_.count) ctx.timer_in(cfg_.interval, 0);
+  ctx.timer_in(sent_ < cfg_.count ? cfg_.interval : kAnswerGrace, 0);
 }
 
 void EchoRttModule::on_of_message(OflopsContext& ctx,

@@ -4,6 +4,7 @@ namespace osnt::oflops {
 
 void Report::print(std::FILE* out) const {
   std::fprintf(out, "=== %s ===\n", module.c_str());
+  if (!stopped.empty()) std::fprintf(out, "  stopped: %s\n", stopped.c_str());
   for (const auto& m : scalars) {
     std::fprintf(out, "  %-36s %14.3f %s\n", m.name.c_str(), m.value,
                  m.unit.c_str());

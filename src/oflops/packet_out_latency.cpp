@@ -13,7 +13,10 @@ void PacketOutLatencyModule::start(OflopsContext& ctx) {
 
 void PacketOutLatencyModule::on_timer(OflopsContext& ctx,
                                       std::uint64_t /*timer_id*/) {
-  if (sent_ >= cfg_.count) return;
+  if (sent_ >= cfg_.count) {  // the grace after the last frame is over
+    grace_over_ = true;
+    return;
+  }
   net::PacketBuilder b;
   net::Packet pkt =
       b.eth(net::MacAddr::from_index(0xC0), net::MacAddr::from_index(0xC1))
@@ -33,7 +36,7 @@ void PacketOutLatencyModule::on_timer(OflopsContext& ctx,
   po.data = std::move(pkt.data);
   ctx.send(po);
   ++sent_;
-  if (sent_ < cfg_.count) ctx.timer_in(cfg_.interval, 0);
+  ctx.timer_in(sent_ < cfg_.count ? cfg_.interval : kAnswerGrace, 0);
 }
 
 void PacketOutLatencyModule::on_capture(OflopsContext& ctx,

@@ -12,7 +12,7 @@ constexpr double kProbePps = 500.0;
 constexpr Picos kPollInterval = 10 * kPicosPerMilli;
 }  // namespace
 
-void StatsPollModule::start(OflopsContext& ctx) {
+void StatsPollModule::send_fill(OflopsContext& ctx) {
   // Fillers the stats scan will have to serialize over. They deliberately
   // do not match the probe flow, which must keep missing the table.
   for (std::size_t i = 0; i < cfg_.table_size; ++i) {
@@ -25,6 +25,10 @@ void StatsPollModule::start(OflopsContext& ctx) {
     ctx.send(fm);
   }
   fill_barrier_ = ctx.send(BarrierRequest{});
+}
+
+void StatsPollModule::start(OflopsContext& ctx) {
+  send_fill(ctx);
 
   gen::TxConfig txc;
   txc.rate = gen::RateSpec::pps(kProbePps);
@@ -59,8 +63,10 @@ void StatsPollModule::on_of_message(OflopsContext& ctx,
     return;
   }
   if (std::holds_alternative<BarrierReply>(msg.msg)) {
-    if (phase_ == Phase::kFill && msg.xid == fill_barrier_)
+    if (phase_ == Phase::kFill && msg.xid == fill_barrier_) {
+      phase_ = Phase::kWarmup;
       ctx.await_table(cfg_.table_size, kTimerStartProbe);
+    }
     return;
   }
   if (const auto* rep = std::get_if<FlowStatsReply>(&msg.msg)) {
@@ -77,7 +83,7 @@ void StatsPollModule::on_of_message(OflopsContext& ctx,
 
 void StatsPollModule::on_timer(OflopsContext& ctx, std::uint64_t timer_id) {
   if (done_) return;
-  if (timer_id == kTimerStartProbe && phase_ == Phase::kFill) {
+  if (timer_id == kTimerStartProbe && phase_ == Phase::kWarmup) {
     phase_ = Phase::kBaseline;
     ctx.osnt().tx(0).start();
     return;
@@ -89,6 +95,12 @@ void StatsPollModule::on_timer(OflopsContext& ctx, std::uint64_t timer_id) {
     stats_in_flight_[xid] = ctx.now();
     ctx.timer_in(kPollInterval, kTimerPoll);
   }
+}
+
+void StatsPollModule::on_channel_status(OflopsContext& ctx, bool up) {
+  // Fill flow_mods or their barrier may have died with the old session.
+  // Re-sending is safe: each flow_mod replaces the entry with its match.
+  if (up && phase_ == Phase::kFill) send_fill(ctx);
 }
 
 Report StatsPollModule::report() const {

@@ -22,8 +22,7 @@ bool FlowTable::outputs_to(const FlowEntry& e,
   return false;
 }
 
-FlowTable::ModResult FlowTable::apply(const FlowMod& mod, Picos now,
-                                      std::vector<FlowEntry>* removed) {
+FlowTable::ModResult FlowTable::apply(const FlowMod& mod, Picos now) {
   switch (mod.command) {
     case FlowModCommand::kAdd: {
       if (mod.flags & off::kCheckOverlap) {
@@ -40,7 +39,6 @@ FlowTable::ModResult FlowTable::apply(const FlowMod& mod, Picos now,
           e.cookie = mod.cookie;
           e.idle_timeout = mod.idle_timeout;
           e.hard_timeout = mod.hard_timeout;
-          e.flags = mod.flags;
           e.installed_at = now;
           e.last_used = now;
           e.packet_count = 0;
@@ -56,7 +54,6 @@ FlowTable::ModResult FlowTable::apply(const FlowMod& mod, Picos now,
       e.actions = mod.actions;
       e.idle_timeout = mod.idle_timeout;
       e.hard_timeout = mod.hard_timeout;
-      e.flags = mod.flags;
       e.installed_at = now;
       e.last_used = now;
       // Insert keeping priority-descending, stable among equals.
@@ -83,7 +80,7 @@ FlowTable::ModResult FlowTable::apply(const FlowMod& mod, Picos now,
       // Per OF 1.0, MODIFY with no match behaves like ADD.
       FlowMod as_add = mod;
       as_add.command = FlowModCommand::kAdd;
-      return apply(as_add, now, removed);
+      return apply(as_add, now);
     }
 
     case FlowModCommand::kDelete:
@@ -95,7 +92,6 @@ FlowTable::ModResult FlowTable::apply(const FlowMod& mod, Picos now,
                                  : mod.match.covers(it->match)) &&
                          outputs_to(*it, mod.out_port);
         if (hit) {
-          if (removed) removed->push_back(std::move(*it));
           it = entries_.erase(it);
           any = true;
         } else {
@@ -125,8 +121,8 @@ const FlowEntry* FlowTable::lookup(const OfMatch& concrete, Picos now,
   return nullptr;
 }
 
-std::vector<FlowEntry> FlowTable::expire(Picos now) {
-  std::vector<FlowEntry> out;
+std::size_t FlowTable::expire(Picos now) {
+  const std::size_t before = entries_.size();
   for (auto it = entries_.begin(); it != entries_.end();) {
     const bool idle =
         it->idle_timeout != 0 &&
@@ -136,13 +132,12 @@ std::vector<FlowEntry> FlowTable::expire(Picos now) {
         now - it->installed_at >=
             static_cast<Picos>(it->hard_timeout) * kPicosPerSec;
     if (idle || hard) {
-      out.push_back(std::move(*it));
       it = entries_.erase(it);
     } else {
       ++it;
     }
   }
-  return out;
+  return before - entries_.size();
 }
 
 std::vector<const FlowEntry*> FlowTable::collect_stats(

@@ -61,11 +61,6 @@ class Reader {
     pos_ = in_.size();
     return b;
   }
-  Bytes bytes(std::size_t n) {
-    if (!take(n)) return {};
-    return Bytes(in_.begin() + static_cast<std::ptrdiff_t>(pos_ - n),
-                 in_.begin() + static_cast<std::ptrdiff_t>(pos_));
-  }
   std::optional<OfMatch> match() {
     if (!take(OfMatch::kWireSize)) return std::nullopt;
     return OfMatch::read(in_.subspan(pos_ - OfMatch::kWireSize));
@@ -179,8 +174,6 @@ std::size_t actions_wire_size(const std::vector<Action>& actions) noexcept {
 }
 
 constexpr std::uint16_t kStatsTypeFlow = 1;
-constexpr std::uint16_t kStatsTypeAggregate = 2;
-constexpr std::uint16_t kStatsTypePort = 4;
 constexpr std::uint16_t kStatsReplyMore = 1;  ///< OFPSF_REPLY_MORE
 
 }  // namespace
@@ -193,23 +186,15 @@ MsgType message_type(const OfMessage& msg) noexcept {
   return std::visit(
       [](const auto& m) {
         using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, Hello>) return MsgType::kHello;
-        else if constexpr (std::is_same_v<T, EchoRequest>) return MsgType::kEchoRequest;
+        if constexpr (std::is_same_v<T, EchoRequest>) return MsgType::kEchoRequest;
         else if constexpr (std::is_same_v<T, EchoReply>) return MsgType::kEchoReply;
-        else if constexpr (std::is_same_v<T, FeaturesRequest>) return MsgType::kFeaturesRequest;
-        else if constexpr (std::is_same_v<T, FeaturesReply>) return MsgType::kFeaturesReply;
         else if constexpr (std::is_same_v<T, FlowMod>) return MsgType::kFlowMod;
         else if constexpr (std::is_same_v<T, PacketIn>) return MsgType::kPacketIn;
         else if constexpr (std::is_same_v<T, PacketOut>) return MsgType::kPacketOut;
-        else if constexpr (std::is_same_v<T, FlowRemoved>) return MsgType::kFlowRemoved;
         else if constexpr (std::is_same_v<T, BarrierRequest>) return MsgType::kBarrierRequest;
         else if constexpr (std::is_same_v<T, BarrierReply>) return MsgType::kBarrierReply;
         else if constexpr (std::is_same_v<T, ErrorMsg>) return MsgType::kError;
         else if constexpr (std::is_same_v<T, FlowStatsRequest>) return MsgType::kStatsRequest;
-        else if constexpr (std::is_same_v<T, PortStatsRequest>) return MsgType::kStatsRequest;
-        else if constexpr (std::is_same_v<T, AggregateStatsRequest>) return MsgType::kStatsRequest;
-        else if constexpr (std::is_same_v<T, QueueGetConfigRequest>) return MsgType::kQueueGetConfigRequest;
-        else if constexpr (std::is_same_v<T, QueueGetConfigReply>) return MsgType::kQueueGetConfigReply;
         else return MsgType::kStatsReply;
       },
       msg);
@@ -227,26 +212,12 @@ Bytes encode(const OfMessage& msg, std::uint32_t xid) {
   std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, Hello> ||
-                      std::is_same_v<T, FeaturesRequest> ||
-                      std::is_same_v<T, BarrierRequest> ||
+        if constexpr (std::is_same_v<T, BarrierRequest> ||
                       std::is_same_v<T, BarrierReply>) {
           // header only
         } else if constexpr (std::is_same_v<T, EchoRequest> ||
                              std::is_same_v<T, EchoReply>) {
           w.bytes(ByteSpan{m.payload.data(), m.payload.size()});
-        } else if constexpr (std::is_same_v<T, FeaturesReply>) {
-          w.u64(m.datapath_id);
-          w.u32(m.n_buffers);
-          w.u8(m.n_tables);
-          w.pad(3);
-          w.u32(m.capabilities);
-          w.u32(m.actions);
-          // ofp_phy_port descriptions: 48 zeroed bytes each, port_no set.
-          for (std::uint16_t i = 0; i < m.n_ports; ++i) {
-            w.u16(static_cast<std::uint16_t>(i + 1));
-            w.pad(46);
-          }
         } else if constexpr (std::is_same_v<T, FlowMod>) {
           w.match(m.match);
           w.u64(m.cookie);
@@ -271,18 +242,6 @@ Bytes encode(const OfMessage& msg, std::uint32_t xid) {
           w.u16(static_cast<std::uint16_t>(actions_wire_size(m.actions)));
           write_actions(w, m.actions);
           w.bytes(ByteSpan{m.data.data(), m.data.size()});
-        } else if constexpr (std::is_same_v<T, FlowRemoved>) {
-          w.match(m.match);
-          w.u64(m.cookie);
-          w.u16(m.priority);
-          w.u8(static_cast<std::uint8_t>(m.reason));
-          w.pad(1);
-          w.u32(m.duration_sec);
-          w.u32(m.duration_nsec);
-          w.u16(m.idle_timeout);
-          w.pad(2);
-          w.u64(m.packet_count);
-          w.u64(m.byte_count);
         } else if constexpr (std::is_same_v<T, ErrorMsg>) {
           w.u16(m.type);
           w.u16(m.code);
@@ -313,65 +272,6 @@ Bytes encode(const OfMessage& msg, std::uint32_t xid) {
             w.u64(f.packet_count);
             w.u64(f.byte_count);
             write_actions(w, f.actions);
-          }
-        } else if constexpr (std::is_same_v<T, PortStatsRequest>) {
-          w.u16(kStatsTypePort);
-          w.u16(0);  // flags
-          w.u16(m.port_no);
-          w.pad(6);
-        } else if constexpr (std::is_same_v<T, PortStatsReply>) {
-          w.u16(kStatsTypePort);
-          w.u16(0);  // flags
-          for (const auto& ps : m.ports) {
-            w.u16(ps.port_no);
-            w.pad(6);
-            w.u64(ps.rx_packets);
-            w.u64(ps.tx_packets);
-            w.u64(ps.rx_bytes);
-            w.u64(ps.tx_bytes);
-            w.u64(ps.rx_dropped);
-            w.u64(ps.tx_dropped);
-            w.u64(ps.rx_errors);
-            w.u64(ps.tx_errors);
-            w.u64(ps.rx_frame_err);
-            w.u64(ps.rx_over_err);
-            w.u64(ps.rx_crc_err);
-            w.u64(ps.collisions);
-          }
-        } else if constexpr (std::is_same_v<T, AggregateStatsRequest>) {
-          w.u16(kStatsTypeAggregate);
-          w.u16(0);  // flags
-          w.match(m.match);
-          w.u8(m.table_id);
-          w.pad(1);
-          w.u16(m.out_port);
-        } else if constexpr (std::is_same_v<T, AggregateStatsReply>) {
-          w.u16(kStatsTypeAggregate);
-          w.u16(0);  // flags
-          w.u64(m.packet_count);
-          w.u64(m.byte_count);
-          w.u32(m.flow_count);
-          w.pad(4);
-        } else if constexpr (std::is_same_v<T, QueueGetConfigRequest>) {
-          w.u16(m.port);
-          w.pad(2);
-        } else if constexpr (std::is_same_v<T, QueueGetConfigReply>) {
-          w.u16(m.port);
-          w.pad(6);
-          for (const auto& q : m.queues) {
-            w.u32(q.queue_id);
-            if (q.min_rate_tenths == 0xFFFF) {
-              w.u16(8);  // ofp_packet_queue header only
-              w.pad(2);
-            } else {
-              w.u16(8 + 16);  // + one OFPQT_MIN_RATE property
-              w.pad(2);
-              w.u16(1);   // OFPQT_MIN_RATE
-              w.u16(16);  // property length
-              w.pad(4);
-              w.u16(q.min_rate_tenths);
-              w.pad(6);
-            }
           }
         }
       },
@@ -418,31 +318,12 @@ std::optional<Decoded> decode(ByteSpan in) {
   d.wire_size = length;
 
   switch (type) {
-    case MsgType::kHello:
-      d.msg = Hello{};
-      break;
     case MsgType::kEchoRequest:
       d.msg = EchoRequest{r.rest()};
       break;
     case MsgType::kEchoReply:
       d.msg = EchoReply{r.rest()};
       break;
-    case MsgType::kFeaturesRequest:
-      d.msg = FeaturesRequest{};
-      break;
-    case MsgType::kFeaturesReply: {
-      FeaturesReply m;
-      m.datapath_id = r.u64();
-      m.n_buffers = r.u32();
-      m.n_tables = r.u8();
-      r.skip(3);
-      m.capabilities = r.u32();
-      m.actions = r.u32();
-      m.n_ports = static_cast<std::uint16_t>(r.remaining() / 48);
-      if (!r.ok()) return std::nullopt;
-      d.msg = m;
-      break;
-    }
     case MsgType::kFlowMod: {
       FlowMod m;
       auto match = r.match();
@@ -483,25 +364,6 @@ std::optional<Decoded> decode(ByteSpan in) {
       d.msg = std::move(m);
       break;
     }
-    case MsgType::kFlowRemoved: {
-      FlowRemoved m;
-      auto match = r.match();
-      if (!match) return std::nullopt;
-      m.match = *match;
-      m.cookie = r.u64();
-      m.priority = r.u16();
-      m.reason = static_cast<FlowRemovedReason>(r.u8());
-      r.skip(1);
-      m.duration_sec = r.u32();
-      m.duration_nsec = r.u32();
-      m.idle_timeout = r.u16();
-      r.skip(2);
-      m.packet_count = r.u64();
-      m.byte_count = r.u64();
-      if (!r.ok()) return std::nullopt;
-      d.msg = m;
-      break;
-    }
     case MsgType::kBarrierRequest:
       d.msg = BarrierRequest{};
       break;
@@ -520,26 +382,6 @@ std::optional<Decoded> decode(ByteSpan in) {
     case MsgType::kStatsRequest: {
       const std::uint16_t stype = r.u16();
       r.skip(2);  // flags
-      if (stype == kStatsTypePort) {
-        PortStatsRequest m;
-        m.port_no = r.u16();
-        r.skip(6);
-        if (!r.ok()) return std::nullopt;
-        d.msg = m;
-        break;
-      }
-      if (stype == kStatsTypeAggregate) {
-        AggregateStatsRequest m;
-        auto match = r.match();
-        if (!match) return std::nullopt;
-        m.match = *match;
-        m.table_id = r.u8();
-        r.skip(1);
-        m.out_port = r.u16();
-        if (!r.ok()) return std::nullopt;
-        d.msg = m;
-        break;
-      }
       if (stype != kStatsTypeFlow) return std::nullopt;
       FlowStatsRequest m;
       auto match = r.match();
@@ -555,40 +397,6 @@ std::optional<Decoded> decode(ByteSpan in) {
     case MsgType::kStatsReply: {
       const std::uint16_t stype = r.u16();
       const std::uint16_t flags = r.u16();
-      if (stype == kStatsTypePort) {
-        PortStatsReply m;
-        while (r.ok() && r.remaining() >= 104) {
-          PortStatsEntry ps;
-          ps.port_no = r.u16();
-          r.skip(6);
-          ps.rx_packets = r.u64();
-          ps.tx_packets = r.u64();
-          ps.rx_bytes = r.u64();
-          ps.tx_bytes = r.u64();
-          ps.rx_dropped = r.u64();
-          ps.tx_dropped = r.u64();
-          ps.rx_errors = r.u64();
-          ps.tx_errors = r.u64();
-          ps.rx_frame_err = r.u64();
-          ps.rx_over_err = r.u64();
-          ps.rx_crc_err = r.u64();
-          ps.collisions = r.u64();
-          m.ports.push_back(ps);
-        }
-        if (!r.ok()) return std::nullopt;
-        d.msg = std::move(m);
-        break;
-      }
-      if (stype == kStatsTypeAggregate) {
-        AggregateStatsReply m;
-        m.packet_count = r.u64();
-        m.byte_count = r.u64();
-        m.flow_count = r.u32();
-        r.skip(4);
-        if (!r.ok()) return std::nullopt;
-        d.msg = m;
-        break;
-      }
       if (stype != kStatsTypeFlow) return std::nullopt;
       FlowStatsReply m;
       m.more = (flags & kStatsReplyMore) != 0;
@@ -613,45 +421,6 @@ std::optional<Decoded> decode(ByteSpan in) {
             !read_actions(r, entry_len - 88, f.actions))
           return std::nullopt;
         m.flows.push_back(std::move(f));
-      }
-      if (!r.ok()) return std::nullopt;
-      d.msg = std::move(m);
-      break;
-    }
-    case MsgType::kQueueGetConfigRequest: {
-      QueueGetConfigRequest m;
-      m.port = r.u16();
-      r.skip(2);
-      if (!r.ok()) return std::nullopt;
-      d.msg = m;
-      break;
-    }
-    case MsgType::kQueueGetConfigReply: {
-      QueueGetConfigReply m;
-      m.port = r.u16();
-      r.skip(6);
-      while (r.ok() && r.remaining() >= 8) {
-        QueueDesc q;
-        q.queue_id = r.u32();
-        const std::uint16_t qlen = r.u16();
-        r.skip(2);
-        if (qlen < 8) return std::nullopt;
-        std::size_t props = qlen - 8;
-        while (props >= 8) {
-          const std::uint16_t ptype = r.u16();
-          const std::uint16_t plen = r.u16();
-          r.skip(4);
-          if (!r.ok() || plen < 8 || plen > props) return std::nullopt;
-          if (ptype == 1 && plen == 16) {
-            q.min_rate_tenths = r.u16();
-            r.skip(6);
-          } else {
-            r.skip(plen - 8);
-          }
-          props -= plen;
-        }
-        if (props != 0) return std::nullopt;
-        m.queues.push_back(q);
       }
       if (!r.ok()) return std::nullopt;
       d.msg = std::move(m);

@@ -464,10 +464,8 @@ AmpOutcome run_amp_trials(std::size_t jobs, Picos series_interval = 0) {
     plan.points.push_back(pt);
   }
   plan.run = [&](const core::TrialPoint& pt) {
-    const auto r = graph::run_topology_trial(topo, pt.seed, /*duration=*/0,
-                                             /*plan=*/nullptr,
-                                             /*trace=*/nullptr,
-                                             series_interval);
+    const auto r = graph::run_topology_trial(
+        topo, pt.seed, /*duration=*/0, {.series_interval = series_interval});
     core::TrialStats st;
     st.metric = static_cast<double>(r.tcp.bytes_acked);
     out.reports[pt.index] = r;  // slots are disjoint across workers

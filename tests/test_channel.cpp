@@ -15,10 +15,10 @@ TEST(Channel, DeliversDecodedMessage) {
   std::vector<Decoded> at_switch;
   chan.switch_end().set_handler(
       [&](Decoded d) { at_switch.push_back(std::move(d)); });
-  const std::uint32_t xid = chan.controller().send(Hello{});
+  const std::uint32_t xid = chan.controller().send(BarrierRequest{});
   eng.run();
   ASSERT_EQ(at_switch.size(), 1u);
-  EXPECT_TRUE(std::holds_alternative<Hello>(at_switch[0].msg));
+  EXPECT_TRUE(std::holds_alternative<BarrierRequest>(at_switch[0].msg));
   EXPECT_EQ(at_switch[0].xid, xid);
 }
 
@@ -30,7 +30,7 @@ TEST(Channel, LatencyApplied) {
   ControlChannel chan{eng, cfg};
   Picos arrival = -1;
   chan.switch_end().set_handler([&](Decoded) { arrival = eng.now(); });
-  chan.controller().send(Hello{});
+  chan.controller().send(BarrierRequest{});
   eng.run();
   EXPECT_NEAR(static_cast<double>(arrival), 250e6, 1e6);
 }
@@ -43,8 +43,8 @@ TEST(Channel, BandwidthSerializesBursts) {
   ControlChannel chan{eng, cfg};
   std::vector<Picos> arrivals;
   chan.switch_end().set_handler([&](Decoded) { arrivals.push_back(eng.now()); });
-  chan.controller().send(Hello{});  // 8 bytes → 8 µs
-  chan.controller().send(Hello{});
+  chan.controller().send(BarrierRequest{});  // 8 bytes → 8 µs
+  chan.controller().send(BarrierRequest{});
   eng.run();
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_EQ(arrivals[0], 8 * kPicosPerMicro);
@@ -68,8 +68,8 @@ TEST(Channel, BothDirectionsIndependent) {
   int at_ctrl = 0, at_sw = 0;
   chan.controller().set_handler([&](Decoded) { ++at_ctrl; });
   chan.switch_end().set_handler([&](Decoded) { ++at_sw; });
-  chan.controller().send(Hello{});
-  chan.switch_end().send(Hello{});
+  chan.controller().send(BarrierRequest{});
+  chan.switch_end().send(BarrierRequest{});
   eng.run();
   EXPECT_EQ(at_ctrl, 1);
   EXPECT_EQ(at_sw, 1);
@@ -89,7 +89,7 @@ TEST(Channel, CountsBytes) {
   sim::Engine eng;
   ControlChannel chan{eng};
   chan.switch_end().set_handler([](Decoded) {});
-  chan.controller().send(Hello{});
+  chan.controller().send(BarrierRequest{});
   EXPECT_EQ(chan.controller().messages_sent(), 1u);
   EXPECT_EQ(chan.controller().bytes_sent(), 8u);
 }
@@ -120,10 +120,12 @@ TEST(Channel, DisconnectLosesInFlightAndDropsSends) {
   ControlChannel chan{eng, cfg};
   std::size_t delivered = 0;
   chan.switch_end().set_handler([&](Decoded) { ++delivered; });
-  chan.controller().send(Hello{});  // on the wire when the session dies
+  // On the wire when the session dies.
+  chan.controller().send(BarrierRequest{});
   eng.schedule_at(10 * kPicosPerMicro, [&] { chan.set_link_available(false); });
   eng.schedule_at(20 * kPicosPerMicro, [&] {
-    chan.controller().send(Hello{});  // session down → dropped at source
+    // Session down → dropped at source.
+    chan.controller().send(BarrierRequest{});
   });
   eng.run();
   EXPECT_EQ(delivered, 0u);
@@ -161,7 +163,8 @@ TEST(Channel, SessionUsableAfterReconnect) {
   chan.switch_end().set_handler([&](Decoded) { ++delivered; });
   eng.schedule_at(0, [&] { chan.set_link_available(false); });
   eng.schedule_at(kPicosPerMilli, [&] { chan.set_link_available(true); });
-  eng.schedule_at(50 * kPicosPerMilli, [&] { chan.controller().send(Hello{}); });
+  eng.schedule_at(50 * kPicosPerMilli,
+                  [&] { chan.controller().send(BarrierRequest{}); });
   eng.run();
   EXPECT_TRUE(chan.connected());
   EXPECT_EQ(delivered, 1u);
@@ -192,7 +195,7 @@ TEST(Channel, FlapStormIsDeterministic) {
       eng.schedule_at(i * 3 * kPicosPerMilli,
                       [&chan, i] { chan.set_link_available(i % 2 != 0); });
       eng.schedule_at(i * 3 * kPicosPerMilli + kPicosPerMicro,
-                      [&chan] { chan.controller().send(Hello{}); });
+                      [&chan] { chan.controller().send(BarrierRequest{}); });
     }
     eng.run();
     return std::tuple{delivered, chan.disconnects(), chan.reconnects(),

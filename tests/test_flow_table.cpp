@@ -101,11 +101,9 @@ TEST(FlowTable, DeleteStrictOnlyExact) {
   t.apply(add_rule(5, 200, 2), 0);
   FlowMod del = add_rule(5, 100, 0);
   del.command = FlowModCommand::kDeleteStrict;
-  std::vector<FlowEntry> removed;
-  EXPECT_EQ(t.apply(del, 0, &removed), FlowTable::ModResult::kRemoved);
-  EXPECT_EQ(t.size(), 1u);
-  ASSERT_EQ(removed.size(), 1u);
-  EXPECT_EQ(removed[0].priority, 100);
+  EXPECT_EQ(t.apply(del, 0), FlowTable::ModResult::kRemoved);
+  ASSERT_EQ(t.size(), 1u);
+  EXPECT_EQ(t.entries()[0].priority, 200);  // the priority-100 rule went
 }
 
 TEST(FlowTable, DeleteNonStrictSweepsCovered) {
@@ -167,9 +165,8 @@ TEST(FlowTable, IdleTimeoutExpires) {
   fm.idle_timeout = 2;  // seconds
   t.apply(fm, 0);
   (void)t.lookup(pkt(5), 1 * kPicosPerSec, 64);  // used at t=1s
-  EXPECT_TRUE(t.expire(2 * kPicosPerSec).empty());   // 1 s idle: keep
-  const auto removed = t.expire(4 * kPicosPerSec);   // 3 s idle: gone
-  ASSERT_EQ(removed.size(), 1u);
+  EXPECT_EQ(t.expire(2 * kPicosPerSec), 0u);  // 1 s idle: keep
+  EXPECT_EQ(t.expire(4 * kPicosPerSec), 1u);  // 3 s idle: gone
   EXPECT_TRUE(t.empty());
 }
 
@@ -179,7 +176,7 @@ TEST(FlowTable, HardTimeoutExpiresEvenWhenUsed) {
   fm.hard_timeout = 1;
   t.apply(fm, 0);
   (void)t.lookup(pkt(5), kPicosPerSec - 1, 64);
-  EXPECT_EQ(t.expire(kPicosPerSec + 1).size(), 1u);
+  EXPECT_EQ(t.expire(kPicosPerSec + 1), 1u);
 }
 
 TEST(FlowTable, CountersAccumulate) {

@@ -116,6 +116,24 @@ TEST(FlowModLatency, MeasuresAFullTable) {
   EXPECT_EQ(tb.sw.table().size(), 64u);
 }
 
+TEST(FlowModLatency, RefusedFillEndsTheRun) {
+  // One rule more than the table holds: the switch refuses the last fill
+  // rule at its commit, about 70 ms in. The table can never be what the
+  // module asked for, so the run ends there and says why.
+  dut::OpenFlowSwitchConfig sw_cfg;
+  sw_cfg.table.max_entries = 64;
+  Testbed tb{sw_cfg};
+  FlowModLatencyConfig cfg;
+  cfg.table_size = 65;
+  FlowModLatencyModule mod{cfg};
+  const auto rep = tb.ctx.run(mod, 60 * kPicosPerSec);
+  EXPECT_LT(tb.eng.now(), kPicosPerSec);
+  EXPECT_FALSE(mod.finished());
+  EXPECT_EQ(rep.stopped,
+            "the switch refused a flow_mod: OFPFMFC_ALL_TABLES_FULL");
+  EXPECT_EQ(tb.sw.table().size(), 64u);
+}
+
 TEST(FlowModLatency, ProbeWaitsForASlowFill) {
   // 600 fillers at 10 ms a commit land after 6 s. The rounds must start
   // on the finished table, so each measures one commit, not the backlog.

@@ -19,15 +19,13 @@ T round_trip(const T& msg, std::uint32_t xid = 7) {
 }
 
 TEST(OfWire, HeaderLayout) {
-  const Bytes wire = encode(Hello{}, 0x11223344);
+  const Bytes wire = encode(BarrierRequest{}, 0x11223344);
   ASSERT_EQ(wire.size(), kHeaderSize);
   EXPECT_EQ(wire[0], kOfVersion);
-  EXPECT_EQ(wire[1], 0);  // OFPT_HELLO
+  EXPECT_EQ(wire[1], 18);  // OFPT_BARRIER_REQUEST
   EXPECT_EQ(load_be16(wire.data() + 2), 8);
   EXPECT_EQ(load_be32(wire.data() + 4), 0x11223344u);
 }
-
-TEST(OfWire, Hello) { round_trip(Hello{}); }
 
 TEST(OfWire, EchoCarriesPayload) {
   EchoRequest req;
@@ -36,23 +34,6 @@ TEST(OfWire, EchoCarriesPayload) {
   EchoReply rep;
   rep.payload = {9, 8};
   EXPECT_EQ(round_trip(rep).payload, rep.payload);
-}
-
-TEST(OfWire, FeaturesReply) {
-  FeaturesReply fr;
-  fr.datapath_id = 0xAABBCCDDEEFF0011ull;
-  fr.n_buffers = 64;
-  fr.n_tables = 2;
-  fr.capabilities = 0xC7;
-  fr.n_ports = 4;
-  const auto back = round_trip(fr);
-  EXPECT_EQ(back.datapath_id, fr.datapath_id);
-  EXPECT_EQ(back.n_buffers, 64u);
-  EXPECT_EQ(back.n_tables, 2);
-  EXPECT_EQ(back.capabilities, 0xC7u);
-  EXPECT_EQ(back.n_ports, 4);
-  // 8 header + 24 fixed + 4*48 ports.
-  EXPECT_EQ(encode(fr, 1).size(), 8u + 24u + 4u * 48u);
 }
 
 TEST(OfWire, FlowModFixedPart) {
@@ -64,7 +45,7 @@ TEST(OfWire, FlowModFixedPart) {
   fm.hard_timeout = 60;
   fm.priority = 0x8123;
   fm.out_port = ofpp::kNone;
-  fm.flags = off::kSendFlowRem;
+  fm.flags = off::kCheckOverlap;
   fm.actions = {ActionOutput{3, 0xFFFF}};
   const Bytes wire = encode(fm, 1);
   EXPECT_EQ(wire.size(), 72u + 8u);  // ofp_flow_mod + one action
@@ -74,7 +55,7 @@ TEST(OfWire, FlowModFixedPart) {
   EXPECT_EQ(back.command, FlowModCommand::kAdd);
   EXPECT_EQ(back.idle_timeout, 30);
   EXPECT_EQ(back.priority, 0x8123);
-  EXPECT_EQ(back.flags, off::kSendFlowRem);
+  EXPECT_EQ(back.flags, off::kCheckOverlap);
   ASSERT_EQ(back.actions.size(), 1u);
   EXPECT_EQ(std::get<ActionOutput>(back.actions[0]).port, 3);
 }
@@ -112,24 +93,6 @@ TEST(OfWire, PacketOut) {
   const auto back = round_trip(po);
   ASSERT_EQ(back.actions.size(), 1u);
   EXPECT_EQ(back.data.size(), 64u);
-}
-
-TEST(OfWire, FlowRemoved) {
-  FlowRemoved fr;
-  fr.cookie = 0xDEAD;
-  fr.priority = 42;
-  fr.reason = FlowRemovedReason::kIdleTimeout;
-  fr.duration_sec = 10;
-  fr.duration_nsec = 500;
-  fr.packet_count = 1234;
-  fr.byte_count = 567890;
-  const Bytes wire = encode(fr, 1);
-  EXPECT_EQ(wire.size(), 88u);  // spec: ofp_flow_removed is 88 bytes
-  const auto back = round_trip(fr);
-  EXPECT_EQ(back.cookie, 0xDEADu);
-  EXPECT_EQ(back.reason, FlowRemovedReason::kIdleTimeout);
-  EXPECT_EQ(back.packet_count, 1234u);
-  EXPECT_EQ(back.byte_count, 567890u);
 }
 
 TEST(OfWire, Barrier) {
@@ -187,60 +150,13 @@ TEST(OfWire, EncodeRefusesALengthPastSixteenBits) {
   EXPECT_EQ(encode(rep, 1).size(), 65484u);
 }
 
-TEST(OfWire, PortStats) {
-  PortStatsRequest req;
-  req.port_no = 2;
-  EXPECT_EQ(round_trip(req).port_no, 2);
-  // Request body is 8 bytes after the stats header (spec: ofp_port_stats_request).
-  EXPECT_EQ(encode(req, 1).size(), 8u + 4u + 8u);
-
-  PortStatsReply rep;
-  PortStatsEntry e;
-  e.port_no = 1;
-  e.rx_packets = 1000;
-  e.tx_packets = 900;
-  e.rx_bytes = 123456;
-  e.rx_crc_err = 3;
-  e.tx_dropped = 7;
-  rep.ports = {e, PortStatsEntry{}};
-  const auto back = round_trip(rep);
-  ASSERT_EQ(back.ports.size(), 2u);
-  EXPECT_EQ(back.ports[0].port_no, 1);
-  EXPECT_EQ(back.ports[0].rx_packets, 1000u);
-  EXPECT_EQ(back.ports[0].rx_bytes, 123456u);
-  EXPECT_EQ(back.ports[0].rx_crc_err, 3u);
-  EXPECT_EQ(back.ports[0].tx_dropped, 7u);
-  // Each ofp_port_stats entry is 104 bytes.
-  EXPECT_EQ(encode(rep, 1).size(), 8u + 4u + 2u * 104u);
-}
-
-TEST(OfWire, AggregateStats) {
-  AggregateStatsRequest req;
-  req.match = OfMatch::exact_5tuple(1, 2, 17, 3, 4);
-  req.table_id = 0;
-  const auto back_req = round_trip(req);
-  EXPECT_EQ(back_req.match, req.match);
-  EXPECT_EQ(back_req.table_id, 0);
-
-  AggregateStatsReply rep;
-  rep.packet_count = 777;
-  rep.byte_count = 88888;
-  rep.flow_count = 9;
-  const auto back = round_trip(rep);
-  EXPECT_EQ(back.packet_count, 777u);
-  EXPECT_EQ(back.byte_count, 88888u);
-  EXPECT_EQ(back.flow_count, 9u);
-  // ofp_aggregate_stats_reply body is 24 bytes after the stats header.
-  EXPECT_EQ(encode(rep, 1).size(), 8u + 4u + 24u);
-}
-
 TEST(OfWire, DecodeRejectsShortBuffer) {
-  const Bytes wire = encode(Hello{}, 1);
+  const Bytes wire = encode(BarrierRequest{}, 1);
   EXPECT_FALSE(decode(ByteSpan{wire.data(), 4}));
 }
 
 TEST(OfWire, DecodeRejectsWrongVersion) {
-  Bytes wire = encode(Hello{}, 1);
+  Bytes wire = encode(BarrierRequest{}, 1);
   wire[0] = 0x04;  // OF 1.3
   EXPECT_FALSE(decode(ByteSpan{wire.data(), wire.size()}));
 }
@@ -251,15 +167,25 @@ TEST(OfWire, DecodeRejectsPartialMessage) {
 }
 
 TEST(OfWire, DecodeStopsAtDeclaredLength) {
-  Bytes wire = encode(Hello{}, 1);
+  Bytes wire = encode(BarrierRequest{}, 1);
   wire.push_back(0xFF);  // trailing bytes of the next message
   const auto d = decode(ByteSpan{wire.data(), wire.size()});
   ASSERT_TRUE(d);
   EXPECT_EQ(d->wire_size, 8u);
 }
 
+TEST(OfWire, DecodeRejectsAnUnmodelledType) {
+  // OFPT_HELLO, OFPT_FEATURES_REQUEST, OFPT_FLOW_REMOVED, OFPT_PORT_STATUS:
+  // header-valid types the model does not carry.
+  for (const std::uint8_t type : {0, 5, 11, 12}) {
+    Bytes wire = encode(BarrierRequest{}, 1);
+    wire[1] = type;
+    EXPECT_FALSE(decode(ByteSpan{wire.data(), wire.size()})) << int{type};
+  }
+}
+
 TEST(OfWire, MessageTypeMapping) {
-  EXPECT_EQ(message_type(OfMessage{Hello{}}), MsgType::kHello);
+  EXPECT_EQ(message_type(OfMessage{EchoRequest{}}), MsgType::kEchoRequest);
   EXPECT_EQ(message_type(OfMessage{FlowMod{}}), MsgType::kFlowMod);
   EXPECT_EQ(message_type(OfMessage{BarrierReply{}}), MsgType::kBarrierReply);
   EXPECT_EQ(message_type(OfMessage{FlowStatsReply{}}), MsgType::kStatsReply);

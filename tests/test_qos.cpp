@@ -1,5 +1,5 @@
-// OpenFlow QoS: enqueue action wire format, queue-config messages, and
-// rate-limited egress queues in the switch model.
+// OpenFlow QoS: enqueue action wire format and rate-limited egress queues
+// in the switch model.
 #include <gtest/gtest.h>
 
 #include "osnt/dut/openflow_switch.hpp"
@@ -27,29 +27,6 @@ TEST(QosWire, EnqueueActionRoundTrip) {
 TEST(QosWire, ActionWireSize) {
   EXPECT_EQ(action_wire_size(Action{ActionOutput{}}), 8u);
   EXPECT_EQ(action_wire_size(Action{ActionEnqueue{}}), 16u);
-}
-
-TEST(QosWire, QueueConfigRoundTrip) {
-  QueueGetConfigRequest req;
-  req.port = 2;
-  {
-    const Bytes wire = encode(req, 1);
-    const auto back = decode(ByteSpan{wire.data(), wire.size()});
-    ASSERT_TRUE(back);
-    EXPECT_EQ(std::get<QueueGetConfigRequest>(back->msg).port, 2);
-  }
-  QueueGetConfigReply rep;
-  rep.port = 2;
-  rep.queues = {{0, 1000}, {1, 500}, {2, 0xFFFF}};
-  const Bytes wire = encode(rep, 1);
-  const auto back = decode(ByteSpan{wire.data(), wire.size()});
-  ASSERT_TRUE(back);
-  const auto& r2 = std::get<QueueGetConfigReply>(back->msg);
-  EXPECT_EQ(r2.port, 2);
-  ASSERT_EQ(r2.queues.size(), 3u);
-  EXPECT_EQ(r2.queues[0].min_rate_tenths, 1000);
-  EXPECT_EQ(r2.queues[1].min_rate_tenths, 500);
-  EXPECT_EQ(r2.queues[2].min_rate_tenths, 0xFFFF);  // property omitted
 }
 
 }  // namespace
@@ -153,22 +130,6 @@ TEST(QosSwitch, QueuesAreIndependentPerPort) {
   // backlog. B is the 11th frame on the ingress wire (~4.7 µs of
   // serialization), then one switch transit.
   EXPECT_LT(to_nanos(b_first - t0), 10'000.0);
-}
-
-TEST(QosSwitch, QueueConfigReplyListsQueues) {
-  OpenFlowSwitchConfig cfg;
-  cfg.queue_rates = {1.0, 0.5, 0.1};
-  QosBench b{cfg};
-  b.chan.controller().send(QueueGetConfigRequest{2});
-  b.eng.run();
-  const QueueGetConfigReply* rep = nullptr;
-  for (const auto& m : b.ctrl_msgs)
-    if (const auto* q = std::get_if<QueueGetConfigReply>(&m.msg)) rep = q;
-  ASSERT_NE(rep, nullptr);
-  EXPECT_EQ(rep->port, 2);
-  ASSERT_EQ(rep->queues.size(), 3u);
-  EXPECT_EQ(rep->queues[1].min_rate_tenths, 500);
-  EXPECT_EQ(rep->queues[2].min_rate_tenths, 100);
 }
 
 TEST(QosSwitch, BadQueueIdDropsFrame) {

@@ -495,7 +495,7 @@ TEST(RateLimitFault, SqueezePerturbsTheClosedLoop) {
                      /*burst_bytes=*/10000);
   const auto base = graph::run_topology_trial(topo, topo.seed);
   const auto hit = graph::run_topology_trial(topo, topo.seed, /*duration=*/0,
-                                             &squeeze);
+                                             {.plan = &squeeze});
   ASSERT_GT(base.tcp.bytes_acked, 0u);
   EXPECT_LT(hit.tcp.bytes_acked, base.tcp.bytes_acked);
 }
@@ -530,7 +530,7 @@ PolicerOutcome run_policer_trials(std::size_t jobs) {
   }
   tp.run = [&](const core::TrialPoint& pt) {
     const auto r = graph::run_topology_trial(topo, pt.seed, /*duration=*/0,
-                                             &plan);
+                                             {.plan = &plan});
     core::TrialStats st;
     st.metric = static_cast<double>(r.tcp.bytes_acked);
     out.reports[pt.index] = r;  // slots are disjoint across workers

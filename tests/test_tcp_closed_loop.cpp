@@ -52,7 +52,8 @@ TcpTrialReport run_cable(const std::string& cc, std::size_t flows,
                          Picos duration,
                          const fault::FaultPlan* plan = nullptr,
                          std::uint64_t seed = 1) {
-  return graph::run_topology_trial(cable(cc, flows), seed, duration, plan)
+  return graph::run_topology_trial(cable(cc, flows), seed, duration,
+                                   {.plan = plan})
       .tcp;
 }
 
@@ -322,7 +323,8 @@ TEST(TcpClosedLoop, TopologyPathMatchesHandBuiltWorkload) {
                                  (interval ? " series" : "");
         reg.reset();
         const graph::TopologyTrialReport via_topo = graph::run_topology_trial(
-            cable(cc, 8), 1, duration, plan, nullptr, interval);
+            cable(cc, 8), 1, duration,
+            {.plan = plan, .series_interval = interval});
         const std::string topo_snapshot =
             reg.to_json(telemetry::Snapshot::kSimOnly);
 

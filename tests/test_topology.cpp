@@ -74,8 +74,7 @@ TEST(Topology, ParsesMinimalFile) {
 TEST(Topology, KnownTypesCoverTheBlockLibrary) {
   const auto& types = TopologyFile::known_types();
   for (const char* t : {"fifo_queue", "red", "token_bucket", "delay_ber",
-                        "ecmp", "sink", "monitor", "legacy_switch",
-                        "openflow_switch"}) {
+                        "ecmp", "sink", "monitor", "legacy_switch"}) {
     EXPECT_NE(std::find(types.begin(), types.end(), t), types.end())
         << "missing type " << t;
   }
@@ -440,10 +439,8 @@ DumbbellOutcome run_dumbbell_trials(std::size_t jobs,
     plan.points.push_back(pt);
   }
   plan.run = [&](const core::TrialPoint& pt) {
-    const auto r = graph::run_topology_trial(topo, pt.seed, /*duration=*/0,
-                                             /*plan=*/nullptr,
-                                             /*trace=*/nullptr,
-                                             series_interval);
+    const auto r = graph::run_topology_trial(
+        topo, pt.seed, /*duration=*/0, {.series_interval = series_interval});
     core::TrialStats st;
     st.metric = static_cast<double>(r.tcp.bytes_acked);
     out.reports[pt.index] = r;  // slots are disjoint across workers
@@ -577,8 +574,7 @@ TEST(Topology, DumbbellSeriesByteIdenticalAcrossJobs) {
 TEST(Topology, CbrSeriesCarriesTheDeviceMonitor) {
   const TopologyFile t = TopologyFile::from_json(kMinimalCbr);
   const graph::TopologyTrialReport r = graph::run_topology_trial(
-      t, t.seed, /*duration=*/0, /*plan=*/nullptr, /*trace=*/nullptr,
-      /*series_interval=*/500 * kPicosPerMicro);
+      t, t.seed, /*duration=*/0, {.series_interval = 500 * kPicosPerMicro});
   const auto& ch = r.series.channels;
   for (const char* name : {"mon.rx.frames_seen", "mon.rx.captured",
                            "mon.rx.dma_drops", "mon.rx.rtt.ns",
@@ -600,8 +596,7 @@ TEST(Topology, HandlerTimingIsOptIn) {
   for (const bool timing : {false, true}) {
     telemetry::registry().reset();
     (void)graph::run_topology_trial(t, t.seed, /*duration=*/0,
-                                    /*plan=*/nullptr, /*trace=*/nullptr,
-                                    /*series_interval=*/0, timing);
+                                    {.handler_timing = timing});
     EXPECT_EQ(telemetry::registry()
                       .counter("sim.engine.handler_ns.wall.gen")
                       .value() > 0,

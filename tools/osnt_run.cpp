@@ -28,6 +28,8 @@
 //                                 consistency|stats_poll|queue_delay|
 //                                 interaction]
 //                       [--table-size N] [--rounds N] [--faults PLAN.json]
+//                       (exits 1 when the module does not finish: a
+//                       timeout, no event left, or a refused flow_mod)
 //
 // Global flags (any subcommand): --log-level debug|info|warn|error|off.
 // latency, throughput, capture, and tcp all take --trace PATH and
@@ -285,9 +287,11 @@ struct TopologyTrials {
     }
     tplan.run = [&](const core::TrialPoint& pt) {
       reports[pt.index] = graph::run_topology_trial(
-          topo, pt.seed, duration, plan.events.empty() ? nullptr : &plan,
-          obs.trace_enabled() ? &obs.rec : nullptr, obs.series_interval(),
-          obs.handler_timing());
+          topo, pt.seed, duration,
+          {.plan = &plan,
+           .trace = obs.trace_enabled() ? &obs.rec : nullptr,
+           .series_interval = obs.series_interval(),
+           .handler_timing = obs.handler_timing()});
       return core::TrialStats{};  // the report carries the results
     };
     runner.jobs = static_cast<std::size_t>(jobs < 0 ? 0 : jobs);
@@ -427,9 +431,9 @@ int cmd_throughput(int argc, const char* const* argv) {
     t.workload.rate_gbps = pt.load_fraction * hw::TxMacConfig{}.gbps;
     t.workload.frame_size = pt.frame_size;
     graph::TopologyTrialReport rep = graph::run_topology_trial(
-        t, pt.seed, kPicosPerMilli, /*plan=*/nullptr,
-        obs.trace_enabled() ? &obs.rec : nullptr, /*series_interval=*/0,
-        obs.handler_timing());
+        t, pt.seed, kPicosPerMilli,
+        {.trace = obs.trace_enabled() ? &obs.rec : nullptr,
+         .handler_timing = obs.handler_timing()});
     core::TrialStats s;
     s.tx_frames = rep.cbr.tx_frames;
     s.rx_frames = rep.cbr.rx_frames;
@@ -614,8 +618,13 @@ int cmd_oflops(int argc, const char* const* argv) {
       })) {
     return 1;
   }
-  tb.ctx.run(*mod, 600 * kPicosPerSec).print();
-  return 0;
+  const oflops::Report rep = tb.ctx.run(*mod, 600 * kPicosPerSec);
+  rep.print();
+  if (rep.stopped.empty()) return 0;
+  // A run that measured only part of what it set out to is a failure.
+  std::fprintf(stderr, "oflops --module %s did not finish: %s\n",
+               module.c_str(), rep.stopped.c_str());
+  return 1;
 }
 
 int cmd_tcp(int argc, const char* const* argv) {
@@ -699,8 +708,7 @@ int cmd_topo(int argc, const char* const* argv) {
   CliParser cli{
       "osnt_run topo FILE.json — run a declarative scenario-graph topology\n"
       "(see examples/topologies/; blocks: fifo_queue, red, token_bucket,\n"
-      "delay_ber, ecmp, sink, monitor, legacy_switch, openflow_switch,\n"
-      "burst_source)"};
+      "delay_ber, ecmp, sink, monitor, legacy_switch, burst_source)"};
   cli.add_flag("seed", &seed, "base seed (0 = the file's; trial i adds i)");
   cli.add_flag("duration-ms", &duration_ms,
                "simulated duration (0 = the file's)");
