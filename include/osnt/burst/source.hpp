@@ -44,7 +44,7 @@ class BurstSourceBlock final : public graph::Block {
   void start() override;
 
   /// Sources have no inputs; a stray frame is counted as a drop.
-  void on_frame(std::size_t in_port, net::Packet pkt, Picos first_bit,
+  void on_frame(std::size_t in_port, net::Packet&& pkt, Picos first_bit,
                 Picos last_bit) override;
 
   [[nodiscard]] const BurstSourceConfig& config() const noexcept {

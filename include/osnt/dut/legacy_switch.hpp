@@ -79,9 +79,9 @@ class LegacySwitch {
   void add_static_mac(const net::MacAddr& mac, std::size_t port);
 
  private:
-  void on_frame(std::size_t in_port, net::Packet pkt, Picos first_bit,
+  void on_frame(std::size_t in_port, net::Packet&& pkt, Picos first_bit,
                 Picos last_bit);
-  void emit(std::size_t out_port, net::Packet pkt, Picos not_before);
+  void emit(std::size_t out_port, net::Packet&& pkt, Picos not_before);
 
   struct MacEntry {
     std::size_t port = 0;

@@ -100,10 +100,10 @@ class OpenFlowSwitch {
 
  private:
   void on_control(openflow::Decoded& d);
-  void on_frame(std::size_t in_port, net::Packet pkt, Picos first_bit,
+  void on_frame(std::size_t in_port, net::Packet&& pkt, Picos first_bit,
                 Picos last_bit);
   void execute_actions(const std::vector<openflow::Action>& actions,
-                       std::size_t in_port, net::Packet pkt, Picos release);
+                       std::size_t in_port, net::Packet&& pkt, Picos release);
   void send_packet_in(std::size_t in_port, const net::Packet& pkt);
   /// Arm the periodic timeout sweep iff some entry can expire.
   void schedule_expiry_scan();

@@ -41,7 +41,7 @@ class ClosedLoopSource final : public PacketSource {
   /// Enqueue a frame for transmission. Returns false (and counts a drop)
   /// when the queue is full — the frame is lost exactly as a full switch
   /// buffer would lose it.
-  bool offer(net::Packet pkt) {
+  bool offer(net::Packet&& pkt) {
     if (full()) {
       ++drops_;
       return false;

@@ -65,9 +65,13 @@ class Block {
   virtual void start() {}
 
   /// A frame's last bit arrived on `in_port` at `last_bit` (sim time ==
-  /// now). Implementations drop, transform, queue, or emit() it.
-  virtual void on_frame(std::size_t in_port, net::Packet pkt, Picos first_bit,
-                        Picos last_bit) = 0;
+  /// now). Implementations drop, transform, queue, or emit() it. The frame
+  /// comes by reference, under sim::FrameSink::on_frame's ownership rule:
+  /// a block that keeps or forwards it moves it (emit(), a lane entry), a
+  /// block that drops it just returns, and a block that sends it out more
+  /// than once copies it (`net::Packet{pkt}`) for all but the last.
+  virtual void on_frame(std::size_t in_port, net::Packet&& pkt,
+                        Picos first_bit, Picos last_bit) = 0;
 
   // --- counters (also flushed to graph.<name>.* at destruction) ---
   [[nodiscard]] std::uint64_t frames_in() const noexcept { return frames_in_; }
@@ -89,7 +93,7 @@ class Block {
   /// Forward a frame out `out_port` with the given serialization window.
   /// Unwired ports count the frame as a drop (a dark fiber stub), so a
   /// partially-wired topology stays runnable and observable.
-  void emit(std::size_t out_port, net::Packet pkt, Picos tx_start,
+  void emit(std::size_t out_port, net::Packet&& pkt, Picos tx_start,
             Picos tx_end);
 
   /// Record a policy drop (tail drop, RED early drop, nonconforming...).
@@ -99,7 +103,7 @@ class Block {
   friend class Graph;
 
   /// Graph-side entry: counts, traces, then dispatches to on_frame().
-  void deliver(std::size_t in_port, net::Packet pkt, Picos first_bit,
+  void deliver(std::size_t in_port, net::Packet&& pkt, Picos first_bit,
                Picos last_bit);
 
   sim::Engine* eng_;

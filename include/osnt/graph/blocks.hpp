@@ -45,7 +45,7 @@ class FifoQueueBlock : public Block {
   FifoQueueBlock(sim::Engine& eng, std::string name, FifoQueueConfig cfg = {});
   ~FifoQueueBlock() override;
 
-  void on_frame(std::size_t in_port, net::Packet pkt, Picos first_bit,
+  void on_frame(std::size_t in_port, net::Packet&& pkt, Picos first_bit,
                 Picos last_bit) override;
 
   [[nodiscard]] std::size_t depth() const noexcept { return depth_; }
@@ -64,7 +64,7 @@ class FifoQueueBlock : public Block {
  protected:
   /// Admission already passed: claim a serializer slot and schedule the
   /// departure. Shared with RedBlock, whose job is only to veto arrivals.
-  void enqueue(net::Packet pkt);
+  void enqueue(net::Packet&& pkt);
   void count_tail_drop() noexcept {
     ++tail_drops_;
     count_drop();
@@ -111,7 +111,7 @@ class RedBlock : public FifoQueueBlock {
   RedBlock(sim::Engine& eng, std::string name, RedConfig cfg = {});
   ~RedBlock() override;
 
-  void on_frame(std::size_t in_port, net::Packet pkt, Picos first_bit,
+  void on_frame(std::size_t in_port, net::Packet&& pkt, Picos first_bit,
                 Picos last_bit) override;
 
   [[nodiscard]] double avg_depth() const noexcept { return avg_; }
@@ -150,7 +150,7 @@ class TokenBucketBlock : public Block {
                    TokenBucketConfig cfg = {});
   ~TokenBucketBlock() override;
 
-  void on_frame(std::size_t in_port, net::Packet pkt, Picos first_bit,
+  void on_frame(std::size_t in_port, net::Packet&& pkt, Picos first_bit,
                 Picos last_bit) override;
 
   [[nodiscard]] std::uint64_t conforming() const noexcept {
@@ -218,7 +218,7 @@ class DelayBerBlock : public Block {
   DelayBerBlock(sim::Engine& eng, std::string name, DelayBerConfig cfg = {});
   ~DelayBerBlock() override;
 
-  void on_frame(std::size_t in_port, net::Packet pkt, Picos first_bit,
+  void on_frame(std::size_t in_port, net::Packet&& pkt, Picos first_bit,
                 Picos last_bit) override;
 
   [[nodiscard]] std::uint64_t corrupted() const noexcept { return corrupted_; }
@@ -245,7 +245,7 @@ class EcmpBlock : public Block {
  public:
   EcmpBlock(sim::Engine& eng, std::string name, EcmpConfig cfg = {});
 
-  void on_frame(std::size_t in_port, net::Packet pkt, Picos first_bit,
+  void on_frame(std::size_t in_port, net::Packet&& pkt, Picos first_bit,
                 Picos last_bit) override;
 
  private:
@@ -261,7 +261,7 @@ class SinkBlock : public Block {
   SinkBlock(sim::Engine& eng, std::string name);
   ~SinkBlock() override;
 
-  void on_frame(std::size_t in_port, net::Packet pkt, Picos first_bit,
+  void on_frame(std::size_t in_port, net::Packet&& pkt, Picos first_bit,
                 Picos last_bit) override;
 
   [[nodiscard]] std::uint64_t bytes() const noexcept { return bytes_; }
@@ -291,7 +291,7 @@ class MonitorBlock : public Block {
   MonitorBlock(sim::Engine& eng, std::string name, MonitorConfig cfg = {});
   ~MonitorBlock() override;
 
-  void on_frame(std::size_t in_port, net::Packet pkt, Picos first_bit,
+  void on_frame(std::size_t in_port, net::Packet&& pkt, Picos first_bit,
                 Picos last_bit) override;
 
   [[nodiscard]] std::uint64_t bytes() const noexcept { return bytes_; }

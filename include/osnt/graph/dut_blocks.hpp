@@ -21,7 +21,7 @@ class LegacySwitchBlock : public Block {
   LegacySwitchBlock(sim::Engine& eng, std::string name,
                     dut::LegacySwitchConfig cfg = {});
 
-  void on_frame(std::size_t in_port, net::Packet pkt, Picos first_bit,
+  void on_frame(std::size_t in_port, net::Packet&& pkt, Picos first_bit,
                 Picos last_bit) override;
 
   /// The wrapped switch, for static MACs and counter assertions.
@@ -33,7 +33,8 @@ class LegacySwitchBlock : public Block {
    public:
     Egress(LegacySwitchBlock& owner, std::size_t port) noexcept
         : owner_(&owner), port_(port) {}
-    void on_frame(net::Packet pkt, Picos first_bit, Picos last_bit) override {
+    void on_frame(net::Packet&& pkt, Picos first_bit,
+                  Picos last_bit) override {
       owner_->emit(port_, std::move(pkt), first_bit, last_bit);
     }
 

@@ -77,7 +77,8 @@ class Graph {
    public:
     InputAdapter(Block& b, std::size_t port) noexcept
         : block_(&b), port_(port) {}
-    void on_frame(net::Packet pkt, Picos first_bit, Picos last_bit) override {
+    void on_frame(net::Packet&& pkt, Picos first_bit,
+                  Picos last_bit) override {
       block_->deliver(port_, std::move(pkt), first_bit, last_bit);
     }
 

@@ -35,7 +35,7 @@ class TxMac {
   /// Queue a frame for transmission at the current simulation time.
   /// Returns the wire start-of-frame time, or nullopt if the staging FIFO
   /// is full and the frame was dropped.
-  std::optional<Picos> transmit(net::Packet pkt);
+  std::optional<Picos> transmit(net::Packet&& pkt);
 
   /// Time at which the serializer becomes idle.
   [[nodiscard]] Picos next_free() const noexcept { return next_free_; }
@@ -74,13 +74,14 @@ class RxMac final : public sim::FrameSink {
   using Config = RxMacConfig;
   /// first_bit = arrival of the frame's first bit at the MAC (the moment
   /// OSNT timestamps); last_bit = store-and-forward completion.
-  using Handler = std::function<void(net::Packet, Picos first_bit, Picos last_bit)>;
+  using Handler =
+      std::function<void(net::Packet&&, Picos first_bit, Picos last_bit)>;
 
   RxMac(sim::Engine& eng, Config cfg = Config()) noexcept : eng_(&eng), cfg_(cfg) {}
 
   void set_handler(Handler h) { handler_ = std::move(h); }
 
-  void on_frame(net::Packet pkt, Picos first_bit, Picos last_bit) override;
+  void on_frame(net::Packet&& pkt, Picos first_bit, Picos last_bit) override;
 
   [[nodiscard]] std::uint64_t frames_received() const noexcept { return frames_; }
   [[nodiscard]] std::uint64_t bytes_received() const noexcept { return bytes_; }

@@ -96,7 +96,7 @@ class RxPipeline {
   [[nodiscard]] std::uint64_t dma_drops() const noexcept { return dma_drops_; }
 
  private:
-  void on_frame(net::Packet pkt, Picos first_bit, Picos last_bit);
+  void on_frame(net::Packet&& pkt, Picos first_bit, Picos last_bit);
 
   sim::Engine* eng_;
   tstamp::DisciplinedClock* clock_;

@@ -27,6 +27,7 @@ class ActionLatencyModule final : public MeasurementModule {
                      const openflow::Decoded& msg) override;
   void on_capture(OflopsContext& ctx, const mon::CaptureRecord& rec) override;
   void on_timer(OflopsContext& ctx, std::uint64_t timer_id) override;
+  void on_channel_status(OflopsContext& ctx, bool up) override;
   [[nodiscard]] bool finished() const override { return done_; }
   [[nodiscard]] Report report() const override;
 
@@ -40,6 +41,10 @@ class ActionLatencyModule final : public MeasurementModule {
   Mode mode_ = Mode::kInstallPlain;
   bool done_ = false;
   std::uint32_t barrier_xid_ = 0;
+  bool awaiting_barrier_ = false;
+  /// Rule installs lost in a control-channel outage and sent again on
+  /// reconnect.
+  std::uint64_t degraded_rounds_ = 0;
 
   SampleSet plain_ns_;
   SampleSet modify_ns_;

@@ -20,8 +20,14 @@ namespace osnt::sim {
 class FrameSink {
  public:
   virtual ~FrameSink() = default;
-  /// `first_bit` / `last_bit` are arrival times at this sink.
-  virtual void on_frame(net::Packet pkt, Picos first_bit, Picos last_bit) = 0;
+  /// `first_bit` / `last_bit` are arrival times at this sink. Frames cross
+  /// every hop by reference: a sink that keeps the frame moves it into its
+  /// own storage (a lane entry, a closure, a queue), one that drops it
+  /// just returns, and one that needs a second frame copies it
+  /// (`net::Packet{pkt}`). The caller's storage must outlive the call and
+  /// must not be reachable from the sink, so the caller moves a stored
+  /// frame into a local first (FifoLane does).
+  virtual void on_frame(net::Packet&& pkt, Picos first_bit, Picos last_bit) = 0;
 };
 
 /// A frame and the two bit times it travels with: arrival times on a
@@ -92,8 +98,9 @@ class Link {
 
   /// Carry a frame whose first bit enters the wire at `tx_start` and whose
   /// last bit enters at `tx_end`. Frames on an unconnected link are
-  /// counted and discarded (a dark fiber).
-  void carry(net::Packet pkt, Picos tx_start, Picos tx_end);
+  /// counted and discarded (a dark fiber). Takes the frame under the
+  /// FrameSink::on_frame ownership rule.
+  void carry(net::Packet&& pkt, Picos tx_start, Picos tx_end);
 
   [[nodiscard]] std::uint64_t frames_carried() const noexcept { return carried_; }
   [[nodiscard]] std::uint64_t frames_lost_dark() const noexcept { return dark_; }

@@ -83,7 +83,8 @@ void BurstSourceBlock::start() {
   }
 }
 
-void BurstSourceBlock::on_frame(std::size_t /*in_port*/, net::Packet /*pkt*/,
+void BurstSourceBlock::on_frame(std::size_t /*in_port*/,
+                                net::Packet&& /*pkt*/,
                                 Picos /*first_bit*/, Picos /*last_bit*/) {
   count_drop();  // sources take no input
 }

@@ -13,7 +13,7 @@ LegacySwitch::LegacySwitch(sim::Engine& eng, Config cfg)
   for (std::size_t i = 0; i < cfg_.num_ports; ++i) {
     ports_.push_back(std::make_unique<hw::EthPort>(eng, pc));
     ports_[i]->rx().set_handler(
-        [this, i](net::Packet pkt, Picos first_bit, Picos last_bit) {
+        [this, i](net::Packet&& pkt, Picos first_bit, Picos last_bit) {
           on_frame(i, std::move(pkt), first_bit, last_bit);
         });
   }
@@ -29,7 +29,7 @@ std::uint64_t LegacySwitch::frames_dropped() const noexcept {
   return n;
 }
 
-void LegacySwitch::on_frame(std::size_t in_port, net::Packet pkt,
+void LegacySwitch::on_frame(std::size_t in_port, net::Packet&& pkt,
                             Picos first_bit, Picos last_bit) {
   auto eth = net::EthHeader::read(pkt.bytes());
   if (!eth) return;
@@ -108,7 +108,7 @@ void LegacySwitch::on_frame(std::size_t in_port, net::Packet pkt,
   }
 }
 
-void LegacySwitch::emit(std::size_t out_port, net::Packet pkt,
+void LegacySwitch::emit(std::size_t out_port, net::Packet&& pkt,
                         Picos not_before) {
   const sim::Engine::CategoryScope cat(*eng_, sim::EventCategory::kDut);
   eng_->schedule_at(not_before, [this, out_port, pkt = std::move(pkt)]() mutable {

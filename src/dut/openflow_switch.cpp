@@ -50,7 +50,7 @@ OpenFlowSwitch::OpenFlowSwitch(sim::Engine& eng,
   for (std::size_t i = 0; i < cfg_.num_ports; ++i) {
     ports_.push_back(std::make_unique<hw::EthPort>(eng, pc));
     ports_[i]->rx().set_handler(
-        [this, i](net::Packet pkt, Picos first_bit, Picos last_bit) {
+        [this, i](net::Packet&& pkt, Picos first_bit, Picos last_bit) {
           on_frame(i, std::move(pkt), first_bit, last_bit);
         });
   }
@@ -166,7 +166,7 @@ void OpenFlowSwitch::on_control(openflow::Decoded& d) {
       d.msg);
 }
 
-void OpenFlowSwitch::on_frame(std::size_t in_port, net::Packet pkt,
+void OpenFlowSwitch::on_frame(std::size_t in_port, net::Packet&& pkt,
                               Picos first_bit, Picos /*last_bit*/) {
   (void)first_bit;
   auto parsed = net::parse_packet(pkt.bytes());
@@ -190,13 +190,26 @@ void OpenFlowSwitch::on_frame(std::size_t in_port, net::Packet pkt,
 
 void OpenFlowSwitch::execute_actions(
     const std::vector<openflow::Action>& actions, std::size_t in_port,
-    net::Packet pkt, Picos release) {
+    net::Packet&& pkt, Picos release) {
   // Header-modifying actions cost extra pipeline (or slow-path) time.
-  for (const auto& action : actions) {
-    if (!std::holds_alternative<ActionOutput>(action))
-      release += cfg_.action_modify_latency;
+  // The last output or enqueue takes the frame itself; the ones before it
+  // get copies, as LegacySwitch's flood does. A packet_in only reads it.
+  std::size_t last = actions.size();
+  for (std::size_t a = 0; a < actions.size(); ++a) {
+    const bool output = std::holds_alternative<ActionOutput>(actions[a]);
+    if (!output) release += cfg_.action_modify_latency;
+    if (output || std::holds_alternative<ActionEnqueue>(actions[a])) last = a;
   }
-  for (const auto& action : actions) {
+  auto forward = [&](Picos at, std::size_t port, bool take) {
+    ++forwarded_;
+    eng_->schedule_at(at, [this, port, p = take ? std::move(pkt)
+                                                : net::Packet{pkt}]() mutable {
+      ports_[port]->tx().transmit(std::move(p));
+    });
+  };
+  for (std::size_t a = 0; a < actions.size(); ++a) {
+    const Action& action = actions[a];
+    const bool take = a == last;
     if (const auto* sv = std::get_if<ActionSetVlanVid>(&action)) {
       set_vlan(pkt.data, sv->vlan_vid);
     } else if (std::get_if<ActionStripVlan>(&action)) {
@@ -212,28 +225,21 @@ void OpenFlowSwitch::execute_actions(
         shaper = start + net::serialization_time(pkt.line_len(),
                                                  10.0 * std::max(rate, 1e-6));
         if (enq->queue_id != 0) ++enqueue_shaped_;
-        ++forwarded_;
-        eng_->schedule_at(start, [this, port, p = net::Packet{pkt}]() mutable {
-          ports_[port]->tx().transmit(std::move(p));
-        });
+        forward(start, port, take);
       }
     } else if (const auto* out = std::get_if<ActionOutput>(&action)) {
-      auto deliver = [this, release](std::size_t port, net::Packet p) {
-        ++forwarded_;
-        eng_->schedule_at(release, [this, port, p = std::move(p)]() mutable {
-          ports_[port]->tx().transmit(std::move(p));
-        });
-      };
       if (out->port == ofpp::kController) {
         send_packet_in(in_port, pkt);
       } else if (out->port == ofpp::kFlood || out->port == ofpp::kAll) {
+        std::size_t egress_left =
+            ports_.size() - (in_port < ports_.size() ? 1 : 0);
         for (std::size_t i = 0; i < ports_.size(); ++i) {
-          if (i != in_port) deliver(i, net::Packet{pkt});
+          if (i != in_port) forward(release, i, --egress_left == 0 && take);
         }
       } else if (out->port == ofpp::kInPort) {
-        if (in_port < ports_.size()) deliver(in_port, net::Packet{pkt});
+        if (in_port < ports_.size()) forward(release, in_port, take);
       } else if (out->port >= 1 && out->port <= ports_.size()) {
-        deliver(out->port - 1, net::Packet{pkt});
+        forward(release, out->port - 1, take);
       }
     }
   }

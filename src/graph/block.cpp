@@ -31,7 +31,7 @@ Block::~Block() {
 
 Picos Block::now() const noexcept { return eng_->now(); }
 
-void Block::emit(std::size_t out_port, net::Packet pkt, Picos tx_start,
+void Block::emit(std::size_t out_port, net::Packet&& pkt, Picos tx_start,
                  Picos tx_end) {
   if (out_port >= outs_.size() || outs_[out_port] == nullptr) {
     ++drops_;  // dark fiber stub: counted, not fatal
@@ -41,7 +41,7 @@ void Block::emit(std::size_t out_port, net::Packet pkt, Picos tx_start,
   outs_[out_port]->carry(std::move(pkt), tx_start, tx_end);
 }
 
-void Block::deliver(std::size_t in_port, net::Packet pkt, Picos first_bit,
+void Block::deliver(std::size_t in_port, net::Packet&& pkt, Picos first_bit,
                     Picos last_bit) {
   ++frames_in_;
   bytes_in_ += pkt.wire_len();

@@ -55,7 +55,7 @@ void FifoQueueBlock::set_queue_frames(std::size_t frames) {
   fifo_cfg_ = next;
 }
 
-void FifoQueueBlock::on_frame(std::size_t /*in_port*/, net::Packet pkt,
+void FifoQueueBlock::on_frame(std::size_t /*in_port*/, net::Packet&& pkt,
                               Picos /*first_bit*/, Picos /*last_bit*/) {
   if (depth_ >= fifo_cfg_.queue_frames) {
     count_tail_drop();
@@ -64,7 +64,7 @@ void FifoQueueBlock::on_frame(std::size_t /*in_port*/, net::Packet pkt,
   enqueue(std::move(pkt));
 }
 
-void FifoQueueBlock::enqueue(net::Packet pkt) {
+void FifoQueueBlock::enqueue(net::Packet&& pkt) {
   ++depth_;
   peak_ = std::max(peak_, depth_);
   const Picos start = std::max(now(), busy_until_);
@@ -103,8 +103,8 @@ RedBlock::~RedBlock() {
   }
 }
 
-void RedBlock::on_frame(std::size_t in_port, net::Packet pkt, Picos first_bit,
-                        Picos last_bit) {
+void RedBlock::on_frame(std::size_t in_port, net::Packet&& pkt,
+                        Picos first_bit, Picos last_bit) {
   avg_ += cfg_.weight * (static_cast<double>(depth()) - avg_);
   if (avg_ >= cfg_.max_th) {
     ++forced_drops_;
@@ -190,7 +190,7 @@ void TokenBucketBlock::refill() noexcept {
   last_refill_ = t;
 }
 
-void TokenBucketBlock::on_frame(std::size_t /*in_port*/, net::Packet pkt,
+void TokenBucketBlock::on_frame(std::size_t /*in_port*/, net::Packet&& pkt,
                                 Picos first_bit, Picos last_bit) {
   refill();
   const double cost = static_cast<double>(pkt.line_len());
@@ -247,7 +247,7 @@ DelayBerBlock::~DelayBerBlock() {
   }
 }
 
-void DelayBerBlock::on_frame(std::size_t /*in_port*/, net::Packet pkt,
+void DelayBerBlock::on_frame(std::size_t /*in_port*/, net::Packet&& pkt,
                              Picos first_bit, Picos last_bit) {
   if (errors_.corrupt(pkt, rng_)) ++corrupted_;
   emit(0, std::move(pkt), first_bit + cfg_.delay, last_bit + cfg_.delay);
@@ -262,7 +262,7 @@ void EcmpConfig::validate() const {
 EcmpBlock::EcmpBlock(sim::Engine& eng, std::string name, EcmpConfig cfg)
     : Block(eng, checked(std::move(name), cfg), 1, cfg.fanout), cfg_(cfg) {}
 
-void EcmpBlock::on_frame(std::size_t /*in_port*/, net::Packet pkt,
+void EcmpBlock::on_frame(std::size_t /*in_port*/, net::Packet&& pkt,
                          Picos first_bit, Picos last_bit) {
   std::uint64_t h;
   const auto parsed = net::parse_packet(pkt.bytes());
@@ -313,7 +313,7 @@ SinkBlock::~SinkBlock() {
   }
 }
 
-void SinkBlock::on_frame(std::size_t /*in_port*/, net::Packet pkt,
+void SinkBlock::on_frame(std::size_t /*in_port*/, net::Packet&& pkt,
                          Picos /*first_bit*/, Picos last_bit) {
   bytes_ += pkt.wire_len();
   last_arrival_ = last_bit;
@@ -352,7 +352,7 @@ std::uint8_t frame_class(const net::Packet& pkt) noexcept {
 
 }  // namespace
 
-void MonitorBlock::on_frame(std::size_t /*in_port*/, net::Packet pkt,
+void MonitorBlock::on_frame(std::size_t /*in_port*/, net::Packet&& pkt,
                             Picos first_bit, Picos last_bit) {
   bytes_ += pkt.wire_len();
   frame_bytes_.record(pkt.wire_len());

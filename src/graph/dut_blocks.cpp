@@ -12,7 +12,7 @@ LegacySwitchBlock::LegacySwitchBlock(sim::Engine& eng, std::string name,
   }
 }
 
-void LegacySwitchBlock::on_frame(std::size_t in_port, net::Packet pkt,
+void LegacySwitchBlock::on_frame(std::size_t in_port, net::Packet&& pkt,
                                  Picos first_bit, Picos last_bit) {
   sw_.port(in_port).rx().on_frame(std::move(pkt), first_bit, last_bit);
 }

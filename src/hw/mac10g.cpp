@@ -8,7 +8,7 @@ Picos TxMac::frame_air_time(const net::Packet& pkt) const noexcept {
   return net::serialization_time(pkt.line_len(), cfg_.gbps);
 }
 
-std::optional<Picos> TxMac::transmit(net::Packet pkt) {
+std::optional<Picos> TxMac::transmit(net::Packet&& pkt) {
   const Picos now = eng_->now();
   const Picos start = std::max(now, next_free_);
   if (cfg_.queue_limit_bytes != 0) {
@@ -35,7 +35,7 @@ std::optional<Picos> TxMac::transmit(net::Packet pkt) {
   return start;
 }
 
-void RxMac::on_frame(net::Packet pkt, Picos first_bit, Picos last_bit) {
+void RxMac::on_frame(net::Packet&& pkt, Picos first_bit, Picos last_bit) {
   if (pkt.fcs_bad) {
     ++crc_errors_;
     return;

@@ -21,12 +21,13 @@ RxPipeline::RxPipeline(sim::Engine& eng, hw::RxMac& mac,
                        tstamp::DisciplinedClock& clock, hw::DmaEngine& dma,
                        Config cfg)
     : eng_(&eng), clock_(&clock), dma_(&dma), cfg_(cfg), cutter_(cfg.cutter) {
-  mac.set_handler([this](net::Packet pkt, Picos first_bit, Picos last_bit) {
+  mac.set_handler([this](net::Packet&& pkt, Picos first_bit, Picos last_bit) {
     on_frame(std::move(pkt), first_bit, last_bit);
   });
 }
 
-void RxPipeline::on_frame(net::Packet pkt, Picos first_bit, Picos last_bit) {
+void RxPipeline::on_frame(net::Packet&& pkt, Picos first_bit,
+                          Picos last_bit) {
   ++seen_;
   // Timestamp on MAC receipt (first bit) — before any queueing, which is
   // what keeps timestamp noise out of OSNT measurements.

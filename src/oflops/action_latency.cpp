@@ -26,6 +26,7 @@ void ActionLatencyModule::install_rule(OflopsContext& ctx, bool with_modify) {
   }
   ctx.send(fm);
   barrier_xid_ = ctx.send(BarrierRequest{});
+  awaiting_barrier_ = true;
 }
 
 void ActionLatencyModule::start(OflopsContext& ctx) {
@@ -46,6 +47,7 @@ void ActionLatencyModule::on_of_message(OflopsContext& ctx,
   if (!std::holds_alternative<BarrierReply>(msg.msg) ||
       msg.xid != barrier_xid_)
     return;
+  awaiting_barrier_ = false;
   // Give the hardware commit time to land, then start sampling.
   ctx.timer_in(cfg_.settle, kTimerSettled);
 }
@@ -55,6 +57,16 @@ void ActionLatencyModule::on_timer(OflopsContext& /*ctx*/,
   if (timer_id != kTimerSettled) return;
   if (mode_ == Mode::kInstallPlain) mode_ = Mode::kPlain;
   if (mode_ == Mode::kInstallModify) mode_ = Mode::kModify;
+}
+
+void ActionLatencyModule::on_channel_status(OflopsContext& ctx, bool up) {
+  // The install in flight died with the old session: send it again. The
+  // flow_mod is an ADD of the same match and priority, so a copy that did
+  // land is replaced in place.
+  if (up && awaiting_barrier_) {
+    ++degraded_rounds_;
+    install_rule(ctx, mode_ == Mode::kInstallModify);
+  }
 }
 
 void ActionLatencyModule::on_capture(OflopsContext& ctx,
@@ -91,6 +103,8 @@ void ActionLatencyModule::on_capture(OflopsContext& ctx,
 Report ActionLatencyModule::report() const {
   Report r;
   r.module = name();
+  if (degraded_rounds_ > 0)  // a run that lost no install reports none
+    r.add("degraded_rounds", static_cast<double>(degraded_rounds_));
   r.add_distribution("forward_only_ns", plain_ns_);
   r.add_distribution("vlan_rewrite_ns", modify_ns_);
   if (plain_ns_.count() && modify_ns_.count()) {

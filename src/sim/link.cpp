@@ -27,7 +27,7 @@ void Link::set_bit_error_rate(double ber, std::uint64_t seed) noexcept {
   rng_ = ber > 0.0 ? std::make_unique<Rng>(seed) : nullptr;
 }
 
-void Link::carry(net::Packet pkt, Picos tx_start, Picos tx_end) {
+void Link::carry(net::Packet&& pkt, Picos tx_start, Picos tx_end) {
   if (!sink_) {
     ++dark_;
     return;

@@ -1,17 +1,27 @@
-// Heap-allocation counts of closed-loop set-up. This binary replaces the
-// global operator new and delete (alloc_hooks.cpp), so a test can count
-// every allocation made between two points. A constructed flow owns one
-// heap object, its congestion controller; its queues allocate when it
-// first sends and first measures a delivery rate, not before.
+// Heap-allocation counts of closed-loop set-up and of the frame path.
+// This binary replaces the global operator new and delete
+// (alloc_hooks.cpp), so a test can count every allocation made between
+// two points. A constructed flow owns one heap object, its congestion
+// controller; its queues allocate when it first sends and first measures
+// a delivery rate, not before. A frame crosses every hop by reference, so
+// once the path is warm, forwarding it allocates nothing: only a frame
+// sent out more than once is copied.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <optional>
+#include <vector>
 
 #include "osnt/common/fifo.hpp"
 #include "osnt/core/device.hpp"
+#include "osnt/dut/openflow_switch.hpp"
+#include "osnt/graph/blocks.hpp"
+#include "osnt/graph/dut_blocks.hpp"
+#include "osnt/graph/graph.hpp"
 #include "osnt/hw/port.hpp"
+#include "osnt/net/builder.hpp"
 #include "osnt/sim/engine.hpp"
 #include "osnt/tcp/workload.hpp"
 
@@ -82,3 +92,134 @@ TEST(Alloc, WorkloadConstructionAllocatesAtMostOncePerFlow) {
 
 }  // namespace
 }  // namespace osnt::tcp
+
+namespace osnt {
+namespace {
+
+/// Frames a test counts the allocations of; built before counting starts.
+constexpr std::size_t kFrames = 100;
+
+net::Packet udp_frame(std::uint64_t src_mac, std::uint64_t dst_mac) {
+  net::PacketBuilder b;
+  return b.eth(net::MacAddr::from_index(src_mac),
+               net::MacAddr::from_index(dst_mac))
+      .ipv4(net::Ipv4Addr::of(10, 0, 0, 1), net::Ipv4Addr::of(10, 0, 1, 1),
+            net::ipproto::kUdp)
+      .udp(1024, 5001)
+      .pad_to_frame(128)
+      .build();
+}
+
+std::vector<net::Packet> udp_frames(std::size_t n) {
+  std::vector<net::Packet> frames;
+  frames.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) frames.push_back(udp_frame(1, 2));
+  return frames;
+}
+
+TEST(Alloc, OpenFlowSwitchForwardsWithoutCopyingTheFrame) {
+  using namespace openflow;
+  sim::Engine eng;
+  ControlChannel chan{eng};
+  dut::OpenFlowSwitch sw{eng, chan};
+  std::vector<std::unique_ptr<hw::EthPort>> hosts;
+  std::vector<std::uint64_t> rx(sw.num_ports(), 0);
+  for (std::size_t i = 0; i < sw.num_ports(); ++i) {
+    hosts.push_back(std::make_unique<hw::EthPort>(eng));
+    hw::connect(*hosts[i], sw.port(i));
+    hosts[i]->rx().set_handler(
+        [&rx, i](net::Packet&&, Picos, Picos) { ++rx[i]; });
+  }
+  // An ADD of the same match and priority replaces the rule in place.
+  const auto install = [&](std::uint16_t out_port) {
+    FlowMod fm;
+    fm.match = OfMatch::exact_5tuple(0x0A000001, 0x0A000101,
+                                     net::ipproto::kUdp, 1024, 5001);
+    fm.actions = {ActionOutput{out_port}};
+    chan.controller().send(fm);
+    eng.run();
+  };
+  // One frame in on port 0 at a time, so no queue grows past the warm-up.
+  const auto forward = [&](std::vector<net::Packet>& frames) {
+    const AllocCount n;
+    for (auto& f : frames) {
+      (void)hosts[0]->tx().transmit(std::move(f));
+      eng.run();
+    }
+    return n.get();
+  };
+
+  install(2);
+  auto warm = udp_frames(1);
+  auto frames = udp_frames(kFrames);
+  (void)forward(warm);
+  EXPECT_EQ(forward(frames), 0u);  // the one output takes the frame
+  EXPECT_EQ(rx[1], kFrames + 1);
+  EXPECT_EQ(rx[2], 0u);
+
+  install(ofpp::kFlood);
+  warm = udp_frames(1);
+  frames = udp_frames(kFrames);
+  (void)forward(warm);
+  // Three egress ports: two copies, and the last takes the frame.
+  EXPECT_EQ(forward(frames), 2 * kFrames);
+  EXPECT_EQ(sw.table_misses(), 0u);
+  EXPECT_EQ(rx[0], 0u);
+  EXPECT_EQ(rx[1], 2 * (kFrames + 1));
+  EXPECT_EQ(rx[2], kFrames + 1);
+  EXPECT_EQ(rx[3], kFrames + 1);
+}
+
+TEST(Alloc, FrameHopsCopyNoFrame) {
+  sim::Engine eng;
+  graph::Graph g{eng};
+  g.emplace<graph::FifoQueueBlock>(eng, "fifo");
+  g.emplace<graph::RedBlock>(eng, "red");
+  g.emplace<graph::TokenBucketBlock>(eng, "tb");
+  graph::DelayBerConfig wan_cfg;
+  wan_cfg.delay = kPicosPerMicro;
+  g.emplace<graph::DelayBerBlock>(eng, "wan", wan_cfg);
+  g.emplace<graph::EcmpBlock>(eng, "ecmp");
+  g.emplace<graph::MonitorBlock>(eng, "tap");
+  dut::LegacySwitchConfig sw_cfg;
+  sw_cfg.num_ports = 2;
+  auto& sw = g.emplace<graph::LegacySwitchBlock>(eng, "sw", sw_cfg);
+  auto& sink = g.emplace<graph::SinkBlock>(eng, "sink");
+  g.connect("fifo", 0, "red", 0);
+  g.connect("red", 0, "tb", 0);
+  g.connect("tb", 0, "wan", 0);
+  g.connect("wan", 0, "ecmp", 0);
+  g.connect("ecmp", 0, "tap", 0);
+  g.connect("ecmp", 1, "tap", 0);
+  g.connect("tap", 0, "sw", 0);
+  g.connect("sw", 1, "sink", 0);
+  g.start();
+  sim::FrameSink& in = g.input("fifo", 0);
+
+  // The switch learns MAC 2 on port 1 from a frame MAC 2 sends itself,
+  // which it does not send back out that port (hairpin).
+  sw.dut().port(1).rx().on_frame(udp_frame(2, 2), 0, 0);
+  eng.run();
+
+  // One frame at a time, each once the last has reached the sink: no
+  // queue, lane or table grows past what the warm-up frame made.
+  const auto forward = [&](std::vector<net::Packet>& frames) {
+    const AllocCount n;
+    for (auto& f : frames) {
+      f.tx_truth = eng.now();  // so the monitor's latency probe records it
+      in.on_frame(std::move(f), eng.now(), eng.now());
+      eng.run();
+    }
+    return n.get();
+  };
+  auto warm = udp_frames(1);
+  auto frames = udp_frames(kFrames);
+  (void)forward(warm);
+  EXPECT_EQ(forward(frames), 0u);
+  EXPECT_EQ(sink.frames_in(), kFrames + 1);
+  EXPECT_EQ(g.total_drops(), 0u);
+  EXPECT_EQ(sw.dut().frames_flooded(), 0u);
+}
+
+}  // namespace
+}  // namespace osnt

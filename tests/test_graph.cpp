@@ -26,7 +26,8 @@ namespace {
 struct Collector final : public sim::FrameSink {
   std::vector<net::Packet> pkts;
   std::vector<Picos> at;
-  void on_frame(net::Packet pkt, Picos /*first_bit*/, Picos last_bit) override {
+  void on_frame(net::Packet&& pkt, Picos /*first_bit*/,
+                Picos last_bit) override {
     pkts.push_back(std::move(pkt));
     at.push_back(last_bit);
   }
@@ -369,7 +370,8 @@ TEST(Graph, LinkDelayCutLetsLaterFramesOvertake) {
   struct Arrivals final : public sim::FrameSink {
     std::vector<std::uint64_t> ids;
     std::vector<std::pair<Picos, Picos>> bits;
-    void on_frame(net::Packet pkt, Picos first_bit, Picos last_bit) override {
+    void on_frame(net::Packet&& pkt, Picos first_bit,
+                  Picos last_bit) override {
       ids.push_back(pkt.id);
       bits.emplace_back(first_bit, last_bit);
     }
