@@ -41,6 +41,8 @@ class CliParser {
   [[nodiscard]] bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] bool help_requested() const noexcept { return help_; }
+  /// Whether the parsed arguments set flag `name`.
+  [[nodiscard]] bool given(const std::string& name) const noexcept;
   /// Positional (non-flag) arguments, in order.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;
@@ -60,6 +62,7 @@ class CliParser {
     void* target;
     std::string help;
     std::string default_repr;
+    bool given = false;
   };
 
   [[nodiscard]] Flag* find(const std::string& name);

@@ -9,6 +9,7 @@
 #include "osnt/common/random.hpp"
 #include "osnt/gen/models.hpp"
 #include "osnt/gen/source.hpp"
+#include "osnt/net/flow.hpp"
 #include "osnt/net/headers.hpp"
 
 namespace osnt::gen {
@@ -34,6 +35,13 @@ struct TemplateConfig {
   /// Largest flow_count whose last source port is still a valid port.
   [[nodiscard]] constexpr std::uint32_t max_flows() const noexcept {
     return 65536u - src_port;
+  }
+
+  /// Flow i's 5-tuple, as TemplateSource writes it.
+  [[nodiscard]] net::FiveTuple flow(std::uint32_t i) const noexcept {
+    return {src_ip, net::Ipv4Addr{dst_ip.v + (vary_dst_ip ? i : 0u)},
+            static_cast<std::uint16_t>(src_port + i), dst_port,
+            net::ipproto::kUdp};
   }
 };
 

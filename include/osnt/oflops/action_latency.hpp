@@ -23,28 +23,20 @@ class ActionLatencyModule final : public MeasurementModule {
 
   [[nodiscard]] std::string name() const override { return "action_latency"; }
   void start(OflopsContext& ctx) override;
-  void on_of_message(OflopsContext& ctx,
-                     const openflow::Decoded& msg) override;
   void on_capture(OflopsContext& ctx, const mon::CaptureRecord& rec) override;
   void on_timer(OflopsContext& ctx, std::uint64_t timer_id) override;
-  void on_channel_status(OflopsContext& ctx, bool up) override;
   [[nodiscard]] bool finished() const override { return done_; }
   [[nodiscard]] Report report() const override;
 
  private:
   enum class Mode { kInstallPlain, kPlain, kInstallModify, kModify, kDone };
-  enum : std::uint64_t { kTimerSettled = 1 };
+  enum : std::uint64_t { kTimerSettled = 1, kTimerInstalled };
 
   void install_rule(OflopsContext& ctx, bool with_modify);
 
   Config cfg_;
   Mode mode_ = Mode::kInstallPlain;
   bool done_ = false;
-  std::uint32_t barrier_xid_ = 0;
-  bool awaiting_barrier_ = false;
-  /// Rule installs lost in a control-channel outage and sent again on
-  /// reconnect.
-  std::uint64_t degraded_rounds_ = 0;
 
   SampleSet plain_ns_;
   SampleSet modify_ns_;

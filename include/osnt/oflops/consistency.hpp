@@ -37,22 +37,24 @@ class ConsistencyModule final : public MeasurementModule {
     return "forwarding_consistency";
   }
   void start(OflopsContext& ctx) override;
-  void on_of_message(OflopsContext& ctx,
-                     const openflow::Decoded& msg) override;
   void on_capture(OflopsContext& ctx, const mon::CaptureRecord& rec) override;
   void on_timer(OflopsContext& ctx, std::uint64_t timer_id) override;
-  void on_channel_status(OflopsContext& ctx, bool up) override;
   [[nodiscard]] bool finished() const override { return done_; }
   [[nodiscard]] Report report() const override;
 
  private:
   enum class Phase { kInstall, kWarmup, kUpdating, kDrain, kDone };
-  enum : std::uint64_t { kTimerInstalled = 1, kTimerBurst, kTimerFinish };
+  enum : std::uint64_t {
+    kTimerAcked = 1,  ///< the first generation reached the agent
+    kTimerInstalled,  ///< ... and its hardware table
+    kTimerBurst,
+    kTimerBurstAcked,  ///< nothing waits for it: the data plane tells
+    kTimerFinish
+  };
 
-  void send_generation(OflopsContext& ctx, std::uint16_t out_port);
-
-  [[nodiscard]] openflow::FlowMod rule_for(std::size_t flow,
-                                           std::uint16_t out_port) const;
+  /// One rule per flow, every flow → `out_port`.
+  [[nodiscard]] std::vector<openflow::FlowMod> generation(
+      std::uint16_t out_port) const;
   [[nodiscard]] int flow_of_record(const mon::CaptureRecord& rec) const;
 
   Config cfg_;
@@ -60,12 +62,6 @@ class ConsistencyModule final : public MeasurementModule {
   bool done_ = false;
 
   Picos t_burst_ = 0;
-  std::uint32_t install_barrier_ = 0;
-  /// Control-channel outage bookkeeping: a reconnect mid-phase re-sends
-  /// the whole current rule generation (flow_mods replace by match, so
-  /// the re-drive is idempotent) and the report flags the degradation.
-  std::uint64_t disconnects_ = 0;
-  std::uint64_t rules_resent_ = 0;
   std::vector<double> first_on_new_ns_;  ///< per flow; <0 = not yet seen
   std::size_t flows_switched_ = 0;
   std::uint64_t stale_packets_ = 0;  ///< old path after the burst

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "osnt/core/device.hpp"
 #include "osnt/dut/openflow_switch.hpp"
@@ -26,6 +27,11 @@ class OflopsContext {
 
   // --- control plane ---
   std::uint32_t send(const openflow::OfMessage& msg) { return ctrl_->send(msg); }
+  /// Send `rules`, then a barrier, and call the module's on_timer(timer_id)
+  /// when the switch answers that barrier. If the control session comes
+  /// back first, the rules and a new barrier go again and the report
+  /// counts one degraded round.
+  void install(std::vector<openflow::FlowMod> rules, std::uint64_t timer_id);
 
   // --- data plane ---
   [[nodiscard]] core::OsntDevice& osnt() noexcept { return *osnt_; }
@@ -47,10 +53,19 @@ class OflopsContext {
   /// routed to the module for the duration. The run stops early, saying
   /// why in Report::stopped, after `timeout` of simulated time or at once
   /// when the switch refuses a flow_mod: a module measures the table it
-  /// asked for or nothing.
+  /// asked for or nothing. The report ends with `channel_disconnects`
+  /// and `degraded_rounds` when either is non-zero.
   Report run(MeasurementModule& module, Picos timeout = 60 * kPicosPerSec);
 
  private:
+  /// An install whose barrier the switch has not answered yet.
+  struct Install {
+    std::vector<openflow::FlowMod> rules;
+    std::uint32_t barrier_xid = 0;
+    std::uint64_t timer_id = 0;
+  };
+  void send_install(Install& in);
+
   sim::Engine* eng_;
   core::OsntDevice* osnt_;
   openflow::ControlChannel::Endpoint* ctrl_;
@@ -58,6 +73,9 @@ class OflopsContext {
   MeasurementModule* active_ = nullptr;
   /// Set when the switch refused a flow_mod during the current run.
   std::string refused_;
+  std::vector<Install> installs_;
+  std::uint64_t disconnects_ = 0;
+  std::uint64_t degraded_rounds_ = 0;
 };
 
 /// The demo topology in one object: a 4-port OSNT tester cabled 1:1 to a

@@ -30,21 +30,22 @@ class FlowModLatencyModule final : public MeasurementModule {
 
   [[nodiscard]] std::string name() const override { return "flowmod_latency"; }
   void start(OflopsContext& ctx) override;
-  void on_of_message(OflopsContext& ctx,
-                     const openflow::Decoded& msg) override;
   void on_capture(OflopsContext& ctx, const mon::CaptureRecord& rec) override;
   void on_timer(OflopsContext& ctx, std::uint64_t timer_id) override;
-  void on_channel_status(OflopsContext& ctx, bool up) override;
   [[nodiscard]] bool finished() const override { return done_; }
   [[nodiscard]] Report report() const override;
 
  private:
   enum class Phase { kFill, kWarmup, kMeasure, kDone };
-  enum : std::uint64_t { kTimerNextRound = 1, kTimerStartProbe = 2 };
+  enum : std::uint64_t {
+    kTimerNextRound = 1,
+    kTimerStartProbe,
+    kTimerFilled,
+    kTimerRedirected
+  };
 
   void send_redirect(OflopsContext& ctx);
   void maybe_finish_round(OflopsContext& ctx);
-  void install_table(OflopsContext& ctx);
   [[nodiscard]] openflow::FlowMod probe_rule(std::uint16_t out_port) const;
 
   Config cfg_;
@@ -54,16 +55,11 @@ class FlowModLatencyModule final : public MeasurementModule {
   std::size_t round_ = 0;
   std::uint8_t target_osnt_port_ = 1;  ///< where the *current* rule points
   Picos t_send_ = 0;
-  std::uint32_t barrier_xid_ = 0;
-  bool awaiting_barrier_ = false;
+  /// The switch has not yet acknowledged the round's redirect. A redirect
+  /// the context sends again after an outage keeps its round's t_send_,
+  /// so the control sample includes the outage.
+  bool awaiting_ack_ = false;
   bool awaiting_data_ = false;
-
-  // Degradation bookkeeping: control-channel outages survived mid-run.
-  // Rounds whose redirect was re-driven after a reconnect stay in the
-  // distributions (their control sample includes the outage) but are
-  // counted so the report is explicit about being degraded-but-complete.
-  std::uint64_t disconnects_ = 0;
-  std::uint64_t degraded_rounds_ = 0;
 
   SampleSet ctrl_ms_;
   SampleSet data_ms_;

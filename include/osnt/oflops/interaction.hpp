@@ -26,13 +26,12 @@ class InteractionModule final : public MeasurementModule {
   void on_of_message(OflopsContext& ctx,
                      const openflow::Decoded& msg) override;
   void on_timer(OflopsContext& ctx, std::uint64_t timer_id) override;
-  void on_channel_status(OflopsContext& ctx, bool up) override;
   [[nodiscard]] bool finished() const override { return done_; }
   [[nodiscard]] Report report() const override;
 
  private:
   enum class Phase { kIdle, kStorm, kDone };
-  enum : std::uint64_t { kTimerRound = 1 };
+  enum : std::uint64_t { kTimerRound = 1, kTimerInstalled };
 
   void send_round(OflopsContext& ctx);
 
@@ -40,13 +39,10 @@ class InteractionModule final : public MeasurementModule {
   Phase phase_ = Phase::kIdle;
   bool done_ = false;
   std::size_t round_ = 0;
-  std::uint32_t barrier_xid_ = 0;
-  bool awaiting_barrier_ = false;
+  /// When the round's install first went out; a round the context sends
+  /// again after an outage keeps it, so its sample includes the outage.
   Picos t_send_ = 0;
   std::uint64_t packet_ins_seen_ = 0;
-  /// Rounds lost in a control-channel outage and sent again on
-  /// reconnect; their samples keep the outage.
-  std::uint64_t degraded_rounds_ = 0;
 
   SampleSet idle_rtt_us_;
   SampleSet storm_rtt_us_;

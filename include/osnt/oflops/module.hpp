@@ -65,16 +65,9 @@ class MeasurementModule {
   /// SNMP poll answered.
   virtual void on_snmp(OflopsContext& /*ctx*/, const std::string& /*oid*/,
                        std::uint64_t /*value*/) {}
-  /// A timer armed via ctx.timer_in() fired, or a ctx.await_table() wait
-  /// ended.
+  /// A timer armed via ctx.timer_in() fired, a ctx.await_table() wait
+  /// ended, or a ctx.install() was acknowledged.
   virtual void on_timer(OflopsContext& /*ctx*/, std::uint64_t /*timer_id*/) {}
-  /// Control-channel session transition (down on disconnect, up on
-  /// reconnect). Everything the module had in flight on the old session —
-  /// unacknowledged flow_mods, pending barriers — is gone; a robust
-  /// module re-drives its state on `up` and flags the measurement
-  /// degraded. Default ignores it (a module that never saw faults before
-  /// behaves exactly as it did).
-  virtual void on_channel_status(OflopsContext& /*ctx*/, bool /*up*/) {}
 
   /// The run loop stops when this turns true (or on timeout).
   [[nodiscard]] virtual bool finished() const = 0;

@@ -27,25 +27,19 @@ class QueueDelayModule final : public MeasurementModule {
 
   [[nodiscard]] std::string name() const override { return "queue_delay"; }
   void start(OflopsContext& ctx) override;
-  void on_of_message(OflopsContext& ctx,
-                     const openflow::Decoded& msg) override;
   void on_capture(OflopsContext& ctx, const mon::CaptureRecord& rec) override;
   void on_timer(OflopsContext& ctx, std::uint64_t timer_id) override;
-  void on_channel_status(OflopsContext& ctx, bool up) override;
   [[nodiscard]] bool finished() const override { return done_; }
   [[nodiscard]] Report report() const override;
 
  private:
+  enum : std::uint64_t { kTimerInstalled = 1, kTimerSettled };
+
   void start_queue_run(OflopsContext& ctx);
 
   Config cfg_;
   bool done_ = false;
   std::size_t current_ = 0;  ///< index into queue_ids
-  std::uint32_t barrier_xid_ = 0;
-  bool awaiting_barrier_ = false;
-  /// Queue runs whose rule install was lost in a control-channel outage
-  /// and sent again on reconnect.
-  std::uint64_t degraded_rounds_ = 0;
 
   struct PerQueue {
     SampleSet latency_us;

@@ -26,22 +26,17 @@ class StatsPollModule final : public MeasurementModule {
   void on_of_message(OflopsContext& ctx,
                      const openflow::Decoded& msg) override;
   void on_timer(OflopsContext& ctx, std::uint64_t timer_id) override;
-  void on_channel_status(OflopsContext& ctx, bool up) override;
   [[nodiscard]] bool finished() const override { return done_; }
   [[nodiscard]] Report report() const override;
 
  private:
-  enum class Phase { kFill, kWarmup, kBaseline, kPolling, kDone };
-  enum : std::uint64_t { kTimerStartProbe = 1, kTimerPoll = 2 };
-
-  /// Send the filler rules and the barrier that covers them.
-  void send_fill(OflopsContext& ctx);
+  enum class Phase { kFill, kBaseline, kPolling, kDone };
+  enum : std::uint64_t { kTimerStartProbe = 1, kTimerPoll, kTimerFilled };
 
   Config cfg_;
   Phase phase_ = Phase::kFill;
   bool done_ = false;
 
-  std::uint32_t fill_barrier_ = 0;
   std::unordered_map<std::uint32_t, Picos> stats_in_flight_;
   std::size_t flows_reported_ = 0;
 

@@ -7,6 +7,7 @@
 #include <optional>
 
 #include "osnt/common/types.hpp"
+#include "osnt/net/flow.hpp"
 #include "osnt/net/headers.hpp"
 #include "osnt/net/parser.hpp"
 
@@ -75,6 +76,10 @@ struct OfMatch {
                                             std::uint8_t nw_proto,
                                             std::uint16_t tp_src,
                                             std::uint16_t tp_dst) noexcept;
+  [[nodiscard]] static OfMatch exact_5tuple(const net::FiveTuple& f) noexcept {
+    return exact_5tuple(f.src_ip.v, f.dst_ip.v, f.protocol, f.src_port,
+                        f.dst_port);
+  }
 
   /// Does this (possibly wildcarded) match cover the concrete match of a
   /// packet?

@@ -68,6 +68,12 @@ CliParser::Flag* CliParser::find(const std::string& name) {
   return nullptr;
 }
 
+bool CliParser::given(const std::string& name) const noexcept {
+  for (const auto& f : flags_)
+    if (f.name == name) return f.given;
+  return false;
+}
+
 bool CliParser::assign(Flag& flag, const std::string& value) {
   char* end = nullptr;
   switch (flag.kind) {
@@ -146,6 +152,7 @@ bool CliParser::parse(int argc, const char* const* argv) {
                    name.c_str());
       return false;
     }
+    flag->given = true;
   }
   return true;
 }

@@ -196,9 +196,11 @@ void OpenFlowSwitch::execute_actions(
   // get copies, as LegacySwitch's flood does. A packet_in only reads it.
   std::size_t last = actions.size();
   for (std::size_t a = 0; a < actions.size(); ++a) {
-    const bool output = std::holds_alternative<ActionOutput>(actions[a]);
-    if (!output) release += cfg_.action_modify_latency;
-    if (output || std::holds_alternative<ActionEnqueue>(actions[a])) last = a;
+    if (std::holds_alternative<ActionSetVlanVid>(actions[a]) ||
+        std::holds_alternative<ActionStripVlan>(actions[a]))
+      release += cfg_.action_modify_latency;
+    else
+      last = a;
   }
   auto forward = [&](Picos at, std::size_t port, bool take) {
     ++forwarded_;

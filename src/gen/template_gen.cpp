@@ -41,8 +41,8 @@ TemplateSource::TemplateSource(TemplateConfig cfg,
 
 std::optional<TimedPacket> TemplateSource::next() {
   if (cfg_.count != 0 && produced_ >= cfg_.count) return std::nullopt;
-  const std::uint32_t flow =
-      static_cast<std::uint32_t>(produced_ % cfg_.flow_count);
+  const net::FiveTuple flow =
+      cfg_.flow(static_cast<std::uint32_t>(produced_ % cfg_.flow_count));
 
   const std::size_t frame_len = std::clamp(
       size_->sample(rng_), net::kEthMinFrame, std::size_t{net::kEthMaxFrame});
@@ -53,18 +53,17 @@ std::optional<TimedPacket> TemplateSource::next() {
   std::uint8_t* const udp = ip + kIpLen;
   const auto ip_len = static_cast<std::uint16_t>(buf.size() - ip_off_);
   const auto udp_len = static_cast<std::uint16_t>(ip_len - kIpLen);
-  const std::uint32_t dst = cfg_.dst_ip.v + (cfg_.vary_dst_ip ? flow : 0);
 
   store_be16(ip + 2, ip_len);
-  store_be32(ip + 16, dst);
+  store_be32(ip + 16, flow.dst_ip.v);
   store_be16(ip + 10, net::internet_checksum(ByteSpan{ip, kIpLen}));
 
-  store_be16(udp, static_cast<std::uint16_t>(cfg_.src_port + flow));
+  store_be16(udp, flow.src_port);
   store_be16(udp + 4, udp_len);
   // The payload is zero, so it adds nothing to the ones'-complement sum.
   net::InternetChecksum sum;
   sum.add_u32(cfg_.src_ip.v);
-  sum.add_u32(dst);
+  sum.add_u32(flow.dst_ip.v);
   sum.add_u16(net::ipproto::kUdp);
   sum.add_u16(udp_len);
   sum.add(ByteSpan{udp, net::UdpHeader::kSize});

@@ -10,23 +10,18 @@ using namespace osnt::openflow;
 
 namespace {
 constexpr double kProbePps = 50'000.0;
-constexpr std::uint32_t kSrcIp = (10u << 24) | 1;
-constexpr std::uint32_t kDstIp = (10u << 24) | (1 << 8) | 1;
 }  // namespace
 
 void ActionLatencyModule::install_rule(OflopsContext& ctx, bool with_modify) {
   FlowMod fm;
-  fm.match = OfMatch::exact_5tuple(kSrcIp, kDstIp, net::ipproto::kUdp, 1024,
-                                   5001);
+  fm.match = OfMatch::exact_5tuple(gen::TemplateConfig{}.flow(0));
   fm.priority = 0x9000;
   if (with_modify) {
     fm.actions = {ActionSetVlanVid{100}, ActionOutput{2}};
   } else {
     fm.actions = {ActionOutput{2}};
   }
-  ctx.send(fm);
-  barrier_xid_ = ctx.send(BarrierRequest{});
-  awaiting_barrier_ = true;
+  ctx.install({fm}, kTimerInstalled);
 }
 
 void ActionLatencyModule::start(OflopsContext& ctx) {
@@ -42,31 +37,16 @@ void ActionLatencyModule::start(OflopsContext& ctx) {
   tx.start();
 }
 
-void ActionLatencyModule::on_of_message(OflopsContext& ctx,
-                                        const openflow::Decoded& msg) {
-  if (!std::holds_alternative<BarrierReply>(msg.msg) ||
-      msg.xid != barrier_xid_)
-    return;
-  awaiting_barrier_ = false;
-  // Give the hardware commit time to land, then start sampling.
-  ctx.timer_in(cfg_.settle, kTimerSettled);
-}
-
-void ActionLatencyModule::on_timer(OflopsContext& /*ctx*/,
+void ActionLatencyModule::on_timer(OflopsContext& ctx,
                                    std::uint64_t timer_id) {
+  if (timer_id == kTimerInstalled) {
+    // Give the hardware commit time to land, then start sampling.
+    ctx.timer_in(cfg_.settle, kTimerSettled);
+    return;
+  }
   if (timer_id != kTimerSettled) return;
   if (mode_ == Mode::kInstallPlain) mode_ = Mode::kPlain;
   if (mode_ == Mode::kInstallModify) mode_ = Mode::kModify;
-}
-
-void ActionLatencyModule::on_channel_status(OflopsContext& ctx, bool up) {
-  // The install in flight died with the old session: send it again. The
-  // flow_mod is an ADD of the same match and priority, so a copy that did
-  // land is replaced in place.
-  if (up && awaiting_barrier_) {
-    ++degraded_rounds_;
-    install_rule(ctx, mode_ == Mode::kInstallModify);
-  }
 }
 
 void ActionLatencyModule::on_capture(OflopsContext& ctx,
@@ -103,8 +83,6 @@ void ActionLatencyModule::on_capture(OflopsContext& ctx,
 Report ActionLatencyModule::report() const {
   Report r;
   r.module = name();
-  if (degraded_rounds_ > 0)  // a run that lost no install reports none
-    r.add("degraded_rounds", static_cast<double>(degraded_rounds_));
   r.add_distribution("forward_only_ns", plain_ns_);
   r.add_distribution("vlan_rewrite_ns", modify_ns_);
   if (plain_ns_.count() && modify_ns_.count()) {

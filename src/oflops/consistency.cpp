@@ -11,10 +11,13 @@ namespace osnt::oflops {
 using namespace osnt::openflow;
 
 namespace {
-constexpr std::uint32_t kSrcIp = (10u << 24) | 1;              // 10.0.0.1
-constexpr std::uint32_t kDstBase = (10u << 24) | (1 << 8) | 1; // 10.0.1.1
-constexpr std::uint16_t kSportBase = 1024;
-constexpr std::uint16_t kDport = 5001;
+/// The probe traffic: flow i sends from port 1024 + i to 10.0.1.1 + i.
+gen::TemplateConfig probe_flows(std::size_t rule_count) {
+  gen::TemplateConfig tc;
+  tc.flow_count = static_cast<std::uint32_t>(rule_count);
+  tc.vary_dst_ip = true;
+  return tc;
+}
 }  // namespace
 
 ConsistencyModule::ConsistencyModule(Config cfg) : cfg_(cfg) {
@@ -26,61 +29,48 @@ ConsistencyModule::ConsistencyModule(Config cfg) : cfg_(cfg) {
   first_on_new_ns_.assign(cfg_.rule_count, -1.0);
 }
 
-FlowMod ConsistencyModule::rule_for(std::size_t flow,
-                                    std::uint16_t out_port) const {
-  FlowMod fm;
-  fm.match = OfMatch::exact_5tuple(
-      kSrcIp, kDstBase + static_cast<std::uint32_t>(flow),
-      net::ipproto::kUdp,
-      static_cast<std::uint16_t>(kSportBase + flow), kDport);
-  fm.priority = 0x9000;
-  fm.actions = {ActionOutput{out_port}};
-  return fm;
+std::vector<FlowMod> ConsistencyModule::generation(
+    std::uint16_t out_port) const {
+  const gen::TemplateConfig probe = probe_flows(cfg_.rule_count);
+  std::vector<FlowMod> rules(cfg_.rule_count);
+  for (std::uint32_t i = 0; i < rules.size(); ++i) {
+    rules[i].match = OfMatch::exact_5tuple(probe.flow(i));
+    rules[i].priority = 0x9000;
+    rules[i].actions = {ActionOutput{out_port}};
+  }
+  return rules;
 }
 
 int ConsistencyModule::flow_of_record(const mon::CaptureRecord& rec) const {
   const auto tuple =
       net::extract_flow(ByteSpan{rec.data.data(), rec.data.size()});
   if (!tuple) return -1;
-  const std::uint32_t off = tuple->dst_ip.v - kDstBase;
+  const std::uint32_t off =
+      tuple->dst_ip.v - probe_flows(cfg_.rule_count).flow(0).dst_ip.v;
   if (off >= cfg_.rule_count) return -1;
   return static_cast<int>(off);
 }
 
-void ConsistencyModule::send_generation(OflopsContext& ctx,
-                                        std::uint16_t out_port) {
-  for (std::size_t i = 0; i < cfg_.rule_count; ++i)
-    ctx.send(rule_for(i, out_port));
-}
-
 void ConsistencyModule::start(OflopsContext& ctx) {
   // Install the initial generation: all flows → switch port 2 (OSNT 1).
-  send_generation(ctx, 2);
-  install_barrier_ = ctx.send(BarrierRequest{});
+  ctx.install(generation(2), kTimerAcked);
 
   // Aggregate probe traffic across all flows.
   gen::TxConfig txc;
   txc.rate = gen::RateSpec::gbps(cfg_.traffic_gbps);
   auto& tx = ctx.osnt().configure_tx(0, txc);
-  gen::TemplateConfig tc;
-  tc.flow_count = static_cast<std::uint32_t>(cfg_.rule_count);
-  tc.vary_dst_ip = true;
   tx.set_source(std::make_unique<gen::TemplateSource>(
-      tc, std::make_unique<gen::FixedSize>(256)));
+      probe_flows(cfg_.rule_count), std::make_unique<gen::FixedSize>(256)));
 }
 
-void ConsistencyModule::on_of_message(OflopsContext& ctx,
-                                      const openflow::Decoded& msg) {
-  if (!std::holds_alternative<BarrierReply>(msg.msg)) return;
-  if (phase_ == Phase::kInstall && msg.xid == install_barrier_) {
+void ConsistencyModule::on_timer(OflopsContext& ctx, std::uint64_t timer_id) {
+  if (timer_id == kTimerAcked) {
     // Every install flow_mod reached the agent; start the traffic once
     // they are in hardware too, so the burst does not queue behind them.
     phase_ = Phase::kWarmup;
     ctx.await_table(cfg_.rule_count, kTimerInstalled);
+    return;
   }
-}
-
-void ConsistencyModule::on_timer(OflopsContext& ctx, std::uint64_t timer_id) {
   if (timer_id == kTimerInstalled && phase_ == Phase::kWarmup) {
     ctx.osnt().tx(0).start();
     ctx.timer_in(cfg_.warmup, kTimerBurst);
@@ -90,8 +80,7 @@ void ConsistencyModule::on_timer(OflopsContext& ctx, std::uint64_t timer_id) {
     // The update burst: redirect every flow → switch port 3 (OSNT 2).
     phase_ = Phase::kUpdating;
     t_burst_ = ctx.now();
-    send_generation(ctx, 3);
-    ctx.send(BarrierRequest{});
+    ctx.install(generation(3), kTimerBurstAcked);
     return;
   }
   if (timer_id == kTimerFinish) {
@@ -99,34 +88,6 @@ void ConsistencyModule::on_timer(OflopsContext& ctx, std::uint64_t timer_id) {
     phase_ = Phase::kDone;
     done_ = true;
   }
-}
-
-void ConsistencyModule::on_channel_status(OflopsContext& ctx, bool up) {
-  if (done_) return;
-  if (!up) {
-    ++disconnects_;
-    return;
-  }
-  // Session restored. Any flow_mods or barriers in flight on the old
-  // session were lost, so re-drive the generation the current phase
-  // depends on. Re-sending is safe: each flow_mod replaces the entry
-  // with the same match, so rules that did land are simply rewritten.
-  if (phase_ == Phase::kInstall) {
-    send_generation(ctx, 2);
-    install_barrier_ = ctx.send(BarrierRequest{});
-    rules_resent_ += cfg_.rule_count;
-    return;
-  }
-  if (phase_ == Phase::kUpdating) {
-    // Some update flow_mods may have died with the session; without this
-    // re-drive, flows never switch and the module hangs to timeout. The
-    // measured update window then genuinely includes the outage.
-    send_generation(ctx, 3);
-    ctx.send(BarrierRequest{});
-    rules_resent_ += cfg_.rule_count;
-  }
-  // kWarmup (table wait or timer pending) and kDrain have nothing in
-  // flight.
 }
 
 void ConsistencyModule::on_capture(OflopsContext& ctx,
@@ -167,8 +128,6 @@ Report ConsistencyModule::report() const {
   r.add("flows_switched", static_cast<double>(flows_switched_));
   r.add("stale_packets_after_burst", static_cast<double>(stale_packets_));
   r.add("packets_on_new_path", static_cast<double>(new_packets_));
-  r.add("channel_disconnects", static_cast<double>(disconnects_));
-  r.add("rules_resent", static_cast<double>(rules_resent_));
   if (install_time_ms_.count() >= 2) {
     r.add("update_window_ms",
           install_time_ms_.max() - install_time_ms_.min(), "ms");

@@ -1,5 +1,6 @@
 #include "osnt/oflops/context.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace osnt::oflops {
@@ -46,6 +47,17 @@ void OflopsContext::await_table(std::size_t rules, std::uint64_t timer_id) {
              });
 }
 
+void OflopsContext::install(std::vector<openflow::FlowMod> rules,
+                            std::uint64_t timer_id) {
+  installs_.push_back({std::move(rules), 0, timer_id});
+  send_install(installs_.back());
+}
+
+void OflopsContext::send_install(Install& in) {
+  for (const openflow::FlowMod& fm : in.rules) ctrl_->send(fm);
+  in.barrier_xid = ctrl_->send(openflow::BarrierRequest{});
+}
+
 void OflopsContext::timer_in(Picos dt, std::uint64_t timer_id) {
   eng_->schedule_in(dt, [this, timer_id] {
     if (active_) active_->on_timer(*this, timer_id);
@@ -55,8 +67,12 @@ void OflopsContext::timer_in(Picos dt, std::uint64_t timer_id) {
 Report OflopsContext::run(MeasurementModule& module, Picos timeout) {
   active_ = &module;
   refused_.clear();
+  installs_.clear();
+  disconnects_ = 0;
+  degraded_rounds_ = 0;
   // Route control-plane and data-plane events to the module; a refused
-  // flow_mod ends the run instead.
+  // flow_mod ends the run instead, and the answer to an install's barrier
+  // fires that install's timer.
   ctrl_->set_handler([this](const openflow::Decoded& d) {
     if (!active_) return;
     const auto* err = std::get_if<openflow::ErrorMsg>(&d.msg);
@@ -64,10 +80,33 @@ Report OflopsContext::run(MeasurementModule& module, Picos timeout) {
       refused_ = refusal(err->code);
       return;
     }
+    if (std::holds_alternative<openflow::BarrierReply>(d.msg)) {
+      const auto it = std::find_if(
+          installs_.begin(), installs_.end(),
+          [&d](const Install& in) { return in.barrier_xid == d.xid; });
+      if (it != installs_.end()) {
+        const std::uint64_t timer_id = it->timer_id;
+        installs_.erase(it);
+        active_->on_timer(*this, timer_id);
+        return;
+      }
+    }
     active_->on_of_message(*this, d);
   });
   ctrl_->set_status_handler([this](bool up) {
-    if (active_) active_->on_channel_status(*this, up);
+    if (!active_) return;
+    if (!up) {
+      ++disconnects_;
+      return;
+    }
+    // Whatever an unanswered install had in flight died with the old
+    // session, so send it again. Each flow_mod is an ADD that replaces
+    // the entry with its match, so a copy that did land is rewritten in
+    // place.
+    for (Install& in : installs_) {
+      ++degraded_rounds_;
+      send_install(in);
+    }
   });
   osnt_->capture().set_on_record([this](const mon::CaptureRecord& rec) {
     if (active_) active_->on_capture(*this, rec);
@@ -85,6 +124,10 @@ Report OflopsContext::run(MeasurementModule& module, Picos timeout) {
   ctrl_->set_status_handler(nullptr);
   osnt_->capture().set_on_record(nullptr);
   Report rep = module.report();
+  if (disconnects_ > 0)
+    rep.add("channel_disconnects", static_cast<double>(disconnects_));
+  if (degraded_rounds_ > 0)
+    rep.add("degraded_rounds", static_cast<double>(degraded_rounds_));
   rep.stopped = refused_;
   if (rep.stopped.empty() && !module.finished()) {
     char why[48];

@@ -26,22 +26,18 @@ void InteractionModule::send_round(OflopsContext& ctx) {
       net::ipproto::kUdp, 3000, 3000);
   fm.priority = 0x3000;
   fm.actions = {ActionOutput{2}};
-  ctx.send(fm);
-  if (!awaiting_barrier_) t_send_ = ctx.now();  // a re-sent round keeps it
-  barrier_xid_ = ctx.send(BarrierRequest{});
-  awaiting_barrier_ = true;
+  t_send_ = ctx.now();
+  ctx.install({fm}, kTimerInstalled);
 }
 
-void InteractionModule::on_of_message(OflopsContext& ctx,
+void InteractionModule::on_of_message(OflopsContext& /*ctx*/,
                                       const openflow::Decoded& msg) {
-  if (std::holds_alternative<PacketIn>(msg.msg)) {
-    ++packet_ins_seen_;
-    return;
-  }
-  if (!std::holds_alternative<BarrierReply>(msg.msg) ||
-      msg.xid != barrier_xid_)
-    return;
-  awaiting_barrier_ = false;
+  if (std::holds_alternative<PacketIn>(msg.msg)) ++packet_ins_seen_;
+}
+
+void InteractionModule::on_timer(OflopsContext& ctx, std::uint64_t timer_id) {
+  if (timer_id == kTimerRound && !done_) send_round(ctx);
+  if (timer_id != kTimerInstalled) return;
 
   const double rtt_us = to_micros(ctx.now() - t_send_);
   (phase_ == Phase::kIdle ? idle_rtt_us_ : storm_rtt_us_).add(rtt_us);
@@ -61,24 +57,10 @@ void InteractionModule::on_of_message(OflopsContext& ctx,
   ctx.timer_in(kRoundInterval, kTimerRound);
 }
 
-void InteractionModule::on_timer(OflopsContext& ctx, std::uint64_t timer_id) {
-  if (timer_id == kTimerRound && !done_) send_round(ctx);
-}
-
-void InteractionModule::on_channel_status(OflopsContext& ctx, bool up) {
-  // The round in flight died with the old session: send it again.
-  if (up && awaiting_barrier_) {
-    ++degraded_rounds_;
-    send_round(ctx);
-  }
-}
-
 Report InteractionModule::report() const {
   Report r;
   r.module = name();
   r.add("packet_ins_during_run", static_cast<double>(packet_ins_seen_));
-  if (degraded_rounds_ > 0)  // a run that lost no round reports none
-    r.add("degraded_rounds", static_cast<double>(degraded_rounds_));
   r.add_distribution("barrier_rtt_idle_us", idle_rtt_us_);
   r.add_distribution("barrier_rtt_under_storm_us", storm_rtt_us_);
   if (idle_rtt_us_.count() && storm_rtt_us_.count()) {

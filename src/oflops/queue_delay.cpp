@@ -15,27 +15,19 @@ void QueueDelayModule::start(OflopsContext& ctx) {
 void QueueDelayModule::start_queue_run(OflopsContext& ctx) {
   // Route the probe flow through the queue under test on switch port 2.
   FlowMod fm;
-  fm.match = OfMatch::exact_5tuple((10u << 24) | 1, (10u << 24) | (1 << 8) | 1,
-                                   net::ipproto::kUdp, 1024, 5001);
+  fm.match = OfMatch::exact_5tuple(gen::TemplateConfig{}.flow(0));
   fm.priority = 0x9000;
   fm.actions = {ActionEnqueue{2, cfg_.queue_ids[current_]}};
-  ctx.send(fm);
-  barrier_xid_ = ctx.send(BarrierRequest{});
-  awaiting_barrier_ = true;
-}
-
-void QueueDelayModule::on_of_message(OflopsContext& ctx,
-                                     const openflow::Decoded& msg) {
-  if (!std::holds_alternative<BarrierReply>(msg.msg) ||
-      msg.xid != barrier_xid_)
-    return;
-  awaiting_barrier_ = false;
-  // Rule is in (plus commit; give it room), then offer the burst.
-  ctx.timer_in(100 * kPicosPerMilli, current_);
+  ctx.install({fm}, kTimerInstalled);
 }
 
 void QueueDelayModule::on_timer(OflopsContext& ctx, std::uint64_t timer_id) {
-  if (timer_id != current_) return;
+  if (timer_id == kTimerInstalled) {
+    // Rule is in (plus commit; give it room), then offer the burst.
+    ctx.timer_in(100 * kPicosPerMilli, kTimerSettled);
+    return;
+  }
+  if (timer_id != kTimerSettled) return;
   gen::TxConfig txc;
   txc.rate = gen::RateSpec::gbps(cfg_.offered_gbps);
   auto& tx = ctx.osnt().configure_tx(0, txc);
@@ -44,16 +36,6 @@ void QueueDelayModule::on_timer(OflopsContext& ctx, std::uint64_t timer_id) {
   tx.set_source(std::make_unique<gen::TemplateSource>(
       tc, std::make_unique<gen::FixedSize>(cfg_.frame_size)));
   tx.start();
-}
-
-void QueueDelayModule::on_channel_status(OflopsContext& ctx, bool up) {
-  // The install in flight died with the old session: send it again. The
-  // flow_mod is an ADD of the same match and priority, so a copy that did
-  // land is replaced in place.
-  if (up && awaiting_barrier_) {
-    ++degraded_rounds_;
-    start_queue_run(ctx);
-  }
 }
 
 void QueueDelayModule::on_capture(OflopsContext& ctx,
@@ -80,8 +62,6 @@ void QueueDelayModule::on_capture(OflopsContext& ctx,
 Report QueueDelayModule::report() const {
   Report r;
   r.module = name();
-  if (degraded_rounds_ > 0)  // a run that lost no install reports none
-    r.add("degraded_rounds", static_cast<double>(degraded_rounds_));
   for (std::size_t i = 0; i < results_.size(); ++i) {
     const PerQueue& pq = results_[i];
     std::string tag = "q";

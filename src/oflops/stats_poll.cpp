@@ -12,23 +12,18 @@ constexpr double kProbePps = 500.0;
 constexpr Picos kPollInterval = 10 * kPicosPerMilli;
 }  // namespace
 
-void StatsPollModule::send_fill(OflopsContext& ctx) {
+void StatsPollModule::start(OflopsContext& ctx) {
   // Fillers the stats scan will have to serialize over. They deliberately
   // do not match the probe flow, which must keep missing the table.
-  for (std::size_t i = 0; i < cfg_.table_size; ++i) {
-    FlowMod fm;
-    fm.match = OfMatch::exact_5tuple(
+  std::vector<FlowMod> fill(cfg_.table_size);
+  for (std::size_t i = 0; i < fill.size(); ++i) {
+    fill[i].match = OfMatch::exact_5tuple(
         (172u << 24) | 1, (172u << 24) | static_cast<std::uint32_t>(i + 2),
         net::ipproto::kUdp, 2000, 2000);
-    fm.priority = 0x4000;
-    fm.actions = {ActionOutput{2}};
-    ctx.send(fm);
+    fill[i].priority = 0x4000;
+    fill[i].actions = {ActionOutput{2}};
   }
-  fill_barrier_ = ctx.send(BarrierRequest{});
-}
-
-void StatsPollModule::start(OflopsContext& ctx) {
-  send_fill(ctx);
+  ctx.install(std::move(fill), kTimerFilled);
 
   gen::TxConfig txc;
   txc.rate = gen::RateSpec::pps(kProbePps);
@@ -62,13 +57,6 @@ void StatsPollModule::on_of_message(OflopsContext& ctx,
     }
     return;
   }
-  if (std::holds_alternative<BarrierReply>(msg.msg)) {
-    if (phase_ == Phase::kFill && msg.xid == fill_barrier_) {
-      phase_ = Phase::kWarmup;
-      ctx.await_table(cfg_.table_size, kTimerStartProbe);
-    }
-    return;
-  }
   if (const auto* rep = std::get_if<FlowStatsReply>(&msg.msg)) {
     const auto it = stats_in_flight_.find(msg.xid);
     if (it == stats_in_flight_.end()) return;
@@ -83,7 +71,11 @@ void StatsPollModule::on_of_message(OflopsContext& ctx,
 
 void StatsPollModule::on_timer(OflopsContext& ctx, std::uint64_t timer_id) {
   if (done_) return;
-  if (timer_id == kTimerStartProbe && phase_ == Phase::kWarmup) {
+  if (timer_id == kTimerFilled) {
+    ctx.await_table(cfg_.table_size, kTimerStartProbe);
+    return;
+  }
+  if (timer_id == kTimerStartProbe) {
     phase_ = Phase::kBaseline;
     ctx.osnt().tx(0).start();
     return;
@@ -95,12 +87,6 @@ void StatsPollModule::on_timer(OflopsContext& ctx, std::uint64_t timer_id) {
     stats_in_flight_[xid] = ctx.now();
     ctx.timer_in(kPollInterval, kTimerPoll);
   }
-}
-
-void StatsPollModule::on_channel_status(OflopsContext& ctx, bool up) {
-  // Fill flow_mods or their barrier may have died with the old session.
-  // Re-sending is safe: each flow_mod replaces the entry with its match.
-  if (up && phase_ == Phase::kFill) send_fill(ctx);
 }
 
 Report StatsPollModule::report() const {

@@ -205,6 +205,21 @@ TEST(TemplateSource, EveryFlowHasItsOwnSourcePort) {
   EXPECT_EQ(*ports.rbegin(), 1024u + 1999u);
 }
 
+TEST(TemplateSource, EveryFrameCarriesItsFlowsTuple) {
+  for (const bool vary_dst_ip : {false, true}) {
+    TemplateConfig tc;
+    tc.flow_count = 8;
+    tc.count = 16;
+    tc.vary_dst_ip = vary_dst_ip;
+    TemplateSource src{tc, std::make_unique<FixedSize>(128)};
+    for (std::uint32_t i = 0; auto tp = src.next(); ++i) {
+      const auto tuple = net::extract_flow(tp->pkt.bytes());
+      ASSERT_TRUE(tuple);
+      EXPECT_EQ(*tuple, tc.flow(i % 8)) << "frame " << i;
+    }
+  }
+}
+
 /// The per-frame PacketBuilder chain TemplateSource replaced, kept as the
 /// reference its header template must match byte for byte.
 net::Packet reference_frame(const TemplateConfig& tc, std::uint32_t flow,

@@ -79,11 +79,30 @@ struct QosBench {
 };
 
 TEST(QosSwitch, Queue0BehavesLikePlainOutput) {
-  QosBench b;
+  OpenFlowSwitchConfig cfg;
+  cfg.latency_jitter_ns = 0;
+  QosBench b{cfg};
   b.install(0);
-  for (int i = 0; i < 10; ++i) (void)b.hosts[0]->tx().transmit(probe(0x0A000102));
+  FlowMod fm;  // the same port by a plain output
+  fm.match = OfMatch::exact_5tuple(0x0A000001, 0x0A000103, net::ipproto::kUdp,
+                                   1024, 5001);
+  fm.actions = {ActionOutput{3}};
+  b.chan.controller().send(fm);
   b.eng.run();
-  EXPECT_EQ(b.rx_times.size(), 10u);
+  // The same 10 frames under each rule, sent from an idle switch; an
+  // enqueue rewrites no header, so it must not pay a rewrite's latency.
+  const auto arrivals = [&b](std::uint32_t dst) {
+    b.rx_times.clear();
+    const Picos t0 = b.eng.now();
+    for (int i = 0; i < 10; ++i) (void)b.hosts[0]->tx().transmit(probe(dst));
+    b.eng.run();
+    std::vector<Picos> rel;
+    for (const Picos t : b.rx_times) rel.push_back(t - t0);
+    return rel;
+  };
+  const std::vector<Picos> queue0 = arrivals(0x0A000102);
+  EXPECT_EQ(queue0.size(), 10u);
+  EXPECT_EQ(queue0, arrivals(0x0A000103));
   EXPECT_EQ(b.sw.frames_shaped(), 0u);
 }
 

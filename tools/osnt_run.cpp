@@ -22,7 +22,7 @@
 //                       back to back, run like `topo`)
 //   osnt_run topo       FILE.json [--seed N] [--duration-ms N]
 //                       [--trials N] [--jobs N] [--faults PLAN.json]
-//                       [--series-out PATH] [--series-interval-us N]
+//                       [--series-out PATH] [--series-interval-ms N]
 //                       [--validate-only]
 //   osnt_run oflops     [--module echo|packet_in|packet_out|flowmod|action|
 //                                 consistency|stats_poll|queue_delay|
@@ -37,7 +37,7 @@
 // in *sim* time (open in Perfetto / chrome://tracing); --metrics-out
 // snapshots the process-wide telemetry registry as JSON at end of run.
 // latency, tcp, and topo additionally take --series-out PATH
-// [--series-interval-us N | --series-interval-ms N] (default 1 ms): a
+// [--series-interval-ms N] (default 1, fractions allowed): a
 // sim-time sampler stores per-interval counter deltas and RTT-histogram
 // slices and writes one "osnt.series.v1" JSON, byte-identical at any
 // --jobs value (per-trial series merge commutatively).
@@ -95,8 +95,7 @@ struct ObservabilityFlags {
   std::string trace_path;
   std::string metrics_path;
   std::string series_path;
-  double series_interval_us = 0.0;
-  double series_interval_ms = 0.0;
+  double series_interval_ms = 1.0;
   telemetry::TraceRecorder rec;
 
   void add_to(CliParser& cli) {
@@ -110,36 +109,32 @@ struct ObservabilityFlags {
   void add_series_to(CliParser& cli) {
     cli.add_flag("series-out", &series_path,
                  "write a sim-time telemetry series JSON here");
-    cli.add_flag("series-interval-us", &series_interval_us,
-                 "series sampling interval, microseconds");
     cli.add_flag("series-interval-ms", &series_interval_ms,
-                 "series sampling interval, milliseconds (default 1)");
+                 "series sampling interval, milliseconds");
   }
 
   [[nodiscard]] bool trace_enabled() const { return !trace_path.empty(); }
   [[nodiscard]] bool series_enabled() const { return !series_path.empty(); }
 
-  /// Resolved sampling interval; 0 when --series-out was not given.
+  /// Sampling interval; 0 when --series-out was not given.
   [[nodiscard]] Picos series_interval() const {
-    if (series_path.empty()) return 0;
-    if (series_interval_us > 0.0) return from_micros(series_interval_us);
-    if (series_interval_ms > 0.0) {
-      return from_micros(series_interval_ms * 1000.0);
-    }
-    return kPicosPerMilli;
+    return series_path.empty() ? 0 : from_micros(series_interval_ms * 1000.0);
   }
 
-  /// Post-parse validation of the series flags (at most one unit, and an
-  /// interval without a destination is a mistake worth flagging).
-  [[nodiscard]] bool validate_series() const {
-    if (series_interval_us > 0.0 && series_interval_ms > 0.0) {
+  /// Post-parse validation of the series flags: the interval must be
+  /// from 1 ns to 1e9 ms, which a Picos holds, and an interval without a
+  /// destination is a mistake worth flagging.
+  [[nodiscard]] bool validate_series(const CliParser& cli) const {
+    constexpr double kMinMs = 1e-6;
+    constexpr double kMaxMs = 1e9;
+    if (!(series_interval_ms >= kMinMs && series_interval_ms <= kMaxMs)) {
       std::fprintf(stderr,
-                   "--series-interval given in more than one unit\n");
+                   "--series-interval-ms must be in [%g, %g], got %g\n",
+                   kMinMs, kMaxMs, series_interval_ms);
       return false;
     }
-    if ((series_interval_us > 0.0 || series_interval_ms > 0.0) &&
-        series_path.empty()) {
-      std::fprintf(stderr, "--series-interval-* requires --series-out\n");
+    if (cli.given("series-interval-ms") && series_path.empty()) {
+      std::fprintf(stderr, "--series-interval-ms requires --series-out\n");
       return false;
     }
     return true;
@@ -359,7 +354,7 @@ int cmd_latency(int argc, const char* const* argv) {
   obs.add_to(cli);
   obs.add_series_to(cli);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
-  if (!obs.validate_series()) return 1;
+  if (!obs.validate_series(cli)) return 1;
   graph::TopologyFile topo;
   if (!load_dut(dut, topo)) return 1;
   graph::WorkloadSpec& w = topo.workload;
@@ -658,7 +653,7 @@ int cmd_tcp(int argc, const char* const* argv) {
   obs.add_to(cli);
   obs.add_series_to(cli);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
-  if (!obs.validate_series()) return 1;
+  if (!obs.validate_series(cli)) return 1;
   if (flows <= 0 || mss <= 0) {
     std::fprintf(stderr, "--flows/--mss must be positive\n");
     return 1;
@@ -719,7 +714,7 @@ int cmd_topo(int argc, const char* const* argv) {
   obs.add_to(cli);
   obs.add_series_to(cli);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
-  if (!obs.validate_series()) return 1;
+  if (!obs.validate_series(cli)) return 1;
   if (cli.positional().size() != 1) {
     std::fprintf(stderr, "usage: osnt_run topo FILE.json [flags]\n");
     return 1;
