@@ -130,7 +130,7 @@ void BM_FlowTableLookup(benchmark::State& state) {
   pkt.nw_dst = static_cast<std::uint32_t>(n + 1);
   pkt.tp_src = 3;
   pkt.tp_dst = 4;
-  for (auto _ : state) benchmark::DoNotOptimize(table.lookup(pkt, 0, 64));
+  for (auto _ : state) benchmark::DoNotOptimize(table.lookup(pkt, 64));
 }
 BENCHMARK(BM_FlowTableLookup)->Arg(16)->Arg(256)->Arg(4096);
 

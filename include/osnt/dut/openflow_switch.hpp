@@ -105,8 +105,6 @@ class OpenFlowSwitch {
   void execute_actions(const std::vector<openflow::Action>& actions,
                        std::size_t in_port, net::Packet&& pkt, Picos release);
   void send_packet_in(std::size_t in_port, const net::Packet& pkt);
-  /// Arm the periodic timeout sweep iff some entry can expire.
-  void schedule_expiry_scan();
   /// Serial agent CPU: returns the completion time of a job started now.
   Picos agent_run(Picos cost);
 
@@ -119,7 +117,6 @@ class OpenFlowSwitch {
 
   Picos agent_busy_ = 0;
   Picos commit_busy_ = 0;
-  bool expiry_scan_pending_ = false;
   /// shaper_free_[port][queue]: when that queue's shaper next admits.
   std::vector<std::vector<Picos>> shaper_free_;
   std::uint64_t enqueue_shaped_ = 0;

@@ -37,7 +37,6 @@ class OflopsContext {
   [[nodiscard]] core::OsntDevice& osnt() noexcept { return *osnt_; }
 
   // --- SNMP ---
-  void snmp_get(const std::string& oid);
   /// Call the module's on_timer(timer_id) once the switch reports, over
   /// SNMP, at least `rules` entries in its hardware table. A barrier
   /// cannot tell this: on a production-like switch it covers the agent,
@@ -79,8 +78,8 @@ class OflopsContext {
 };
 
 /// The demo topology in one object: a 4-port OSNT tester cabled 1:1 to a
-/// 4-port OpenFlow switch, a control channel, and an SNMP agent exposing
-/// the switch counters.
+/// 4-port OpenFlow switch, a control channel, and an SNMP agent publishing
+/// the switch's table size.
 struct Testbed {
   sim::Engine eng;
   core::OsntDevice osnt;

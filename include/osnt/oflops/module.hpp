@@ -1,7 +1,8 @@
 // OFLOPS-turbo measurement module interface. A module drives one
-// experiment against the switch under test, receiving events from three
-// channels — data plane (OSNT captures), control plane (OpenFlow
-// messages) and SNMP — and produces a Report.
+// experiment against the switch under test, receiving events from the
+// data plane (OSNT captures), the control plane (OpenFlow messages) and
+// its timers, and produces a Report. An SNMP wait
+// (OflopsContext::await_table) ends in a timer.
 #pragma once
 
 #include <cstdint>
@@ -62,9 +63,6 @@ class MeasurementModule {
   /// Data-plane event (a capture record landed at the host).
   virtual void on_capture(OflopsContext& /*ctx*/,
                           const mon::CaptureRecord& /*rec*/) {}
-  /// SNMP poll answered.
-  virtual void on_snmp(OflopsContext& /*ctx*/, const std::string& /*oid*/,
-                       std::uint64_t /*value*/) {}
   /// A timer armed via ctx.timer_in() fired, a ctx.await_table() wait
   /// ended, or a ctx.install() was acknowledged.
   virtual void on_timer(OflopsContext& /*ctx*/, std::uint64_t /*timer_id*/) {}

@@ -1,7 +1,6 @@
-// OpenFlow 1.0 flow table with ADD/MODIFY/DELETE (strict and non-strict)
-// semantics, priority lookup, per-flow counters, and idle/hard timeout
-// expiry. Lookup is linear in priority order — the software analogue of a
-// TCAM walk.
+// OpenFlow 1.0 flow table: ADD semantics, priority lookup, per-flow
+// counters. Lookup is linear in priority order — the software analogue of
+// a TCAM walk.
 #pragma once
 
 #include <cstdint>
@@ -18,10 +17,7 @@ struct FlowEntry {
   std::uint16_t priority = 0x8000;
   std::uint64_t cookie = 0;
   std::vector<Action> actions;
-  std::uint16_t idle_timeout = 0;  ///< seconds; 0 = none
-  std::uint16_t hard_timeout = 0;
   Picos installed_at = 0;
-  Picos last_used = 0;
   std::uint64_t packet_count = 0;
   std::uint64_t byte_count = 0;
 };
@@ -38,24 +34,19 @@ class FlowTable {
 
   enum class ModResult : std::uint8_t {
     kAdded,
-    kModified,
-    kRemoved,
     kTableFull,
-    kOverlap,   ///< CHECK_OVERLAP set and an overlapping entry exists
-    kNoOp,      ///< delete/modify matched nothing (per spec: not an error)
+    kUnsupported,  ///< not an ADD, or an ADD with flags or timeouts
   };
 
-  /// Apply a flow_mod at simulated time `now`.
+  /// Apply a flow_mod at simulated time `now`. The table carries out an
+  /// ADD with no flags and no timeouts: it replaces the entry with the
+  /// same match and priority (counters reset), or inserts a new one.
   ModResult apply(const FlowMod& mod, Picos now);
 
   /// Highest-priority entry matching a packet's concrete match; updates
   /// counters when `wire_bytes` > 0. Ties broken by install order.
-  [[nodiscard]] const FlowEntry* lookup(const OfMatch& concrete, Picos now,
+  [[nodiscard]] const FlowEntry* lookup(const OfMatch& concrete,
                                         std::size_t wire_bytes = 0);
-
-  /// Remove the entries whose idle or hard timeout has passed; returns
-  /// how many went.
-  std::size_t expire(Picos now);
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }

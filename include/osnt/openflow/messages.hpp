@@ -151,7 +151,7 @@ inline constexpr std::uint16_t kFlowModFailed = 3;
 }  // namespace ofpet
 namespace ofpfmfc {
 inline constexpr std::uint16_t kAllTablesFull = 0;
-inline constexpr std::uint16_t kOverlap = 1;
+inline constexpr std::uint16_t kBadCommand = 4;
 }  // namespace ofpfmfc
 
 // Flow statistics (OFPST_FLOW).

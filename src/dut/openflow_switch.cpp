@@ -10,8 +10,6 @@ namespace {
 
 using namespace osnt::openflow;
 
-/// How often the agent sweeps the table for idle/hard timeouts.
-constexpr Picos kExpiryScanInterval = 500 * kPicosPerMilli;
 /// Frame bytes a packet_in carries.
 constexpr std::size_t kPacketInTrunc = 128;
 
@@ -96,18 +94,14 @@ void OpenFlowSwitch::on_control(openflow::Decoded& d) {
             eng_->schedule_at(commit_busy_, [this, mod = std::move(mod), xid] {
               const auto result = table_.apply(mod, eng_->now());
               ++commits_done_;
-              if (result == FlowTable::ModResult::kTableFull ||
-                  result == FlowTable::ModResult::kOverlap) {
-                ErrorMsg err;
-                err.type = ofpet::kFlowModFailed;
-                err.code = result == FlowTable::ModResult::kTableFull
-                               ? ofpfmfc::kAllTablesFull
-                               : ofpfmfc::kOverlap;
-                err.data = encode(mod, xid);  // spec: offending message
-                ctrl_->send(std::move(err), xid);
-                return;
-              }
-              schedule_expiry_scan();
+              if (result == FlowTable::ModResult::kAdded) return;
+              ErrorMsg err;
+              err.type = ofpet::kFlowModFailed;
+              err.code = result == FlowTable::ModResult::kTableFull
+                             ? ofpfmfc::kAllTablesFull
+                             : ofpfmfc::kBadCommand;
+              err.data = encode(mod, xid);  // spec: offending message
+              ctrl_->send(std::move(err), xid);
             });
           });
         } else if constexpr (std::is_same_v<T, BarrierRequest>) {
@@ -144,8 +138,6 @@ void OpenFlowSwitch::on_control(openflow::Decoded& d) {
               fe.match = e->match;
               fe.priority = e->priority;
               fe.cookie = e->cookie;
-              fe.idle_timeout = e->idle_timeout;
-              fe.hard_timeout = e->hard_timeout;
               fe.packet_count = e->packet_count;
               fe.byte_count = e->byte_count;
               fe.actions = e->actions;
@@ -174,7 +166,7 @@ void OpenFlowSwitch::on_frame(std::size_t in_port, net::Packet&& pkt,
   const OfMatch concrete =
       OfMatch::from_packet(*parsed, static_cast<std::uint16_t>(in_port + 1));
 
-  const FlowEntry* entry = table_.lookup(concrete, eng_->now(), pkt.wire_len());
+  const FlowEntry* entry = table_.lookup(concrete, pkt.wire_len());
   if (!entry) {
     ++misses_;
     send_packet_in(in_port, pkt);
@@ -246,26 +238,6 @@ void OpenFlowSwitch::execute_actions(
     }
   }
   // Empty action list = drop (per OF 1.0).
-}
-
-void OpenFlowSwitch::schedule_expiry_scan() {
-  if (expiry_scan_pending_) return;
-  // Only arm the scan while some entry can actually expire, so an idle
-  // simulation still drains its event queue.
-  bool needed = false;
-  for (const auto& e : table_.entries()) {
-    if (e.idle_timeout != 0 || e.hard_timeout != 0) {
-      needed = true;
-      break;
-    }
-  }
-  if (!needed) return;
-  expiry_scan_pending_ = true;
-  eng_->schedule_in(kExpiryScanInterval, [this] {
-    expiry_scan_pending_ = false;
-    table_.expire(eng_->now());
-    schedule_expiry_scan();
-  });
 }
 
 void OpenFlowSwitch::send_packet_in(std::size_t in_port,

@@ -14,7 +14,7 @@ std::string refusal(std::uint16_t code) {
   using namespace openflow::ofpfmfc;
   return "the switch refused a flow_mod: " +
          (code == kAllTablesFull ? std::string("OFPFMFC_ALL_TABLES_FULL")
-          : code == kOverlap     ? std::string("OFPFMFC_OVERLAP")
+          : code == kBadCommand  ? std::string("OFPFMFC_BAD_COMMAND")
                                  : "OFPFMFC code " + std::to_string(code));
 }
 }  // namespace
@@ -23,12 +23,6 @@ OflopsContext::OflopsContext(sim::Engine& eng, core::OsntDevice& osnt,
                              openflow::ControlChannel::Endpoint& ctrl,
                              dut::SnmpAgent& snmp)
     : eng_(&eng), osnt_(&osnt), ctrl_(&ctrl), snmp_(&snmp) {}
-
-void OflopsContext::snmp_get(const std::string& oid) {
-  snmp_->get(oid, [this](std::string o, std::uint64_t v, Picos) {
-    if (active_) active_->on_snmp(*this, o, v);
-  });
-}
 
 void OflopsContext::await_table(std::size_t rules, std::uint64_t timer_id) {
   snmp_->get(kFlowTableSizeOid,
@@ -145,18 +139,6 @@ Testbed::Testbed(dut::OpenFlowSwitchConfig sw_cfg, core::DeviceConfig osnt_cfg,
       snmp(eng), ctx(eng, osnt, chan.controller(), snmp) {
   const std::size_t n = std::min(osnt.num_ports(), sw.num_ports());
   for (std::size_t i = 0; i < n; ++i) hw::connect(osnt.port(i), sw.port(i));
-  snmp.register_counter("ifInOctets.1", [this] {
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < sw.num_ports(); ++i)
-      total += sw.port(i).rx().bytes_received();
-    return total;
-  });
-  snmp.register_counter("ifOutOctets.1", [this] {
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < sw.num_ports(); ++i)
-      total += sw.port(i).tx().bytes_sent();
-    return total;
-  });
   snmp.register_counter(kFlowTableSizeOid, [this] { return sw.table().size(); });
 }
 

@@ -1,5 +1,5 @@
-// Flow table: OF 1.0 add/modify/delete semantics, priority ordering,
-// counters, timeouts, capacity.
+// Flow table: OF 1.0 ADD semantics, the refusal of every other flow_mod,
+// priority ordering, counters, capacity.
 #include <gtest/gtest.h>
 
 #include "osnt/openflow/flow_table.hpp"
@@ -32,10 +32,10 @@ TEST(FlowTable, AddAndLookup) {
   FlowTable t;
   EXPECT_EQ(t.apply(add_rule(5, 100, 2), 0), FlowTable::ModResult::kAdded);
   EXPECT_EQ(t.size(), 1u);
-  const auto* e = t.lookup(pkt(5), 0);
+  const auto* e = t.lookup(pkt(5));
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(std::get<ActionOutput>(e->actions[0]).port, 2);
-  EXPECT_EQ(t.lookup(pkt(6), 0), nullptr);
+  EXPECT_EQ(t.lookup(pkt(6)), nullptr);
   EXPECT_EQ(t.misses(), 1u);
 }
 
@@ -48,93 +48,19 @@ TEST(FlowTable, HigherPriorityWins) {
   FlowMod hi = add_rule(5, 1000, 9);
   t.apply(lo, 0);
   t.apply(hi, 0);
-  EXPECT_EQ(std::get<ActionOutput>(t.lookup(pkt(5), 0)->actions[0]).port, 9);
-  EXPECT_EQ(std::get<ActionOutput>(t.lookup(pkt(6), 0)->actions[0]).port, 1);
+  EXPECT_EQ(std::get<ActionOutput>(t.lookup(pkt(5))->actions[0]).port, 9);
+  EXPECT_EQ(std::get<ActionOutput>(t.lookup(pkt(6))->actions[0]).port, 1);
 }
 
 TEST(FlowTable, AddIdenticalReplacesAndResetsCounters) {
   FlowTable t;
   t.apply(add_rule(5, 100, 2), 0);
-  (void)t.lookup(pkt(5), 0, 100);
+  (void)t.lookup(pkt(5), 100);
   EXPECT_EQ(t.entries()[0].packet_count, 1u);
   EXPECT_EQ(t.apply(add_rule(5, 100, 3), 50), FlowTable::ModResult::kAdded);
   EXPECT_EQ(t.size(), 1u);
   EXPECT_EQ(t.entries()[0].packet_count, 0u);
   EXPECT_EQ(std::get<ActionOutput>(t.entries()[0].actions[0]).port, 3);
-}
-
-TEST(FlowTable, ModifyPreservesCounters) {
-  FlowTable t;
-  t.apply(add_rule(5, 100, 2), 0);
-  (void)t.lookup(pkt(5), 0, 100);
-  FlowMod mod = add_rule(5, 100, 7);
-  mod.command = FlowModCommand::kModifyStrict;
-  EXPECT_EQ(t.apply(mod, 10), FlowTable::ModResult::kModified);
-  EXPECT_EQ(t.entries()[0].packet_count, 1u);  // preserved
-  EXPECT_EQ(std::get<ActionOutput>(t.entries()[0].actions[0]).port, 7);
-}
-
-TEST(FlowTable, ModifyNoMatchBehavesLikeAdd) {
-  FlowTable t;
-  FlowMod mod = add_rule(5, 100, 7);
-  mod.command = FlowModCommand::kModify;
-  EXPECT_EQ(t.apply(mod, 0), FlowTable::ModResult::kAdded);
-  EXPECT_EQ(t.size(), 1u);
-}
-
-TEST(FlowTable, NonStrictModifyHitsCoveredRules) {
-  FlowTable t;
-  t.apply(add_rule(5, 100, 2), 0);
-  t.apply(add_rule(6, 100, 2), 0);
-  FlowMod mod;
-  mod.match = OfMatch::any();  // covers both
-  mod.command = FlowModCommand::kModify;
-  mod.actions = {ActionOutput{8}};
-  EXPECT_EQ(t.apply(mod, 0), FlowTable::ModResult::kModified);
-  for (const auto& e : t.entries())
-    EXPECT_EQ(std::get<ActionOutput>(e.actions[0]).port, 8);
-}
-
-TEST(FlowTable, DeleteStrictOnlyExact) {
-  FlowTable t;
-  t.apply(add_rule(5, 100, 2), 0);
-  t.apply(add_rule(5, 200, 2), 0);
-  FlowMod del = add_rule(5, 100, 0);
-  del.command = FlowModCommand::kDeleteStrict;
-  EXPECT_EQ(t.apply(del, 0), FlowTable::ModResult::kRemoved);
-  ASSERT_EQ(t.size(), 1u);
-  EXPECT_EQ(t.entries()[0].priority, 200);  // the priority-100 rule went
-}
-
-TEST(FlowTable, DeleteNonStrictSweepsCovered) {
-  FlowTable t;
-  for (std::uint32_t d = 1; d <= 5; ++d) t.apply(add_rule(d, 100, 2), 0);
-  FlowMod del;
-  del.match = OfMatch::any();
-  del.command = FlowModCommand::kDelete;
-  EXPECT_EQ(t.apply(del, 0), FlowTable::ModResult::kRemoved);
-  EXPECT_TRUE(t.empty());
-}
-
-TEST(FlowTable, DeleteFiltersByOutPort) {
-  FlowTable t;
-  t.apply(add_rule(1, 100, 2), 0);
-  t.apply(add_rule(2, 100, 3), 0);
-  FlowMod del;
-  del.match = OfMatch::any();
-  del.command = FlowModCommand::kDelete;
-  del.out_port = 3;  // only rules outputting to port 3
-  t.apply(del, 0);
-  ASSERT_EQ(t.size(), 1u);
-  EXPECT_EQ(std::get<ActionOutput>(t.entries()[0].actions[0]).port, 2);
-}
-
-TEST(FlowTable, DeleteNothingIsNoOp) {
-  FlowTable t;
-  FlowMod del;
-  del.match = OfMatch::any();
-  del.command = FlowModCommand::kDelete;
-  EXPECT_EQ(t.apply(del, 0), FlowTable::ModResult::kNoOp);
 }
 
 TEST(FlowTable, TableFull) {
@@ -146,44 +72,37 @@ TEST(FlowTable, TableFull) {
   EXPECT_EQ(t.apply(add_rule(9, 100, 1), 0), FlowTable::ModResult::kTableFull);
 }
 
-TEST(FlowTable, CheckOverlapRejects) {
+TEST(FlowTable, RefusesEveryFlowModButAPlainAdd) {
   FlowTable t;
-  t.apply(add_rule(5, 100, 1), 0);
-  FlowMod overlapping;
-  overlapping.match = OfMatch::any();  // covers the installed rule
-  overlapping.priority = 100;
-  overlapping.flags = off::kCheckOverlap;
-  EXPECT_EQ(t.apply(overlapping, 0), FlowTable::ModResult::kOverlap);
-  // Different priority: no overlap check failure.
-  overlapping.priority = 50;
-  EXPECT_EQ(t.apply(overlapping, 0), FlowTable::ModResult::kAdded);
-}
-
-TEST(FlowTable, IdleTimeoutExpires) {
-  FlowTable t;
-  FlowMod fm = add_rule(5, 100, 1);
-  fm.idle_timeout = 2;  // seconds
-  t.apply(fm, 0);
-  (void)t.lookup(pkt(5), 1 * kPicosPerSec, 64);  // used at t=1s
-  EXPECT_EQ(t.expire(2 * kPicosPerSec), 0u);  // 1 s idle: keep
-  EXPECT_EQ(t.expire(4 * kPicosPerSec), 1u);  // 3 s idle: gone
-  EXPECT_TRUE(t.empty());
-}
-
-TEST(FlowTable, HardTimeoutExpiresEvenWhenUsed) {
-  FlowTable t;
-  FlowMod fm = add_rule(5, 100, 1);
-  fm.hard_timeout = 1;
-  t.apply(fm, 0);
-  (void)t.lookup(pkt(5), kPicosPerSec - 1, 64);
-  EXPECT_EQ(t.expire(kPicosPerSec + 1), 1u);
+  t.apply(add_rule(5, 100, 2), 0);
+  (void)t.lookup(pkt(5), 100);
+  // The four other commands, aimed at the installed rule...
+  std::vector<FlowMod> refused;
+  for (const auto cmd :
+       {FlowModCommand::kModify, FlowModCommand::kModifyStrict,
+        FlowModCommand::kDelete, FlowModCommand::kDeleteStrict}) {
+    refused.push_back(add_rule(5, 100, 3));
+    refused.back().command = cmd;
+  }
+  // ...and ADDs of a new rule with a flag or a timeout.
+  for (int i = 0; i < 3; ++i) refused.push_back(add_rule(6, 100, 3));
+  refused[4].flags = off::kCheckOverlap;
+  refused[5].idle_timeout = 1;
+  refused[6].hard_timeout = 1;
+  for (const FlowMod& fm : refused)
+    EXPECT_EQ(t.apply(fm, 10), FlowTable::ModResult::kUnsupported);
+  ASSERT_EQ(t.size(), 1u);
+  const FlowEntry& e = t.entries()[0];
+  EXPECT_EQ(std::get<ActionOutput>(e.actions[0]).port, 2);
+  EXPECT_EQ(e.installed_at, 0);
+  EXPECT_EQ(e.packet_count, 1u);
 }
 
 TEST(FlowTable, CountersAccumulate) {
   FlowTable t;
   t.apply(add_rule(5, 100, 1), 0);
-  (void)t.lookup(pkt(5), 0, 100);
-  (void)t.lookup(pkt(5), 0, 200);
+  (void)t.lookup(pkt(5), 100);
+  (void)t.lookup(pkt(5), 200);
   EXPECT_EQ(t.entries()[0].packet_count, 2u);
   EXPECT_EQ(t.entries()[0].byte_count, 300u);
   EXPECT_EQ(t.lookups(), 2u);

@@ -134,6 +134,59 @@ TEST(FlowModLatency, RefusedFillEndsTheRun) {
   EXPECT_EQ(tb.sw.table().size(), 64u);
 }
 
+/// Installs one rule, then a DELETE of it once the rule is acknowledged,
+/// and finishes one simulated second after the DELETE is acknowledged.
+/// The barrier answers before the commit, so finishing on the
+/// acknowledgement itself could beat the DELETE's refusal.
+class InstallThenDelete final : public MeasurementModule {
+ public:
+  [[nodiscard]] std::string name() const override {
+    return "install_then_delete";
+  }
+  void start(OflopsContext& ctx) override {
+    ctx.install({rule(openflow::FlowModCommand::kAdd)}, kTimerInstalled);
+  }
+  void on_timer(OflopsContext& ctx, std::uint64_t timer_id) override {
+    if (timer_id == kTimerInstalled) {
+      ctx.install({rule(openflow::FlowModCommand::kDelete)}, kTimerDeleted);
+    } else if (timer_id == kTimerDeleted) {
+      ctx.timer_in(kPicosPerSec, kTimerDone);
+    } else if (timer_id == kTimerDone) {
+      done_ = true;
+    }
+  }
+  [[nodiscard]] bool finished() const override { return done_; }
+  [[nodiscard]] Report report() const override {
+    Report r;
+    r.module = name();
+    return r;
+  }
+
+ private:
+  enum : std::uint64_t { kTimerInstalled = 1, kTimerDeleted, kTimerDone };
+  static openflow::FlowMod rule(openflow::FlowModCommand command) {
+    openflow::FlowMod fm;
+    fm.command = command;
+    fm.match = openflow::OfMatch::exact_5tuple(
+        0x0A000001, 0x0A000102, net::ipproto::kUdp, 1024, 5001);
+    fm.actions = {openflow::ActionOutput{2}};
+    return fm;
+  }
+  bool done_ = false;
+};
+
+TEST(Context, RefusedFlowModEndsTheRun) {
+  // The switch carries out only a plain ADD: the DELETE is refused at its
+  // commit, the run ends there, and the rule stays.
+  Testbed tb;
+  InstallThenDelete mod;
+  const auto rep = tb.ctx.run(mod, 60 * kPicosPerSec);
+  EXPECT_EQ(rep.stopped, "the switch refused a flow_mod: OFPFMFC_BAD_COMMAND");
+  EXPECT_FALSE(mod.finished());
+  EXPECT_LT(tb.eng.now(), kPicosPerSec);
+  EXPECT_EQ(tb.sw.table().size(), 1u);
+}
+
 TEST(FlowModLatency, ProbeWaitsForASlowFill) {
   // 600 fillers at 10 ms a commit land after 6 s. The rounds must start
   // on the finished table, so each measures one commit, not the backlog.
@@ -232,36 +285,6 @@ TEST(Interaction, StormSlowsRuleInstallation) {
   for (const auto& m : rep.scalars)
     if (m.name == "storm_slowdown_x") slowdown = m.value;
   EXPECT_GE(slowdown, 1.0);
-}
-
-TEST(Context, SnmpRoundTrip) {
-  Testbed tb;
-  // A trivial module that polls one OID and finishes.
-  class SnmpProbe final : public MeasurementModule {
-   public:
-    std::string name() const override { return "snmp_probe"; }
-    void start(OflopsContext& ctx) override { ctx.snmp_get("ofFlowTableSize.0"); }
-    void on_snmp(OflopsContext&, const std::string& oid,
-                 std::uint64_t value) override {
-      oid_ = oid;
-      value_ = value;
-      done_ = true;
-    }
-    bool finished() const override { return done_; }
-    Report report() const override {
-      Report r;
-      r.module = name();
-      r.add("value", static_cast<double>(value_));
-      return r;
-    }
-    std::string oid_;
-    std::uint64_t value_ = 999;
-    bool done_ = false;
-  };
-  SnmpProbe probe;
-  const auto rep = tb.ctx.run(probe);
-  EXPECT_EQ(probe.oid_, "ofFlowTableSize.0");
-  EXPECT_EQ(scalar(rep, "value"), 0);  // empty table
 }
 
 TEST(Report, PrintDoesNotCrash) {

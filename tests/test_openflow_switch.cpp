@@ -1,5 +1,5 @@
 // OpenFlow switch DUT: echo, flow_mod pipeline, packet_in path, barrier
-// semantics, commit delay, flow_mod errors, timeouts, action execution.
+// semantics, commit delay, flow_mod errors, action execution.
 #include <gtest/gtest.h>
 
 #include "osnt/dut/openflow_switch.hpp"
@@ -276,56 +276,31 @@ TEST(OpenFlowSwitch, TableFullSendsError) {
   EXPECT_EQ(b.sw.table().size(), 2u);
 }
 
-TEST(OpenFlowSwitch, OverlapErrorCarriesTheOpenFlowCode) {
+TEST(OpenFlowSwitch, RefusedFlowModCarriesBadCommand) {
+  // The table carries out only a plain ADD; a DELETE is refused with
+  // OF 1.0's OFPFMFC_BAD_COMMAND and leaves the rule in place.
   Bench b;
   b.chan.controller().send(b.rule(0x0A000102, 3));
-  FlowMod overlapping;
-  overlapping.match = OfMatch::any();  // covers the installed rule
-  overlapping.flags = off::kCheckOverlap;
-  overlapping.actions = {ActionOutput{2}};
-  const std::uint32_t xid = b.chan.controller().send(overlapping);
+  FlowMod del = b.rule(0x0A000102, 3);
+  del.command = FlowModCommand::kDelete;
+  const std::uint32_t xid = b.chan.controller().send(del);
   b.eng.run();
   ASSERT_EQ(b.count_msgs<ErrorMsg>(), 1);
   const auto& err = std::get<ErrorMsg>(b.ctrl_msgs.back().msg);
   EXPECT_EQ(err.type, 3);  // OFPET_FLOW_MOD_FAILED
-  EXPECT_EQ(err.code, 1);  // OF 1.0's OFPFMFC_OVERLAP (2 is EPERM)
+  EXPECT_EQ(err.code, 4);  // OFPFMFC_BAD_COMMAND
   EXPECT_EQ(b.ctrl_msgs.back().xid, xid);
+  const auto inner = decode(ByteSpan{err.data.data(), err.data.size()});
+  ASSERT_TRUE(inner);
+  const auto* fm = std::get_if<FlowMod>(&inner->msg);
+  ASSERT_NE(fm, nullptr);
+  EXPECT_EQ(fm->command, FlowModCommand::kDelete);
   EXPECT_EQ(b.sw.table().size(), 1u);
+  EXPECT_EQ(b.sw.flow_mods_committed(), 2u);
 }
 
-TEST(OpenFlowSwitch, IdleTimeoutEvictsAnIdleRule) {
-  Bench b;
-  FlowMod fm = b.rule(0x0A000102, 3);
-  fm.idle_timeout = 1;  // second
-  b.chan.controller().send(fm);
-  // run_until (not run): the armed expiry sweep would otherwise execute
-  // all the way through the eviction before we can observe the rule.
-  b.eng.run_until(100 * kPicosPerMilli);
-  EXPECT_EQ(b.sw.table().size(), 1u);
-  // Use the rule once, then go quiet; the sweep evicts it.
-  (void)b.hosts[0]->tx().transmit(probe());
-  b.eng.run_until(b.eng.now() + 5 * kPicosPerSec);
-  b.eng.run();
-  EXPECT_EQ(b.sw.table().size(), 0u);
-}
-
-TEST(OpenFlowSwitch, HardTimeoutEvictsEvenWhenUsed) {
-  Bench b;
-  FlowMod fm = b.rule(0x0A000102, 3);
-  fm.hard_timeout = 1;
-  b.chan.controller().send(fm);
-  b.eng.run();
-  // Keep the flow busy across the timeout.
-  for (int i = 0; i < 20; ++i) {
-    (void)b.hosts[0]->tx().transmit(probe());
-    b.eng.run_until(b.eng.now() + 100 * kPicosPerMilli);
-  }
-  b.eng.run();
-  EXPECT_EQ(b.sw.table().size(), 0u);
-}
-
-TEST(OpenFlowSwitch, NoTimeoutsMeansQueueDrains) {
-  // A rule without timeouts must not leave a perpetual sweep armed.
+TEST(OpenFlowSwitch, AnInstalledRuleLeavesNothingArmed) {
+  // An installed rule must not leave a self-rescheduling event behind.
   Bench b;
   b.chan.controller().send(b.rule(0x0A000102, 3));
   b.eng.run();  // terminates ⇔ no self-rescheduling events

@@ -87,6 +87,17 @@ using namespace osnt;
 
 namespace {
 
+/// A flag in milliseconds must be from 1 ns to 1e9 ms, which a Picos
+/// holds. False after a stderr diagnostic naming the flag.
+[[nodiscard]] bool ms_in_range(const char* flag, double ms) {
+  constexpr double kMinMs = 1e-6;
+  constexpr double kMaxMs = 1e9;
+  if (ms >= kMinMs && ms <= kMaxMs) return true;
+  std::fprintf(stderr, "--%s must be in [%g, %g], got %g\n", flag, kMinMs,
+               kMaxMs, ms);
+  return false;
+}
+
 /// Shared --trace/--metrics-out handling so every measurement subcommand
 /// exposes the observability surface the same way: call add_to() before
 /// parse, attach() on each single-threaded engine the run constructs, and
@@ -121,18 +132,11 @@ struct ObservabilityFlags {
     return series_path.empty() ? 0 : from_micros(series_interval_ms * 1000.0);
   }
 
-  /// Post-parse validation of the series flags: the interval must be
-  /// from 1 ns to 1e9 ms, which a Picos holds, and an interval without a
-  /// destination is a mistake worth flagging.
+  /// Post-parse validation of the series flags: the interval must be in
+  /// range (ms_in_range), and an interval without a destination is a
+  /// mistake worth flagging.
   [[nodiscard]] bool validate_series(const CliParser& cli) const {
-    constexpr double kMinMs = 1e-6;
-    constexpr double kMaxMs = 1e9;
-    if (!(series_interval_ms >= kMinMs && series_interval_ms <= kMaxMs)) {
-      std::fprintf(stderr,
-                   "--series-interval-ms must be in [%g, %g], got %g\n",
-                   kMinMs, kMaxMs, series_interval_ms);
-      return false;
-    }
+    if (!ms_in_range("series-interval-ms", series_interval_ms)) return false;
     if (cli.given("series-interval-ms") && series_path.empty()) {
       std::fprintf(stderr, "--series-interval-ms requires --series-out\n");
       return false;
@@ -355,6 +359,7 @@ int cmd_latency(int argc, const char* const* argv) {
   obs.add_series_to(cli);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
   if (!obs.validate_series(cli)) return 1;
+  if (!ms_in_range("duration-ms", duration_ms)) return 1;
   graph::TopologyFile topo;
   if (!load_dut(dut, topo)) return 1;
   graph::WorkloadSpec& w = topo.workload;
@@ -654,6 +659,7 @@ int cmd_tcp(int argc, const char* const* argv) {
   obs.add_series_to(cli);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
   if (!obs.validate_series(cli)) return 1;
+  if (!ms_in_range("duration-ms", duration_ms)) return 1;
   if (flows <= 0 || mss <= 0) {
     std::fprintf(stderr, "--flows/--mss must be positive\n");
     return 1;
@@ -706,7 +712,7 @@ int cmd_topo(int argc, const char* const* argv) {
       "delay_ber, ecmp, sink, monitor, legacy_switch, burst_source)"};
   cli.add_flag("seed", &seed, "base seed (0 = the file's; trial i adds i)");
   cli.add_flag("duration-ms", &duration_ms,
-               "simulated duration (0 = the file's)");
+               "simulated duration (default: the file's)");
   cli.add_flag("validate-only", &validate_only,
                "load the topology (and fault plan), resolve fault targets, "
                "print the block table, and exit without running");
@@ -715,6 +721,8 @@ int cmd_topo(int argc, const char* const* argv) {
   obs.add_series_to(cli);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
   if (!obs.validate_series(cli)) return 1;
+  const bool duration_given = cli.given("duration-ms");
+  if (duration_given && !ms_in_range("duration-ms", duration_ms)) return 1;
   if (cli.positional().size() != 1) {
     std::fprintf(stderr, "usage: osnt_run topo FILE.json [flags]\n");
     return 1;
@@ -730,7 +738,7 @@ int cmd_topo(int argc, const char* const* argv) {
   const std::uint64_t base_seed =
       seed > 0 ? static_cast<std::uint64_t>(seed) : topo.seed;
   const Picos duration =
-      duration_ms > 0 ? from_micros(duration_ms * 1000.0) : topo.duration;
+      duration_given ? from_micros(duration_ms * 1000.0) : topo.duration;
   if (!trials.prepare(topo, obs)) return 1;
 
   std::printf("topology %s: %zu blocks, %zu edges, workload %s\n",
