@@ -1,16 +1,13 @@
-// Applies a FaultPlan to a live testbed. The Injector holds non-owning
-// pointers to the models a plan may target — links, the DMA engine, the
-// OpenFlow control channel, the GPS — and arm() schedules every plan
-// event on the trial's engine (category kFault, visible in --trace).
+// Applies a FaultPlan to a live testbed. Constructing an Injector arms
+// the plan: every event is scheduled on the trial's engine (category
+// kFault, visible in --trace) against the Targets it was given.
 // Faults act through the models' existing public seams, so an injected
 // run is just a run: same engine, same determinism, same telemetry.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
+#include <functional>
 
 #include "osnt/fault/plan.hpp"
 #include "osnt/sim/engine.hpp"
@@ -19,95 +16,60 @@ namespace osnt::core {
 class OsntDevice;
 }
 namespace osnt::graph {
+class Block;
 class Graph;
-class TokenBucketBlock;
-class FifoQueueBlock;
 }  // namespace osnt::graph
-namespace osnt::hw {
-class DmaEngine;
-}
 namespace osnt::openflow {
 class ControlChannel;
-}
-namespace osnt::sim {
-class Link;
-}
-namespace osnt::tstamp {
-class GpsModel;
 }
 
 namespace osnt::fault {
 
+/// The models a plan may reach. Each is optional and non-owning, and
+/// must outlive the engine's run.
+struct Targets {
+  /// Link events address its port out-links by port index (-1 = all of
+  /// them); dma_stall and gps_loss reach its DMA engine and GPS.
+  core::OsntDevice* device = nullptr;
+  /// rate_limit and queue_cap name one of its blocks.
+  graph::Graph* graph = nullptr;
+  /// ctrl_disconnect takes its link down.
+  openflow::ControlChannel* channel = nullptr;
+};
+
 class Injector {
  public:
-  /// The plan is normalized (validated + sorted) on entry; throws
-  /// PlanError if it is malformed. Targets attach afterwards; nothing is
-  /// scheduled until arm().
-  Injector(sim::Engine& eng, FaultPlan plan);
+  /// Normalizes the plan and schedules every event on the engine. An
+  /// event whose device or channel is not given is skipped with a
+  /// warning; a rate_limit / queue_cap naming no eligible block of the
+  /// graph is a PlanError (a chaos plan aimed at a block that does not
+  /// exist is a bad plan, not a benign mismatch), as is a malformed
+  /// plan. A construction that throws schedules nothing.
+  Injector(sim::Engine& eng, FaultPlan plan, Targets targets);
   Injector(const Injector&) = delete;
   Injector& operator=(const Injector&) = delete;
   /// Merges `fault.injected.<kind>` / `fault.skipped` into telemetry.
   ~Injector();
-
-  /// Register a link as the next index (plan events address links by
-  /// attach order; link = -1 targets all of them).
-  Injector& attach_link(sim::Link& link);
-  Injector& attach_dma(hw::DmaEngine& dma);
-  Injector& attach_channel(openflow::ControlChannel& chan);
-  Injector& attach_gps(tstamp::GpsModel& gps);
-  /// Convenience: every port's outbound link (port order), the shared DMA
-  /// engine, and the GPS of one OSNT card.
-  Injector& attach_device(core::OsntDevice& dev);
-
-  /// Register a named token_bucket / queue block as a target for
-  /// rate_limit / queue_cap events. Names must be unique per injector.
-  Injector& attach_token_bucket(const std::string& name,
-                                graph::TokenBucketBlock& tb);
-  Injector& attach_fifo(const std::string& name, graph::FifoQueueBlock& q);
-  /// Convenience: register every token_bucket / fifo_queue / red block of
-  /// a graph under its block name.
-  Injector& attach_graph(graph::Graph& g);
-
-  /// Schedule the whole plan on the engine. Call once, before running;
-  /// events whose target kind has nothing attached are counted as skipped
-  /// (with a warning) rather than failing the run — except block-targeted
-  /// events (rate_limit / queue_cap), whose unknown target is a hard
-  /// PlanError: a chaos plan aimed at a block that does not exist is a
-  /// bad plan, not a benign mismatch. All targets must outlive the
-  /// engine's run.
-  void arm();
-  [[nodiscard]] bool armed() const noexcept { return armed_; }
 
   /// Fault activations that actually fired (counted at their start time).
   [[nodiscard]] std::uint64_t injected(FaultKind k) const noexcept {
     return injected_[static_cast<std::size_t>(k)];
   }
   [[nodiscard]] std::uint64_t injected_total() const noexcept;
-  /// Plan events dropped at arm() because their target was not attached.
+  /// Plan events dropped at construction because their target was not
+  /// given.
   [[nodiscard]] std::uint64_t skipped() const noexcept { return skipped_; }
 
-  [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
-
  private:
-  void arm_event_(const FaultEvent& ev, std::size_t ordinal);
-  [[nodiscard]] std::vector<sim::Link*> targets_(int link,
-                                                 std::size_t ordinal) const;
-  [[nodiscard]] std::string unknown_target_(const FaultEvent& ev,
-                                            std::size_t ordinal,
-                                            bool buckets_only) const;
+  void arm_event_(const FaultEvent& ev, std::size_t ordinal,
+                  std::uint64_t plan_seed, const Targets& targets,
+                  graph::Block* block);
+  void window_(const FaultEvent& ev,
+               const std::function<void(int step, int steps)>& apply,
+               sim::EventFn restore = nullptr);
   void mark_(FaultKind kind, Picos at, Picos duration);
 
   sim::Engine* eng_;
-  FaultPlan plan_;
-  std::vector<sim::Link*> links_;
-  // Ordered maps: arm-time error messages and any per-target iteration
-  // must not depend on hash order (determinism contract, DESIGN.md §10).
-  std::map<std::string, graph::TokenBucketBlock*> buckets_;
-  std::map<std::string, graph::FifoQueueBlock*> queues_;
-  hw::DmaEngine* dma_ = nullptr;
-  openflow::ControlChannel* chan_ = nullptr;
-  tstamp::GpsModel* gps_ = nullptr;
-  bool armed_ = false;
   std::uint64_t injected_[kFaultKindCount] = {};
   std::uint64_t skipped_ = 0;
   telemetry::TraceRecorder::TrackId trace_tracks_[kFaultKindCount] = {};

@@ -44,12 +44,12 @@ struct FaultEvent {
   FaultKind kind = FaultKind::kLinkFlap;
   Picos at = 0;        ///< sim time the fault begins
   Picos duration = 0;  ///< how long the condition holds (0 = instantaneous)
-  int link = -1;       ///< target link index (attach order); -1 = all links
+  int link = -1;       ///< target port's out-link; -1 = all of them
   double ber = 0.0;    ///< kBerWindow: plateau error rate (errors/bit)
   Picos ramp = 0;      ///< kBerWindow/kRateLimit: linear ramp length
   Picos extra_delay = 0;  ///< kLatencySpike: added one-way delay
   /// kRateLimit/kQueueCap: graph block name the fault retimes. Resolved
-  /// at Injector::arm() time against the attached blocks; an unknown
+  /// at Injector construction, against the graph in `Targets`; an unknown
   /// name is a hard error (unlike link faults, which skip-with-warning —
   /// a chaos plan aimed at a block that does not exist is a bad plan,
   /// not a benign mismatch).

@@ -46,10 +46,7 @@ class TxMac {
 
   // counters
   [[nodiscard]] std::uint64_t frames_sent() const noexcept { return frames_; }
-  [[nodiscard]] std::uint64_t bytes_sent() const noexcept { return bytes_; }
   [[nodiscard]] std::uint64_t drops() const noexcept { return drops_; }
-  /// Total time the serializer has been busy (for utilization).
-  [[nodiscard]] Picos busy_time() const noexcept { return busy_; }
 
  private:
   sim::Engine* eng_;
@@ -57,9 +54,7 @@ class TxMac {
   sim::Link* link_ = nullptr;
   Picos next_free_ = 0;
   std::uint64_t frames_ = 0;
-  std::uint64_t bytes_ = 0;
   std::uint64_t drops_ = 0;
-  Picos busy_ = 0;
 };
 
 struct RxMacConfig {
@@ -84,7 +79,6 @@ class RxMac final : public sim::FrameSink {
   void on_frame(net::Packet&& pkt, Picos first_bit, Picos last_bit) override;
 
   [[nodiscard]] std::uint64_t frames_received() const noexcept { return frames_; }
-  [[nodiscard]] std::uint64_t bytes_received() const noexcept { return bytes_; }
   [[nodiscard]] std::uint64_t runts() const noexcept { return runts_; }
   [[nodiscard]] std::uint64_t giants() const noexcept { return giants_; }
   /// Frames discarded for an FCS mismatch (wire corruption).
@@ -95,7 +89,6 @@ class RxMac final : public sim::FrameSink {
   Config cfg_;
   Handler handler_;
   std::uint64_t frames_ = 0;
-  std::uint64_t bytes_ = 0;
   std::uint64_t runts_ = 0;
   std::uint64_t giants_ = 0;
   std::uint64_t crc_errors_ = 0;

@@ -170,7 +170,13 @@ std::string CliParser::usage() const {
   for (const auto& f : flags_) {
     out += "  --" + f.name;
     out.append(f.name.size() < 18 ? 18 - f.name.size() : 1, ' ');
-    out += f.help + " (default: " + f.default_repr + ")\n";
+    out += f.help;
+    // Each default once: none when empty or stated by the help text.
+    if (!f.default_repr.empty() &&
+        f.help.find("(default:") == std::string::npos) {
+      out += " (default: " + f.default_repr + ")";
+    }
+    out += "\n";
   }
   out += "  --help              show this message\n";
   return out;

@@ -28,15 +28,81 @@ std::uint64_t event_seed(std::uint64_t plan_seed, std::size_t ordinal) {
   return derive_seed(plan_seed, ordinal + 1);
 }
 
-/// BER ramps are quantized to a handful of steps: enough to exercise
-/// "error rate grows" behaviour without scheduling thousands of events.
+/// BER and rate ramps are quantized to a handful of steps: enough to
+/// exercise "the fault grows" behaviour without scheduling thousands of
+/// events.
 constexpr int kRampSteps = 8;
+
+/// The device's port out-links a link event addresses: port `link`, or
+/// all of them for -1.
+std::vector<sim::Link*> port_links(core::OsntDevice* dev, int link,
+                                   std::size_t ordinal) {
+  std::vector<sim::Link*> all;
+  for (std::size_t i = 0; dev && i < dev->num_ports(); ++i) {
+    all.push_back(&dev->port(i).out_link());
+  }
+  if (link < 0) return all;
+  if (static_cast<std::size_t>(link) < all.size()) {
+    return {all[static_cast<std::size_t>(link)]};
+  }
+  OSNT_WARN("fault: event %zu targets link %d but only %zu attached", ordinal,
+            link, all.size());
+  return {};
+}
+
+/// The graph block a rate_limit or queue_cap event retimes, nullptr for
+/// the other kinds. rate_limit needs a token_bucket; queue_cap a
+/// fifo_queue, red or token_bucket. Any other name is a PlanError with a
+/// did-you-mean among the eligible blocks.
+graph::Block* resolve_block(const FaultEvent& ev, std::size_t ordinal,
+                            graph::Graph* g) {
+  const bool buckets_only = ev.kind == FaultKind::kRateLimit;
+  if (!buckets_only && ev.kind != FaultKind::kQueueCap) return nullptr;
+  std::vector<std::string> names;
+  for (std::size_t i = 0; g && i < g->num_blocks(); ++i) {
+    graph::Block& b = g->block(i);
+    if (!dynamic_cast<graph::TokenBucketBlock*>(&b) &&
+        (buckets_only || !dynamic_cast<graph::FifoQueueBlock*>(&b))) {
+      continue;
+    }
+    if (b.name() == ev.target) return &b;
+    names.push_back(b.name());
+  }
+  std::string msg = std::string("fault plan: ") + fault_kind_name(ev.kind) +
+                    " event " + std::to_string(ordinal) +
+                    " targets unknown block '" + ev.target + "'";
+  const std::string hint = suggest_nearest(ev.target, names);
+  if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
+  if (names.empty()) {
+    msg += buckets_only ? " — no token_bucket blocks attached"
+                        : " — no queue blocks attached";
+  }
+  throw PlanError(msg);
+}
 
 }  // namespace
 
-Injector::Injector(sim::Engine& eng, FaultPlan plan)
-    : eng_(&eng), plan_(std::move(plan)) {
-  plan_.normalize();
+Injector::Injector(sim::Engine& eng, FaultPlan plan, Targets targets)
+    : eng_(&eng) {
+  plan.normalize();
+  // Every block target resolves before the first event is scheduled: the
+  // closures capture `this`, and a constructor that throws leaves no
+  // object for them to reach.
+  std::vector<graph::Block*> blocks(plan.events.size());
+  for (std::size_t i = 0; i < plan.events.size(); ++i) {
+    blocks[i] = resolve_block(plan.events[i], i, targets.graph);
+  }
+  tracing_ = eng_->trace() != nullptr;
+  if (tracing_) {
+    for (std::size_t k = 0; k < kFaultKindCount; ++k) {
+      trace_tracks_[k] = eng_->trace()->track(
+          std::string("fault/") + fault_kind_name(static_cast<FaultKind>(k)));
+    }
+  }
+  const sim::Engine::CategoryScope cat(*eng_, sim::EventCategory::kFault);
+  for (std::size_t i = 0; i < plan.events.size(); ++i) {
+    arm_event_(plan.events[i], i, plan.seed, targets, blocks[i]);
+  }
 }
 
 Injector::~Injector() {
@@ -52,74 +118,10 @@ Injector::~Injector() {
   reg.counter("fault.skipped").add(skipped_);
 }
 
-Injector& Injector::attach_link(sim::Link& link) {
-  links_.push_back(&link);
-  return *this;
-}
-
-Injector& Injector::attach_dma(hw::DmaEngine& dma) {
-  dma_ = &dma;
-  return *this;
-}
-
-Injector& Injector::attach_channel(openflow::ControlChannel& chan) {
-  chan_ = &chan;
-  return *this;
-}
-
-Injector& Injector::attach_gps(tstamp::GpsModel& gps) {
-  gps_ = &gps;
-  return *this;
-}
-
-Injector& Injector::attach_device(core::OsntDevice& dev) {
-  for (std::size_t i = 0; i < dev.num_ports(); ++i) {
-    attach_link(dev.port(i).out_link());
-  }
-  attach_dma(dev.dma());
-  attach_gps(dev.gps());
-  return *this;
-}
-
-Injector& Injector::attach_token_bucket(const std::string& name,
-                                        graph::TokenBucketBlock& tb) {
-  buckets_[name] = &tb;
-  return *this;
-}
-
-Injector& Injector::attach_fifo(const std::string& name,
-                                graph::FifoQueueBlock& q) {
-  queues_[name] = &q;
-  return *this;
-}
-
-Injector& Injector::attach_graph(graph::Graph& g) {
-  for (std::size_t i = 0; i < g.num_blocks(); ++i) {
-    graph::Block& b = g.block(i);
-    if (auto* tb = dynamic_cast<graph::TokenBucketBlock*>(&b)) {
-      attach_token_bucket(b.name(), *tb);
-    } else if (auto* q = dynamic_cast<graph::FifoQueueBlock*>(&b)) {
-      attach_fifo(b.name(), *q);
-    }
-  }
-  return *this;
-}
-
 std::uint64_t Injector::injected_total() const noexcept {
   std::uint64_t total = 0;
   for (const std::uint64_t v : injected_) total += v;
   return total;
-}
-
-std::vector<sim::Link*> Injector::targets_(int link,
-                                           std::size_t ordinal) const {
-  if (link < 0) return links_;
-  if (static_cast<std::size_t>(link) < links_.size()) {
-    return {links_[static_cast<std::size_t>(link)]};
-  }
-  OSNT_WARN("fault: event %zu targets link %d but only %zu attached", ordinal,
-            link, links_.size());
-  return {};
 }
 
 void Injector::mark_(FaultKind kind, Picos at, Picos duration) {
@@ -130,213 +132,136 @@ void Injector::mark_(FaultKind kind, Picos at, Picos duration) {
   }
 }
 
-void Injector::arm() {
-  if (armed_) return;
-  armed_ = true;
-  tracing_ = eng_->trace() != nullptr;
-  if (tracing_) {
-    for (std::size_t k = 0; k < kFaultKindCount; ++k) {
-      trace_tracks_[k] = eng_->trace()->track(
-          std::string("fault/") + fault_kind_name(static_cast<FaultKind>(k)));
-    }
+void Injector::window_(const FaultEvent& ev,
+                       const std::function<void(int step, int steps)>& apply,
+                       sim::EventFn restore) {
+  // Only ber_window and rate_limit ramp: their start is spread over
+  // kRampSteps steps, the first of which marks the activation.
+  const bool ramps = ev.kind == FaultKind::kBerWindow ||
+                     ev.kind == FaultKind::kRateLimit;
+  const int steps = ramps && ev.ramp > 0 ? kRampSteps : 1;
+  for (int s = 0; s < steps; ++s) {
+    eng_->schedule_at(ev.at + ev.ramp * s / steps,
+                      [this, kind = ev.kind, at = ev.at, dur = ev.duration,
+                       apply, s, steps] {
+                        if (s == 0) mark_(kind, at, dur);
+                        apply(s, steps);
+                      });
   }
-  const sim::Engine::CategoryScope cat(*eng_, sim::EventCategory::kFault);
-  for (std::size_t i = 0; i < plan_.events.size(); ++i) {
-    arm_event_(plan_.events[i], i);
-  }
+  if (restore) eng_->schedule_at(ev.at + ev.duration, std::move(restore));
 }
 
-void Injector::arm_event_(const FaultEvent& ev, std::size_t ordinal) {
+void Injector::arm_event_(const FaultEvent& ev, std::size_t ordinal,
+                          std::uint64_t plan_seed, const Targets& targets,
+                          graph::Block* block) {
   const auto skip = [&](const char* needs) {
     ++skipped_;
     OSNT_WARN("fault: skipping %s event %zu — no %s attached",
               fault_kind_name(ev.kind), ordinal, needs);
   };
+  core::OsntDevice* dev = targets.device;
 
   switch (ev.kind) {
     case FaultKind::kLinkFlap: {
-      const auto targets = targets_(ev.link, ordinal);
-      if (targets.empty()) return skip("matching link");
-      eng_->schedule_at(ev.at, [this, targets, ev] {
-        mark_(FaultKind::kLinkFlap, ev.at, ev.duration);
-        for (sim::Link* l : targets) l->set_up(false);
-      });
-      eng_->schedule_at(ev.at + ev.duration, [targets] {
-        for (sim::Link* l : targets) l->set_up(true);
-      });
-      return;
+      const auto links = port_links(dev, ev.link, ordinal);
+      if (links.empty()) return skip("matching link");
+      return window_(
+          ev,
+          [links](int, int) {
+            for (sim::Link* l : links) l->set_up(false);
+          },
+          [links] { for (sim::Link* l : links) l->set_up(true); });
     }
 
     case FaultKind::kBerWindow: {
-      const auto targets = targets_(ev.link, ordinal);
-      if (targets.empty()) return skip("matching link");
-      const std::uint64_t seed = event_seed(plan_.seed, ordinal);
-      if (ev.ramp > 0) {
-        // Linear ramp-in: step the rate up so early-window frames see a
-        // gentler channel than the plateau — a link going marginal.
-        for (int s = 0; s < kRampSteps; ++s) {
-          const Picos t = ev.at + ev.ramp * s / kRampSteps;
-          const double ber = ev.ber * (s + 1) / kRampSteps;
-          eng_->schedule_at(t, [this, targets, ev, ber, seed, s] {
-            if (s == 0) mark_(FaultKind::kBerWindow, ev.at, ev.duration);
-            for (sim::Link* l : targets) l->set_bit_error_rate(ber, seed);
+      const auto links = port_links(dev, ev.link, ordinal);
+      if (links.empty()) return skip("matching link");
+      // A ramp steps the rate up so early-window frames see a gentler
+      // channel than the plateau — a link going marginal.
+      return window_(
+          ev,
+          [links, ber = ev.ber, seed = event_seed(plan_seed, ordinal)](
+              int s, int steps) {
+            const double step_ber = ber * (s + 1) / steps;
+            for (sim::Link* l : links) l->set_bit_error_rate(step_ber, seed);
+          },
+          [links] {
+            for (sim::Link* l : links) l->set_bit_error_rate(0.0);
           });
-        }
-      } else {
-        eng_->schedule_at(ev.at, [this, targets, ev, seed] {
-          mark_(FaultKind::kBerWindow, ev.at, ev.duration);
-          for (sim::Link* l : targets) l->set_bit_error_rate(ev.ber, seed);
-        });
-      }
-      eng_->schedule_at(ev.at + ev.duration, [targets] {
-        for (sim::Link* l : targets) l->set_bit_error_rate(0.0);
-      });
-      return;
     }
 
     case FaultKind::kLatencySpike: {
-      const auto targets = targets_(ev.link, ordinal);
-      if (targets.empty()) return skip("matching link");
-      eng_->schedule_at(ev.at, [this, targets, ev] {
-        mark_(FaultKind::kLatencySpike, ev.at, ev.duration);
-        for (sim::Link* l : targets) l->set_extra_delay(ev.extra_delay);
-      });
-      eng_->schedule_at(ev.at + ev.duration, [targets] {
-        for (sim::Link* l : targets) l->set_extra_delay(0);
-      });
-      return;
+      const auto links = port_links(dev, ev.link, ordinal);
+      if (links.empty()) return skip("matching link");
+      return window_(
+          ev,
+          [links, extra = ev.extra_delay](int, int) {
+            for (sim::Link* l : links) l->set_extra_delay(extra);
+          },
+          [links] { for (sim::Link* l : links) l->set_extra_delay(0); });
     }
 
     case FaultKind::kDmaStall: {
-      if (!dma_) return skip("DMA engine");
-      eng_->schedule_at(ev.at, [this, ev] {
-        mark_(FaultKind::kDmaStall, ev.at, ev.duration);
-        dma_->inject_stall(ev.duration);
+      if (!dev) return skip("DMA engine");
+      return window_(ev, [dma = &dev->dma(), dur = ev.duration](int, int) {
+        dma->inject_stall(dur);
       });
-      return;
     }
 
     case FaultKind::kCtrlDisconnect: {
-      if (!chan_) return skip("control channel");
-      eng_->schedule_at(ev.at, [this, ev] {
-        mark_(FaultKind::kCtrlDisconnect, ev.at, ev.duration);
-        chan_->set_link_available(false);
-      });
-      eng_->schedule_at(ev.at + ev.duration,
-                        [this] { chan_->set_link_available(true); });
-      return;
+      openflow::ControlChannel* chan = targets.channel;
+      if (!chan) return skip("control channel");
+      return window_(
+          ev, [chan](int, int) { chan->set_link_available(false); },
+          [chan] { chan->set_link_available(true); });
     }
 
     case FaultKind::kGpsLoss: {
-      if (!gps_) return skip("GPS model");
-      eng_->schedule_at(ev.at, [this, ev] {
-        mark_(FaultKind::kGpsLoss, ev.at, ev.duration);
-        gps_->set_connected(false);
-      });
-      eng_->schedule_at(ev.at + ev.duration,
-                        [this] { gps_->set_connected(true); });
-      return;
+      if (!dev) return skip("GPS model");
+      tstamp::GpsModel* gps = &dev->gps();
+      return window_(
+          ev, [gps](int, int) { gps->set_connected(false); },
+          [gps] { gps->set_connected(true); });
     }
 
     case FaultKind::kRateLimit: {
-      auto it = buckets_.find(ev.target);
-      if (it == buckets_.end()) {
-        throw PlanError(unknown_target_(ev, ordinal, /*buckets_only=*/true));
-      }
-      graph::TokenBucketBlock* tb = it->second;
-      // Snapshot the pre-fault contract at arm time (before the run, so
-      // these are the configured values) — the event restores them.
+      auto* tb = static_cast<graph::TokenBucketBlock*>(block);
+      // The configured contract (read before the run), which the restore
+      // reinstates. A ramp walks the rate from it to the plateau, a
+      // carrier squeezing a customer over seconds; un-ramped, the plan's
+      // rate is set exactly, since orig + (rate - orig) need not equal it.
       const double orig_rate = tb->rate_gbps();
       const std::size_t orig_burst = tb->burst_bytes();
-      if (ev.ramp > 0) {
-        // Stepped reprovisioning: walk the rate from the current contract
-        // to the fault plateau, same quantization as BER ramps — a
-        // carrier squeezing a customer over seconds, not one cliff.
-        for (int s = 0; s < kRampSteps; ++s) {
-          const Picos t = ev.at + ev.ramp * s / kRampSteps;
-          const double rate =
-              orig_rate + (ev.rate_gbps - orig_rate) * (s + 1) / kRampSteps;
-          eng_->schedule_at(t, [this, tb, ev, rate, s] {
-            if (s == 0) {
-              mark_(FaultKind::kRateLimit, ev.at, ev.duration);
-              if (ev.burst_bytes >= 0) {
-                tb->set_burst_bytes(static_cast<std::size_t>(ev.burst_bytes));
-              }
+      return window_(
+          ev,
+          [tb, orig_rate, rate = ev.rate_gbps, burst = ev.burst_bytes](
+              int s, int steps) {
+            if (s == 0 && burst >= 0) {
+              tb->set_burst_bytes(static_cast<std::size_t>(burst));
             }
-            tb->set_rate_gbps(rate);
+            tb->set_rate_gbps(steps == 1 ? rate
+                                         : orig_rate + (rate - orig_rate) *
+                                                           (s + 1) / steps);
+          },
+          [tb, orig_rate, orig_burst] {
+            tb->set_rate_gbps(orig_rate);
+            tb->set_burst_bytes(orig_burst);
           });
-        }
-      } else {
-        eng_->schedule_at(ev.at, [this, tb, ev] {
-          mark_(FaultKind::kRateLimit, ev.at, ev.duration);
-          if (ev.burst_bytes >= 0) {
-            tb->set_burst_bytes(static_cast<std::size_t>(ev.burst_bytes));
-          }
-          tb->set_rate_gbps(ev.rate_gbps);
-        });
-      }
-      eng_->schedule_at(ev.at + ev.duration, [tb, orig_rate, orig_burst] {
-        tb->set_rate_gbps(orig_rate);
-        tb->set_burst_bytes(orig_burst);
-      });
-      return;
     }
 
     case FaultKind::kQueueCap: {
-      // A cap can land on a serializing queue (fifo_queue / red) or on a
-      // shaper's backlog (token_bucket) — whichever owns the name.
-      if (auto it = queues_.find(ev.target); it != queues_.end()) {
-        graph::FifoQueueBlock* q = it->second;
+      // A cap lands on a serializing queue (fifo_queue / red) or on a
+      // shaper's backlog (token_bucket), whichever owns the name.
+      const auto cap = [&](auto* q) {
         const std::size_t orig = q->queue_frames();
-        eng_->schedule_at(ev.at, [this, q, ev] {
-          mark_(FaultKind::kQueueCap, ev.at, ev.duration);
-          q->set_queue_frames(ev.queue_frames);
-        });
-        eng_->schedule_at(ev.at + ev.duration,
-                          [q, orig] { q->set_queue_frames(orig); });
-        return;
-      }
-      if (auto it = buckets_.find(ev.target); it != buckets_.end()) {
-        graph::TokenBucketBlock* tb = it->second;
-        const std::size_t orig = tb->queue_frames();
-        eng_->schedule_at(ev.at, [this, tb, ev] {
-          mark_(FaultKind::kQueueCap, ev.at, ev.duration);
-          tb->set_queue_frames(ev.queue_frames);
-        });
-        eng_->schedule_at(ev.at + ev.duration,
-                          [tb, orig] { tb->set_queue_frames(orig); });
-        return;
-      }
-      throw PlanError(unknown_target_(ev, ordinal, /*buckets_only=*/false));
+        window_(
+            ev, [q, n = ev.queue_frames](int, int) { q->set_queue_frames(n); },
+            [q, orig] { q->set_queue_frames(orig); });
+      };
+      if (auto* q = dynamic_cast<graph::FifoQueueBlock*>(block)) return cap(q);
+      return cap(static_cast<graph::TokenBucketBlock*>(block));
     }
   }
-}
-
-std::string Injector::unknown_target_(const FaultEvent& ev,
-                                      std::size_t ordinal,
-                                      bool buckets_only) const {
-  std::vector<std::string> names;
-  for (const auto& [name, tb] : buckets_) names.push_back(name);
-  if (!buckets_only) {
-    for (const auto& [name, q] : queues_) names.push_back(name);
-  }
-  std::string msg = std::string("fault plan: ") + fault_kind_name(ev.kind) +
-                    " event " + std::to_string(ordinal) +
-                    " targets unknown block '" + ev.target + "'";
-  const std::string hint = suggest_nearest(ev.target, names);
-  if (!hint.empty()) msg += " (did you mean '" + hint + "'?)";
-  if (names.empty()) {
-    msg += " — no ";
-    msg += buckets_only ? "token_bucket" : "queue";
-    msg += " blocks attached";
-  } else {
-    msg += " — attached: ";
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      if (i) msg += ", ";
-      msg += names[i];
-    }
-  }
-  return msg;
 }
 
 }  // namespace osnt::fault

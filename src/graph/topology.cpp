@@ -553,10 +553,8 @@ TopologyTrialReport run_topology_trial(const TopologyFile& topo,
   std::optional<fault::Injector> injector;
   const auto arm_faults = [&] {
     if (opts.plan && !opts.plan->events.empty()) {
-      injector.emplace(eng, *opts.plan);
-      injector->attach_device(dev);
-      injector->attach_graph(g);
-      injector->arm();
+      injector.emplace(eng, *opts.plan,
+                       fault::Targets{.device = &dev, .graph = &g});
     }
   };
 

@@ -28,9 +28,7 @@ std::optional<Picos> TxMac::transmit(net::Packet&& pkt) {
   const Picos air = frame_air_time(pkt);
   const Picos end = start + air;
   next_free_ = end;
-  busy_ += air;
   ++frames_;
-  bytes_ += pkt.wire_len();
   if (link_) link_->carry(std::move(pkt), start, end);
   return start;
 }
@@ -50,7 +48,6 @@ void RxMac::on_frame(net::Packet&& pkt, Picos first_bit, Picos last_bit) {
     return;
   }
   ++frames_;
-  bytes_ += wire;
   pkt.rx_truth = last_bit;
   if (handler_) handler_(std::move(pkt), first_bit, last_bit);
 }

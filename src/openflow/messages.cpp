@@ -158,8 +158,7 @@ bool read_actions(Reader& r, std::size_t bytes, std::vector<Action>& out) {
         break;
       }
       default:
-        r.skip(len - 4);  // unknown action: skip body
-        break;
+        return false;  // an action the model lacks: refuse, never drop it
     }
     if (!r.ok()) return false;
     consumed += len;

@@ -37,9 +37,7 @@ RunResult faulted_capture_run(std::uint64_t seed) {
       .ber_window(kPicosPerMilli, 200 * kPicosPerMicro, 1e-5,
                   50 * kPicosPerMicro)
       .dma_stall(1500 * kPicosPerMicro, 200 * kPicosPerMicro);
-  fault::Injector inj{eng, plan};
-  inj.attach_device(osnt);
-  inj.arm();
+  fault::Injector inj{eng, plan, fault::Targets{.device = &osnt}};
 
   TrafficSpec spec;
   spec.rate = gen::RateSpec::gbps(1.0);
@@ -82,6 +80,27 @@ TEST(Chaos, FaultedRunIsBitIdenticalAcrossReplays) {
     }
   }
   EXPECT_FALSE(identical);
+}
+
+TEST(Chaos, EachFaultSchedulesItsStartStepsAndOneRestore) {
+  // Every scheduled event counts into sim.engine.events_fired, so the
+  // schedule is part of the replay contract: a start (or 8 ramp steps)
+  // per fault plus one restore, none for a DMA stall, nothing for an
+  // event whose target was not given.
+  sim::Engine eng;
+  core::OsntDevice osnt{eng};
+  fault::FaultPlan plan;
+  plan.link_flap(100 * kPicosPerMicro, 50 * kPicosPerMicro)
+      .ber_window(200 * kPicosPerMicro, 100 * kPicosPerMicro, 1e-5,
+                  40 * kPicosPerMicro)
+      .latency_spike(300 * kPicosPerMicro, 50 * kPicosPerMicro, 5000)
+      .dma_stall(400 * kPicosPerMicro, 50 * kPicosPerMicro)
+      .gps_loss(500 * kPicosPerMicro, 50 * kPicosPerMicro)
+      .ctrl_disconnect(600 * kPicosPerMicro, 50 * kPicosPerMicro);
+  const std::size_t before = eng.pending();
+  const fault::Injector inj{eng, plan, fault::Targets{.device = &osnt}};
+  EXPECT_EQ(eng.pending() - before, 2u + 9u + 2u + 1u + 2u);
+  EXPECT_EQ(inj.skipped(), 1u);  // ctrl_disconnect: no channel given
 }
 
 /// A faulted trial whose first attempt at slot 1 fails: the injected

@@ -37,7 +37,6 @@ TEST(TxMac, BackToBackFramesSerialize) {
   EXPECT_EQ(*s1, 0);
   EXPECT_EQ(*s2, 67'200);  // second waits for the wire
   EXPECT_EQ(mac.frames_sent(), 2u);
-  EXPECT_EQ(mac.bytes_sent(), 128u);
 }
 
 TEST(TxMac, QueueLimitDropsWhenSaturated) {
@@ -51,13 +50,6 @@ TEST(TxMac, QueueLimitDropsWhenSaturated) {
   }
   EXPECT_LT(accepted, 10);
   EXPECT_EQ(mac.drops(), 10u - static_cast<unsigned>(accepted));
-}
-
-TEST(TxMac, BusyTimeTracksUtilization) {
-  sim::Engine e;
-  TxMac mac{e};
-  (void)mac.transmit(frame(1518));
-  EXPECT_EQ(mac.busy_time(), mac.frame_air_time(frame(1518)));
 }
 
 TEST(TxMac, SlowerLinkTakesLonger) {
@@ -84,7 +76,6 @@ TEST(RxMac, CountsAndDelivers) {
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(seen_first, 100);
   EXPECT_EQ(mac.frames_received(), 1u);
-  EXPECT_EQ(mac.bytes_received(), 64u);
 }
 
 TEST(RxMac, RejectsRunts) {

@@ -177,9 +177,7 @@ TEST(LatencyProbe, InPlaneKeepsFullPopulationUnderDmaStall) {
   // The stall must outlast the 1024-entry descriptor ring: at 8 Gb/s of
   // 128 B frames (~6.8 Mfps) a 500 us freeze queues ~3400 records.
   plan.dma_stall(500 * kPicosPerMicro, 500 * kPicosPerMicro);
-  fault::Injector inj{eng, plan};
-  inj.attach_device(osnt);
-  inj.arm();
+  fault::Injector inj{eng, plan, fault::Targets{.device = &osnt}};
 
   core::TrafficSpec spec;
   spec.rate = gen::RateSpec::gbps(8.0);

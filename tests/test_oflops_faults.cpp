@@ -46,9 +46,7 @@ TEST(OflopsFaults, FlowModLatencySurvivesMidRoundDisconnect) {
   // mid-flight.
   fault::FaultPlan plan;
   plan.ctrl_disconnect(1068 * kPicosPerMilli, 2 * kPicosPerMilli);
-  fault::Injector inj{tb.eng, plan};
-  inj.attach_channel(tb.chan);
-  inj.arm();
+  fault::Injector inj{tb.eng, plan, fault::Targets{.channel = &tb.chan}};
 
   const Report r = tb.ctx.run(mod, 60 * kPicosPerSec);
   EXPECT_TRUE(mod.finished());  // degraded but complete — no hang
@@ -83,9 +81,7 @@ TEST(OflopsFaults, ConsistencySurvivesDisconnectDuringUpdateBurst) {
   // module would hang.
   fault::FaultPlan plan;
   plan.ctrl_disconnect(1138 * kPicosPerMilli, 3 * kPicosPerMilli);
-  fault::Injector inj{tb.eng, plan};
-  inj.attach_channel(tb.chan);
-  inj.arm();
+  fault::Injector inj{tb.eng, plan, fault::Targets{.channel = &tb.chan}};
 
   const Report r = tb.ctx.run(mod, 60 * kPicosPerSec);
   EXPECT_TRUE(mod.finished());
@@ -177,9 +173,7 @@ TEST(OflopsFaults, InstallLostInFlightIsSentAgainAndAcknowledgedOnce) {
   // session goes down at 5 ms and comes back at 7 ms at the earliest.
   fault::FaultPlan plan;
   plan.ctrl_disconnect(5 * kPicosPerMilli, 2 * kPicosPerMilli);
-  fault::Injector inj{tb.eng, plan};
-  inj.attach_channel(tb.chan);
-  inj.arm();
+  fault::Injector inj{tb.eng, plan, fault::Targets{.channel = &tb.chan}};
 
   const Report r = tb.ctx.run(mod, 60 * kPicosPerSec);
   EXPECT_TRUE(mod.finished());
@@ -199,9 +193,7 @@ TEST(OflopsFaults, AnsweredInstallIsNotSentAgain) {
   // The barrier reply lands at about 20 ms; the outage comes after it.
   fault::FaultPlan plan;
   plan.ctrl_disconnect(30 * kPicosPerMilli, 2 * kPicosPerMilli);
-  fault::Injector inj{tb.eng, plan};
-  inj.attach_channel(tb.chan);
-  inj.arm();
+  fault::Injector inj{tb.eng, plan, fault::Targets{.channel = &tb.chan}};
 
   const Report r = tb.ctx.run(mod, 60 * kPicosPerSec);
   EXPECT_TRUE(mod.finished());
@@ -219,9 +211,7 @@ TEST(OflopsFaults, InstallSentWhileTheSessionIsDownGoesAtTheReconnect) {
   InstallOnce mod{6 * kPicosPerMilli};  // inside the 5–7 ms outage
   fault::FaultPlan plan;
   plan.ctrl_disconnect(5 * kPicosPerMilli, 2 * kPicosPerMilli);
-  fault::Injector inj{tb.eng, plan};
-  inj.attach_channel(tb.chan);
-  inj.arm();
+  fault::Injector inj{tb.eng, plan, fault::Targets{.channel = &tb.chan}};
 
   const Report r = tb.ctx.run(mod, 60 * kPicosPerSec);
   EXPECT_TRUE(mod.finished());

@@ -184,6 +184,22 @@ TEST(OfWire, DecodeRejectsAnUnmodelledType) {
   }
 }
 
+TEST(OfWire, DecodeRejectsAnUnmodelledActionType) {
+  FlowMod fm;
+  fm.actions = {ActionSetVlanVid{5}, ActionOutput{2}};
+  const Bytes good = encode(fm, 1);
+  ASSERT_TRUE(decode(ByteSpan{good.data(), good.size()}));
+  ASSERT_EQ(load_be16(good.data() + 72), 1);  // OFPAT_SET_VLAN_VID
+  // OFPAT_SET_VLAN_PCP, OFPAT_SET_NW_DST, OFPAT_VENDOR: each 8 bytes like
+  // the action it replaces, so only the type tells the rule apart from
+  // one that silently outputs to port 2.
+  for (const std::uint16_t type : {2, 7, 0xFFFF}) {
+    Bytes wire = good;
+    store_be16(wire.data() + 72, type);
+    EXPECT_FALSE(decode(ByteSpan{wire.data(), wire.size()})) << type;
+  }
+}
+
 TEST(OfWire, MessageTypeMapping) {
   EXPECT_EQ(message_type(OfMessage{EchoRequest{}}), MsgType::kEchoRequest);
   EXPECT_EQ(message_type(OfMessage{FlowMod{}}), MsgType::kFlowMod);

@@ -358,11 +358,9 @@ TEST(RateLimitFault, UnknownTargetIsHardErrorWithSuggestion) {
                                      graph::TokenBucketConfig{});
   fault::FaultPlan plan;
   plan.rate_limit(kPicosPerMilli, kPicosPerMilli, "policr", 1.0);
-  fault::Injector inj(eng, plan);
-  inj.attach_graph(g);
   try {
-    inj.arm();
-    FAIL() << "arm() accepted a rate_limit aimed at a missing block";
+    fault::Injector inj(eng, plan, fault::Targets{.graph = &g});
+    FAIL() << "the injector accepted a rate_limit aimed at a missing block";
   } catch (const fault::PlanError& e) {
     expect_contains(e.what(), "unknown block 'policr'");
     expect_contains(e.what(), "did you mean 'policer'?");
@@ -380,9 +378,7 @@ TEST(RateLimitFault, MidRunRetimeFollowsScheduleAndRestores) {
   fault::FaultPlan plan;
   plan.rate_limit(kPicosPerMilli, 2 * kPicosPerMilli, "policer",
                   /*rate_gbps=*/1.0, /*ramp=*/0, /*burst_bytes=*/5000);
-  fault::Injector inj(eng, plan);
-  inj.attach_graph(g);
-  inj.arm();
+  fault::Injector inj(eng, plan, fault::Targets{.graph = &g});
 
   double mid_rate = 0.0, end_rate = 0.0;
   std::size_t mid_burst = 0, end_burst = 0;
@@ -413,9 +409,7 @@ TEST(RateLimitFault, RampedRetimeStepsThroughIntermediateRates) {
   fault::FaultPlan plan;
   plan.rate_limit(kPicosPerMilli, 4 * kPicosPerMilli, "policer",
                   /*rate_gbps=*/1.0, /*ramp=*/2 * kPicosPerMilli);
-  fault::Injector inj(eng, plan);
-  inj.attach_graph(g);
-  inj.arm();
+  fault::Injector inj(eng, plan, fault::Targets{.graph = &g});
 
   double mid_ramp = 0.0, plateau = 0.0;
   // Halfway through the ramp the rate must sit strictly between the
@@ -435,21 +429,53 @@ TEST(RateLimitFault, QueueCapRetimesFifoAndBucketBacklogs) {
   graph::Graph g(eng);
   auto& q = g.emplace<graph::FifoQueueBlock>(eng, "egress_q",
                                              graph::FifoQueueConfig{});
+  auto& red = g.emplace<graph::RedBlock>(eng, "aqm", graph::RedConfig{});
+  auto& tb = g.emplace<graph::TokenBucketBlock>(eng, "policer",
+                                                graph::TokenBucketConfig{});
   const std::size_t orig = q.queue_frames();
+  const std::size_t red_orig = red.queue_frames();
+  const std::size_t tb_orig = tb.queue_frames();
 
   fault::FaultPlan plan;
   plan.queue_cap(kPicosPerMilli, 2 * kPicosPerMilli, "egress_q",
-                 /*queue_frames=*/8);
-  fault::Injector inj(eng, plan);
-  inj.attach_graph(g);
-  inj.arm();
+                 /*queue_frames=*/8)
+      .queue_cap(kPicosPerMilli, 2 * kPicosPerMilli, "aqm",
+                 /*queue_frames=*/8)
+      .queue_cap(kPicosPerMilli, 2 * kPicosPerMilli, "policer",
+                 /*queue_frames=*/4);
+  fault::Injector inj(eng, plan, fault::Targets{.graph = &g});
 
-  std::size_t mid = 0;
-  eng.schedule_at(2 * kPicosPerMilli, [&] { mid = q.queue_frames(); });
+  std::size_t mid = 0, red_mid = 0, tb_mid = 0;
+  eng.schedule_at(2 * kPicosPerMilli, [&] {
+    mid = q.queue_frames();
+    red_mid = red.queue_frames();
+    tb_mid = tb.queue_frames();
+  });
   eng.run();
 
   EXPECT_EQ(mid, 8u);
+  EXPECT_EQ(red_mid, 8u);
+  EXPECT_EQ(tb_mid, 4u);
   EXPECT_EQ(q.queue_frames(), orig);
+  EXPECT_EQ(red.queue_frames(), red_orig);
+  EXPECT_EQ(tb.queue_frames(), tb_orig);
+  EXPECT_EQ(inj.injected(fault::FaultKind::kQueueCap), 3u);
+}
+
+TEST(RateLimitFault, AFailedTargetSchedulesNothing) {
+  // The first event is valid; the second names no block. The refusal
+  // must not leave the first event's closures, which point at the
+  // injector that was never made, on the engine.
+  sim::Engine eng;
+  graph::Graph g(eng);
+  g.emplace<graph::TokenBucketBlock>(eng, "policer",
+                                     graph::TokenBucketConfig{});
+  fault::FaultPlan plan;
+  plan.rate_limit(kPicosPerMilli, kPicosPerMilli, "policer", 1.0)
+      .queue_cap(2 * kPicosPerMilli, kPicosPerMilli, "missing", 4);
+  EXPECT_THROW(fault::Injector(eng, plan, fault::Targets{.graph = &g}),
+               fault::PlanError);
+  EXPECT_TRUE(eng.empty());
 }
 
 TEST(RateLimitFault, ValidateFaultTargetsChecksNamesAndTypes) {

@@ -87,9 +87,7 @@ struct HandBuiltTrial {
     hw::connect(dev.port(kTxPort), dev.port(kRxPort));
     workload.emplace(eng, dev, cfg);
     if (plan) {
-      injector.emplace(eng, *plan);
-      injector->attach_device(dev);
-      injector->arm();
+      injector.emplace(eng, *plan, fault::Targets{.device = &dev});
     }
   }
 

@@ -612,9 +612,9 @@ int cmd_oflops(int argc, const char* const* argv) {
   std::unique_ptr<fault::Injector> inj;
   fault::FaultPlan fplan;
   if (!load_fault_plan(faults_path, fplan, [&](fault::FaultPlan& p) {
-        inj = std::make_unique<fault::Injector>(tb.eng, std::move(p));
-        inj->attach_device(tb.osnt).attach_channel(tb.chan);
-        inj->arm();
+        inj = std::make_unique<fault::Injector>(
+            tb.eng, std::move(p),
+            fault::Targets{.device = &tb.osnt, .channel = &tb.chan});
       })) {
     return 1;
   }
