@@ -2,30 +2,11 @@
 // network measurements, such as latency and jitter" (§1). Inject a known
 // latency + jitter in the DUT and check OSNT measures exactly that —
 // measurement fidelity against simulation ground truth.
-#include <cmath>
 #include <cstdio>
 
-#include "osnt/core/device.hpp"
-#include "osnt/core/measure.hpp"
-#include "osnt/dut/legacy_switch.hpp"
-#include "osnt/net/builder.hpp"
+#include "osnt/graph/topology.hpp"
 
 using namespace osnt;
-
-namespace {
-
-void prime_learning(sim::Engine& eng, core::OsntDevice& osnt) {
-  net::PacketBuilder b;
-  (void)osnt.port(1).tx().transmit(
-      b.eth(net::MacAddr::from_index(2), net::MacAddr::from_index(1))
-          .ipv4(net::Ipv4Addr::of(10, 0, 1, 1), net::Ipv4Addr::of(10, 0, 0, 1),
-                net::ipproto::kUdp)
-          .udp(5001, 1024)
-          .build());
-  eng.run();
-}
-
-}  // namespace
 
 int main() {
   std::printf("E8: latency/jitter measurement fidelity vs injected ground "
@@ -42,21 +23,16 @@ int main() {
 
   for (const double lat_us : {1.0, 10.0, 100.0}) {
     for (const double jit_ns : {0.0, 50.0, 500.0}) {
-      sim::Engine eng;
-      core::OsntDevice osnt{eng};
-      dut::LegacySwitchConfig cfg;
-      cfg.pipeline_latency = from_micros(lat_us);
-      cfg.latency_jitter_ns = jit_ns;
-      dut::LegacySwitch sw{eng, cfg};
-      hw::connect(osnt.port(0), sw.port(0));
-      hw::connect(osnt.port(1), sw.port(1));
-      prime_learning(eng, osnt);
-
-      core::TrafficSpec spec;
-      spec.rate = gen::RateSpec::line_rate(0.02);  // no queueing noise
-      spec.frame_size = 512;
-      const auto r = core::run_capture_test(eng, osnt, 0, 1, spec,
-                                            8 * kPicosPerMilli);
+      // The `osnt_run latency --dut legacy` topology, with the switch's
+      // latency and jitter set to the ground truth.
+      graph::TopologyFile topo = graph::dut_topology("legacy");
+      dut::LegacySwitchConfig& sw = topo.blocks.front().legacy_switch;
+      sw.pipeline_latency = from_micros(lat_us);
+      sw.latency_jitter_ns = jit_ns;
+      topo.workload.rate_gbps = 0.2;  // 2% of line rate: no queueing noise
+      topo.workload.frame_size = 512;
+      const core::RunResult r =
+          graph::run_topology_trial(topo, 1, 8 * kPicosPerMilli).cbr;
       const double expect = lat_us * 1000.0 + fixed_ns;
       std::printf("%12.0f %12.0f | %14.1f %14.1f %12.2f\n", lat_us * 1000.0,
                   jit_ns, r.latency_ns.quantile(0.5), expect,

@@ -8,6 +8,7 @@
 #include "osnt/core/device.hpp"
 #include "osnt/core/measure.hpp"
 #include "osnt/dut/legacy_switch.hpp"
+#include "osnt/graph/graph.hpp"
 #include "osnt/net/builder.hpp"
 
 using namespace osnt;
@@ -38,10 +39,12 @@ int main() {
     for (const double load : {0.2, 0.5, 0.8, 0.95, 1.0, 1.05}) {
       sim::Engine eng;
       core::OsntDevice osnt{eng};
-      dut::LegacySwitch sw{eng};
-      hw::connect(osnt.port(0), sw.port(0));
-      hw::connect(osnt.port(1), sw.port(1));
-      hw::connect(osnt.port(2), sw.port(2));
+      graph::Graph g{eng};
+      g.emplace<dut::LegacySwitch>(eng, "sw");
+      for (const std::size_t p : {0, 1, 2}) {
+        osnt.port(p).out_link().connect(g.input("sw", p));
+        g.connect_output("sw", p, osnt.port(p).rx());
+      }
       prime_learning(eng, osnt);
 
       // Background stream occupies (load - 5%) of the shared egress; a

@@ -3,16 +3,16 @@
 // traffic at a variable rate; another captures it after the switch and
 // estimates switching latency — exactly the workflow the paper describes.
 //
-// The switch is a one-node scenario graph (graph::LegacySwitchBlock), so
-// this doubles as the minimal example of wiring an OSNT tester through
-// the composable dataplane API.
+// The switch is a one-node scenario graph (dut::LegacySwitch is a graph
+// block), so this doubles as the minimal example of wiring an OSNT tester
+// through the composable dataplane API.
 //
 //   $ ./legacy_switch_test
 #include <cstdio>
 
 #include "osnt/core/device.hpp"
 #include "osnt/core/measure.hpp"
-#include "osnt/graph/dut_blocks.hpp"
+#include "osnt/dut/legacy_switch.hpp"
 #include "osnt/graph/graph.hpp"
 #include "osnt/net/builder.hpp"
 
@@ -44,7 +44,7 @@ int main() {
     sim::Engine eng;
     core::OsntDevice osnt{eng};
     graph::Graph g{eng};
-    g.emplace<graph::LegacySwitchBlock>(eng, "sw");
+    g.emplace<dut::LegacySwitch>(eng, "sw");
     for (std::size_t p : {0, 1, 2}) {
       osnt.port(p).out_link().connect(g.input("sw", p));
       g.connect_output("sw", p, osnt.port(p).rx());

@@ -3,14 +3,21 @@
 // flooding, bounded output queues, and a configurable processing latency
 // with jitter. The latency-vs-load curve of this model has the canonical
 // shape (flat, then a queueing knee near saturation) OSNT measures.
+//
+// The switch is a graph block with one input and one output per port:
+// graph input i feeds port i's RX MAC, and port i's TX link relays into
+// graph output i. Testers, queues and other switches reach it only
+// through a graph::Graph (connect, input, connect_output).
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "osnt/common/random.hpp"
+#include "osnt/graph/block.hpp"
 #include "osnt/hw/port.hpp"
 #include "osnt/net/headers.hpp"
 #include "osnt/sim/engine.hpp"
@@ -42,19 +49,16 @@ struct LegacySwitchConfig {
   std::uint64_t seed = 11;
 };
 
-class LegacySwitch {
+/// An N-in/N-out block (N = cfg.num_ports).
+class LegacySwitch : public graph::Block {
  public:
   using Config = LegacySwitchConfig;
 
-  /// The caller cables the ports itself; scenario code usually wants
-  /// graph::LegacySwitchBlock, which does that through the graph seam.
-  explicit LegacySwitch(sim::Engine& eng, Config cfg = Config());
+  LegacySwitch(sim::Engine& eng, std::string name, Config cfg = Config());
 
-  LegacySwitch(const LegacySwitch&) = delete;
-  LegacySwitch& operator=(const LegacySwitch&) = delete;
-
-  [[nodiscard]] std::size_t num_ports() const noexcept { return ports_.size(); }
-  [[nodiscard]] hw::EthPort& port(std::size_t i) { return *ports_.at(i); }
+  /// A frame from graph input `in_port` enters port `in_port`'s RX MAC.
+  void on_frame(std::size_t in_port, net::Packet&& pkt, Picos first_bit,
+                Picos last_bit) override;
 
   // --- counters ---
   [[nodiscard]] std::uint64_t frames_forwarded() const noexcept {
@@ -79,9 +83,26 @@ class LegacySwitch {
   void add_static_mac(const net::MacAddr& mac, std::size_t port);
 
  private:
-  void on_frame(std::size_t in_port, net::Packet&& pkt, Picos first_bit,
-                Picos last_bit);
-  void emit(std::size_t out_port, net::Packet&& pkt, Picos not_before);
+  /// Relays one port's TX link into the block output of the same index.
+  class Egress final : public sim::FrameSink {
+   public:
+    Egress(LegacySwitch& owner, std::size_t port) noexcept
+        : owner_(&owner), port_(port) {}
+    void on_frame(net::Packet&& pkt, Picos first_bit,
+                  Picos last_bit) override {
+      owner_->emit(port_, std::move(pkt), first_bit, last_bit);
+    }
+
+   private:
+    LegacySwitch* owner_;
+    std::size_t port_;
+  };
+
+  /// Learn, look up and forward a frame its RX MAC accepted.
+  void forward(std::size_t in_port, net::Packet&& pkt, Picos first_bit,
+               Picos last_bit);
+  /// Hand a frame to `out_port`'s TX MAC at `not_before`.
+  void release(std::size_t out_port, net::Packet&& pkt, Picos not_before);
 
   struct MacEntry {
     std::size_t port = 0;
@@ -89,10 +110,10 @@ class LegacySwitch {
     bool is_static = false;
   };
 
-  sim::Engine* eng_;
   Config cfg_;
   Rng rng_;
   std::vector<std::unique_ptr<hw::EthPort>> ports_;
+  std::deque<Egress> egress_;
   std::unordered_map<std::uint64_t, MacEntry> mac_table_;
   Picos lookup_busy_ = 0;
   std::uint64_t forwarded_ = 0;

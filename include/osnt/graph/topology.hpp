@@ -23,9 +23,10 @@
 
 #include "osnt/burst/source.hpp"
 #include "osnt/core/measure.hpp"
+#include "osnt/core/trial.hpp"
+#include "osnt/dut/legacy_switch.hpp"
 #include "osnt/fault/plan.hpp"
 #include "osnt/graph/blocks.hpp"
-#include "osnt/graph/dut_blocks.hpp"
 #include "osnt/graph/graph.hpp"
 #include "osnt/tcp/workload.hpp"
 #include "osnt/telemetry/series.hpp"
@@ -205,5 +206,14 @@ struct TrialOptions {
 [[nodiscard]] TopologyTrialReport run_topology_trial(
     const TopologyFile& topo, std::uint64_t trial_seed, Picos duration = 0,
     const TrialOptions& opts = {});
+
+/// The RFC 2544 probe over `topo`'s cbr workload (core/rfc2544.hpp):
+/// each TrialPoint is one run_topology_trial of `duration` at the point's
+/// seed and frame size, offered at load × 10 Gb/s, reporting its frame
+/// counts, offered rate and latency samples. The trial keeps a copy of
+/// `topo`, so a sweep may shard it across threads.
+[[nodiscard]] core::Trial rfc2544_trial(const TopologyFile& topo,
+                                        Picos duration,
+                                        TrialOptions opts = {});
 
 }  // namespace osnt::graph

@@ -1,9 +1,10 @@
 // Multi-tester fabric harness — the paper's closing vision ("deployments
 // may see the use of hundreds or thousands of testers, offering
 // previously unobtainable insights"). Builds a leaf-spine fabric of
-// legacy switches with one OSNT tester per edge port, statically
-// programmed (no flooding, loop-safe), and measures one-way latency
-// between any tester pair using GPS-synchronized timestamps.
+// legacy switch blocks in one graph::Graph, with one OSNT tester per edge
+// port, statically programmed (no flooding, loop-safe), and measures
+// one-way latency between any tester pair using GPS-synchronized
+// timestamps.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include "osnt/common/stats.hpp"
 #include "osnt/core/device.hpp"
 #include "osnt/dut/legacy_switch.hpp"
+#include "osnt/graph/graph.hpp"
 #include "osnt/sim/engine.hpp"
 
 namespace osnt::topo {
@@ -66,9 +68,10 @@ class LeafSpineFabric {
  private:
   sim::Engine* eng_;
   Config cfg_;
+  graph::Graph graph_;
   std::vector<std::unique_ptr<core::OsntDevice>> testers_;
-  std::vector<std::unique_ptr<dut::LegacySwitch>> leaves_;
-  std::vector<std::unique_ptr<dut::LegacySwitch>> spines_;
+  std::vector<dut::LegacySwitch*> leaves_;  ///< owned by graph_
+  std::vector<dut::LegacySwitch*> spines_;
 };
 
 }  // namespace osnt::topo

@@ -6,17 +6,25 @@
 
 namespace osnt::dut {
 
-LegacySwitch::LegacySwitch(sim::Engine& eng, Config cfg)
-    : eng_(&eng), cfg_(cfg), rng_(cfg.seed) {
+LegacySwitch::LegacySwitch(sim::Engine& eng, std::string name, Config cfg)
+    : Block(eng, std::move(name), cfg.num_ports, cfg.num_ports),
+      cfg_(cfg),
+      rng_(cfg.seed) {
   hw::EthPortConfig pc;
   pc.tx.queue_limit_bytes = cfg_.queue_bytes;
   for (std::size_t i = 0; i < cfg_.num_ports; ++i) {
     ports_.push_back(std::make_unique<hw::EthPort>(eng, pc));
     ports_[i]->rx().set_handler(
         [this, i](net::Packet&& pkt, Picos first_bit, Picos last_bit) {
-          on_frame(i, std::move(pkt), first_bit, last_bit);
+          forward(i, std::move(pkt), first_bit, last_bit);
         });
+    ports_[i]->out_link().connect(egress_.emplace_back(*this, i));
   }
+}
+
+void LegacySwitch::on_frame(std::size_t in_port, net::Packet&& pkt,
+                            Picos first_bit, Picos last_bit) {
+  ports_[in_port]->rx().on_frame(std::move(pkt), first_bit, last_bit);
 }
 
 void LegacySwitch::add_static_mac(const net::MacAddr& mac, std::size_t port) {
@@ -29,8 +37,8 @@ std::uint64_t LegacySwitch::frames_dropped() const noexcept {
   return n;
 }
 
-void LegacySwitch::on_frame(std::size_t in_port, net::Packet&& pkt,
-                            Picos first_bit, Picos last_bit) {
+void LegacySwitch::forward(std::size_t in_port, net::Packet&& pkt,
+                           Picos first_bit, Picos last_bit) {
   auto eth = net::EthHeader::read(pkt.bytes());
   if (!eth) return;
 
@@ -38,22 +46,22 @@ void LegacySwitch::on_frame(std::size_t in_port, net::Packet&& pkt,
   if (!eth->src.is_multicast()) {
     const auto it = mac_table_.find(eth->src.to_u64());
     if (it != mac_table_.end()) {
-      if (!it->second.is_static) it->second = {in_port, eng_->now(), false};
+      if (!it->second.is_static) it->second = {in_port, now(), false};
     } else if (mac_table_.size() < cfg_.mac_table_size) {
-      mac_table_[eth->src.to_u64()] = {in_port, eng_->now(), false};
+      mac_table_[eth->src.to_u64()] = {in_port, now(), false};
     }
   }
 
   // --- lookup stage (serial, packet-rate-limited when configured) ---
-  Picos lookup_done = eng_->now();
+  Picos lookup_done = now();
   if (cfg_.lookup_rate_mpps > 0.0) {
     // Max backlog (in time) tolerated at the lookup stage before ingress
     // drops.
     constexpr Picos kLookupQueueLimit = 100 * kPicosPerMicro;
     const Picos per_lookup =
         static_cast<Picos>(1e6 / cfg_.lookup_rate_mpps);  // ps per packet
-    const Picos start = std::max(eng_->now(), lookup_busy_);
-    if (start - eng_->now() > kLookupQueueLimit) {
+    const Picos start = std::max(now(), lookup_busy_);
+    if (start - now() > kLookupQueueLimit) {
       ++lookup_drops_;
       return;  // ingress queue overflow
     }
@@ -73,15 +81,15 @@ void LegacySwitch::on_frame(std::size_t in_port, net::Packet&& pkt,
   // than the pipeline — matching real cut-through switches degrading to
   // store-and-forward timing for short pipelines.
   const Picos anchor = cfg_.cut_through ? first_bit : last_bit;
-  const Picos release =
-      std::max({anchor + latency, eng_->now(), lookup_done});
+  const Picos release_at =
+      std::max({anchor + latency, now(), lookup_done});
 
   std::size_t out = SIZE_MAX;
   if (!eth->dst.is_multicast()) {
     const auto it = mac_table_.find(eth->dst.to_u64());
     if (it != mac_table_.end() &&
         (it->second.is_static ||
-         eng_->now() - it->second.last_seen <= cfg_.mac_aging)) {
+         now() - it->second.last_seen <= cfg_.mac_aging)) {
       out = it->second.port;
     }
   }
@@ -89,7 +97,7 @@ void LegacySwitch::on_frame(std::size_t in_port, net::Packet&& pkt,
   if (out != SIZE_MAX) {
     if (out == in_port) return;  // hairpin suppression
     ++forwarded_;
-    emit(out, std::move(pkt), release);
+    release(out, std::move(pkt), release_at);
     return;
   }
 
@@ -104,16 +112,18 @@ void LegacySwitch::on_frame(std::size_t in_port, net::Packet&& pkt,
   std::size_t egress_left = ports_.size() - 1;  // all but in_port
   for (std::size_t i = 0; i < ports_.size(); ++i) {
     if (i == in_port) continue;
-    emit(i, --egress_left == 0 ? std::move(pkt) : net::Packet{pkt}, release);
+    release(i, --egress_left == 0 ? std::move(pkt) : net::Packet{pkt},
+            release_at);
   }
 }
 
-void LegacySwitch::emit(std::size_t out_port, net::Packet&& pkt,
-                        Picos not_before) {
-  const sim::Engine::CategoryScope cat(*eng_, sim::EventCategory::kDut);
-  eng_->schedule_at(not_before, [this, out_port, pkt = std::move(pkt)]() mutable {
-    ports_[out_port]->tx().transmit(std::move(pkt));
-  });
+void LegacySwitch::release(std::size_t out_port, net::Packet&& pkt,
+                           Picos not_before) {
+  const sim::Engine::CategoryScope cat(engine(), sim::EventCategory::kDut);
+  engine().schedule_at(not_before,
+                       [this, out_port, pkt = std::move(pkt)]() mutable {
+                         ports_[out_port]->tx().transmit(std::move(pkt));
+                       });
 }
 
 }  // namespace osnt::dut

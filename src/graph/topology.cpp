@@ -441,7 +441,7 @@ void TopologyFile::build(sim::Engine& eng, Graph& g, std::uint64_t trial_seed,
     } else if (b.type == "legacy_switch") {
       dut::LegacySwitchConfig cfg = b.legacy_switch;
       cfg.seed = block_seed;
-      g.emplace<LegacySwitchBlock>(eng, b.name, cfg);
+      g.emplace<dut::LegacySwitch>(eng, b.name, cfg);
     } else if (b.type == "burst_source") {
       burst::BurstSourceConfig cfg = b.burst;
       cfg.pattern.seed = block_seed;
@@ -669,6 +669,22 @@ TopologyTrialReport run_topology_trial(const TopologyFile& topo,
   report.graph_frames_in = g.total_frames_in();
   report.graph_drops = g.total_drops();
   return report;
+}
+
+core::Trial rfc2544_trial(const TopologyFile& topo, Picos duration,
+                          TrialOptions opts) {
+  return [topo, duration, opts](const core::TrialPoint& pt) {
+    TopologyFile t = topo;
+    t.workload.rate_gbps = pt.load_fraction * hw::TxMacConfig{}.gbps;
+    t.workload.frame_size = pt.frame_size;
+    TopologyTrialReport rep = run_topology_trial(t, pt.seed, duration, opts);
+    core::TrialStats s;
+    s.tx_frames = rep.cbr.tx_frames;
+    s.rx_frames = rep.cbr.rx_frames;
+    s.offered_gbps = rep.cbr.offered_gbps;
+    s.latency_ns = std::move(rep.cbr.latency_ns);
+    return s;
+  };
 }
 
 }  // namespace osnt::graph

@@ -1,6 +1,7 @@
 #include "osnt/topo/fabric.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "osnt/gen/template_gen.hpp"
 #include "osnt/tstamp/embed.hpp"
@@ -8,7 +9,7 @@
 namespace osnt::topo {
 
 LeafSpineFabric::LeafSpineFabric(sim::Engine& eng, Config cfg)
-    : eng_(&eng), cfg_(cfg) {
+    : eng_(&eng), cfg_(cfg), graph_(eng) {
   if (cfg_.leaves == 0 || cfg_.spines == 0 || cfg_.testers_per_leaf == 0)
     throw std::invalid_argument("LeafSpineFabric: empty dimension");
 
@@ -22,13 +23,17 @@ LeafSpineFabric::LeafSpineFabric(sim::Engine& eng, Config cfg)
   spine_cfg.num_ports = cfg_.leaves;
   spine_cfg.flood_unknown = false;
 
-  for (std::size_t s = 0; s < cfg_.spines; ++s)
-    spines_.push_back(std::make_unique<dut::LegacySwitch>(eng, spine_cfg));
+  for (std::size_t s = 0; s < cfg_.spines; ++s) {
+    spines_.push_back(&graph_.emplace<dut::LegacySwitch>(
+        eng, "spine" + std::to_string(s), spine_cfg));
+  }
   for (std::size_t l = 0; l < cfg_.leaves; ++l) {
-    leaves_.push_back(std::make_unique<dut::LegacySwitch>(eng, leaf_cfg));
+    const std::string leaf = "leaf" + std::to_string(l);
+    leaves_.push_back(&graph_.emplace<dut::LegacySwitch>(eng, leaf, leaf_cfg));
     for (std::size_t s = 0; s < cfg_.spines; ++s) {
-      hw::connect(leaves_[l]->port(cfg_.testers_per_leaf + s),
-                  spines_[s]->port(l));
+      const std::size_t uplink = cfg_.testers_per_leaf + s;
+      graph_.connect(leaf, uplink, spines_[s]->name(), l);
+      graph_.connect(spines_[s]->name(), l, leaf, uplink);
     }
   }
 
@@ -41,9 +46,11 @@ LeafSpineFabric::LeafSpineFabric(sim::Engine& eng, Config cfg)
     tc.clock.osc.seed = 1000 + i;
     tc.gps.seed = 2000 + i;
     testers_.push_back(std::make_unique<core::OsntDevice>(eng, tc));
-    const std::size_t l = leaf_of(i);
+    hw::EthPort& port = testers_[i]->port(0);
+    const std::string& leaf = leaves_[leaf_of(i)]->name();
     const std::size_t local = i % cfg_.testers_per_leaf;
-    hw::connect(testers_[i]->port(0), leaves_[l]->port(local));
+    port.out_link().connect(graph_.input(leaf, local));
+    graph_.connect_output(leaf, local, port.rx());
   }
 
   // Static forwarding: every switch knows every tester MAC.

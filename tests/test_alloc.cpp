@@ -16,9 +16,9 @@
 
 #include "osnt/common/fifo.hpp"
 #include "osnt/core/device.hpp"
+#include "osnt/dut/legacy_switch.hpp"
 #include "osnt/dut/openflow_switch.hpp"
 #include "osnt/graph/blocks.hpp"
-#include "osnt/graph/dut_blocks.hpp"
 #include "osnt/graph/graph.hpp"
 #include "osnt/hw/port.hpp"
 #include "osnt/net/builder.hpp"
@@ -183,7 +183,7 @@ TEST(Alloc, FrameHopsCopyNoFrame) {
   g.emplace<graph::MonitorBlock>(eng, "tap");
   dut::LegacySwitchConfig sw_cfg;
   sw_cfg.num_ports = 2;
-  auto& sw = g.emplace<graph::LegacySwitchBlock>(eng, "sw", sw_cfg);
+  auto& sw = g.emplace<dut::LegacySwitch>(eng, "sw", sw_cfg);
   auto& sink = g.emplace<graph::SinkBlock>(eng, "sink");
   g.connect("fifo", 0, "red", 0);
   g.connect("red", 0, "tb", 0);
@@ -198,7 +198,7 @@ TEST(Alloc, FrameHopsCopyNoFrame) {
 
   // The switch learns MAC 2 on port 1 from a frame MAC 2 sends itself,
   // which it does not send back out that port (hairpin).
-  sw.dut().port(1).rx().on_frame(udp_frame(2, 2), 0, 0);
+  g.input("sw", 1).on_frame(udp_frame(2, 2), 0, 0);
   eng.run();
 
   // One frame at a time, each once the last has reached the sink: no
@@ -218,7 +218,7 @@ TEST(Alloc, FrameHopsCopyNoFrame) {
   EXPECT_EQ(forward(frames), 0u);
   EXPECT_EQ(sink.frames_in(), kFrames + 1);
   EXPECT_EQ(g.total_drops(), 0u);
-  EXPECT_EQ(sw.dut().frames_flooded(), 0u);
+  EXPECT_EQ(sw.frames_flooded(), 0u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "osnt/net/builder.hpp"
 #include "osnt/oflops/context.hpp"
 #include "osnt/oflops/flowmod_latency.hpp"
+#include "switch_graph.hpp"
 
 namespace osnt {
 namespace {
@@ -19,9 +20,10 @@ namespace {
 core::RunResult run_scenario() {
   sim::Engine eng;
   core::OsntDevice osnt{eng};
-  dut::LegacySwitch sw{eng};
-  hw::connect(osnt.port(0), sw.port(0));
-  hw::connect(osnt.port(1), sw.port(1));
+  graph::Graph g{eng};
+  g.emplace<dut::LegacySwitch>(eng, "sw");
+  test::plug(g, "sw", 0, osnt.port(0));
+  test::plug(g, "sw", 1, osnt.port(1));
   net::PacketBuilder b;
   (void)osnt.port(1).tx().transmit(
       b.eth(net::MacAddr::from_index(2), net::MacAddr::from_index(1))

@@ -3,6 +3,7 @@
 
 #include "osnt/net/builder.hpp"
 #include "osnt/topo/fabric.hpp"
+#include "switch_graph.hpp"
 
 namespace osnt {
 namespace {
@@ -18,12 +19,13 @@ net::Packet to_mac(net::MacAddr src, net::MacAddr dst) {
 
 TEST(StaticMac, ForwardsWithoutLearning) {
   sim::Engine eng;
-  dut::LegacySwitch sw{eng};
+  graph::Graph g{eng};
+  auto& sw = g.emplace<dut::LegacySwitch>(eng, "sw");
   std::vector<std::unique_ptr<hw::EthPort>> hosts;
   std::vector<int> rx(4, 0);
   for (std::size_t i = 0; i < 4; ++i) {
     hosts.push_back(std::make_unique<hw::EthPort>(eng));
-    hw::connect(*hosts[i], sw.port(i));
+    test::plug(g, "sw", i, *hosts[i]);
     hosts[i]->rx().set_handler([&rx, i](net::Packet, Picos, Picos) { ++rx[i]; });
   }
   const auto dst = net::MacAddr::from_index(50);
@@ -39,11 +41,12 @@ TEST(StaticMac, SurvivesLearningAndAging) {
   sim::Engine eng;
   dut::LegacySwitchConfig cfg;
   cfg.mac_aging = kPicosPerSec;  // aggressive aging
-  dut::LegacySwitch sw{eng, cfg};
+  graph::Graph g{eng};
+  auto& sw = g.emplace<dut::LegacySwitch>(eng, "sw", cfg);
   std::vector<std::unique_ptr<hw::EthPort>> hosts;
   for (std::size_t i = 0; i < 4; ++i) {
     hosts.push_back(std::make_unique<hw::EthPort>(eng));
-    hw::connect(*hosts[i], sw.port(i));
+    test::plug(g, "sw", i, *hosts[i]);
   }
   const auto mac = net::MacAddr::from_index(50);
   sw.add_static_mac(mac, 2);
@@ -63,12 +66,13 @@ TEST(NoFlood, UnknownUnicastDropped) {
   sim::Engine eng;
   dut::LegacySwitchConfig cfg;
   cfg.flood_unknown = false;
-  dut::LegacySwitch sw{eng, cfg};
+  graph::Graph g{eng};
+  auto& sw = g.emplace<dut::LegacySwitch>(eng, "sw", cfg);
   std::vector<std::unique_ptr<hw::EthPort>> hosts;
   int total_rx = 0;
   for (std::size_t i = 0; i < 4; ++i) {
     hosts.push_back(std::make_unique<hw::EthPort>(eng));
-    hw::connect(*hosts[i], sw.port(i));
+    test::plug(g, "sw", i, *hosts[i]);
     hosts[i]->rx().set_handler([&](net::Packet, Picos, Picos) { ++total_rx; });
   }
   (void)hosts[0]->tx().transmit(

@@ -9,11 +9,7 @@
 #include <utility>
 #include <vector>
 
-#include "osnt/core/device.hpp"
-#include "osnt/core/measure.hpp"
-#include "osnt/dut/legacy_switch.hpp"
 #include "osnt/graph/blocks.hpp"
-#include "osnt/graph/dut_blocks.hpp"
 #include "osnt/graph/graph.hpp"
 #include "osnt/net/builder.hpp"
 #include "osnt/net/packet.hpp"
@@ -402,50 +398,6 @@ TEST(Graph, LinkDelayCutLetsLaterFramesOvertake) {
                            {51'000, 51'100},
                            {51'100, 51'200},
                            {61'000, 61'100}}));
-}
-
-/// The same capture experiment through (a) a hand-cabled switch and (b) the graph-wrapped block must agree exactly: the
-/// adapter layer adds indirection, never behaviour.
-core::RunResult run_legacy_direct() {
-  sim::Engine eng;
-  core::OsntDevice osnt{eng};
-  dut::LegacySwitch sw{eng};
-  hw::connect(osnt.port(0), sw.port(0));
-  hw::connect(osnt.port(1), sw.port(1));
-  core::TrafficSpec spec;
-  spec.rate = gen::RateSpec::gbps(2.0);
-  spec.frame_size = 512;
-  spec.seed = 11;
-  return core::run_capture_test(eng, osnt, 0, 1, spec, 2 * kPicosPerMilli);
-}
-
-core::RunResult run_legacy_graph() {
-  sim::Engine eng;
-  core::OsntDevice osnt{eng};
-  graph::Graph g{eng};
-  g.emplace<graph::LegacySwitchBlock>(eng, "sw");
-  for (std::size_t p : {0, 1}) {
-    osnt.port(p).out_link().connect(g.input("sw", p));
-    g.connect_output("sw", p, osnt.port(p).rx());
-  }
-  g.start();
-  core::TrafficSpec spec;
-  spec.rate = gen::RateSpec::gbps(2.0);
-  spec.frame_size = 512;
-  spec.seed = 11;
-  return core::run_capture_test(eng, osnt, 0, 1, spec, 2 * kPicosPerMilli);
-}
-
-TEST(Graph, LegacySwitchBlockMatchesHandCabledSwitch) {
-  const core::RunResult direct = run_legacy_direct();
-  const core::RunResult wrapped = run_legacy_graph();
-  EXPECT_GT(direct.tx_frames, 0u);
-  EXPECT_EQ(direct.tx_frames, wrapped.tx_frames);
-  EXPECT_EQ(direct.rx_frames, wrapped.rx_frames);
-  EXPECT_EQ(direct.latency_ns.count(), wrapped.latency_ns.count());
-  EXPECT_DOUBLE_EQ(direct.latency_ns.min(), wrapped.latency_ns.min());
-  EXPECT_DOUBLE_EQ(direct.latency_ns.max(), wrapped.latency_ns.max());
-  EXPECT_DOUBLE_EQ(direct.latency_ns.mean(), wrapped.latency_ns.mean());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "osnt/dut/legacy_switch.hpp"
 #include "osnt/dut/openflow_switch.hpp"
 #include "osnt/net/builder.hpp"
+#include "switch_graph.hpp"
 
 namespace osnt {
 namespace {
@@ -14,13 +15,14 @@ namespace {
 struct PartOneBench {
   sim::Engine eng;
   core::OsntDevice osnt{eng};
-  dut::LegacySwitch sw;
+  graph::Graph g{eng};
 
-  explicit PartOneBench(dut::LegacySwitchConfig cfg = dut::LegacySwitchConfig())
-      : sw(eng, cfg) {
+  explicit PartOneBench(
+      dut::LegacySwitchConfig cfg = dut::LegacySwitchConfig()) {
     // OSNT port 0 → switch port 0; switch port 1 → OSNT port 1 (Figure 2).
-    hw::connect(osnt.port(0), sw.port(0));
-    hw::connect(osnt.port(1), sw.port(1));
+    g.emplace<dut::LegacySwitch>(eng, "sw", cfg);
+    test::plug(g, "sw", 0, osnt.port(0));
+    test::plug(g, "sw", 1, osnt.port(1));
     prime_mac_learning();
   }
 
@@ -58,10 +60,11 @@ TEST(PartOne, LatencyGrowsWithLoad) {
   // offered load crosses the egress capacity.
   sim::Engine eng;
   core::OsntDevice osnt{eng};
-  dut::LegacySwitch sw{eng};
-  hw::connect(osnt.port(0), sw.port(0));
-  hw::connect(osnt.port(2), sw.port(2));
-  hw::connect(osnt.port(1), sw.port(1));
+  graph::Graph g{eng};
+  g.emplace<dut::LegacySwitch>(eng, "sw");
+  test::plug(g, "sw", 0, osnt.port(0));
+  test::plug(g, "sw", 2, osnt.port(2));
+  test::plug(g, "sw", 1, osnt.port(1));
   // Prime learning for the egress MAC.
   {
     net::PacketBuilder b;
@@ -113,10 +116,11 @@ TEST(PartOne, SequenceReportDetectsSwitchDrops) {
   cfg.queue_bytes = 4 * 1024;
   sim::Engine eng;
   core::OsntDevice osnt{eng};
-  dut::LegacySwitch sw{eng, cfg};
-  hw::connect(osnt.port(0), sw.port(0));
-  hw::connect(osnt.port(2), sw.port(2));
-  hw::connect(osnt.port(1), sw.port(1));
+  graph::Graph g{eng};
+  g.emplace<dut::LegacySwitch>(eng, "sw", cfg);
+  test::plug(g, "sw", 0, osnt.port(0));
+  test::plug(g, "sw", 2, osnt.port(2));
+  test::plug(g, "sw", 1, osnt.port(1));
   {
     net::PacketBuilder b;
     (void)osnt.port(1).tx().transmit(
@@ -187,10 +191,11 @@ TEST(PartOne, FloodDuplicatesDetectedByHash) {
   // snapped them to 64 B.
   sim::Engine eng;
   core::OsntDevice osnt{eng};
-  dut::LegacySwitch sw{eng};
-  hw::connect(osnt.port(0), sw.port(0));
-  hw::connect(osnt.port(1), sw.port(1));
-  hw::connect(osnt.port(2), sw.port(2));
+  graph::Graph g{eng};
+  g.emplace<dut::LegacySwitch>(eng, "sw");
+  test::plug(g, "sw", 0, osnt.port(0));
+  test::plug(g, "sw", 1, osnt.port(1));
+  test::plug(g, "sw", 2, osnt.port(2));
   osnt.rx(1).cutter().set_snap_len(64);
   osnt.rx(2).cutter().set_snap_len(64);
 

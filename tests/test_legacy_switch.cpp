@@ -2,8 +2,8 @@
 #include <gtest/gtest.h>
 
 #include "osnt/dut/legacy_switch.hpp"
-#include "osnt/hw/port.hpp"
 #include "osnt/net/builder.hpp"
+#include "switch_graph.hpp"
 
 namespace osnt::dut {
 namespace {
@@ -22,15 +22,17 @@ net::Packet frame(std::uint64_t src_idx, std::uint64_t dst_idx,
 
 struct Bench {
   sim::Engine eng;
-  LegacySwitch sw;
+  graph::Graph g{eng};
+  LegacySwitch& sw;
   std::vector<std::unique_ptr<hw::EthPort>> hosts;
   std::vector<int> rx_count;
 
-  explicit Bench(LegacySwitchConfig cfg = LegacySwitchConfig()) : sw(eng, cfg) {
-    rx_count.assign(sw.num_ports(), 0);
-    for (std::size_t i = 0; i < sw.num_ports(); ++i) {
+  explicit Bench(LegacySwitchConfig cfg = LegacySwitchConfig())
+      : sw(g.emplace<LegacySwitch>(eng, "sw", cfg)) {
+    rx_count.assign(cfg.num_ports, 0);
+    for (std::size_t i = 0; i < cfg.num_ports; ++i) {
       hosts.push_back(std::make_unique<hw::EthPort>(eng));
-      hw::connect(*hosts[i], sw.port(i));
+      test::plug(g, "sw", i, *hosts[i]);
       hosts[i]->rx().set_handler(
           [this, i](net::Packet, Picos, Picos) { ++rx_count[i]; });
     }

@@ -10,6 +10,7 @@
 #include "osnt/dut/legacy_switch.hpp"
 #include "osnt/net/builder.hpp"
 #include "osnt/tstamp/clock.hpp"
+#include "switch_graph.hpp"
 
 namespace osnt {
 namespace {
@@ -102,9 +103,10 @@ TEST_P(DutLatency, MeasuredTracksConfigured) {
   dut::LegacySwitchConfig cfg;
   cfg.pipeline_latency = from_micros(pipeline_us);
   cfg.latency_jitter_ns = 0;
-  dut::LegacySwitch sw{eng, cfg};
-  hw::connect(osnt.port(0), sw.port(0));
-  hw::connect(osnt.port(1), sw.port(1));
+  graph::Graph g{eng};
+  g.emplace<dut::LegacySwitch>(eng, "sw", cfg);
+  test::plug(g, "sw", 0, osnt.port(0));
+  test::plug(g, "sw", 1, osnt.port(1));
   {
     net::PacketBuilder b;
     (void)osnt.port(1).tx().transmit(

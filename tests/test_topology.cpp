@@ -656,7 +656,7 @@ DutRun run_hand_wired(const std::string& dut, const graph::WorkloadSpec& w,
       if (dut == "lossy") cfg.lookup_rate_mpps = 2.0;
       cfg.seed = derive_seed(seed, 0x1090);
       g.emplace(eng);
-      g->emplace<graph::LegacySwitchBlock>(eng, "dut", cfg);
+      g->emplace<dut::LegacySwitch>(eng, "dut", cfg);
       dev.port(0).out_link().connect(g->input("dut", 0));
       dev.port(1).out_link().connect(g->input("dut", 1));
       g->connect_output("dut", 0, dev.port(0).rx());

@@ -424,23 +424,12 @@ int cmd_throughput(int argc, const char* const* argv) {
   }
   if (!check_topology(topo, fault::FaultPlan{})) return 1;
 
-  // Each probe is one topology trial at its load and size, so the sweep
-  // can shard across cores; output is identical for any --jobs value.
-  const core::Trial trial = [&topo, &obs](const core::TrialPoint& pt) {
-    graph::TopologyFile t = topo;
-    t.workload.rate_gbps = pt.load_fraction * hw::TxMacConfig{}.gbps;
-    t.workload.frame_size = pt.frame_size;
-    graph::TopologyTrialReport rep = graph::run_topology_trial(
-        t, pt.seed, kPicosPerMilli,
-        {.trace = obs.trace_enabled() ? &obs.rec : nullptr,
-         .handler_timing = obs.handler_timing()});
-    core::TrialStats s;
-    s.tx_frames = rep.cbr.tx_frames;
-    s.rx_frames = rep.cbr.rx_frames;
-    s.offered_gbps = rep.cbr.offered_gbps;
-    s.latency_ns = std::move(rep.cbr.latency_ns);
-    return s;
-  };
+  // Each probe is one 1 ms topology trial at its load and size, so the
+  // sweep can shard across cores; output is identical for any --jobs.
+  const core::Trial trial = graph::rfc2544_trial(
+      topo, kPicosPerMilli,
+      {.trace = obs.trace_enabled() ? &obs.rec : nullptr,
+       .handler_timing = obs.handler_timing()});
 
   core::ThroughputSearchConfig cfg;
   cfg.resolution = resolution;
