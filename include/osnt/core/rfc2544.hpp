@@ -37,8 +37,16 @@ struct ThroughputPoint {
   std::string error;  ///< what() of the search-killing exception
 };
 
+/// Throws std::invalid_argument unless cfg.resolution lies in (0, 0.98),
+/// the span of the search: a resolution of 0 or below (or NaN) gives no
+/// stopping rule, and one of 0.98 or more stops the search before its
+/// first bisection.
+void validate(const ThroughputSearchConfig& cfg);
+
 /// Binary-search the highest zero-loss (or tolerance) load for one size.
-/// Inherently sequential: each probe depends on the previous verdict.
+/// Inherently sequential: each probe depends on the previous verdict. It
+/// ends at cfg.resolution or when the midpoint no longer moves (adjacent
+/// doubles), whichever comes first. Throws what validate(cfg) throws.
 [[nodiscard]] ThroughputPoint find_throughput(
     const Trial& run, std::size_t frame_size,
     ThroughputSearchConfig cfg = ThroughputSearchConfig());

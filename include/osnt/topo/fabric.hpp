@@ -59,7 +59,8 @@ class LeafSpineFabric {
 
   /// One-way latency (ns) for `frames` probe frames from tester `src` to
   /// tester `dst`, using embedded TX timestamps against the destination
-  /// card's GPS-disciplined capture stamps.
+  /// card's GPS-disciplined capture stamps. Throws std::invalid_argument
+  /// on a bad pair or 0 frames.
   [[nodiscard]] SampleSet measure_latency(std::size_t src, std::size_t dst,
                                           std::size_t frames = 200,
                                           double pps = 100'000.0,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
+#include <stdexcept>
 
 #include "osnt/net/packet.hpp"
 #include "osnt/sim/engine.hpp"
@@ -35,8 +37,19 @@ std::span<const std::size_t> rfc2544_frame_sizes() noexcept {
   return {kRfc2544Sizes.data(), kRfc2544Sizes.size()};
 }
 
+void validate(const ThroughputSearchConfig& cfg) {
+  constexpr double kSpan = kSearchCeiling - kSearchFloor;
+  // Written so that NaN fails too.
+  if (cfg.resolution > 0.0 && cfg.resolution < kSpan) return;
+  char msg[96];
+  std::snprintf(msg, sizeof msg, "resolution must be in (0, %g), got %g",
+                kSpan, cfg.resolution);
+  throw std::invalid_argument(msg);
+}
+
 ThroughputPoint find_throughput(const Trial& run, std::size_t frame_size,
                                 ThroughputSearchConfig cfg) {
+  validate(cfg);
   ThroughputPoint pt;
   pt.frame_size = frame_size;
 
@@ -56,6 +69,7 @@ ThroughputPoint find_throughput(const Trial& run, std::size_t frame_size,
   }
   while (hi - lo > cfg.resolution && best_load != hi) {
     const double mid = (lo + hi) / 2.0;
+    if (mid == lo || mid == hi) break;  // lo and hi are adjacent doubles
     TrialStats s = probe(run, mid, frame_size);
     ++pt.trials;
     if (s.loss_fraction() <= cfg.loss_tolerance) {

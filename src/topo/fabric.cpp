@@ -90,6 +90,8 @@ SampleSet LeafSpineFabric::measure_latency(std::size_t src, std::size_t dst,
                                            std::size_t frame_size) {
   if (src >= testers_.size() || dst >= testers_.size() || src == dst)
     throw std::invalid_argument("measure_latency: bad tester pair");
+  // A TemplateSource with count 0 never ends, and neither would the run.
+  if (frames == 0) throw std::invalid_argument("measure_latency: 0 frames");
 
   auto& rx_dev = *testers_[dst];
   rx_dev.capture().clear();

@@ -168,5 +168,12 @@ TEST(Fabric, BadPairThrows) {
   EXPECT_THROW((void)fabric.measure_latency(0, 99), std::invalid_argument);
 }
 
+TEST(Fabric, ZeroFramesThrows) {
+  // A probe source with count 0 is unbounded, so the run would never end.
+  sim::Engine eng;
+  topo::LeafSpineFabric fabric{eng};
+  EXPECT_THROW((void)fabric.measure_latency(0, 1, 0), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace osnt

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "osnt/core/rfc2544.hpp"
 
@@ -92,6 +93,41 @@ TEST(Rfc2544, TrialCountBounded) {
   const auto pt = find_throughput(capacity_dut(0.5), 64, cfg);
   // log2((1.0-0.02)/0.001) ≈ 10 trials, plus the ceiling probe.
   EXPECT_LE(pt.trials, 12u);
+}
+
+TEST(Rfc2544, SearchEndsWhenTheMidpointStopsMoving) {
+  // A resolution finer than the spacing of doubles near the capacity:
+  // the bisection runs until lo and hi are adjacent doubles, then stops.
+  ThroughputSearchConfig cfg;
+  cfg.resolution = 1e-300;
+  const auto pt = find_throughput(capacity_dut(0.63), 512, cfg);
+  EXPECT_NEAR(pt.max_load_fraction, 0.63, 1e-12);
+  EXPECT_LE(pt.max_load_fraction, 0.63 + 1e-12);
+  // One bisection per bit of the mantissa at most, plus the ceiling.
+  EXPECT_LE(pt.trials, 60u);
+}
+
+TEST(Rfc2544, ResolutionOutsideTheSearchSpanIsRefused) {
+  // 0 and below never end the search; 0.98 (the 2-100% span) and above
+  // end it before its first bisection, reporting 0% for a DUT that
+  // passes 63%.
+  std::uint32_t probes = 0;
+  const Trial counted = [&probes](const TrialPoint& p) {
+    ++probes;
+    return capacity_dut(0.63)(p);
+  };
+  for (const double r : {0.0, -1.0, 0.98, 2.0, std::nan("")}) {
+    ThroughputSearchConfig cfg;
+    cfg.resolution = r;
+    EXPECT_THROW(validate(cfg), std::invalid_argument) << r;
+    EXPECT_THROW((void)find_throughput(counted, 512, cfg),
+                 std::invalid_argument)
+        << r;
+  }
+  EXPECT_EQ(probes, 0u);
+  ThroughputSearchConfig cfg;
+  cfg.resolution = 0.97;
+  EXPECT_NO_THROW(validate(cfg));
 }
 
 }  // namespace

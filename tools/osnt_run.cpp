@@ -98,6 +98,17 @@ namespace {
   return false;
 }
 
+/// A count flag must be at least `min`: a negative value would wrap
+/// through the cast to an unsigned size. False after a stderr diagnostic
+/// naming the flag.
+[[nodiscard]] bool at_least(const char* flag, std::int64_t value,
+                            std::int64_t min) {
+  if (value >= min) return true;
+  std::fprintf(stderr, "--%s must be at least %lld, got %lld\n", flag,
+               static_cast<long long>(min), static_cast<long long>(value));
+  return false;
+}
+
 /// Shared --trace/--metrics-out handling so every measurement subcommand
 /// exposes the observability surface the same way: call add_to() before
 /// parse, attach() on each single-threaded engine the run constructs, and
@@ -417,6 +428,14 @@ int cmd_throughput(int argc, const char* const* argv) {
     std::fprintf(stderr, "--trace requires --jobs 1\n");
     return 1;
   }
+  core::ThroughputSearchConfig cfg;
+  cfg.resolution = resolution;
+  try {
+    core::validate(cfg);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "--resolution: %s\n", e.what());
+    return 1;
+  }
   graph::TopologyFile topo;
   if (!load_dut(dut, topo)) return 1;
   if (frame_size != 0) {
@@ -431,8 +450,6 @@ int cmd_throughput(int argc, const char* const* argv) {
       {.trace = obs.trace_enabled() ? &obs.rec : nullptr,
        .handler_timing = obs.handler_timing()});
 
-  core::ThroughputSearchConfig cfg;
-  cfg.resolution = resolution;
   core::RunnerConfig runner;
   runner.jobs = static_cast<std::size_t>(jobs < 0 ? 0 : jobs);
   std::printf("%7s %12s %10s %10s\n", "size", "zero-loss", "Gb/s", "Mpps");
@@ -638,7 +655,7 @@ int cmd_tcp(int argc, const char* const* argv) {
   cli.add_flag("bottleneck-gbps", &w.bottleneck_gbps,
                "bottleneck drain rate (0 = port line rate)");
   cli.add_flag("queue-segments", &queue_segments,
-               "bottleneck buffer depth in frames");
+               "bottleneck buffer depth in frames (0 = unbounded)");
   cli.add_flag("rwnd-kb", &rwnd_kb, "receiver window per flow, KiB");
   cli.add_flag("rate-limit-detector", &w.rate_limit_detector,
                "detect in-path policers/shapers and adapt the cc to them");
@@ -651,6 +668,10 @@ int cmd_tcp(int argc, const char* const* argv) {
   if (!ms_in_range("duration-ms", duration_ms)) return 1;
   if (flows <= 0 || mss <= 0) {
     std::fprintf(stderr, "--flows/--mss must be positive\n");
+    return 1;
+  }
+  if (!at_least("queue-segments", queue_segments, 0) ||
+      !at_least("rwnd-kb", rwnd_kb, 0) || !at_least("seed", seed, 0)) {
     return 1;
   }
   w.flows = static_cast<std::size_t>(flows);
@@ -815,6 +836,10 @@ int cmd_fleet(int argc, const char* const* argv) {
   cli.add_flag("per-leaf", &per_leaf, "testers per leaf");
   cli.add_flag("frames", &frames, "probes per pair");
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
+  if (!at_least("leaves", leaves, 1) || !at_least("spines", spines, 1) ||
+      !at_least("per-leaf", per_leaf, 1) || !at_least("frames", frames, 1)) {
+    return 1;
+  }
 
   sim::Engine eng;
   topo::FabricConfig cfg;
