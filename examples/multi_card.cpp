@@ -12,9 +12,9 @@
 #include "osnt/core/device.hpp"
 #include "osnt/core/measure.hpp"
 #include "osnt/dut/legacy_switch.hpp"
+#include "osnt/net/builder.hpp"
 #include "osnt/gen/template_gen.hpp"
 #include "osnt/graph/graph.hpp"
-#include "osnt/net/builder.hpp"
 #include "osnt/tstamp/embed.hpp"
 
 using namespace osnt;
@@ -37,14 +37,12 @@ OneWayResult run(bool card_b_disciplined, Picos duration) {
   core::OsntDevice card_a{eng, cfg_a};
   core::OsntDevice card_b{eng, cfg_b};
 
-  // Card A on switch port 0, card B on port 1.
   graph::Graph g{eng};
   g.emplace<dut::LegacySwitch>(eng, "sw");
-  std::size_t sw_port = 0;
-  for (core::OsntDevice* card : {&card_a, &card_b}) {
-    card->port(0).out_link().connect(g.input("sw", sw_port));
-    g.connect_output("sw", sw_port++, card->port(0).rx());
-  }
+  card_a.port(0).out_link().connect(g.input("sw", 0));
+  g.connect_output("sw", 0, card_a.port(0).rx());
+  card_b.port(0).out_link().connect(g.input("sw", 1));
+  g.connect_output("sw", 1, card_b.port(0).rx());
 
   // Prime MAC learning toward card B.
   net::PacketBuilder pb;

@@ -66,7 +66,6 @@
 #include "osnt/fault/plan.hpp"
 #include "osnt/gen/template_gen.hpp"
 #include "osnt/graph/topology.hpp"
-#include "osnt/hw/mac10g.hpp"
 #include "osnt/mon/flow_stats.hpp"
 #include "osnt/oflops/action_latency.hpp"
 #include "osnt/oflops/consistency.hpp"
