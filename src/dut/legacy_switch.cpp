@@ -46,22 +46,22 @@ void LegacySwitch::forward(std::size_t in_port, net::Packet&& pkt,
   if (!eth->src.is_multicast()) {
     const auto it = mac_table_.find(eth->src.to_u64());
     if (it != mac_table_.end()) {
-      if (!it->second.is_static) it->second = {in_port, now(), false};
+      if (!it->second.is_static) it->second = {in_port, engine().now(), false};
     } else if (mac_table_.size() < cfg_.mac_table_size) {
-      mac_table_[eth->src.to_u64()] = {in_port, now(), false};
+      mac_table_[eth->src.to_u64()] = {in_port, engine().now(), false};
     }
   }
 
   // --- lookup stage (serial, packet-rate-limited when configured) ---
-  Picos lookup_done = now();
+  Picos lookup_done = engine().now();
   if (cfg_.lookup_rate_mpps > 0.0) {
     // Max backlog (in time) tolerated at the lookup stage before ingress
     // drops.
     constexpr Picos kLookupQueueLimit = 100 * kPicosPerMicro;
     const Picos per_lookup =
         static_cast<Picos>(1e6 / cfg_.lookup_rate_mpps);  // ps per packet
-    const Picos start = std::max(now(), lookup_busy_);
-    if (start - now() > kLookupQueueLimit) {
+    const Picos start = std::max(engine().now(), lookup_busy_);
+    if (start - engine().now() > kLookupQueueLimit) {
       ++lookup_drops_;
       return;  // ingress queue overflow
     }
@@ -82,14 +82,14 @@ void LegacySwitch::forward(std::size_t in_port, net::Packet&& pkt,
   // store-and-forward timing for short pipelines.
   const Picos anchor = cfg_.cut_through ? first_bit : last_bit;
   const Picos release_at =
-      std::max({anchor + latency, now(), lookup_done});
+      std::max({anchor + latency, engine().now(), lookup_done});
 
   std::size_t out = SIZE_MAX;
   if (!eth->dst.is_multicast()) {
     const auto it = mac_table_.find(eth->dst.to_u64());
     if (it != mac_table_.end() &&
         (it->second.is_static ||
-         now() - it->second.last_seen <= cfg_.mac_aging)) {
+         engine().now() - it->second.last_seen <= cfg_.mac_aging)) {
       out = it->second.port;
     }
   }
