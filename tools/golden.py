@@ -159,30 +159,31 @@ def record(build_dir, argv):
         return "\n".join(out) + "\n"
 
 
-def metrics_of(text):
-    """name -> value over a record's metric lines."""
-    got = {}
+def split(text):
+    """A record's metric lines as name -> value, and its other lines."""
+    metrics, rest = {}, []
     in_metrics = False
     for line in text.splitlines():
         if line.startswith("--- "):
             in_metrics = "(sim-only names, sorted)" in line
-        elif in_metrics and " = " in line:
+        if in_metrics and " = " in line:
             name, value = line.split(" = ", 1)
-            got[name] = value
-    return got
+            metrics[name] = value
+        else:
+            rest.append(line)
+    return metrics, rest
 
 
 def report_mismatch(name, want, got, limit=10):
     print(f"Golden.{name}: output differs from tests/golden/{name}.txt")
-    old, new = metrics_of(want), metrics_of(got)
+    (old, old_rest), (new, new_rest) = split(want), split(got)
     changed = [n for n in sorted(set(old) | set(new))
                if old.get(n) != new.get(n)]
     for n in changed[:limit]:
         print(f"  {n}: {old.get(n, '(absent)')} -> {new.get(n, '(absent)')}")
     if len(changed) > limit:
         print(f"  ... and {len(changed) - limit} more metric names")
-    keep = lambda t: [l for l in t.splitlines() if " = " not in l]
-    diff = list(difflib.unified_diff(keep(want), keep(got), "golden", "now",
+    diff = list(difflib.unified_diff(old_rest, new_rest, "golden", "now",
                                      lineterm="", n=1))
     for line in diff[:60]:
         print("  " + line)
