@@ -31,7 +31,7 @@ int main() {
       sw.latency_jitter_ns = jit_ns;
       topo.workload.rate_gbps = 0.2;  // 2% of line rate: no queueing noise
       topo.workload.frame_size = 512;
-      const core::RunResult r =
+      const core::TrialStats r =
           graph::run_topology_trial(topo, 1, 8 * kPicosPerMilli).cbr;
       const double expect = lat_us * 1000.0 + fixed_ns;
       std::printf("%12.0f %12.0f | %14.1f %14.1f %12.2f\n", lat_us * 1000.0,

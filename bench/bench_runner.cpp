@@ -11,7 +11,6 @@
 
 #include "osnt/core/device.hpp"
 #include "osnt/core/measure.hpp"
-#include "osnt/core/repeat.hpp"
 #include "osnt/core/rfc2544.hpp"
 #include "osnt/core/runner.hpp"
 
@@ -30,14 +29,7 @@ core::TrialStats sim_trial(const core::TrialPoint& pt) {
   spec.rate = gen::RateSpec::line_rate(pt.load_fraction);
   spec.frame_size = pt.frame_size;
   spec.seed = pt.seed;
-  const auto r =
-      core::run_capture_test(eng, osnt, 0, 1, spec, kPicosPerMilli / 5);
-  core::TrialStats s;
-  s.tx_frames = r.tx_frames;
-  s.rx_frames = r.rx_frames;
-  s.offered_gbps = r.offered_gbps;
-  s.metric = r.latency_ns.quantile(0.5);
-  return s;
+  return core::run_capture_test(eng, osnt, 0, 1, spec, kPicosPerMilli / 5);
 }
 
 /// 16-point frame-loss ladder at 256 B — 16 independent simulations per
@@ -56,23 +48,6 @@ void BM_LossLadder16Trials(benchmark::State& state) {
       static_cast<double>(std::thread::hardware_concurrency());
 }
 BENCHMARK(BM_LossLadder16Trials)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-/// Repeat-across-seeds (run_repeated) with 16 repetitions of the same
-/// simulation — the statistical-sweep shape from the methodology papers.
-void BM_Repeated16Seeds(benchmark::State& state) {
-  core::RunnerConfig rc;
-  rc.jobs = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    const auto r = core::run_repeated(sim_trial, 16, rc);
-    benchmark::DoNotOptimize(r.mean);
-  }
-  state.SetItemsProcessed(state.iterations() * 16);
-  state.counters["jobs"] = static_cast<double>(rc.jobs);
-}
-BENCHMARK(BM_Repeated16Seeds)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);

@@ -7,8 +7,8 @@
 #include <cstdint>
 #include <memory>
 
-#include "osnt/common/stats.hpp"
 #include "osnt/core/device.hpp"
+#include "osnt/core/trial.hpp"
 #include "osnt/gen/models.hpp"
 #include "osnt/gen/rate.hpp"
 #include "osnt/gen/source.hpp"
@@ -40,24 +40,6 @@ struct TrafficSpec {
 [[nodiscard]] std::unique_ptr<gen::GapModel> make_gap_model(
     const TrafficSpec& spec);
 
-/// Result of a generate→DUT→capture run between two ports of one device.
-struct RunResult {
-  std::uint64_t tx_frames = 0;
-  std::uint64_t rx_frames = 0;       ///< frames seen by the monitor port
-  std::uint64_t captured = 0;        ///< records that survived the DMA path
-  std::uint64_t dma_drops = 0;
-  double offered_gbps = 0.0;         ///< measured at the generator
-  double delivered_gbps = 0.0;       ///< measured at the monitor
-  SampleSet latency_ns;              ///< embedded-stamp one-way latency
-  SampleSet jitter_ns;               ///< |latency[i] - latency[i-1]| (RFC3550-ish)
-  [[nodiscard]] double loss_fraction() const noexcept {
-    return tx_frames == 0
-               ? 0.0
-               : 1.0 - static_cast<double>(rx_frames) /
-                           static_cast<double>(tx_frames);
-  }
-};
-
 /// Drive traffic out of `tx_port`, capture on `rx_port`, for `duration` of
 /// simulated time (plus drain time), and collect latency/loss statistics.
 /// The caller must already have cabled the ports (through a DUT or
@@ -68,7 +50,7 @@ struct RunResult {
 /// `capture_filter`, when given, replaces the default capture rule (e.g.
 /// to capture only a subset of the probe flows); the probe *counter*
 /// always selects the full probe stream by `spec.dst_port`.
-[[nodiscard]] RunResult run_capture_test(
+[[nodiscard]] TrialStats run_capture_test(
     sim::Engine& eng, OsntDevice& dev, std::size_t tx_port,
     std::size_t rx_port, const TrafficSpec& spec, Picos duration,
     const mon::FilterRule* capture_filter = nullptr);

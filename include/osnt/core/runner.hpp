@@ -40,45 +40,35 @@ struct RunnerConfig {
 struct TrialPlan {
   std::vector<TrialPoint> points;
   Trial run;
-
-  /// Repeat-across-seeds plan: seeds 1..repetitions, one point each.
-  [[nodiscard]] static TrialPlan repeat(std::size_t repetitions);
-  /// One point per load fraction at a fixed frame size (loss-rate ladder).
-  [[nodiscard]] static TrialPlan load_grid(const std::vector<double>& loads,
-                                           std::size_t frame_size);
 };
 
 /// Executes TrialPlans (and generic index ranges) across a worker pool.
 ///
 /// Guarantees:
 ///  - results come back in plan order, independent of jobs;
-///  - every trial is attempted even if an earlier one throws; the first
-///    exception in plan order is rethrown after the batch completes;
 ///  - worker threads are tagged for the logger (common/log) so interleaved
 ///    lines from concurrent trials stay attributable.
 class Runner {
  public:
   explicit Runner(RunnerConfig cfg = {}) : cfg_(cfg) {}
 
-  /// Run every point through `plan.run`; result i corresponds to
-  /// `plan.points[i]` (with `index` filled in) regardless of thread count.
-  /// Retries/watchdogs from the config still apply; a slot whose attempts
-  /// are exhausted surfaces as the historical throw (every point is still
-  /// attempted, first exception in plan order rethrown after the batch).
-  [[nodiscard]] std::vector<TrialStats> run(const TrialPlan& plan) const;
-
-  /// Hardened execution: never throws for trial failures. Every slot gets
-  /// up to `max_attempts` watchdogged attempts with per-attempt seed
-  /// rederivation; the plan always completes, and each TrialResult says
-  /// whether its stats are first-try (ok), salvaged (retried), or absent
-  /// (timed_out / failed, with the last error attached). Outcome counts
-  /// land in telemetry under `core.runner.outcome.*`.
+  /// The one way to run a plan. Never throws for trial failures: every
+  /// point runs through `plan.run` (with `index` filled in) with up to
+  /// `max_attempts` watchdogged attempts and per-attempt seed
+  /// rederivation. Result i corresponds to `plan.points[i]` regardless
+  /// of thread count, and says whether its stats are first-try (ok),
+  /// salvaged (retried), or absent (timed_out / failed, with the last
+  /// error attached). Outcome counts land in telemetry under
+  /// `core.runner.outcome.*`. Throws std::invalid_argument when the plan
+  /// has no functor.
   [[nodiscard]] std::vector<TrialResult> run_resilient(
       const TrialPlan& plan) const;
 
   /// Deterministic-order parallel map: invoke `body(i)` for i in [0, n)
   /// across the pool. The sweeps use this when the unit of parallelism is
   /// a whole search (one frame size's binary search), not a single trial.
+  /// Every index is attempted even if an earlier one throws; the first
+  /// exception in index order is rethrown after the batch completes.
   void for_each(std::size_t n,
                 const std::function<void(std::size_t)>& body) const;
 

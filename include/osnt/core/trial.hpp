@@ -1,5 +1,5 @@
 // Unified trial vocabulary for the experiment layer. Every measurement —
-// repeat-across-seeds, RFC 2544 searches, CLI sweeps — is phrased as "run
+// RFC 2544 searches, loss ladders, CLI trial batches — is phrased as "run
 // one trial at this TrialPoint on a fresh testbed and report TrialStats",
 // so one functor type (`Trial`) feeds both the serial searches and the
 // parallel `core::Runner`.
@@ -10,7 +10,6 @@
 #include <exception>
 #include <functional>
 #include <string>
-#include <utility>
 
 #include "osnt/common/random.hpp"
 #include "osnt/common/stats.hpp"
@@ -56,15 +55,17 @@ enum class TrialOutcome : std::uint8_t {
   return kNames[static_cast<std::size_t>(o)];
 }
 
-/// Outcome of offering `load_fraction` of line rate at one frame size.
+/// Outcome of offering `load_fraction` of line rate at one frame size:
+/// what core::run_capture_test measures between two ports of a device.
 struct TrialStats {
   std::uint64_t tx_frames = 0;
-  std::uint64_t rx_frames = 0;
-  double offered_gbps = 0.0;
-  SampleSet latency_ns;
-  /// Free-form scalar for repeat-style experiments whose figure of merit
-  /// is not a frame count (e.g. a latency percentile or a fitted rate).
-  double metric = 0.0;
+  std::uint64_t rx_frames = 0;       ///< frames seen by the monitor port
+  std::uint64_t captured = 0;        ///< records that survived the DMA path
+  std::uint64_t dma_drops = 0;
+  double offered_gbps = 0.0;         ///< measured at the generator
+  double delivered_gbps = 0.0;       ///< measured at the monitor
+  SampleSet latency_ns;              ///< embedded-stamp one-way latency
+  SampleSet jitter_ns;               ///< |latency[i] - latency[i-1]| (RFC3550-ish)
 
   [[nodiscard]] double loss_fraction() const noexcept {
     return tx_frames == 0
@@ -97,16 +98,5 @@ struct TrialResult {
 /// with jobs > 1 — which it is for free when every state it touches lives
 /// inside the trial body.
 using Trial = std::function<TrialStats(const TrialPoint&)>;
-
-/// Lift a scalar-valued experiment into the Trial vocabulary: the returned
-/// Trial stores `fn(point)` in TrialStats::metric.
-[[nodiscard]] inline Trial scalar_trial(
-    std::function<double(const TrialPoint&)> fn) {
-  return [fn = std::move(fn)](const TrialPoint& p) {
-    TrialStats s;
-    s.metric = fn(p);
-    return s;
-  };
-}
 
 }  // namespace osnt::core

@@ -149,7 +149,7 @@ struct BlockCounters {
 
 struct TopologyTrialReport {
   tcp::TcpTrialReport tcp{};  ///< meaningful when workload.kind == kTcp
-  core::RunResult cbr{};      ///< meaningful when workload.kind == kCbr
+  core::TrialStats cbr{};     ///< meaningful when workload.kind == kCbr
   std::vector<BlockCounters> blocks;
   std::uint64_t graph_frames_in = 0;
   std::uint64_t graph_drops = 0;
@@ -209,9 +209,9 @@ struct TrialOptions {
 
 /// The RFC 2544 probe over `topo`'s cbr workload (core/rfc2544.hpp):
 /// each TrialPoint is one run_topology_trial of `duration` at the point's
-/// seed and frame size, offered at load × 10 Gb/s, reporting its frame
-/// counts, offered rate and latency samples. The trial keeps a copy of
-/// `topo`, so a sweep may shard it across threads.
+/// seed and frame size, offered at load × 10 Gb/s, reporting the
+/// report's `cbr`. The trial keeps a copy of `topo`, so a sweep may shard
+/// it across threads.
 [[nodiscard]] core::Trial rfc2544_trial(const TopologyFile& topo,
                                         Picos duration,
                                         TrialOptions opts = {});

@@ -37,10 +37,10 @@ std::unique_ptr<gen::GapModel> make_gap_model(const TrafficSpec& spec) {
   return std::make_unique<gen::ConstantGap>();
 }
 
-RunResult run_capture_test(sim::Engine& eng, OsntDevice& dev,
-                           std::size_t tx_port, std::size_t rx_port,
-                           const TrafficSpec& spec, Picos duration,
-                           const mon::FilterRule* capture_filter) {
+TrialStats run_capture_test(sim::Engine& eng, OsntDevice& dev,
+                            std::size_t tx_port, std::size_t rx_port,
+                            const TrafficSpec& spec, Picos duration,
+                            const mon::FilterRule* capture_filter) {
   gen::TxConfig txc;
   txc.rate = spec.rate;
   txc.seed = spec.seed;
@@ -67,7 +67,7 @@ RunResult run_capture_test(sim::Engine& eng, OsntDevice& dev,
   // Drain: let in-flight frames and DMA transfers land.
   eng.run_until(eng.now() + 10 * kPicosPerMilli);
 
-  RunResult r;
+  TrialStats r;
   r.tx_frames = tx.frames_sent();
   r.rx_frames = rx.probe_seen();
   r.captured = rx.captured();

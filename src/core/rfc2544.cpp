@@ -122,18 +122,22 @@ std::vector<LossPoint> loss_rate_sweep(const Trial& run,
                                        std::size_t frame_size, double hi,
                                        double step,
                                        const RunnerConfig& runner) {
-  std::vector<double> loads;
-  for (double load = hi; load > step / 2; load -= step) loads.push_back(load);
-  TrialPlan plan = TrialPlan::load_grid(loads, frame_size);
+  TrialPlan plan;
   plan.run = run;
+  for (double load = hi; load > step / 2; load -= step) {
+    TrialPoint p;
+    p.load_fraction = load;
+    p.frame_size = frame_size;
+    plan.points.push_back(p);
+  }
   // Resilient: a failed rung is flagged and zeroed, the ladder completes.
   const auto results = Runner{runner}.run_resilient(plan);
   std::vector<LossPoint> out;
   out.reserve(results.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     const TrialStats& s = results[i].stats;
-    out.push_back({loads[i], s.loss_fraction(), s.offered_gbps,
-                   results[i].outcome});
+    out.push_back({plan.points[i].load_fraction, s.loss_fraction(),
+                   s.offered_gbps, results[i].outcome});
   }
   return out;
 }

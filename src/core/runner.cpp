@@ -38,32 +38,6 @@ std::size_t RunnerConfig::resolved_jobs() const noexcept {
   return hw != 0 ? hw : 1;
 }
 
-TrialPlan TrialPlan::repeat(std::size_t repetitions) {
-  TrialPlan plan;
-  plan.points.reserve(repetitions);
-  for (std::size_t i = 0; i < repetitions; ++i) {
-    TrialPoint p;
-    p.index = i;
-    p.seed = i + 1;  // historical run_repeated convention: seeds 1..n
-    plan.points.push_back(p);
-  }
-  return plan;
-}
-
-TrialPlan TrialPlan::load_grid(const std::vector<double>& loads,
-                               std::size_t frame_size) {
-  TrialPlan plan;
-  plan.points.reserve(loads.size());
-  for (std::size_t i = 0; i < loads.size(); ++i) {
-    TrialPoint p;
-    p.index = i;
-    p.load_fraction = loads[i];
-    p.frame_size = frame_size;
-    plan.points.push_back(p);
-  }
-  return plan;
-}
-
 void Runner::for_each(std::size_t n,
                       const std::function<void(std::size_t)>& body) const {
   if (n == 0) return;
@@ -151,7 +125,8 @@ void Runner::for_each(std::size_t n,
 
 std::vector<TrialResult> Runner::run_resilient(const TrialPlan& plan) const {
   if (!plan.run)
-    throw std::invalid_argument("Runner::run: plan has no trial functor");
+    throw std::invalid_argument(
+        "Runner::run_resilient: plan has no trial functor");
   const std::size_t n = plan.points.size();
   const std::uint32_t cap = cfg_.max_attempts > 0 ? cfg_.max_attempts : 1;
   std::vector<TrialResult> results(n);
@@ -208,19 +183,6 @@ std::vector<TrialResult> Runner::run_resilient(const TrialPlan& plan) const {
     }
     reg.counter("core.runner.retries").add(extra_attempts);
   }
-  return results;
-}
-
-std::vector<TrialStats> Runner::run(const TrialPlan& plan) const {
-  auto resilient = run_resilient(plan);
-  // Historical contract: every point attempted, then the first failure in
-  // plan order is rethrown. Retry/watchdog configs still apply first.
-  for (auto& r : resilient) {
-    if (!r.ok() && r.exception) std::rethrow_exception(r.exception);
-  }
-  std::vector<TrialStats> results;
-  results.reserve(resilient.size());
-  for (auto& r : resilient) results.push_back(std::move(r.stats));
   return results;
 }
 

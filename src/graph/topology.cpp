@@ -677,13 +677,7 @@ core::Trial rfc2544_trial(const TopologyFile& topo, Picos duration,
     TopologyFile t = topo;
     t.workload.rate_gbps = pt.load_fraction * hw::TxMacConfig{}.gbps;
     t.workload.frame_size = pt.frame_size;
-    TopologyTrialReport rep = run_topology_trial(t, pt.seed, duration, opts);
-    core::TrialStats s;
-    s.tx_frames = rep.cbr.tx_frames;
-    s.rx_frames = rep.cbr.rx_frames;
-    s.offered_gbps = rep.cbr.offered_gbps;
-    s.latency_ns = std::move(rep.cbr.latency_ns);
-    return s;
+    return run_topology_trial(t, pt.seed, duration, opts).cbr;
   };
 }
 

@@ -464,17 +464,16 @@ AmpOutcome run_amp_trials(std::size_t jobs, Picos series_interval = 0) {
     plan.points.push_back(pt);
   }
   plan.run = [&](const core::TrialPoint& pt) {
-    const auto r = graph::run_topology_trial(
+    // Slots are disjoint across workers.
+    out.reports[pt.index] = graph::run_topology_trial(
         topo, pt.seed, /*duration=*/0, {.series_interval = series_interval});
-    core::TrialStats st;
-    st.metric = static_cast<double>(r.tcp.bytes_acked);
-    out.reports[pt.index] = r;  // slots are disjoint across workers
-    return st;
+    return core::TrialStats{};  // the report carries the results
   };
 
   core::RunnerConfig rcfg;
   rcfg.jobs = jobs;
-  (void)core::Runner{rcfg}.run(plan);
+  for (const auto& r : core::Runner{rcfg}.run_resilient(plan))
+    EXPECT_TRUE(r.ok()) << r.error;
   out.sim_metrics_json =
       telemetry::registry().to_json(telemetry::Snapshot::kSimOnly);
   return out;

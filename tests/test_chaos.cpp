@@ -26,7 +26,7 @@ namespace {
 /// The standard chaos workload: back-to-back testbed, 1 Gb/s for 2 ms of
 /// sim time, with a mid-run link flap, BER window, and DMA stall injected
 /// from one shared plan. Returns the full capture-test result.
-RunResult faulted_capture_run(std::uint64_t seed) {
+TrialStats faulted_capture_run(std::uint64_t seed) {
   sim::Engine eng;
   core::OsntDevice osnt{eng};
   hw::connect(osnt.port(0), osnt.port(1));
@@ -111,14 +111,9 @@ TrialPlan flaky_faulted_plan(std::size_t n) {
   plan.points.resize(n);
   for (std::size_t i = 0; i < n; ++i) plan.points[i].seed = 40 + i;
   plan.run = [](const TrialPoint& pt) {
-    const auto r = faulted_capture_run(pt.seed);
+    TrialStats s = faulted_capture_run(pt.seed);
     if (pt.index == 1 && pt.attempt == 0)
       throw std::runtime_error("loss gate tripped under injected faults");
-    TrialStats s;
-    s.tx_frames = r.tx_frames;
-    s.rx_frames = r.rx_frames;
-    s.offered_gbps = r.offered_gbps;
-    s.latency_ns = r.latency_ns;
     return s;
   };
   return plan;

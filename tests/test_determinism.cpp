@@ -17,7 +17,7 @@
 namespace osnt {
 namespace {
 
-core::RunResult run_scenario() {
+core::TrialStats run_scenario() {
   sim::Engine eng;
   core::OsntDevice osnt{eng};
   graph::Graph g{eng};

@@ -165,7 +165,7 @@ BiasReport compare_bias(const LatencyProbe& probe, const SampleSet& host) {
 /// The acceptance scenario: a mid-run DMA stall drops capture records on
 /// the floor. The monitor-model probe sits ahead of the DMA stage, so its
 /// histogram still covers 100% of delivered frames; the host-side
-/// embedded-stamp population (RunResult::latency_ns, computed from DMA
+/// embedded-stamp population (TrialStats::latency_ns, computed from DMA
 /// survivors) loses exactly the stalled records.
 TEST(LatencyProbe, InPlaneKeepsFullPopulationUnderDmaStall) {
   sim::Engine eng;
@@ -183,7 +183,7 @@ TEST(LatencyProbe, InPlaneKeepsFullPopulationUnderDmaStall) {
   spec.rate = gen::RateSpec::gbps(8.0);
   spec.frame_size = 128;
   spec.seed = 7;
-  const core::RunResult r =
+  const core::TrialStats r =
       core::run_capture_test(eng, osnt, 0, 1, spec, 2 * kPicosPerMilli);
 
   const LatencyProbe& probe = osnt.rx(1).rtt_probe();
@@ -218,7 +218,7 @@ TEST(LatencyProbe, HostAndInPlaneAgreeWithoutFaults) {
   spec.rate = gen::RateSpec::gbps(1.0);
   spec.frame_size = 256;
   spec.seed = 3;
-  const core::RunResult r =
+  const core::TrialStats r =
       core::run_capture_test(eng, osnt, 0, 1, spec, kPicosPerMilli);
 
   const LatencyProbe& probe = osnt.rx(1).rtt_probe();

@@ -1,6 +1,7 @@
 // OFLOPS-turbo framework + modules running against the full Testbed.
 #include <gtest/gtest.h>
 
+#include "osnt/oflops/action_latency.hpp"
 #include "osnt/oflops/consistency.hpp"
 #include "osnt/oflops/context.hpp"
 #include "osnt/oflops/echo_rtt.hpp"
@@ -285,6 +286,50 @@ TEST(Interaction, StormSlowsRuleInstallation) {
   for (const auto& m : rep.scalars)
     if (m.name == "storm_slowdown_x") slowdown = m.value;
   EXPECT_GE(slowdown, 1.0);
+}
+
+TEST(ActionLatency, SlowPathRewriteShowsUp) {
+  dut::OpenFlowSwitchConfig sw_cfg;
+  sw_cfg.action_modify_latency = 20 * kPicosPerMicro;  // slow-path switch
+  sw_cfg.latency_jitter_ns = 0;
+  Testbed tb{sw_cfg};
+  ActionLatencyConfig cfg;
+  cfg.samples_per_mode = 50;
+  ActionLatencyModule mod{cfg};
+  const auto rep = tb.ctx.run(mod, 120 * kPicosPerSec);
+
+  const SampleSet* plain = nullptr;
+  const SampleSet* rewrite = nullptr;
+  double overhead = -1;
+  for (const auto& [name, d] : rep.distributions) {
+    if (name == "forward_only_ns") plain = &d;
+    if (name == "vlan_rewrite_ns") rewrite = &d;
+  }
+  for (const auto& m : rep.scalars)
+    if (m.name == "action_overhead_ns") overhead = m.value;
+  ASSERT_NE(plain, nullptr);
+  ASSERT_NE(rewrite, nullptr);
+  EXPECT_EQ(plain->count(), 50u);
+  EXPECT_EQ(rewrite->count(), 50u);
+  // The 20 µs slow-path cost dominates the measured overhead.
+  EXPECT_NEAR(overhead, 20'000.0, 1'000.0);
+}
+
+TEST(ActionLatency, FastRewriteIsCheap) {
+  dut::OpenFlowSwitchConfig sw_cfg;
+  sw_cfg.action_modify_latency = 50 * kPicosPerNano;  // pipeline rewrite
+  sw_cfg.latency_jitter_ns = 0;
+  Testbed tb{sw_cfg};
+  ActionLatencyConfig cfg;
+  cfg.samples_per_mode = 30;
+  ActionLatencyModule mod{cfg};
+  const auto rep = tb.ctx.run(mod, 120 * kPicosPerSec);
+  for (const auto& m : rep.scalars) {
+    if (m.name == "action_overhead_ns") {
+      EXPECT_LT(m.value, 500.0);
+      EXPECT_GT(m.value, 0.0);
+    }
+  }
 }
 
 TEST(Report, PrintDoesNotCrash) {

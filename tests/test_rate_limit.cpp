@@ -555,16 +555,15 @@ PolicerOutcome run_policer_trials(std::size_t jobs) {
     tp.points.push_back(pt);
   }
   tp.run = [&](const core::TrialPoint& pt) {
-    const auto r = graph::run_topology_trial(topo, pt.seed, /*duration=*/0,
-                                             {.plan = &plan});
-    core::TrialStats st;
-    st.metric = static_cast<double>(r.tcp.bytes_acked);
-    out.reports[pt.index] = r;  // slots are disjoint across workers
-    return st;
+    // Slots are disjoint across workers.
+    out.reports[pt.index] = graph::run_topology_trial(
+        topo, pt.seed, /*duration=*/0, {.plan = &plan});
+    return core::TrialStats{};  // the report carries the results
   };
   core::RunnerConfig rcfg;
   rcfg.jobs = jobs;
-  (void)core::Runner{rcfg}.run(tp);
+  for (const auto& r : core::Runner{rcfg}.run_resilient(tp))
+    EXPECT_TRUE(r.ok()) << r.error;
   out.sim_metrics_json =
       telemetry::registry().to_json(telemetry::Snapshot::kSimOnly);
   return out;

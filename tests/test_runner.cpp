@@ -1,6 +1,6 @@
 // core::Runner: deterministic parallel trial execution. The contract under
 // test: results are byte-identical for any job count, every trial is
-// attempted, and the first exception in plan order propagates.
+// attempted, and for_each rethrows the first exception in index order.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,10 +11,8 @@
 #include <vector>
 
 #include "osnt/common/log.hpp"
-#include "osnt/common/random.hpp"
 #include "osnt/core/device.hpp"
 #include "osnt/core/measure.hpp"
-#include "osnt/core/repeat.hpp"
 #include "osnt/core/rfc2544.hpp"
 #include "osnt/core/runner.hpp"
 
@@ -24,15 +22,6 @@ namespace {
 std::size_t hw_jobs() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw != 0 ? hw : 1;
-}
-
-/// Deterministic scalar trial: a seeded RNG draw, so any cross-thread
-/// interference or reordering shows up as a value mismatch.
-Trial seeded_scalar() {
-  return scalar_trial([](const TrialPoint& p) {
-    Rng rng{p.seed};
-    return rng.normal(100.0, 10.0);
-  });
 }
 
 /// Fake DUT forwarding loss-free up to `capacity` of line rate, in the
@@ -59,14 +48,25 @@ TrialStats sim_trial(const TrialPoint& pt) {
   spec.rate = gen::RateSpec::line_rate(pt.load_fraction);
   spec.frame_size = pt.frame_size;
   spec.seed = pt.seed;
-  const auto r =
-      run_capture_test(eng, osnt, 0, 1, spec, kPicosPerMilli / 5);
-  TrialStats s;
-  s.tx_frames = r.tx_frames;
-  s.rx_frames = r.rx_frames;
-  s.offered_gbps = r.offered_gbps;
-  s.metric = r.latency_ns.quantile(0.5);
-  return s;
+  return run_capture_test(eng, osnt, 0, 1, spec, kPicosPerMilli / 5);
+}
+
+/// Points at seeds 1..n, in plan order.
+TrialPlan seeds_plan(std::size_t n) {
+  TrialPlan plan;
+  plan.points.resize(n);
+  for (std::size_t i = 0; i < n; ++i) plan.points[i].seed = i + 1;
+  return plan;
+}
+
+/// Every slot of a run_resilient batch succeeded. A failed slot holds a
+/// default TrialStats, so comparing two batches without this check
+/// would pass on two failures.
+void expect_all_ok(const std::vector<TrialResult>& results) {
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_TRUE(results[i].ok())
+        << "trial " << i << ": " << results[i].error;
+  }
 }
 
 std::string render_sweep(const std::vector<ThroughputPoint>& pts) {
@@ -92,18 +92,6 @@ std::string render_ladder(const std::vector<LossPoint>& pts) {
   return out;
 }
 
-TEST(Runner, RepeatedValuesIdenticalForAnyJobCount) {
-  const auto trial = seeded_scalar();
-  const auto serial = run_repeated(trial, 24, RunnerConfig{.jobs = 1});
-  const auto four = run_repeated(trial, 24, RunnerConfig{.jobs = 4});
-  const auto hw = run_repeated(trial, 24, RunnerConfig{.jobs = hw_jobs()});
-  EXPECT_EQ(serial.values, four.values);  // bit-exact, not approximate
-  EXPECT_EQ(serial.values, hw.values);
-  EXPECT_EQ(serial.mean, four.mean);
-  EXPECT_EQ(serial.stddev, four.stddev);
-  EXPECT_EQ(serial.ci95_half, four.ci95_half);
-}
-
 TEST(Runner, SimEngineTrialsIdenticalForAnyJobCount) {
   // Per-trial Engines share nothing, so concurrent simulations must
   // reproduce the serial run exactly (frame counts and latency medians).
@@ -117,13 +105,18 @@ TEST(Runner, SimEngineTrialsIdenticalForAnyJobCount) {
     plan.points.push_back(p);
   }
   plan.run = sim_trial;
-  const auto serial = Runner{RunnerConfig{.jobs = 1}}.run(plan);
-  const auto parallel = Runner{RunnerConfig{.jobs = 4}}.run(plan);
+  const auto serial = Runner{RunnerConfig{.jobs = 1}}.run_resilient(plan);
+  const auto parallel = Runner{RunnerConfig{.jobs = 4}}.run_resilient(plan);
+  expect_all_ok(serial);
+  expect_all_ok(parallel);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].tx_frames, parallel[i].tx_frames) << "trial " << i;
-    EXPECT_EQ(serial[i].rx_frames, parallel[i].rx_frames) << "trial " << i;
-    EXPECT_EQ(serial[i].metric, parallel[i].metric) << "trial " << i;
+    const TrialStats& a = serial[i].stats;
+    const TrialStats& b = parallel[i].stats;
+    EXPECT_EQ(a.tx_frames, b.tx_frames) << "trial " << i;
+    EXPECT_EQ(a.rx_frames, b.rx_frames) << "trial " << i;
+    EXPECT_EQ(a.latency_ns.quantile(0.5), b.latency_ns.quantile(0.5))
+        << "trial " << i;
   }
 }
 
@@ -157,22 +150,19 @@ TEST(Runner, LossLadderByteIdenticalForAnyJobCount) {
 TEST(Runner, FirstExceptionInPlanOrderPropagates) {
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
     std::atomic<int> attempted{0};
-    TrialPlan plan = TrialPlan::repeat(8);
-    plan.run = [&attempted](const TrialPoint& p) -> TrialStats {
-      attempted.fetch_add(1, std::memory_order_relaxed);
-      if (p.seed == 3) throw std::runtime_error("boom3");
-      if (p.seed == 5) throw std::runtime_error("boom5");
-      return TrialStats{};
-    };
     const Runner runner{RunnerConfig{.jobs = jobs}};
     try {
-      (void)runner.run(plan);
+      runner.for_each(8, [&attempted](std::size_t i) {
+        attempted.fetch_add(1, std::memory_order_relaxed);
+        if (i == 2) throw std::runtime_error("boom3");
+        if (i == 4) throw std::runtime_error("boom5");
+      });
       FAIL() << "expected an exception (jobs=" << jobs << ")";
     } catch (const std::runtime_error& e) {
-      // seed 3 precedes seed 5 in the plan, whichever thread hit it first.
+      // Index 2 precedes index 4, whichever thread hit it first.
       EXPECT_STREQ(e.what(), "boom3") << "jobs=" << jobs;
     }
-    // Every trial was still attempted despite the failures.
+    // Every index was still attempted despite the failures.
     EXPECT_EQ(attempted.load(), 8) << "jobs=" << jobs;
   }
 }
@@ -180,20 +170,20 @@ TEST(Runner, FirstExceptionInPlanOrderPropagates) {
 TEST(Runner, EmptyPlanAndMissingFunctor) {
   TrialPlan empty;
   empty.run = [](const TrialPoint&) { return TrialStats{}; };
-  EXPECT_TRUE(Runner{}.run(empty).empty());
-  TrialPlan no_fn = TrialPlan::repeat(2);
-  EXPECT_THROW((void)Runner{}.run(no_fn), std::invalid_argument);
+  EXPECT_TRUE(Runner{}.run_resilient(empty).empty());
+  const TrialPlan no_fn = seeds_plan(2);
+  EXPECT_THROW((void)Runner{}.run_resilient(no_fn), std::invalid_argument);
 }
 
 TEST(Runner, WorkersAreTaggedForTheLogger) {
   EXPECT_EQ(log_worker(), -1);
   std::vector<int> ids(5, -2);
-  TrialPlan plan = TrialPlan::repeat(5);
+  TrialPlan plan = seeds_plan(5);
   plan.run = [&ids](const TrialPoint& p) {
     ids[p.index] = log_worker();
     return TrialStats{};
   };
-  (void)Runner{RunnerConfig{.jobs = 2}}.run(plan);
+  expect_all_ok(Runner{RunnerConfig{.jobs = 2}}.run_resilient(plan));
   for (const int id : ids) EXPECT_GE(id, 0);
   // The tag is scoped to the pool; the calling thread is restored.
   EXPECT_EQ(log_worker(), -1);
@@ -205,19 +195,20 @@ TEST(Runner, ResolvedJobs) {
 }
 
 TEST(Runner, PointIndexFollowsPlanOrder) {
-  TrialPlan plan = TrialPlan::repeat(16);
+  TrialPlan plan = seeds_plan(16);
   std::vector<std::uint64_t> seeds(16, 0);
   plan.run = [&seeds](const TrialPoint& p) {
     seeds[p.index] = p.seed;
     TrialStats s;
-    s.metric = static_cast<double>(p.index);
+    s.tx_frames = p.index;
     return s;
   };
-  const auto out = Runner{RunnerConfig{.jobs = 4}}.run(plan);
+  const auto out = Runner{RunnerConfig{.jobs = 4}}.run_resilient(plan);
+  expect_all_ok(out);
   ASSERT_EQ(out.size(), 16u);
   for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].metric, static_cast<double>(i));
-    EXPECT_EQ(seeds[i], i + 1);  // run_repeated's historical seed order
+    EXPECT_EQ(out[i].stats.tx_frames, i);
+    EXPECT_EQ(seeds[i], i + 1);  // the plan's seeds, in plan order
   }
 }
 

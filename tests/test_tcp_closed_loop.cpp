@@ -379,12 +379,12 @@ std::string tcp_sim_snapshot_for_jobs(std::size_t jobs,
     core::TrialStats s;
     s.tx_frames = r.segs_sent;
     s.rx_frames = r.acks_sent;
-    s.metric = r.goodput_bps;
     return s;
   };
   core::RunnerConfig rcfg;
   rcfg.jobs = jobs;
-  (void)core::Runner{rcfg}.run(trial_plan);
+  for (const auto& r : core::Runner{rcfg}.run_resilient(trial_plan))
+    EXPECT_TRUE(r.ok()) << r.error;
   return reg.to_json(telemetry::Snapshot::kSimOnly);
 }
 

@@ -373,7 +373,7 @@ TEST(TelemetryTrace, IdenticalRecordingsRenderIdenticalBytes) {
 
 // -------------------------------------------- end-to-end pipeline metrics
 
-core::RunResult run_device_scenario() {
+core::TrialStats run_device_scenario() {
   sim::Engine eng;
   core::OsntDevice dev{eng};
   hw::connect(dev.port(0), dev.port(1));
@@ -424,16 +424,12 @@ std::string sim_snapshot_for_jobs(std::size_t jobs) {
     spec.rate = gen::RateSpec::line_rate(p.load_fraction);
     spec.frame_size = 512;
     spec.seed = p.seed;
-    const auto r =
-        core::run_capture_test(eng, dev, 0, 1, spec, kPicosPerMilli / 2);
-    core::TrialStats s;
-    s.tx_frames = r.tx_frames;
-    s.rx_frames = r.rx_frames;
-    return s;
+    return core::run_capture_test(eng, dev, 0, 1, spec, kPicosPerMilli / 2);
   };
   core::RunnerConfig cfg;
   cfg.jobs = jobs;
-  (void)core::Runner{cfg}.run(plan);
+  for (const auto& r : core::Runner{cfg}.run_resilient(plan))
+    EXPECT_TRUE(r.ok()) << r.error;
   return reg.to_json(telemetry::Snapshot::kSimOnly);
 }
 

@@ -439,17 +439,16 @@ DumbbellOutcome run_dumbbell_trials(std::size_t jobs,
     plan.points.push_back(pt);
   }
   plan.run = [&](const core::TrialPoint& pt) {
-    const auto r = graph::run_topology_trial(
+    // Slots are disjoint across workers.
+    out.reports[pt.index] = graph::run_topology_trial(
         topo, pt.seed, /*duration=*/0, {.series_interval = series_interval});
-    core::TrialStats st;
-    st.metric = static_cast<double>(r.tcp.bytes_acked);
-    out.reports[pt.index] = r;  // slots are disjoint across workers
-    return st;
+    return core::TrialStats{};  // the report carries the results
   };
 
   core::RunnerConfig rcfg;
   rcfg.jobs = jobs;
-  (void)core::Runner{rcfg}.run(plan);
+  for (const auto& r : core::Runner{rcfg}.run_resilient(plan))
+    EXPECT_TRUE(r.ok()) << r.error;
   out.sim_metrics_json =
       telemetry::registry().to_json(telemetry::Snapshot::kSimOnly);
   return out;
@@ -633,7 +632,7 @@ TEST(Topology, FrameSentAtTimeZeroHasALatencySample) {
 
 /// What a trial leaves behind: its result and the kSimOnly registry.
 struct DutRun {
-  core::RunResult r;
+  core::TrialStats r;
   std::string sim_json;
 };
 

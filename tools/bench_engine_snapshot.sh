@@ -134,7 +134,7 @@ for b in doc["benchmarks"]:
         rates[b["run_name"]] = b["items_per_second"]
 
 scaling = {}
-for family in ("BM_LossLadder16Trials", "BM_Repeated16Seeds"):
+for family in ("BM_LossLadder16Trials",):
     base = rates.get(f"{family}/1/real_time")
     if not base:
         continue

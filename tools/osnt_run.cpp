@@ -393,7 +393,7 @@ int cmd_latency(int argc, const char* const* argv) {
                 static_cast<unsigned long long>(tr.seed_used));
   }
 
-  const core::RunResult& r = trials.reports.front().cbr;
+  const core::TrialStats& r = trials.reports.front().cbr;
   std::printf("tx %llu  rx %llu  loss %.4f%%  offered %.3f Gb/s\n",
               static_cast<unsigned long long>(r.tx_frames),
               static_cast<unsigned long long>(r.rx_frames),
