@@ -32,7 +32,7 @@ int main() {
   std::printf("E3: legacy switch latency vs load (demo Part I)\n");
   std::printf("%7s %7s %12s %12s %12s %12s %9s\n", "probe", "load",
               "lat_min_ns", "lat_p50_ns", "lat_p99_ns", "lat_max_ns",
-              "loss%%");
+              "loss%");
 
   for (const std::size_t frame : {std::size_t{64}, std::size_t{512},
                                   std::size_t{1518}}) {

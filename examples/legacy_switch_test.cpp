@@ -37,7 +37,7 @@ void prime_learning(sim::Engine& eng, core::OsntDevice& osnt) {
 int main() {
   std::printf("Part I demo: legacy switch latency vs load\n");
   std::printf("%8s %10s %12s %12s %12s %12s %9s\n", "load", "offered",
-              "lat_min_ns", "lat_p50_ns", "lat_p99_ns", "lat_max_ns", "loss%%");
+              "lat_min_ns", "lat_p50_ns", "lat_p99_ns", "lat_max_ns", "loss%");
 
   for (const double load : {0.1, 0.3, 0.5, 0.7, 0.9, 1.0}) {
     // Fresh testbed per load point: OSNT ports 0,2 → switch; port 1 captures.

@@ -36,7 +36,7 @@ int main() {
   }
 
   std::printf("\nframe loss rate ladder at 512 B:\n%8s %10s\n", "load",
-              "loss%%");
+              "loss%");
   for (const auto& lp :
        core::loss_rate_sweep(trial, 512, 1.0, 0.25, runner)) {
     std::printf("%7.0f%% %9.3f%%\n", lp.load_fraction * 100.0,

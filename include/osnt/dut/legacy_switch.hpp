@@ -49,7 +49,10 @@ struct LegacySwitchConfig {
   std::uint64_t seed = 11;
 };
 
-/// An N-in/N-out block (N = cfg.num_ports).
+/// An N-in/N-out block (N = cfg.num_ports). Every frame its RX MACs
+/// accept and it does not forward counts in drops(): an unparseable
+/// frame, a lookup-stage overflow, an unknown unicast it may not flood, a
+/// hairpin, and a frame its egress queue refuses.
 class LegacySwitch : public graph::Block {
  public:
   using Config = LegacySwitchConfig;
@@ -68,9 +71,6 @@ class LegacySwitch : public graph::Block {
     return flooded_;
   }
   [[nodiscard]] std::uint64_t frames_dropped() const noexcept;
-  [[nodiscard]] std::uint64_t lookup_drops() const noexcept {
-    return lookup_drops_;
-  }
   [[nodiscard]] std::size_t mac_table_size() const noexcept {
     return mac_table_.size();
   }
@@ -118,7 +118,6 @@ class LegacySwitch : public graph::Block {
   Picos lookup_busy_ = 0;
   std::uint64_t forwarded_ = 0;
   std::uint64_t flooded_ = 0;
-  std::uint64_t lookup_drops_ = 0;
   std::uint64_t unknown_dropped_ = 0;
 };
 

@@ -27,8 +27,8 @@ struct OpenFlowSwitchConfig {
   Picos pipeline_latency = 700 * kPicosPerNano;
   double latency_jitter_ns = 25.0;
   std::size_t queue_bytes = 128 * 1024;
-  /// Extra per-packet cost for each header-modifying action (set/strip
-  /// VLAN). Near-zero on switches that rewrite in the pipeline; large
+  /// Extra per-packet cost for each header-modifying action (VLAN set).
+  /// Near-zero on switches that rewrite in the pipeline; large
   /// (tens of µs) on those that punt modifications to the slow path —
   /// the contrast the ActionLatency OFLOPS module measures.
   Picos action_modify_latency = 50 * kPicosPerNano;
@@ -103,7 +103,7 @@ class OpenFlowSwitch {
   void on_frame(std::size_t in_port, net::Packet&& pkt, Picos first_bit,
                 Picos last_bit);
   void execute_actions(const std::vector<openflow::Action>& actions,
-                       std::size_t in_port, net::Packet&& pkt, Picos release);
+                       net::Packet&& pkt, Picos release);
   void send_packet_in(std::size_t in_port, const net::Packet& pkt);
   /// Serial agent CPU: returns the completion time of a job started now.
   Picos agent_run(Picos cost);

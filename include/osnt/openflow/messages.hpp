@@ -42,12 +42,10 @@ enum class MsgType : std::uint8_t {
   kBarrierReply = 19,
 };
 
-/// Reserved port numbers (OF 1.0 ofp_port).
+/// Port numbers (OF 1.0 ofp_port). Physical ports run up to kMax; the
+/// model sends to none of the reserved ports above it.
 namespace ofpp {
-inline constexpr std::uint16_t kInPort = 0xFFF8;
-inline constexpr std::uint16_t kFlood = 0xFFFB;
-inline constexpr std::uint16_t kAll = 0xFFFC;
-inline constexpr std::uint16_t kController = 0xFFFD;
+inline constexpr std::uint16_t kMax = 0xFF00;
 inline constexpr std::uint16_t kNone = 0xFFFF;
 }  // namespace ofpp
 
@@ -65,11 +63,6 @@ struct ActionSetVlanVid {
                          const ActionSetVlanVid&) = default;
 };
 
-struct ActionStripVlan {
-  friend bool operator==(const ActionStripVlan&,
-                         const ActionStripVlan&) = default;
-};
-
 /// OFPAT_ENQUEUE: output through a specific egress queue (QoS).
 struct ActionEnqueue {
   std::uint16_t port = 0;
@@ -77,8 +70,7 @@ struct ActionEnqueue {
   friend bool operator==(const ActionEnqueue&, const ActionEnqueue&) = default;
 };
 
-using Action = std::variant<ActionOutput, ActionSetVlanVid, ActionStripVlan,
-                            ActionEnqueue>;
+using Action = std::variant<ActionOutput, ActionSetVlanVid, ActionEnqueue>;
 
 /// Encoded size of one action (8 bytes, except enqueue = 16).
 [[nodiscard]] std::size_t action_wire_size(const Action& a) noexcept;

@@ -40,7 +40,10 @@ std::uint64_t LegacySwitch::frames_dropped() const noexcept {
 void LegacySwitch::forward(std::size_t in_port, net::Packet&& pkt,
                            Picos first_bit, Picos last_bit) {
   auto eth = net::EthHeader::read(pkt.bytes());
-  if (!eth) return;
+  if (!eth) {
+    count_drop();
+    return;
+  }
 
   // --- learning (static entries are never overwritten) ---
   if (!eth->src.is_multicast()) {
@@ -62,7 +65,7 @@ void LegacySwitch::forward(std::size_t in_port, net::Packet&& pkt,
         static_cast<Picos>(1e6 / cfg_.lookup_rate_mpps);  // ps per packet
     const Picos start = std::max(engine().now(), lookup_busy_);
     if (start - engine().now() > kLookupQueueLimit) {
-      ++lookup_drops_;
+      count_drop();
       return;  // ingress queue overflow
     }
     lookup_busy_ = start + per_lookup;
@@ -95,7 +98,10 @@ void LegacySwitch::forward(std::size_t in_port, net::Packet&& pkt,
   }
 
   if (out != SIZE_MAX) {
-    if (out == in_port) return;  // hairpin suppression
+    if (out == in_port) {
+      count_drop();
+      return;  // hairpin suppression
+    }
     ++forwarded_;
     release(out, std::move(pkt), release_at);
     return;
@@ -103,6 +109,7 @@ void LegacySwitch::forward(std::size_t in_port, net::Packet&& pkt,
 
   if (!cfg_.flood_unknown && !eth->dst.is_multicast()) {
     ++unknown_dropped_;
+    count_drop();
     return;
   }
 
@@ -122,7 +129,8 @@ void LegacySwitch::release(std::size_t out_port, net::Packet&& pkt,
   const sim::Engine::CategoryScope cat(engine(), sim::EventCategory::kDut);
   engine().schedule_at(not_before,
                        [this, out_port, pkt = std::move(pkt)]() mutable {
-                         ports_[out_port]->tx().transmit(std::move(pkt));
+                         if (!ports_[out_port]->tx().transmit(std::move(pkt)))
+                           count_drop();  // egress queue full
                        });
 }
 

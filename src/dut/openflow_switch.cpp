@@ -29,14 +29,6 @@ void set_vlan(Bytes& frame, std::uint16_t vid) {
   frame.insert(frame.begin() + 12, tag, tag + 4);
 }
 
-void strip_vlan(Bytes& frame) {
-  if (frame.size() < net::EthHeader::kSize + 4) return;
-  if (load_be16(frame.data() + 12) !=
-      static_cast<std::uint16_t>(net::EtherType::kVlan))
-    return;
-  frame.erase(frame.begin() + 12, frame.begin() + 16);
-}
-
 }  // namespace
 
 OpenFlowSwitch::OpenFlowSwitch(sim::Engine& eng,
@@ -120,10 +112,8 @@ void OpenFlowSwitch::on_control(openflow::Decoded& d) {
         } else if constexpr (std::is_same_v<T, PacketOut>) {
           const Picos done = agent_run(cfg_.agent_service);
           eng_->schedule_at(done, [this, po = std::move(msg)]() mutable {
-            net::Packet pkt{std::move(po.data)};
-            const std::size_t in_port =
-                po.in_port < ports_.size() ? po.in_port : SIZE_MAX;
-            execute_actions(po.actions, in_port, std::move(pkt), eng_->now());
+            execute_actions(po.actions, net::Packet{std::move(po.data)},
+                            eng_->now());
           });
         } else if constexpr (std::is_same_v<T, FlowStatsRequest>) {
           // Stats extraction cost scales with the table scan.
@@ -176,20 +166,18 @@ void OpenFlowSwitch::on_frame(std::size_t in_port, net::Packet&& pkt,
   Picos latency = cfg_.pipeline_latency;
   if (cfg_.latency_jitter_ns > 0)
     latency += from_nanos(std::abs(rng_.normal(0.0, cfg_.latency_jitter_ns)));
-  execute_actions(entry->actions, in_port, std::move(pkt),
-                  eng_->now() + latency);
+  execute_actions(entry->actions, std::move(pkt), eng_->now() + latency);
 }
 
 void OpenFlowSwitch::execute_actions(
-    const std::vector<openflow::Action>& actions, std::size_t in_port,
-    net::Packet&& pkt, Picos release) {
+    const std::vector<openflow::Action>& actions, net::Packet&& pkt,
+    Picos release) {
   // Header-modifying actions cost extra pipeline (or slow-path) time.
   // The last output or enqueue takes the frame itself; the ones before it
-  // get copies, as LegacySwitch's flood does. A packet_in only reads it.
+  // get copies, as LegacySwitch's flood does.
   std::size_t last = actions.size();
   for (std::size_t a = 0; a < actions.size(); ++a) {
-    if (std::holds_alternative<ActionSetVlanVid>(actions[a]) ||
-        std::holds_alternative<ActionStripVlan>(actions[a]))
+    if (std::holds_alternative<ActionSetVlanVid>(actions[a]))
       release += cfg_.action_modify_latency;
     else
       last = a;
@@ -206,8 +194,6 @@ void OpenFlowSwitch::execute_actions(
     const bool take = a == last;
     if (const auto* sv = std::get_if<ActionSetVlanVid>(&action)) {
       set_vlan(pkt.data, sv->vlan_vid);
-    } else if (std::get_if<ActionStripVlan>(&action)) {
-      strip_vlan(pkt.data);
     } else if (const auto* enq = std::get_if<ActionEnqueue>(&action)) {
       // Queue shaper: serialize this queue's frames at its rate share.
       if (enq->port >= 1 && enq->port <= ports_.size() &&
@@ -222,19 +208,8 @@ void OpenFlowSwitch::execute_actions(
         forward(start, port, take);
       }
     } else if (const auto* out = std::get_if<ActionOutput>(&action)) {
-      if (out->port == ofpp::kController) {
-        send_packet_in(in_port, pkt);
-      } else if (out->port == ofpp::kFlood || out->port == ofpp::kAll) {
-        std::size_t egress_left =
-            ports_.size() - (in_port < ports_.size() ? 1 : 0);
-        for (std::size_t i = 0; i < ports_.size(); ++i) {
-          if (i != in_port) forward(release, i, --egress_left == 0 && take);
-        }
-      } else if (out->port == ofpp::kInPort) {
-        if (in_port < ports_.size()) forward(release, in_port, take);
-      } else if (out->port >= 1 && out->port <= ports_.size()) {
+      if (out->port >= 1 && out->port <= ports_.size())
         forward(release, out->port - 1, take);
-      }
     }
   }
   // Empty action list = drop (per OF 1.0).

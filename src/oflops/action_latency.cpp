@@ -9,7 +9,20 @@ namespace osnt::oflops {
 using namespace osnt::openflow;
 
 namespace {
+
 constexpr double kProbePps = 50'000.0;
+
+/// Start the probe stream out of OSNT port 0.
+void start_probe(OflopsContext& ctx) {
+  gen::TxConfig txc;
+  txc.rate = gen::RateSpec::pps(kProbePps);
+  auto& tx = ctx.osnt().configure_tx(0, txc);
+  gen::TemplateConfig tc;
+  tx.set_source(std::make_unique<gen::TemplateSource>(
+      tc, std::make_unique<gen::FixedSize>(256)));
+  tx.start();
+}
+
 }  // namespace
 
 void ActionLatencyModule::install_rule(OflopsContext& ctx, bool with_modify) {
@@ -27,19 +40,14 @@ void ActionLatencyModule::install_rule(OflopsContext& ctx, bool with_modify) {
 void ActionLatencyModule::start(OflopsContext& ctx) {
   install_rule(ctx, /*with_modify=*/false);
   mode_ = Mode::kInstallPlain;
-
-  gen::TxConfig txc;
-  txc.rate = gen::RateSpec::pps(kProbePps);
-  auto& tx = ctx.osnt().configure_tx(0, txc);
-  gen::TemplateConfig tc;
-  tx.set_source(std::make_unique<gen::TemplateSource>(
-      tc, std::make_unique<gen::FixedSize>(256)));
-  tx.start();
 }
 
 void ActionLatencyModule::on_timer(OflopsContext& ctx,
                                    std::uint64_t timer_id) {
   if (timer_id == kTimerInstalled) {
+    // The probes start once the switch has answered the plain rule's
+    // install: a switch that never answers is sent no frame at all.
+    if (mode_ == Mode::kInstallPlain) start_probe(ctx);
     // Give the hardware commit time to land, then start sampling.
     ctx.timer_in(cfg_.settle, kTimerSettled);
     return;

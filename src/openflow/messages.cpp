@@ -86,7 +86,6 @@ class Reader {
 enum ActionType : std::uint16_t {
   kActOutput = 0,
   kActSetVlanVid = 1,
-  kActStripVlan = 3,
   kActEnqueue = 11,
 };
 
@@ -105,16 +104,13 @@ void write_actions(Writer& w, const std::vector<Action>& actions) {
             w.u16(8);
             w.u16(act.vlan_vid);
             w.pad(2);
-          } else if constexpr (std::is_same_v<T, ActionEnqueue>) {
+          } else {
+            static_assert(std::is_same_v<T, ActionEnqueue>);
             w.u16(kActEnqueue);
             w.u16(16);
             w.u16(act.port);
             w.pad(6);
             w.u32(act.queue_id);
-          } else {
-            w.u16(kActStripVlan);
-            w.u16(8);
-            w.pad(4);
           }
         },
         a);
@@ -132,6 +128,7 @@ bool read_actions(Reader& r, std::size_t bytes, std::vector<Action>& out) {
         ActionOutput a;
         a.port = r.u16();
         a.max_len = r.u16();
+        if (a.port > ofpp::kMax) return false;  // a reserved port: refuse
         out.emplace_back(a);
         r.skip(len - 8);
         break;
@@ -144,10 +141,6 @@ bool read_actions(Reader& r, std::size_t bytes, std::vector<Action>& out) {
         r.skip(len - 8);
         break;
       }
-      case kActStripVlan:
-        r.skip(len - 4);
-        out.emplace_back(ActionStripVlan{});
-        break;
       case kActEnqueue: {
         if (len != 16) return false;
         ActionEnqueue a;

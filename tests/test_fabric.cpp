@@ -80,6 +80,7 @@ TEST(NoFlood, UnknownUnicastDropped) {
   eng.run();
   EXPECT_EQ(total_rx, 0);
   EXPECT_EQ(sw.unknown_dropped(), 1u);
+  EXPECT_EQ(sw.drops(), 1u);
   // Broadcast still floods (control traffic must work).
   net::PacketBuilder b;
   (void)hosts[0]->tx().transmit(

@@ -104,6 +104,7 @@ TEST(LegacySwitch, HairpinSuppressed) {
   (void)b.hosts[0]->tx().transmit(frame(11, 10));  // to MAC 10, from port 0
   b.eng.run();
   EXPECT_EQ(b.rx_count, before);  // nothing forwarded anywhere
+  EXPECT_EQ(b.sw.drops(), 1u);
 }
 
 TEST(LegacySwitch, BroadcastAlwaysFloods) {
@@ -156,6 +157,24 @@ TEST(LegacySwitch, OverloadDropsAtOutputQueue) {
   EXPECT_LT(b.rx_count[3], 1000);
   EXPECT_EQ(static_cast<std::uint64_t>(b.rx_count[3]) + b.sw.frames_dropped(),
             1000u);
+  EXPECT_EQ(b.sw.drops(), b.sw.frames_dropped());
+}
+
+TEST(LegacySwitch, EveryFrameInIsForwardedOrCountedAsADrop) {
+  // The lossy DUT: two ports and a 2 Mpps lookup stage, so 64 B frames
+  // at line rate overflow the lookup queue.
+  LegacySwitchConfig cfg;
+  cfg.num_ports = 2;
+  cfg.lookup_rate_mpps = 2.0;
+  Bench b{cfg};
+  // Half the frames go to MAC 10, which is host 0's own: hairpins.
+  for (std::uint64_t i = 0; i < 2000; ++i)
+    (void)b.hosts[0]->tx().transmit(frame(10, i % 2 == 0 ? 20 : 10, 64));
+  b.eng.run();  // until drained
+  EXPECT_EQ(b.sw.frames_in(), 2000u);
+  EXPECT_GT(b.sw.drops(), 1000u);
+  EXPECT_EQ(b.sw.frames_in(), b.sw.frames_out() + b.sw.drops());
+  EXPECT_EQ(b.sw.frames_out(), static_cast<std::uint64_t>(b.rx_count[1]));
 }
 
 TEST(LegacySwitch, MacTableCapacityBounded) {

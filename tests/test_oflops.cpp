@@ -1,6 +1,8 @@
 // OFLOPS-turbo framework + modules running against the full Testbed.
 #include <gtest/gtest.h>
 
+#include "osnt/fault/injector.hpp"
+#include "osnt/fault/plan.hpp"
 #include "osnt/oflops/action_latency.hpp"
 #include "osnt/oflops/consistency.hpp"
 #include "osnt/oflops/context.hpp"
@@ -330,6 +332,20 @@ TEST(ActionLatency, FastRewriteIsCheap) {
       EXPECT_GT(m.value, 0.0);
     }
   }
+}
+
+TEST(ActionLatency, SendsNoFrameWhileItsRuleIsUnanswered) {
+  // The control channel goes down before the plain rule's install and
+  // stays down past the run's timeout: the probes wait for the rule.
+  Testbed tb;
+  fault::FaultPlan plan;
+  plan.ctrl_disconnect(0, 700 * kPicosPerSec);
+  fault::Injector inj{tb.eng, plan, fault::Targets{.channel = &tb.chan}};
+  ActionLatencyModule mod;
+  const Report rep = tb.ctx.run(mod, 600 * kPicosPerSec);
+  EXPECT_FALSE(mod.finished());
+  EXPECT_FALSE(rep.stopped.empty());
+  EXPECT_EQ(tb.osnt.tx(0).frames_sent(), 0u);
 }
 
 TEST(Report, PrintDoesNotCrash) {

@@ -62,12 +62,13 @@ TEST(OfWire, FlowModFixedPart) {
 
 TEST(OfWire, FlowModMultipleActions) {
   FlowMod fm;
-  fm.actions = {ActionSetVlanVid{99}, ActionOutput{2}, ActionStripVlan{}};
+  fm.actions = {ActionSetVlanVid{99}, ActionOutput{2}, ActionEnqueue{3, 1}};
   const auto back = round_trip(fm);
   ASSERT_EQ(back.actions.size(), 3u);
   EXPECT_EQ(std::get<ActionSetVlanVid>(back.actions[0]).vlan_vid, 99);
   EXPECT_EQ(std::get<ActionOutput>(back.actions[1]).port, 2);
-  EXPECT_TRUE(std::holds_alternative<ActionStripVlan>(back.actions[2]));
+  EXPECT_EQ(std::get<ActionEnqueue>(back.actions[2]),
+            (ActionEnqueue{3, 1}));
 }
 
 TEST(OfWire, PacketIn) {
@@ -190,14 +191,22 @@ TEST(OfWire, DecodeRejectsAnUnmodelledActionType) {
   const Bytes good = encode(fm, 1);
   ASSERT_TRUE(decode(ByteSpan{good.data(), good.size()}));
   ASSERT_EQ(load_be16(good.data() + 72), 1);  // OFPAT_SET_VLAN_VID
-  // OFPAT_SET_VLAN_PCP, OFPAT_SET_NW_DST, OFPAT_VENDOR: each 8 bytes like
-  // the action it replaces, so only the type tells the rule apart from
-  // one that silently outputs to port 2.
-  for (const std::uint16_t type : {2, 7, 0xFFFF}) {
+  // OFPAT_SET_VLAN_PCP, OFPAT_STRIP_VLAN, OFPAT_SET_NW_DST, OFPAT_VENDOR:
+  // each 8 bytes like the action it replaces, so only the type tells the
+  // rule apart from one that silently outputs to port 2.
+  for (const std::uint16_t type : {2, 3, 7, 0xFFFF}) {
     Bytes wire = good;
     store_be16(wire.data() + 72, type);
     EXPECT_FALSE(decode(ByteSpan{wire.data(), wire.size()})) << type;
   }
+  // An output to a reserved port (OFPP_FLOOD) is refused too; the last
+  // physical port (OFPP_MAX) is not.
+  ASSERT_EQ(load_be16(good.data() + 84), 2);  // the output's port
+  Bytes wire = good;
+  store_be16(wire.data() + 84, 0xfffb);
+  EXPECT_FALSE(decode(ByteSpan{wire.data(), wire.size()}));
+  store_be16(wire.data() + 84, ofpp::kMax);
+  EXPECT_TRUE(decode(ByteSpan{wire.data(), wire.size()}));
 }
 
 TEST(OfWire, MessageTypeMapping) {

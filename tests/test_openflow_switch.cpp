@@ -168,18 +168,6 @@ TEST(OpenFlowSwitch, PacketOutInjects) {
   EXPECT_EQ(b.rx_count[1], 1);  // OF port 2 = index 1
 }
 
-TEST(OpenFlowSwitch, FloodAction) {
-  Bench b;
-  FlowMod fm = b.rule(0x0A000102, 0);
-  fm.actions = {ActionOutput{ofpp::kFlood}};
-  b.chan.controller().send(fm);
-  b.eng.run();
-  (void)b.hosts[0]->tx().transmit(probe());
-  b.eng.run();
-  EXPECT_EQ(b.rx_count[0], 0);
-  EXPECT_EQ(b.rx_count[1] + b.rx_count[2] + b.rx_count[3], 3);
-}
-
 TEST(OpenFlowSwitch, VlanRewriteActions) {
   Bench b;
   FlowMod fm = b.rule(0x0A000102, 0);

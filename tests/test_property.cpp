@@ -126,16 +126,20 @@ TEST(OfCodecProperty, RandomFlowModsRoundTrip) {
     const auto n_actions = rng.uniform_int(0, 4);
     for (std::uint64_t a = 0; a < n_actions; ++a) {
       switch (rng.uniform_int(0, 2)) {
-        case 0:
+        case 0:  // decode refuses the reserved ports above OFPP_MAX
           fm.actions.emplace_back(openflow::ActionOutput{
-              static_cast<std::uint16_t>(rng()), 0xFFFF});
+              static_cast<std::uint16_t>(
+                  rng.uniform_int(0, openflow::ofpp::kMax)),
+              0xFFFF});
           break;
         case 1:
           fm.actions.emplace_back(openflow::ActionSetVlanVid{
               static_cast<std::uint16_t>(rng.uniform_int(0, 4095))});
           break;
         default:
-          fm.actions.emplace_back(openflow::ActionStripVlan{});
+          fm.actions.emplace_back(openflow::ActionEnqueue{
+              static_cast<std::uint16_t>(rng()),
+              static_cast<std::uint32_t>(rng())});
       }
     }
     const auto xid = static_cast<std::uint32_t>(rng());
@@ -172,7 +176,7 @@ TEST(OfCodecFuzz, TruncatedRealMessagesNeverCrash) {
   Rng rng{0x7A};
   openflow::FlowMod fm;
   fm.match = random_match(rng);
-  fm.actions = {openflow::ActionOutput{1}, openflow::ActionStripVlan{}};
+  fm.actions = {openflow::ActionOutput{1}, openflow::ActionSetVlanVid{7}};
   const Bytes wire = openflow::encode(fm, 9);
   for (std::size_t len = 0; len < wire.size(); ++len) {
     EXPECT_FALSE(openflow::decode(ByteSpan{wire.data(), len}))

@@ -276,6 +276,7 @@ struct TopologyTrials {
       std::fprintf(stderr, "--trials must be positive\n");
       return false;
     }
+    if (!at_least("jobs", jobs, 0)) return false;
     if (obs.trace_enabled() && (count != 1 || jobs != 1)) {
       std::fprintf(stderr, "--trace requires --trials 1 --jobs 1\n");
       return false;
@@ -303,7 +304,7 @@ struct TopologyTrials {
            .handler_timing = obs.handler_timing()});
       return core::TrialStats{};  // the report carries the results
     };
-    runner.jobs = static_cast<std::size_t>(jobs < 0 ? 0 : jobs);
+    runner.jobs = static_cast<std::size_t>(jobs);
     outcomes = core::Runner{runner}.run_resilient(tplan);
     int rc = 0;
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
@@ -370,6 +371,11 @@ int cmd_latency(int argc, const char* const* argv) {
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
   if (!obs.validate_series(cli)) return 1;
   if (!ms_in_range("duration-ms", duration_ms)) return 1;
+  if (!at_least("retries", retries, 0) ||
+      !at_least("event-budget", event_budget, 0) ||
+      !at_least("wall-deadline-ms", wall_deadline_ms, 0)) {
+    return 1;
+  }
   graph::TopologyFile topo;
   if (!load_dut(dut, topo)) return 1;
   graph::WorkloadSpec& w = topo.workload;
@@ -377,12 +383,9 @@ int cmd_latency(int argc, const char* const* argv) {
   w.frame_size = static_cast<std::size_t>(frame_size);
   if (poisson) w.arrivals = core::TrafficSpec::Arrivals::kPoisson;
   if (!trials.prepare(topo, obs)) return 1;
-  trials.runner.max_attempts =
-      static_cast<std::uint32_t>(retries < 0 ? 0 : retries) + 1;
-  trials.runner.event_budget =
-      static_cast<std::uint64_t>(event_budget < 0 ? 0 : event_budget);
-  trials.runner.wall_deadline_ms =
-      static_cast<std::uint64_t>(wall_deadline_ms < 0 ? 0 : wall_deadline_ms);
+  trials.runner.max_attempts = static_cast<std::uint32_t>(retries) + 1;
+  trials.runner.event_budget = static_cast<std::uint64_t>(event_budget);
+  trials.runner.wall_deadline_ms = static_cast<std::uint64_t>(wall_deadline_ms);
   const int rc = trials.run(topo, /*base_seed=*/1,
                             from_micros(duration_ms * 1000.0), obs);
   if (rc != 0) return rc;  // a failed trial has no report to print
@@ -420,6 +423,7 @@ int cmd_throughput(int argc, const char* const* argv) {
                "worker threads for the sweep (0 = all hardware threads)");
   obs.add_to(cli);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
+  if (!at_least("jobs", jobs, 0)) return 1;
   // The trace recorder is single-threaded; a sharded sweep cannot share
   // one. Metrics shards merge commutatively, so --metrics-out is fine at
   // any job count.
@@ -450,7 +454,7 @@ int cmd_throughput(int argc, const char* const* argv) {
        .handler_timing = obs.handler_timing()});
 
   core::RunnerConfig runner;
-  runner.jobs = static_cast<std::size_t>(jobs < 0 ? 0 : jobs);
+  runner.jobs = static_cast<std::size_t>(jobs);
   std::printf("%7s %12s %10s %10s\n", "size", "zero-loss", "Gb/s", "Mpps");
   if (frame_size > 0) {
     const auto pt =
@@ -479,6 +483,11 @@ int cmd_capture(int argc, const char* const* argv) {
   cli.add_flag("pcap-out", &pcap_out, "write the capture to this .pcap");
   obs.add_to(cli);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
+  if (!(rate_gbps > 0.0)) {
+    std::fprintf(stderr, "--rate-gbps must be positive, got %g\n", rate_gbps);
+    return 1;
+  }
+  if (!at_least("snap", snap, 0)) return 1;
   const std::int64_t max_flows = gen::TemplateConfig{}.max_flows();
   if (flows < 1 || flows > max_flows) {
     std::fprintf(stderr, "--flows must be in [1, %lld], got %lld\n",
@@ -732,6 +741,7 @@ int cmd_topo(int argc, const char* const* argv) {
   if (!obs.validate_series(cli)) return 1;
   const bool duration_given = cli.given("duration-ms");
   if (duration_given && !ms_in_range("duration-ms", duration_ms)) return 1;
+  if (!at_least("seed", seed, 0)) return 1;
   if (cli.positional().size() != 1) {
     std::fprintf(stderr, "usage: osnt_run topo FILE.json [flags]\n");
     return 1;
