@@ -72,9 +72,7 @@ void BM_ScheduleCancelChurn(benchmark::State& state) {
 BENCHMARK(BM_ScheduleCancelChurn)->Arg(1024);
 
 osnt::net::Packet make_frame(std::size_t payload) {
-  osnt::net::Packet p;
-  p.data.assign(payload, 0xa5);
-  return p;
+  return osnt::net::Packet{osnt::Bytes(payload, 0xa5)};
 }
 
 /// One 10G port modelled as a self-rescheduling event chain that carries a
@@ -100,7 +98,7 @@ struct PortChain {
 
   void hop(osnt::net::Packet pkt) {
     ++delivered;
-    benchmark::DoNotOptimize(pkt.data.data());
+    benchmark::DoNotOptimize(pkt.bytes().data());
     if (--remaining > 0) arm(std::move(pkt));
   }
 };

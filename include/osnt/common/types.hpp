@@ -13,6 +13,11 @@ using ByteSpan = std::span<const std::uint8_t>;
 using MutByteSpan = std::span<std::uint8_t>;
 using Bytes = std::vector<std::uint8_t>;
 
+/// A vector holding a copy of `bytes`.
+[[nodiscard]] inline Bytes to_bytes(ByteSpan bytes) {
+  return {bytes.begin(), bytes.end()};
+}
+
 /// Read a big-endian (network order) integer from a raw byte pointer.
 [[nodiscard]] constexpr std::uint16_t load_be16(const std::uint8_t* p) noexcept {
   return static_cast<std::uint16_t>((std::uint16_t{p[0]} << 8) | p[1]);

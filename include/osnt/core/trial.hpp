@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <string>
 
@@ -85,7 +84,6 @@ struct TrialResult {
   std::uint32_t attempts = 0;      ///< attempts actually made
   std::uint64_t seed_used = 0;     ///< rederived seed of the last attempt
   std::string error;               ///< last attempt's what() when !ok()
-  std::exception_ptr exception;    ///< last attempt's exception when !ok()
 
   [[nodiscard]] bool ok() const noexcept {
     return outcome == TrialOutcome::kOk || outcome == TrialOutcome::kRetried;

@@ -49,10 +49,11 @@ struct LegacySwitchConfig {
   std::uint64_t seed = 11;
 };
 
-/// An N-in/N-out block (N = cfg.num_ports). Every frame its RX MACs
-/// accept and it does not forward counts in drops(): an unparseable
-/// frame, a lookup-stage overflow, an unknown unicast it may not flood, a
-/// hairpin, and a frame its egress queue refuses.
+/// An N-in/N-out block (N = cfg.num_ports). Every frame in that it does
+/// not forward counts in drops(): one its RX MAC discards (FCS-bad, runt
+/// or giant), an unparseable frame, a lookup-stage overflow, an unknown
+/// unicast it may not flood, a hairpin, and a frame its egress queue
+/// refuses.
 class LegacySwitch : public graph::Block {
  public:
   using Config = LegacySwitchConfig;
@@ -70,12 +71,8 @@ class LegacySwitch : public graph::Block {
   [[nodiscard]] std::uint64_t frames_flooded() const noexcept {
     return flooded_;
   }
-  [[nodiscard]] std::uint64_t frames_dropped() const noexcept;
   [[nodiscard]] std::size_t mac_table_size() const noexcept {
     return mac_table_.size();
-  }
-  [[nodiscard]] std::uint64_t unknown_dropped() const noexcept {
-    return unknown_dropped_;
   }
 
   /// Install a permanent (non-aging) forwarding entry — the "static MAC"
@@ -118,7 +115,6 @@ class LegacySwitch : public graph::Block {
   Picos lookup_busy_ = 0;
   std::uint64_t forwarded_ = 0;
   std::uint64_t flooded_ = 0;
-  std::uint64_t unknown_dropped_ = 0;
 };
 
 }  // namespace osnt::dut

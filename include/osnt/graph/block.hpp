@@ -69,7 +69,10 @@ class Block {
   /// comes by reference, under sim::FrameSink::on_frame's ownership rule:
   /// a block that keeps or forwards it moves it (emit(), a lane entry), a
   /// block that drops it just returns, and a block that sends it out more
-  /// than once copies it (`net::Packet{pkt}`) for all but the last.
+  /// than once copies it (`net::Packet{pkt}`) for all but the last. A copy
+  /// shares the bytes; a block that rewrites them writes through
+  /// mut_bytes(), which copies shared bytes first, and holds no mutable
+  /// span across a copy.
   virtual void on_frame(std::size_t in_port, net::Packet&& pkt,
                         Picos first_bit, Picos last_bit) = 0;
 

@@ -24,7 +24,9 @@ class FrameSink {
   /// every hop by reference: a sink that keeps the frame moves it into its
   /// own storage (a lane entry, a closure, a queue), one that drops it
   /// just returns, and one that needs a second frame copies it
-  /// (`net::Packet{pkt}`). The caller's storage must outlive the call and
+  /// (`net::Packet{pkt}`). A copy shares the bytes and the first write
+  /// through either copy copies them, so a mutable span must not be held
+  /// across a copy. The caller's storage must outlive the call and
   /// must not be reachable from the sink, so the caller moves a stored
   /// frame into a local first (FifoLane does).
   virtual void on_frame(net::Packet&& pkt, Picos first_bit, Picos last_bit) = 0;
@@ -52,8 +54,9 @@ class BitErrors {
   explicit BitErrors(double ber = 0.0) noexcept : ber_(ber) {}
   /// One chance() draw from `rng`, then on a hit the byte and bit to
   /// flip; true when `pkt` was corrupted. A zero BER or an empty frame
-  /// draws nothing.
-  bool corrupt(net::Packet& pkt, Rng& rng) noexcept;
+  /// draws nothing. The flip writes through the copying accessor, so a
+  /// frame that shares its bytes gets its own copy first.
+  bool corrupt(net::Packet& pkt, Rng& rng);
 
  private:
   double ber_;

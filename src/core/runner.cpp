@@ -143,20 +143,16 @@ std::vector<TrialResult> Runner::run_resilient(const TrialPlan& plan) const {
         r.stats = plan.run(p);
         r.outcome = a == 0 ? TrialOutcome::kOk : TrialOutcome::kRetried;
         r.error.clear();
-        r.exception = nullptr;
         return;
       } catch (const sim::WatchdogError& e) {
         r.outcome = TrialOutcome::kTimedOut;
         r.error = e.what();
-        r.exception = std::current_exception();
       } catch (const std::exception& e) {
         r.outcome = TrialOutcome::kFailed;
         r.error = e.what();
-        r.exception = std::current_exception();
       } catch (...) {
         r.outcome = TrialOutcome::kFailed;
         r.error = "unknown exception";
-        r.exception = std::current_exception();
       }
       r.stats = TrialStats{};  // a failed attempt's partial stats are void
       OSNT_WARN("trial %zu attempt %u/%u %s: %s", i, a + 1, cap,

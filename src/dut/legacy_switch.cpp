@@ -24,17 +24,14 @@ LegacySwitch::LegacySwitch(sim::Engine& eng, std::string name, Config cfg)
 
 void LegacySwitch::on_frame(std::size_t in_port, net::Packet&& pkt,
                             Picos first_bit, Picos last_bit) {
-  ports_[in_port]->rx().on_frame(std::move(pkt), first_bit, last_bit);
+  hw::RxMac& mac = ports_[in_port]->rx();
+  const std::uint64_t accepted = mac.frames_received();
+  mac.on_frame(std::move(pkt), first_bit, last_bit);
+  if (mac.frames_received() == accepted) count_drop();  // FCS, runt, giant
 }
 
 void LegacySwitch::add_static_mac(const net::MacAddr& mac, std::size_t port) {
   mac_table_[mac.to_u64()] = {port, 0, true};
-}
-
-std::uint64_t LegacySwitch::frames_dropped() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& p : ports_) n += p->tx().drops();
-  return n;
 }
 
 void LegacySwitch::forward(std::size_t in_port, net::Packet&& pkt,
@@ -108,7 +105,6 @@ void LegacySwitch::forward(std::size_t in_port, net::Packet&& pkt,
   }
 
   if (!cfg_.flood_unknown && !eth->dst.is_multicast()) {
-    ++unknown_dropped_;
     count_drop();
     return;
   }

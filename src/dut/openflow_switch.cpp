@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "osnt/net/parser.hpp"
 
@@ -13,20 +14,26 @@ using namespace osnt::openflow;
 /// Frame bytes a packet_in carries.
 constexpr std::size_t kPacketInTrunc = 128;
 
-/// Insert an 802.1Q tag (or rewrite the VID of an existing one).
-void set_vlan(Bytes& frame, std::uint16_t vid) {
-  if (frame.size() < net::EthHeader::kSize) return;
-  const std::uint16_t ethertype = load_be16(frame.data() + 12);
-  if (ethertype == static_cast<std::uint16_t>(net::EtherType::kVlan)) {
-    const std::uint16_t tci = load_be16(frame.data() + 14);
-    store_be16(frame.data() + 14,
-               static_cast<std::uint16_t>((tci & 0xF000) | (vid & 0x0FFF)));
+/// Insert an 802.1Q tag (or rewrite the VID of an existing one). Either
+/// way the frame gets bytes of its own: copies that share them keep the
+/// frame as it was.
+void set_vlan(net::FrameBuf& frame, std::uint16_t vid) {
+  const ByteSpan in = frame.span();
+  if (in.size() < net::EthHeader::kSize) return;
+  if (load_be16(in.data() + 12) ==
+      static_cast<std::uint16_t>(net::EtherType::kVlan)) {
+    std::uint8_t* const tci = frame.data() + 14;  // copies shared bytes
+    store_be16(tci, static_cast<std::uint16_t>((load_be16(tci) & 0xF000) |
+                                               (vid & 0x0FFF)));
     return;
   }
-  std::uint8_t tag[4];
-  store_be16(tag, static_cast<std::uint16_t>(net::EtherType::kVlan));
-  store_be16(tag + 2, vid & 0x0FFF);
-  frame.insert(frame.begin() + 12, tag, tag + 4);
+  net::FrameBuf tagged(in.size() + net::VlanTag::kSize);
+  std::uint8_t* const out = tagged.data();
+  std::memcpy(out, in.data(), 12);
+  store_be16(out + 12, static_cast<std::uint16_t>(net::EtherType::kVlan));
+  store_be16(out + 14, vid & 0x0FFF);
+  std::memcpy(out + 16, in.data() + 12, in.size() - 12);
+  frame = std::move(tagged);
 }
 
 }  // namespace
@@ -111,9 +118,8 @@ void OpenFlowSwitch::on_control(openflow::Decoded& d) {
           });
         } else if constexpr (std::is_same_v<T, PacketOut>) {
           const Picos done = agent_run(cfg_.agent_service);
-          eng_->schedule_at(done, [this, po = std::move(msg)]() mutable {
-            execute_actions(po.actions, net::Packet{std::move(po.data)},
-                            eng_->now());
+          eng_->schedule_at(done, [this, po = std::move(msg)] {
+            execute_actions(po.actions, net::Packet{po.data}, eng_->now());
           });
         } else if constexpr (std::is_same_v<T, FlowStatsRequest>) {
           // Stats extraction cost scales with the table scan.
@@ -237,8 +243,7 @@ void OpenFlowSwitch::send_packet_in(std::size_t in_port,
   pin.in_port = static_cast<std::uint16_t>(in_port + 1);
   pin.reason = PacketInReason::kNoMatch;
   const std::size_t keep = std::min(kPacketInTrunc, pkt.size());
-  pin.data.assign(pkt.data.begin(),
-                  pkt.data.begin() + static_cast<std::ptrdiff_t>(keep));
+  pin.data = to_bytes(pkt.bytes().first(keep));
   eng_->schedule_at(done, [this, pin = std::move(pin)]() mutable {
     ++packet_ins_;
     ctrl_->send(std::move(pin));

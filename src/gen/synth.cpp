@@ -20,7 +20,7 @@ std::vector<net::PcapRecord> synthesize_trace(PacketSource& source,
     net::PcapRecord rec;
     rec.ts_nanos = t_ns;
     rec.orig_len = static_cast<std::uint32_t>(tp->pkt.size());
-    rec.data = std::move(tp->pkt.data);
+    rec.data = to_bytes(tp->pkt.bytes());
     out.push_back(std::move(rec));
     const Picos gap = gaps.sample(rng, mean, kPicosPerNano);
     t_ns += static_cast<std::uint64_t>(gap / kPicosPerNano);

@@ -31,9 +31,9 @@ TemplateSource::TemplateSource(TemplateConfig cfg,
   // dst_port stays fixed across flows so one wildcard rule can select the
   // whole probe stream.
   b.ipv4(cfg_.src_ip, cfg_.dst_ip).udp(cfg_.src_port, cfg_.dst_port);
-  header_ = b.build().data;
   ip_off_ = net::kEthHeaderLen + (cfg_.vlan_id != 0 ? net::VlanTag::kSize : 0);
-  header_.resize(ip_off_ + kIpLen + net::UdpHeader::kSize);
+  header_ = to_bytes(
+      b.build().bytes().first(ip_off_ + kIpLen + net::UdpHeader::kSize));
   // next() sums each header with its checksum field still zero.
   store_be16(header_.data() + ip_off_ + 10, 0);
   store_be16(header_.data() + ip_off_ + kIpLen + 6, 0);
@@ -47,9 +47,10 @@ std::optional<TimedPacket> TemplateSource::next() {
   const std::size_t frame_len = std::clamp(
       size_->sample(rng_), net::kEthMinFrame, std::size_t{net::kEthMaxFrame});
 
-  Bytes buf(frame_len - net::kEthFcsLen);  // zero-filled payload
-  std::memcpy(buf.data(), header_.data(), header_.size());
-  std::uint8_t* const ip = buf.data() + ip_off_;
+  net::FrameBuf buf(frame_len - net::kEthFcsLen);  // zero-filled payload
+  std::uint8_t* const eth = buf.data();
+  std::memcpy(eth, header_.data(), header_.size());
+  std::uint8_t* const ip = eth + ip_off_;
   std::uint8_t* const udp = ip + kIpLen;
   const auto ip_len = static_cast<std::uint16_t>(buf.size() - ip_off_);
   const auto udp_len = static_cast<std::uint16_t>(ip_len - kIpLen);

@@ -238,7 +238,7 @@ Packet PacketBuilder::build() {
     store_be16(buf_.data() + *ipv4_off_ + 10, cksum);
   }
 
-  Packet pkt{std::move(buf_)};
+  Packet pkt{ByteSpan{buf_}};
   *this = PacketBuilder{};
   return pkt;
 }

@@ -1,11 +1,23 @@
 #include "osnt/net/packet.hpp"
 
 #include <cstdio>
+#include <limits>
+#include <new>
+#include <stdexcept>
 #include <string>
 
 #include "osnt/net/parser.hpp"
 
 namespace osnt::net {
+
+FrameBuf::Block* FrameBuf::allocate(std::size_t n) {
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("FrameBuf: " + std::to_string(n) +
+                            " bytes exceed the 4 GiB frame limit");
+  }
+  return new (::operator new(sizeof(Block) + n))
+      Block{{1}, static_cast<std::uint32_t>(n)};
+}
 
 /// One-line human-readable summary of a frame (used by CLI tools/examples).
 std::string describe(const Packet& pkt) {

@@ -33,7 +33,7 @@ void PacketOutLatencyModule::on_timer(OflopsContext& ctx,
        static_cast<std::uint32_t>(sent_)});
   PacketOut po;
   po.actions = {ActionOutput{cfg_.out_port}};
-  po.data = std::move(pkt.data);
+  po.data = to_bytes(pkt.bytes());
   ctx.send(po);
   ++sent_;
   ctx.timer_in(sent_ < cfg_.count ? cfg_.interval : kAnswerGrace, 0);

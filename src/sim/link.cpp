@@ -6,7 +6,7 @@
 
 namespace osnt::sim {
 
-bool BitErrors::corrupt(net::Packet& pkt, Rng& rng) noexcept {
+bool BitErrors::corrupt(net::Packet& pkt, Rng& rng) {
   if (ber_ <= 0.0 || pkt.empty()) return false;
   if (pkt.line_len() != line_len_) {
     line_len_ = pkt.line_len();

@@ -17,7 +17,7 @@ static_assert(kTcpHeaderLen == net::TcpHeader::kMinSize + 12);
 }  // namespace
 
 net::Packet write_segment(const SegmentFields& f, std::uint32_t len) {
-  Bytes buf(kSegmentHeaderLen + len);  // zero-filled, payload included
+  net::FrameBuf buf(kSegmentHeaderLen + len);  // zero-filled, payload included
   std::uint8_t* const eth = buf.data();
   std::memcpy(eth, f.dst_mac.b.data(), 6);
   std::memcpy(eth + 6, f.src_mac.b.data(), 6);

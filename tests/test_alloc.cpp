@@ -4,8 +4,8 @@
 // two points. A constructed flow owns one heap object, its congestion
 // controller; its queues allocate when it first sends and first measures
 // a delivery rate, not before. A frame crosses every hop by reference, so
-// once the path is warm, forwarding it allocates nothing: only a frame
-// sent out more than once is copied.
+// once the path is warm, forwarding it allocates nothing, and a frame
+// sent out more than once, or cloned from a template, shares its bytes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +14,7 @@
 #include <optional>
 #include <vector>
 
+#include "osnt/burst/source.hpp"
 #include "osnt/common/fifo.hpp"
 #include "osnt/core/device.hpp"
 #include "osnt/dut/legacy_switch.hpp"
@@ -162,8 +163,8 @@ TEST(Alloc, OpenFlowSwitchForwardsWithoutCopyingTheFrame) {
   warm = udp_frames(1);
   frames = udp_frames(kFrames);
   (void)forward(warm);
-  // Three outputs: two copies, and the last takes the frame.
-  EXPECT_EQ(forward(frames), 2 * kFrames);
+  // Three outputs: two copies share the bytes, and the last takes the frame.
+  EXPECT_EQ(forward(frames), 0u);
   EXPECT_EQ(sw.table_misses(), 0u);
   EXPECT_EQ(rx[0], 0u);
   EXPECT_EQ(rx[1], 2 * (kFrames + 1));
@@ -221,6 +222,30 @@ TEST(Alloc, FrameHopsCopyNoFrame) {
   EXPECT_EQ(g.total_drops(), 1u);  // the learning frame's hairpin
   EXPECT_EQ(sw.drops(), 1u);
   EXPECT_EQ(sw.frames_flooded(), 0u);
+}
+
+TEST(Alloc, BurstEmissionAllocatesNoFrame) {
+  sim::Engine eng;
+  graph::Graph g{eng};
+  burst::BurstSourceConfig cfg;
+  cfg.pattern.pattern = burst::Pattern::kOnOff;
+  cfg.pattern.l4 = burst::L4::kTcpSyn;
+  cfg.pattern.period = 10 * kPicosPerMicro;
+  cfg.pattern.duty = 0.5;
+  cfg.horizon = 2 * cfg.pattern.period;  // two waves
+  auto& src = g.emplace<burst::BurstSourceBlock>(eng, "src", cfg);
+  auto& sink = g.emplace<graph::SinkBlock>(eng, "sink");
+  g.connect("src", 0, "sink", 0);
+  g.start();
+  // The first wave builds the templates and sizes the edge's lane.
+  eng.run_until(cfg.pattern.period * 3 / 4);
+  const std::uint64_t wave = sink.frames_in();
+  ASSERT_GT(wave, 0u);
+  const AllocCount n;
+  eng.run();
+  EXPECT_EQ(n.get(), 0u);  // each frame shares its template's bytes
+  EXPECT_EQ(src.bursts_emitted(), 2u);
+  EXPECT_EQ(sink.frames_in(), 2 * wave);
 }
 
 }  // namespace

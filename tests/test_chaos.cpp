@@ -169,9 +169,6 @@ TEST(Chaos, PlanCompletesWithPartialResultsWhenASlotIsHopeless) {
   EXPECT_EQ(results[1].attempts, 2u);  // both attempts consumed
   EXPECT_EQ(results[1].error, "hopeless slot");
   EXPECT_EQ(results[1].stats.tx_frames, 0u);  // value-initialized stats
-  ASSERT_TRUE(results[1].exception);
-  EXPECT_THROW(std::rethrow_exception(results[1].exception),
-               std::runtime_error);
 }
 
 TEST(Chaos, LivelockedTrialTimesOutWithoutAbortingSiblings) {

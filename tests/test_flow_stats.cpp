@@ -19,7 +19,7 @@ CaptureRecord make_record(std::uint16_t sport, std::uint32_t orig_len,
           .udp(sport, 5001)
           .build();
   CaptureRecord rec;
-  rec.data = pkt.data;
+  rec.data = to_bytes(pkt.bytes());
   rec.orig_len = orig_len;
   rec.ts = tstamp::Timestamp::from_seconds(ts_seconds);
   return rec;
@@ -64,7 +64,7 @@ TEST(FlowStats, NonIpCountsUnclassified) {
                             net::Ipv4Addr::of(1, 1, 1, 2))
                        .build();
   CaptureRecord rec;
-  rec.data = arp.data;
+  rec.data = to_bytes(arp.bytes());
   rec.orig_len = static_cast<std::uint32_t>(arp.size());
   c.add(rec);
   EXPECT_EQ(c.flow_count(), 0u);
@@ -118,9 +118,9 @@ CaptureRecord tcp_record(std::uint32_t seq, double ts_seconds,
           .tcp(1234, 80, seq, 0, net::TcpFlags::kAck)
           .build();
   CaptureRecord rec;
-  rec.orig_len = static_cast<std::uint32_t>(pkt.data.size());
-  if (snap != 0 && snap < pkt.data.size()) pkt.data.resize(snap);
-  rec.data = std::move(pkt.data);
+  rec.orig_len = static_cast<std::uint32_t>(pkt.size());
+  rec.data = to_bytes(pkt.bytes().first(
+      snap != 0 && snap < pkt.size() ? snap : pkt.size()));
   rec.ts = tstamp::Timestamp::from_seconds(ts_seconds);
   return rec;
 }

@@ -347,7 +347,7 @@ std::vector<net::PcapRecord> make_trace(std::size_t n, std::uint64_t gap_ns) {
     r.ts_nanos = t;
     t += gap_ns;
     r.orig_len = static_cast<std::uint32_t>(tp->pkt.size());
-    r.data = tp->pkt.data;
+    r.data = to_bytes(tp->pkt.bytes());
     recs.push_back(std::move(r));
   }
   return recs;

@@ -84,7 +84,7 @@ TEST(RxMac, RejectsRunts) {
   int delivered = 0;
   mac.set_handler([&](net::Packet, Picos, Picos) { ++delivered; });
   net::Packet runt;
-  runt.data.assign(40, 0);  // wire 44 < 64
+  runt.data = net::FrameBuf(40);  // wire 44 < 64
   mac.on_frame(std::move(runt), 0, 1);
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(mac.runts(), 1u);
@@ -100,7 +100,7 @@ TEST(RxMac, RejectsGiantsUnlessConfigured) {
   strict.set_handler([&](net::Packet, Picos, Picos) { ++strict_count; });
   jumbo.set_handler([&](net::Packet, Picos, Picos) { ++jumbo_count; });
   net::Packet giant;
-  giant.data.assign(3000, 0);
+  giant.data = net::FrameBuf(3000);
   strict.on_frame(net::Packet{giant}, 0, 1);
   jumbo.on_frame(std::move(giant), 0, 1);
   EXPECT_EQ(strict_count, 0);

@@ -43,7 +43,7 @@ TEST(Describe, CoversNonIpFrames) {
   EXPECT_NE(net::describe(arp).find("arp"), std::string::npos);
 
   net::Packet runt;
-  runt.data.assign(5, 0);
+  runt.data = net::FrameBuf(5);
   EXPECT_NE(net::describe(runt).find("short"), std::string::npos);
 
   net::PacketBuilder b2;

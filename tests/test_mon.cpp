@@ -295,7 +295,7 @@ TEST(RxPipeline, DmaOverloadDropsNotBackpressures) {
         .udp(1024, 53)
         .payload_random(1518 - 4 - 42, i);
     net::Packet p = b.build();
-    sent.push_back(p.data);
+    sent.push_back(to_bytes(p.bytes()));
     (void)src.tx().transmit(std::move(p));
   }
   eng.run();
@@ -331,7 +331,7 @@ TEST(HostCapture, SequenceReportFindsLossAndReorder) {
     tstamp::embed_timestamp(p.mut_bytes(), tstamp::kDefaultEmbedOffset,
                             {tstamp::Timestamp::from_seconds(1.0), seq});
     CaptureRecord rec;
-    rec.data = p.data;
+    rec.data = to_bytes(p.bytes());
     dma.enqueue(std::move(rec).to_dma());
   };
   push(0);
@@ -354,7 +354,7 @@ TEST(HostCapture, LatencyFromEmbeddedStamps) {
   tstamp::embed_timestamp(p.mut_bytes(), tstamp::kDefaultEmbedOffset,
                           {tstamp::Timestamp::from_seconds(1.0), 0});
   CaptureRecord rec;
-  rec.data = p.data;
+  rec.data = to_bytes(p.bytes());
   rec.ts = tstamp::Timestamp::from_seconds(1.000005);  // +5 µs
   dma.enqueue(std::move(rec).to_dma());
   eng.run();

@@ -59,8 +59,7 @@ TEST(Builder, UdpChecksumValidatesAgainstPseudoHeader) {
   ASSERT_TRUE(parsed);
   // Verify by recomputing over the L4 segment with the stored checksum
   // zeroed: the result must equal the stored value.
-  Bytes l4(p.data.begin() + static_cast<std::ptrdiff_t>(parsed->l4_offset),
-           p.data.end());
+  Bytes l4 = to_bytes(p.bytes().subspan(parsed->l4_offset));
   const std::uint16_t stored = load_be16(l4.data() + 6);
   store_be16(l4.data() + 6, 0);
   const std::uint16_t computed =

@@ -81,8 +81,7 @@ TEST(TcpOptions, BuilderProducesParseableSyn) {
   EXPECT_EQ(tcp_mss_of(*opts), 1460);
   EXPECT_EQ(tcp_window_scale_of(*opts), 7);
   // L4 checksum still validates over the extended header.
-  Bytes l4(p.data.begin() + static_cast<std::ptrdiff_t>(parsed->l4_offset),
-           p.data.end());
+  Bytes l4 = to_bytes(p.bytes().subspan(parsed->l4_offset));
   const std::uint16_t stored = load_be16(l4.data() + 16);
   store_be16(l4.data() + 16, 0);
   EXPECT_EQ(stored,

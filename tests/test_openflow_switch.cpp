@@ -162,7 +162,7 @@ TEST(OpenFlowSwitch, PacketOutInjects) {
   Bench b;
   PacketOut po;
   po.actions = {ActionOutput{2}};
-  po.data = probe().data;
+  po.data = to_bytes(probe().bytes());
   b.chan.controller().send(po);
   b.eng.run();
   EXPECT_EQ(b.rx_count[1], 1);  // OF port 2 = index 1
@@ -182,6 +182,43 @@ TEST(OpenFlowSwitch, VlanRewriteActions) {
   b.eng.run();
   ASSERT_TRUE(got && got->vlan);
   EXPECT_EQ(got->vlan->vid, 77);
+}
+
+TEST(OpenFlowSwitch, OutputBeforeSetVlanLeavesThatCopyAsItWas) {
+  // The copy sent out port 2 shares the frame's bytes, so set_vlan must
+  // give the frame bytes of its own before port 3's output, whether it
+  // inserts a tag or rewrites the one already there.
+  for (const bool tagged : {false, true}) {
+    Bench b;
+    FlowMod fm = b.rule(0x0A000102, 0);
+    fm.actions = {ActionOutput{2}, ActionSetVlanVid{77}, ActionOutput{3}};
+    b.chan.controller().send(fm);
+    b.eng.run();
+    std::optional<net::ParsedPacket> at2, at3;
+    b.hosts[1]->rx().set_handler([&](net::Packet p, Picos, Picos) {
+      at2 = net::parse_packet(p.bytes());
+    });
+    b.hosts[2]->rx().set_handler([&](net::Packet p, Picos, Picos) {
+      at3 = net::parse_packet(p.bytes());
+    });
+    net::PacketBuilder pb;
+    pb.eth(net::MacAddr::from_index(1), net::MacAddr::from_index(2));
+    if (tagged) pb.vlan(5);
+    (void)b.hosts[0]->tx().transmit(
+        pb.ipv4(net::Ipv4Addr::of(10, 0, 0, 1), net::Ipv4Addr{0x0A000102},
+                net::ipproto::kUdp)
+            .udp(1024, 5001)
+            .pad_to_frame(128)
+            .build());
+    b.eng.run();
+    ASSERT_TRUE(at2 && at3) << "tagged " << tagged;
+    ASSERT_TRUE(at3->vlan) << "tagged " << tagged;
+    EXPECT_EQ(at3->vlan->vid, 77);
+    EXPECT_EQ(at2->vlan.has_value(), tagged);
+    if (tagged) {
+      EXPECT_EQ(at2->vlan->vid, 5);
+    }
+  }
 }
 
 TEST(OpenFlowSwitch, EmptyActionsDrop) {

@@ -70,8 +70,7 @@ TEST_F(PcapTest, OrigLenPreservedForSnapped) {
   {
     PcapWriter w{path_};
     const Packet big = frame(1518, 1);
-    Bytes cut(big.data.begin(), big.data.begin() + 64);
-    w.write(42, ByteSpan{cut.data(), cut.size()}, 1514);
+    w.write(42, big.bytes().first(64), 1514);
   }
   PcapReader r{path_};
   auto rec = r.next();

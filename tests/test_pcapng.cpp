@@ -73,8 +73,7 @@ TEST_F(PcapngTest, SnappedOrigLenPreserved) {
   {
     PcapngWriter w{path_};
     const Packet p = frame(1518);
-    Bytes cut(p.data.begin(), p.data.begin() + 64);
-    w.write(0, 42, ByteSpan{cut.data(), cut.size()}, 1514);
+    w.write(0, 42, p.bytes().first(64), 1514);
   }
   const auto recs = PcapngReader::read_all(path_);
   ASSERT_EQ(recs.size(), 1u);
@@ -132,7 +131,7 @@ TEST_F(PcapngTest, PayloadBytesIdentical) {
   }
   const auto recs = PcapngReader::read_all(path_);
   ASSERT_EQ(recs.size(), 1u);
-  EXPECT_EQ(recs[0].data, p.data);
+  EXPECT_EQ(recs[0].data, to_bytes(p.bytes()));
 }
 
 TEST_F(PcapngTest, ManyRecordsStreamCleanly) {

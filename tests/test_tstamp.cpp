@@ -212,14 +212,14 @@ TEST(Embed, RoundTrip) {
 
 TEST(Embed, TooShortFails) {
   net::Packet p;
-  p.data.assign(45, 0);  // offset 42 + 12 > 45
+  p.data = net::FrameBuf(45);  // offset 42 + 12 > 45
   EXPECT_FALSE(embed_timestamp(p.mut_bytes(), kDefaultEmbedOffset, {{}, 0}));
   EXPECT_FALSE(extract_timestamp(p.bytes(), kDefaultEmbedOffset));
 }
 
 TEST(Embed, CustomOffset) {
   net::Packet p;
-  p.data.assign(64, 0);
+  p.data = net::FrameBuf(64);
   const Timestamp ts = Timestamp::from_raw(0x0123456789ABCDEF);
   ASSERT_TRUE(embed_timestamp(p.mut_bytes(), 16, {ts, 7}));
   const auto back = extract_timestamp(p.bytes(), 16);

@@ -84,7 +84,7 @@ int cmd_dump(const std::string& path, std::int64_t max,
   std::int64_t n = 0;
   for (auto& rec : load_any(path, opt)) {
     if (max > 0 && n >= max) break;
-    net::Packet pkt{std::move(rec.data)};
+    const net::Packet pkt{rec.data};
     std::printf("%6lld %14.6f %s\n", static_cast<long long>(n),
                 static_cast<double>(rec.ts_nanos) * 1e-9,
                 net::describe(pkt).c_str());
